@@ -5,8 +5,7 @@
 # config object. Run as
 #   cmake -DJSON_FILE=<path> [-DREQUIRED_KEYS=a,b.c] \
 #         [-DREQUIRED_STRING_KEYS=d,e] \
-#         [-DREQUIRED_ARRAY_KEYS=f,g.h] \
-#         [-DREQUIRED_PRESENT_KEYS=i,j] [-DSERIES_OBJECT=k.series] \
+#         [-DREQUIRED_ARRAY_KEYS=f,g.h] [-DSERIES_OBJECT=k.series] \
 #         [-DREQUIRE_CONFIG=OFF] -P validate_bench_json.cmake
 # Key lists are comma-separated; a dot inside a key descends into
 # nested objects ("system.procs" checks doc.system.procs). No emitted
@@ -25,7 +24,6 @@ endif()
 string(REPLACE "," ";" key_list "${REQUIRED_KEYS}")
 string(REPLACE "," ";" string_key_list "${REQUIRED_STRING_KEYS}")
 string(REPLACE "," ";" array_key_list "${REQUIRED_ARRAY_KEYS}")
-string(REPLACE "," ";" present_key_list "${REQUIRED_PRESENT_KEYS}")
 
 file(READ "${JSON_FILE}" doc)
 
@@ -70,17 +68,6 @@ foreach(key IN LISTS array_key_list)
   string(JSON len LENGTH "${doc}" ${path})
   if(len EQUAL 0)
     message(FATAL_ERROR "${JSON_FILE}: array '${key}' is empty")
-  endif()
-endforeach()
-
-# Present-with-any-type keys: the key must exist but may hold an empty
-# array or any JSON type (e.g. contention.blame_edges on a run that saw
-# no aborts).
-foreach(key IN LISTS present_key_list)
-  string(REPLACE "." ";" path "${key}")
-  string(JSON ktype ERROR_VARIABLE err TYPE "${doc}" ${path})
-  if(err)
-    message(FATAL_ERROR "${JSON_FILE}: missing key '${key}': ${err}")
   endif()
 endforeach()
 

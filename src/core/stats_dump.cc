@@ -1,9 +1,6 @@
 #include "core/stats_dump.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -16,706 +13,291 @@ namespace tcc {
 namespace {
 
 void
-line(std::ostream &os, const std::string &name, std::uint64_t v)
+addConfig(StatsNode &g, const SystemConfig &cfg)
 {
-    os << name << " " << v << "\n";
+    g.num("procs", cfg.numProcs);
+    StatsNode &net = g.group("network");
+    const NetworkConfig::Model model = cfg.network.model;
+    net.name("model", model == NetworkConfig::Model::Mesh    ? "mesh"
+                      : model == NetworkConfig::Model::Ideal ? "ideal"
+                                                             : "chaos");
+    if (model == NetworkConfig::Model::Chaos) {
+        const ChaosConfig &c = cfg.network.chaos;
+        net.name("base", c.overIdeal ? "ideal" : "mesh");
+        net.num("seed", c.seed);
+        net.num("jitter", c.jitter);
+        net.real("reorder_prob", c.reorderProb);
+        net.num("reorder_window", c.reorderWindow);
+        net.real("duplicate_prob", c.duplicateProb);
+        net.num("duplicate_lag", c.duplicateLag);
+    }
+    if (model == NetworkConfig::Model::Ideal ||
+        (model == NetworkConfig::Model::Chaos &&
+         cfg.network.chaos.overIdeal)) {
+        net.num("ideal_latency", cfg.network.idealLatency);
+    } else {
+        net.num("hop_latency", cfg.network.mesh.hopLatency);
+        net.num("link_bytes_per_cycle", cfg.network.mesh.linkBytesPerCycle);
+    }
+    StatsNode &check = g.group("check");
+    check.flag("serial", cfg.check.serial);
+    check.flag("invariants", cfg.check.invariants);
+    g.flag("write_through_commit", cfg.writeThroughCommit);
 }
 
 void
-lined(std::ostream &os, const std::string &name, double v)
+addSystem(StatsNode &g, const System &sys)
 {
-    os << name << " " << v << "\n";
+    const Breakdown bd = sys.computeBreakdown();
+    g.num("procs", sys.numProcs());
+    g.num("committed_instructions", sys.committedInstructions());
+    g.num("useful_cycles", bd.useful);
+    g.num("miss_cycles", bd.miss);
+    g.num("commit_cycles", bd.commit);
+    g.num("idle_cycles", bd.idle);
+    g.num("violation_cycles", bd.violation);
+    g.num("tids_issued", sys.vendor().issued());
+    g.flag("quiesced", sys.protocolQuiesced());
+    const Arena::Stats as = sys.arenaStats();
+    g.num("arena_peak_bytes", as.peakBytes);
+    g.num("arena_chunks", as.chunks);
+    g.num("trace_events_captured", sys.traceRecorder().captured());
+    g.num("trace_events_dropped", sys.traceRecorder().dropped());
 }
 
 void
-dumpDistribution(std::ostream &os, const std::string &prefix,
-                 const Distribution &d)
+addNetwork(StatsNode &g, const NetworkStats &ns)
 {
-    line(os, prefix + ".count", d.count());
-    if (d.count() == 0)
+    g.num("messages", ns.messages);
+    g.num("bytes", ns.totalBytes);
+    g.num("hops", ns.totalHops);
+    g.num("multicasts", ns.multicasts);
+    g.num("multicast_nic_events", ns.multicastNicEvents);
+    StatsNode &by = g.group("bytes_by_class");
+    by.num("overhead", ns.classBytes[(int)TrafficClass::Overhead]);
+    by.num("miss", ns.classBytes[(int)TrafficClass::Miss]);
+    by.num("writeback", ns.classBytes[(int)TrafficClass::WriteBack]);
+    by.num("shared", ns.classBytes[(int)TrafficClass::Shared]);
+}
+
+void
+addPdes(StatsNode &g, const RunResult::PdesRunStats &ps)
+{
+    g.num("domains", ps.domains);
+    g.num("jobs", ps.jobs);
+    g.name("sync", ps.adaptive ? "adaptive" : "fixed");
+    g.num("lookahead", ps.lookahead);
+    g.num("windows", ps.windows);
+    g.num("phases", ps.phases);
+    g.num("mailbox_messages", ps.mailboxMessages);
+    g.num("idle_domain_skips", ps.idleDomainSkips);
+    g.num("empty_broadcasts_skipped", ps.emptyBroadcastsSkipped);
+    g.dist("window_width", ps.windowWidth);
+}
+
+void
+addMetrics(StatsNode &g, const MetricsSampler &m)
+{
+    g.num("epoch", m.epochLength());
+    g.num("epochs_closed", m.closed());
+    g.num("epochs_dropped", m.dropped());
+    g.num("first_epoch", m.firstEpoch());
+    addMetricsSeries(m, g.group("series"));
+}
+
+void
+addContention(StatsNode &g, const ContentionProfiler &c)
+{
+    g.num("top_k", c.topK());
+    g.num("conflicts", c.conflictsRecorded());
+    g.num("evictions", c.evictions());
+    StatsNode &words = g.list("hot_words");
+    for (const auto &w : c.hotWords()) {
+        StatsNode &it = words.item();
+        it.num("addr", w.addr);
+        it.num("sr_conflicts", w.s.srConflicts);
+        it.num("sm_conflicts", w.s.smConflicts);
+        it.num("aborts", w.s.aborts);
+        it.num("wasted_cycles", w.s.wasted);
+    }
+    StatsNode &edges = g.list("blame_edges");
+    for (const auto &e : c.blameEdges()) {
+        StatsNode &it = edges.item();
+        it.num("killer", e.killer);
+        it.num("victim", e.victim);
+        it.num("count", e.count);
+    }
+}
+
+void
+addProc(StatsNode &g, NodeId p, const TccProcessor &proc)
+{
+    const auto &s = proc.stats();
+    g.num("node", p);
+    g.num("useful_cycles", s.usefulCycles);
+    g.num("miss_cycles", s.missCycles);
+    g.num("commit_cycles", s.commitCycles);
+    g.num("idle_cycles", s.idleCycles);
+    g.num("violation_cycles", s.violationCycles);
+    g.num("txns_committed", s.txnsCommitted);
+    g.num("violations", s.violations);
+    g.num("overflows", s.overflows);
+    g.num("solo_commits", s.soloCommits);
+    g.num("drains", s.drains);
+    g.num("tid_requests", s.tidRequests);
+    g.num("value_validation_failures", s.valueValidationFailures);
+    g.dist("txn_instructions", s.txnInstructions);
+    g.dist("commit_latency", s.commitLatency);
+    g.dist("dirs_per_commit", s.dirsPerCommit);
+    g.dist("dirs_touched_per_commit", s.dirsTouchedPerCommit);
+    g.dist("multicast_nic_per_commit", s.multicastNicPerCommit);
+
+    const auto &cs = proc.cache().stats();
+    StatsNode &cache = g.group("cache");
+    cache.num("loads", cs.loads);
+    cache.num("stores", cs.stores);
+    cache.num("l1_hits", cs.l1Hits);
+    cache.num("l2_hits", cs.l2Hits);
+    cache.num("misses", cs.misses);
+    cache.num("fills", cs.fills);
+    cache.num("dirty_evictions", cs.dirtyEvictions);
+    cache.num("overflows", cs.overflows);
+    cache.num("ghosts", cs.ghostsCreated);
+}
+
+void
+addDirectory(StatsNode &g, NodeId d, const Directory &dir)
+{
+    const auto &s = dir.stats();
+    g.num("node", d);
+    g.num("nstid", dir.nstid());
+    g.num("loads_served", s.loadsServed);
+    g.num("loads_stalled", s.loadsStalled);
+    g.num("loads_forwarded", s.loadsForwarded);
+    g.num("skips", s.skipsReceived);
+    g.num("commits", s.commitsServed);
+    g.num("partial_commits", s.partialCommitsServed);
+    g.num("aborts", s.abortsServed);
+    g.num("invalidations", s.invalidationsSent);
+    g.num("writebacks_accepted", s.writeBacksAccepted);
+    g.num("writebacks_dropped", s.writeBacksDropped);
+    g.num("marks", s.marksReceived);
+    g.num("probes_deferred", s.probesDeferred);
+    g.num("dir_cache_misses", s.dirCacheMisses);
+    g.num("busy_cycles", s.busyCycles);
+    g.num("entries", dir.numEntries());
+    g.dist("commit_occupancy", s.commitOccupancy);
+    g.dist("working_set", s.workingSet);
+}
+
+void
+addLedgerEntry(StatsNode &g, const TxLedgerEntry &e)
+{
+    g.num("tid", e.tid);
+    g.num("node", e.node);
+    g.num("begin_tick", e.beginTick);
+    g.num("exec_cycles", e.execCycles());
+    g.num("commit_cycles", e.commitCycles());
+    g.num("retries", e.retries);
+    g.num("probes", e.probeCount);
+    g.real("probe_rtt_mean", e.probeRttMean());
+    g.num("probe_rtt_max", e.probeRttMax);
+    g.num("mark_to_commit", e.markToCommitCycles());
+    g.num("skip_to_commit", e.skipToCommitCycles());
+    g.num("directories_touched", e.directoriesTouched);
+    g.num("multicast_events", e.multicastEvents);
+    g.flag("has_violation", e.hasViolation);
+    if (!e.hasViolation)
         return;
-    lined(os, prefix + ".mean", d.mean());
-    lined(os, prefix + ".min", d.min());
-    lined(os, prefix + ".p50", d.percentile(50));
-    lined(os, prefix + ".p90", d.percentile(90));
-    lined(os, prefix + ".max", d.max());
-    lined(os, prefix + ".stddev", d.stddev());
+    g.num("violation_addr", e.violationAddr);
+    g.num("violation_writer", e.violationWriter);
+    StatsNode &causes = g.list("causes");
+    for (const auto &[addr, n] : e.causes) {
+        StatsNode &it = causes.item();
+        it.num("addr", addr);
+        it.num("count", n);
+    }
 }
 
-/**
- * Minimal structural JSON writer: tracks "does the current scope need
- * a comma" so emission order alone determines the output. Doubles use
- * "%.6g" so dumps are byte-stable across platforms.
- */
-class JsonWriter
-{
-  public:
-    explicit JsonWriter(std::ostream &os_) : os(os_) {}
-
-    void
-    beginObj(const char *key = nullptr)
-    {
-        sep();
-        tag(key);
-        os << "{";
-        needComma = false;
-    }
-
-    void
-    endObj()
-    {
-        os << "}";
-        needComma = true;
-    }
-
-    void
-    beginArr(const char *key = nullptr)
-    {
-        sep();
-        tag(key);
-        os << "[";
-        needComma = false;
-    }
-
-    void
-    endArr()
-    {
-        os << "]";
-        needComma = true;
-    }
-
-    void
-    kv(const char *key, std::uint64_t v)
-    {
-        sep();
-        tag(key);
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-        os << buf;
-        needComma = true;
-    }
-
-    void
-    kv(const char *key, double v)
-    {
-        sep();
-        tag(key);
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-        os << buf;
-        needComma = true;
-    }
-
-    void
-    kvBool(const char *key, bool v)
-    {
-        sep();
-        tag(key);
-        os << (v ? "true" : "false");
-        needComma = true;
-    }
-
-    /** String values are known identifiers; no escaping needed. */
-    void
-    kvStr(const char *key, const char *v)
-    {
-        sep();
-        tag(key);
-        os << "\"" << v << "\"";
-        needComma = true;
-    }
-
-  private:
-    void
-    sep()
-    {
-        if (needComma)
-            os << ",";
-    }
-
-    void
-    tag(const char *key)
-    {
-        if (key != nullptr)
-            os << "\"" << key << "\":";
-    }
-
-    std::ostream &os;
-    bool needComma = false;
-};
-
+/** Ledger-wide fan-out distributions plus the violation-cause
+ *  histogram: which addresses caused retries, not just each
+ *  transaction's last cause (count descending, address ascending). */
 void
-jsonDistribution(JsonWriter &j, const char *key, const Distribution &d)
+addLedgerSummary(StatsNode &g, const std::vector<TxLedgerEntry> &ledger)
 {
-    j.beginObj(key);
-    j.kv("count", static_cast<std::uint64_t>(d.count()));
-    if (d.count() != 0) {
-        j.kv("mean", d.mean());
-        j.kv("min", d.min());
-        j.kv("p50", d.percentile(50));
-        j.kv("p90", d.percentile(90));
-        j.kv("max", d.max());
-        j.kv("stddev", d.stddev());
-    }
-    j.endObj();
-}
-
-/** Aggregate per-entry violation causes across the whole ledger:
- *  (address, count) sorted by count descending, address ascending. */
-std::vector<std::pair<Addr, std::uint64_t>>
-aggregateCauses(const std::vector<TxLedgerEntry> &ledger)
-{
-    FlatMap<Addr, std::uint64_t> agg;
-    for (const TxLedgerEntry &e : ledger) {
-        for (const auto &[addr, n] : e.causes)
-            agg[addr] += n;
-    }
-    std::vector<std::pair<Addr, std::uint64_t>> out;
-    out.reserve(agg.size());
-    for (const auto &kv : agg)
-        out.emplace_back(kv.first, kv.second);
-    std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
-        if (a.second != b.second)
-            return a.second > b.second;
-        return a.first < b.first;
-    });
-    return out;
-}
-
-void
-dumpLedgerText(std::ostream &os,
-               const std::vector<TxLedgerEntry> &ledger)
-{
-    line(os, "tx_ledger.count", ledger.size());
-    for (std::size_t i = 0; i < ledger.size(); ++i) {
-        const TxLedgerEntry &e = ledger[i];
-        const std::string pre = "tx_ledger." + std::to_string(i);
-        line(os, pre + ".tid", e.tid);
-        line(os, pre + ".node", e.node);
-        line(os, pre + ".begin_tick", e.beginTick);
-        line(os, pre + ".exec_cycles", e.execCycles());
-        line(os, pre + ".commit_cycles", e.commitCycles());
-        line(os, pre + ".retries", e.retries);
-        line(os, pre + ".probes", e.probeCount);
-        lined(os, pre + ".probe_rtt_mean", e.probeRttMean());
-        line(os, pre + ".probe_rtt_max", e.probeRttMax);
-        line(os, pre + ".mark_to_commit", e.markToCommitCycles());
-        line(os, pre + ".skip_to_commit", e.skipToCommitCycles());
-        line(os, pre + ".directories_touched", e.directoriesTouched);
-        line(os, pre + ".multicast_events", e.multicastEvents);
-        if (e.hasViolation) {
-            line(os, pre + ".violation_addr", e.violationAddr);
-            line(os, pre + ".violation_writer", e.violationWriter);
-            line(os, pre + ".causes", e.causes.size());
-            for (std::size_t c = 0; c < e.causes.size(); ++c) {
-                const std::string cp =
-                    pre + ".cause" + std::to_string(c);
-                line(os, cp + ".addr", e.causes[c].first);
-                line(os, cp + ".count", e.causes[c].second);
-            }
-        }
-    }
-    // Ledger-wide violation-cause histogram: which addresses caused
-    // retries, not just each transaction's *last* cause.
-    const auto causes = aggregateCauses(ledger);
-    line(os, "tx_ledger.violation_causes.count", causes.size());
-    for (std::size_t c = 0; c < causes.size(); ++c) {
-        const std::string cp =
-            "tx_ledger.violation_causes." + std::to_string(c);
-        line(os, cp + ".addr", causes[c].first);
-        line(os, cp + ".count", causes[c].second);
-    }
-    // Cross-commit distributions (mean/p50/p99) of the fan-out shape:
-    // how many directories a commit touches and what it cost in
-    // NIC-serialized multicast injections.
     Distribution dirs, mcast;
+    FlatMap<Addr, std::uint64_t> agg;
     for (const TxLedgerEntry &e : ledger) {
         dirs.sample(static_cast<double>(e.directoriesTouched));
         mcast.sample(static_cast<double>(e.multicastEvents));
+        for (const auto &[addr, n] : e.causes)
+            agg[addr] += n;
     }
-    if (dirs.count() != 0) {
-        lined(os, "tx_ledger.directories_touched.mean", dirs.mean());
-        lined(os, "tx_ledger.directories_touched.p50",
-              dirs.percentile(50));
-        lined(os, "tx_ledger.directories_touched.p99",
-              dirs.percentile(99));
-        lined(os, "tx_ledger.multicast_events.mean", mcast.mean());
-        lined(os, "tx_ledger.multicast_events.p50",
-              mcast.percentile(50));
-        lined(os, "tx_ledger.multicast_events.p99",
-              mcast.percentile(99));
+    g.dist("directories_touched", dirs);
+    g.dist("multicast_events", mcast);
+
+    std::vector<std::pair<Addr, std::uint64_t>> causes;
+    causes.reserve(agg.size());
+    for (const auto &kv : agg)
+        causes.emplace_back(kv.first, kv.second);
+    std::sort(causes.begin(), causes.end(),
+              [](const auto &a, const auto &b) {
+                  if (a.second != b.second)
+                      return a.second > b.second;
+                  return a.first < b.first;
+              });
+    StatsNode &list = g.list("violation_causes");
+    for (const auto &[addr, n] : causes) {
+        StatsNode &it = list.item();
+        it.num("addr", addr);
+        it.num("count", n);
     }
 }
 
 } // namespace
 
+StatsNode
+buildStatsTree(const System &sys)
+{
+    StatsNode root;
+    addConfig(root.group("config"), sys.cfg());
+    addSystem(root.group("system"), sys);
+    addNetwork(root.group("network"), sys.network().stats());
+    if (sys.pdesStats().domains != 0)
+        addPdes(root.group("pdes"), sys.pdesStats());
+    if (const MetricsSampler *m = sys.metricsSampler())
+        addMetrics(root.group("metrics"), *m);
+    if (const ContentionProfiler *c = sys.contentionProfiler())
+        addContention(root.group("contention"), *c);
+
+    StatsNode &procs = root.list("procs");
+    for (NodeId p = 0; p < sys.numProcs(); ++p)
+        addProc(procs.item(), p, sys.proc(p));
+    StatsNode &dirs = root.list("dirs");
+    for (NodeId d = 0; d < sys.numProcs(); ++d)
+        addDirectory(dirs.item(), d, sys.directory(d));
+
+    const std::vector<TxLedgerEntry> ledger =
+        buildTxLedger(sys.traceRecorder());
+    StatsNode &entries = root.list("tx_ledger");
+    for (const TxLedgerEntry &e : ledger)
+        addLedgerEntry(entries.item(), e);
+    addLedgerSummary(root.group("tx_ledger_summary"), ledger);
+    return root;
+}
+
 void
 dumpStats(const System &sys, std::ostream &os)
 {
     os << "---------- begin tcc stats ----------\n";
-
-    // --- system-level ------------------------------------------------
-    const Breakdown bd = sys.computeBreakdown();
-    line(os, "system.procs", sys.numProcs());
-    line(os, "system.committed_instructions",
-         sys.committedInstructions());
-    line(os, "system.useful_cycles", bd.useful);
-    line(os, "system.miss_cycles", bd.miss);
-    line(os, "system.commit_cycles", bd.commit);
-    line(os, "system.idle_cycles", bd.idle);
-    line(os, "system.violation_cycles", bd.violation);
-    line(os, "system.tids_issued", sys.vendor().issued());
-    line(os, "system.quiesced", sys.protocolQuiesced() ? 1 : 0);
-    const Arena::Stats as = sys.arenaStats();
-    line(os, "system.arena_peak_bytes", as.peakBytes);
-    line(os, "system.arena_chunks", as.chunks);
-    line(os, "system.trace_events_captured",
-         sys.traceRecorder().captured());
-
-    // --- network -------------------------------------------------------
-    const auto &ns = sys.network().stats();
-    line(os, "network.messages", ns.messages);
-    line(os, "network.bytes", ns.totalBytes);
-    line(os, "network.hops", ns.totalHops);
-    line(os, "network.multicasts", ns.multicasts);
-    line(os, "network.multicast_nic_events", ns.multicastNicEvents);
-    line(os, "network.bytes.overhead",
-         ns.classBytes[(int)TrafficClass::Overhead]);
-    line(os, "network.bytes.miss",
-         ns.classBytes[(int)TrafficClass::Miss]);
-    line(os, "network.bytes.writeback",
-         ns.classBytes[(int)TrafficClass::WriteBack]);
-    line(os, "network.bytes.shared",
-         ns.classBytes[(int)TrafficClass::Shared]);
-
-    // --- pdes (only populated by parallel runs) ----------------------
-    const auto &ps = sys.pdesStats();
-    if (ps.domains != 0) {
-        line(os, "pdes.domains", ps.domains);
-        line(os, "pdes.jobs", ps.jobs);
-        line(os, "pdes.sync_adaptive", ps.adaptive ? 1 : 0);
-        line(os, "pdes.lookahead", ps.lookahead);
-        line(os, "pdes.windows", ps.windows);
-        line(os, "pdes.phases", ps.phases);
-        line(os, "pdes.mailbox_messages", ps.mailboxMessages);
-        line(os, "pdes.idle_domain_skips", ps.idleDomainSkips);
-        line(os, "pdes.empty_broadcasts_skipped",
-             ps.emptyBroadcastsSkipped);
-        lined(os, "pdes.window_width.mean", ps.windowWidth.mean());
-        lined(os, "pdes.window_width.p50",
-              ps.windowWidth.percentile(50));
-        lined(os, "pdes.window_width.p99",
-              ps.windowWidth.percentile(99));
-    }
-
-    // --- per processor ---------------------------------------------------
-    for (NodeId p = 0; p < sys.numProcs(); ++p) {
-        const auto &s = sys.proc(p).stats();
-        const std::string pre = "proc" + std::to_string(p);
-        line(os, pre + ".useful_cycles", s.usefulCycles);
-        line(os, pre + ".miss_cycles", s.missCycles);
-        line(os, pre + ".commit_cycles", s.commitCycles);
-        line(os, pre + ".idle_cycles", s.idleCycles);
-        line(os, pre + ".violation_cycles", s.violationCycles);
-        line(os, pre + ".txns_committed", s.txnsCommitted);
-        line(os, pre + ".violations", s.violations);
-        line(os, pre + ".overflows", s.overflows);
-        line(os, pre + ".solo_commits", s.soloCommits);
-        line(os, pre + ".drains", s.drains);
-        line(os, pre + ".tid_requests", s.tidRequests);
-        line(os, pre + ".value_validation_failures",
-             s.valueValidationFailures);
-        dumpDistribution(os, pre + ".txn_instructions",
-                         s.txnInstructions);
-        dumpDistribution(os, pre + ".commit_latency", s.commitLatency);
-        dumpDistribution(os, pre + ".dirs_per_commit", s.dirsPerCommit);
-        dumpDistribution(os, pre + ".dirs_touched_per_commit",
-                         s.dirsTouchedPerCommit);
-        dumpDistribution(os, pre + ".multicast_nic_per_commit",
-                         s.multicastNicPerCommit);
-
-        const auto &cs = sys.proc(p).cache().stats();
-        line(os, pre + ".cache.loads", cs.loads);
-        line(os, pre + ".cache.stores", cs.stores);
-        line(os, pre + ".cache.l1_hits", cs.l1Hits);
-        line(os, pre + ".cache.l2_hits", cs.l2Hits);
-        line(os, pre + ".cache.misses", cs.misses);
-        line(os, pre + ".cache.fills", cs.fills);
-        line(os, pre + ".cache.dirty_evictions", cs.dirtyEvictions);
-        line(os, pre + ".cache.overflows", cs.overflows);
-        line(os, pre + ".cache.ghosts", cs.ghostsCreated);
-    }
-
-    // --- per directory ---------------------------------------------------
-    for (NodeId d = 0; d < sys.numProcs(); ++d) {
-        const auto &s = sys.directory(d).stats();
-        const std::string pre = "dir" + std::to_string(d);
-        line(os, pre + ".nstid", sys.directory(d).nstid());
-        line(os, pre + ".loads_served", s.loadsServed);
-        line(os, pre + ".loads_stalled", s.loadsStalled);
-        line(os, pre + ".loads_forwarded", s.loadsForwarded);
-        line(os, pre + ".skips", s.skipsReceived);
-        line(os, pre + ".commits", s.commitsServed);
-        line(os, pre + ".partial_commits", s.partialCommitsServed);
-        line(os, pre + ".aborts", s.abortsServed);
-        line(os, pre + ".invalidations", s.invalidationsSent);
-        line(os, pre + ".writebacks_accepted", s.writeBacksAccepted);
-        line(os, pre + ".writebacks_dropped", s.writeBacksDropped);
-        line(os, pre + ".marks", s.marksReceived);
-        line(os, pre + ".probes_deferred", s.probesDeferred);
-        line(os, pre + ".dir_cache_misses", s.dirCacheMisses);
-        line(os, pre + ".busy_cycles", s.busyCycles);
-        line(os, pre + ".entries", sys.directory(d).numEntries());
-        dumpDistribution(os, pre + ".commit_occupancy",
-                         s.commitOccupancy);
-        dumpDistribution(os, pre + ".working_set", s.workingSet);
-    }
-
-    // --- epoch metrics (summary; the series lives in --stats-json and
-    // --- the --metrics-out CSV) --------------------------------------
-    if (const MetricsSampler *m = sys.metricsSampler()) {
-        line(os, "metrics.epoch", m->epochLength());
-        line(os, "metrics.epochs_closed", m->closed());
-        line(os, "metrics.epochs_dropped", m->dropped());
-        line(os, "metrics.probes", m->probeCount());
-    }
-
-    // --- conflict attribution ----------------------------------------
-    if (const ContentionProfiler *c = sys.contentionProfiler()) {
-        line(os, "contention.top_k", c->topK());
-        line(os, "contention.conflicts", c->conflictsRecorded());
-        line(os, "contention.evictions", c->evictions());
-        const auto words = c->hotWords();
-        line(os, "contention.hot_words.count", words.size());
-        for (std::size_t i = 0; i < words.size(); ++i) {
-            const std::string pre =
-                "contention.hot_word." + std::to_string(i);
-            line(os, pre + ".addr", words[i].addr);
-            line(os, pre + ".sr_conflicts", words[i].s.srConflicts);
-            line(os, pre + ".sm_conflicts", words[i].s.smConflicts);
-            line(os, pre + ".aborts", words[i].s.aborts);
-            line(os, pre + ".wasted_cycles", words[i].s.wasted);
-        }
-        const auto edges = c->blameEdges();
-        line(os, "contention.blame_edges.count", edges.size());
-        for (std::size_t i = 0; i < edges.size(); ++i) {
-            const std::string pre =
-                "contention.blame_edge." + std::to_string(i);
-            line(os, pre + ".killer", edges[i].killer);
-            line(os, pre + ".victim", edges[i].victim);
-            line(os, pre + ".count", edges[i].count);
-        }
-    }
-
-    // --- transaction ledger (only when something was traced) ----------
-    if (sys.traceRecorder().captured() != 0)
-        dumpLedgerText(os, buildTxLedger(sys.traceRecorder()));
-
+    renderStatsText(buildStatsTree(sys), os);
     os << "---------- end tcc stats ----------\n";
 }
 
 void
 dumpStatsJson(const System &sys, std::ostream &os)
 {
-    JsonWriter j(os);
-    j.beginObj();
-
-    // --- resolved configuration --------------------------------------
-    {
-        const SystemConfig &cfg = sys.cfg();
-        j.beginObj("config");
-        j.kv("procs", static_cast<std::uint64_t>(cfg.numProcs));
-        j.beginObj("network");
-        const char *model =
-            cfg.network.model == NetworkConfig::Model::Mesh ? "mesh"
-            : cfg.network.model == NetworkConfig::Model::Ideal
-                ? "ideal"
-                : "chaos";
-        j.kvStr("model", model);
-        if (cfg.network.model == NetworkConfig::Model::Chaos) {
-            const ChaosConfig &c = cfg.network.chaos;
-            j.kvStr("base", c.overIdeal ? "ideal" : "mesh");
-            j.kv("seed", c.seed);
-            j.kv("jitter", c.jitter);
-            j.kv("reorder_prob", c.reorderProb);
-            j.kv("reorder_window", c.reorderWindow);
-            j.kv("duplicate_prob", c.duplicateProb);
-            j.kv("duplicate_lag", c.duplicateLag);
-        }
-        if (cfg.network.model == NetworkConfig::Model::Ideal ||
-            (cfg.network.model == NetworkConfig::Model::Chaos &&
-             cfg.network.chaos.overIdeal)) {
-            j.kv("ideal_latency", cfg.network.idealLatency);
-        } else {
-            j.kv("hop_latency", cfg.network.mesh.hopLatency);
-            j.kv("link_bytes_per_cycle",
-                 static_cast<std::uint64_t>(
-                     cfg.network.mesh.linkBytesPerCycle));
-        }
-        j.endObj();
-        j.beginObj("check");
-        j.kvBool("serial", cfg.check.serial);
-        j.kvBool("invariants", cfg.check.invariants);
-        j.endObj();
-        j.kvBool("write_through_commit", cfg.writeThroughCommit);
-        j.endObj();
-    }
-
-    const Breakdown bd = sys.computeBreakdown();
-    j.beginObj("system");
-    j.kv("procs", static_cast<std::uint64_t>(sys.numProcs()));
-    j.kv("committed_instructions", sys.committedInstructions());
-    j.kv("useful_cycles", bd.useful);
-    j.kv("miss_cycles", bd.miss);
-    j.kv("commit_cycles", bd.commit);
-    j.kv("idle_cycles", bd.idle);
-    j.kv("violation_cycles", bd.violation);
-    j.kv("tids_issued", sys.vendor().issued());
-    j.kvBool("quiesced", sys.protocolQuiesced());
-    const Arena::Stats as = sys.arenaStats();
-    j.kv("arena_peak_bytes", as.peakBytes);
-    j.kv("arena_chunks", static_cast<std::uint64_t>(as.chunks));
-    j.kv("trace_events_captured", sys.traceRecorder().captured());
-    j.kv("trace_events_dropped", sys.traceRecorder().dropped());
-    j.endObj();
-
-    const auto &ns = sys.network().stats();
-    j.beginObj("network");
-    j.kv("messages", ns.messages);
-    j.kv("bytes", ns.totalBytes);
-    j.kv("hops", ns.totalHops);
-    j.kv("multicasts", ns.multicasts);
-    j.kv("multicast_nic_events", ns.multicastNicEvents);
-    j.beginObj("bytes_by_class");
-    j.kv("overhead", ns.classBytes[(int)TrafficClass::Overhead]);
-    j.kv("miss", ns.classBytes[(int)TrafficClass::Miss]);
-    j.kv("writeback", ns.classBytes[(int)TrafficClass::WriteBack]);
-    j.kv("shared", ns.classBytes[(int)TrafficClass::Shared]);
-    j.endObj();
-    j.endObj();
-
-    const auto &ps = sys.pdesStats();
-    if (ps.domains != 0) {
-        j.beginObj("pdes");
-        j.kv("domains", static_cast<std::uint64_t>(ps.domains));
-        j.kv("jobs", static_cast<std::uint64_t>(ps.jobs));
-        j.kvStr("sync", ps.adaptive ? "adaptive" : "fixed");
-        j.kv("lookahead", ps.lookahead);
-        j.kv("windows", ps.windows);
-        j.kv("phases", ps.phases);
-        j.kv("mailbox_messages", ps.mailboxMessages);
-        j.kv("idle_domain_skips", ps.idleDomainSkips);
-        j.kv("empty_broadcasts_skipped", ps.emptyBroadcastsSkipped);
-        jsonDistribution(j, "window_width", ps.windowWidth);
-        j.endObj();
-    }
-
-    // Epoch time series: one parallel array per probe plus the derived
-    // nstid_lag (tids issued minus the slowest directory's NSTID - the
-    // commit pipeline's depth over time).
-    if (const MetricsSampler *m = sys.metricsSampler()) {
-        j.beginObj("metrics");
-        j.kv("epoch", m->epochLength());
-        j.kv("epochs_closed", m->closed());
-        j.kv("epochs_dropped", m->dropped());
-        j.kv("first_epoch", m->firstEpoch());
-        j.beginObj("series");
-        for (std::size_t p = 0; p < m->probeCount(); ++p) {
-            j.beginArr(m->probeName(p));
-            for (std::size_t r = 0; r < m->rows(); ++r)
-                j.kv(nullptr, m->at(r, p));
-            j.endArr();
-        }
-        const int issued = m->probeIndex("tids_issued");
-        const int nstid = m->probeIndex("nstid_min");
-        if (issued >= 0 && nstid >= 0) {
-            j.beginArr("nstid_lag");
-            for (std::size_t r = 0; r < m->rows(); ++r) {
-                const std::uint64_t hi =
-                    m->at(r, static_cast<std::size_t>(issued));
-                const std::uint64_t lo =
-                    m->at(r, static_cast<std::size_t>(nstid));
-                j.kv(nullptr, hi > lo ? hi - lo : 0);
-            }
-            j.endArr();
-        }
-        j.endObj();
-        j.endObj();
-    }
-
-    // Conflict attribution: hot words and the abort blame graph.
-    if (const ContentionProfiler *c = sys.contentionProfiler()) {
-        j.beginObj("contention");
-        j.kv("top_k", static_cast<std::uint64_t>(c->topK()));
-        j.kv("conflicts", c->conflictsRecorded());
-        j.kv("evictions", c->evictions());
-        j.beginArr("hot_words");
-        for (const auto &w : c->hotWords()) {
-            j.beginObj();
-            j.kv("addr", w.addr);
-            j.kv("sr_conflicts", w.s.srConflicts);
-            j.kv("sm_conflicts", w.s.smConflicts);
-            j.kv("aborts", w.s.aborts);
-            j.kv("wasted_cycles", w.s.wasted);
-            j.endObj();
-        }
-        j.endArr();
-        j.beginArr("blame_edges");
-        for (const auto &e : c->blameEdges()) {
-            j.beginObj();
-            j.kv("killer", static_cast<std::uint64_t>(e.killer));
-            j.kv("victim", static_cast<std::uint64_t>(e.victim));
-            j.kv("count", e.count);
-            j.endObj();
-        }
-        j.endArr();
-        j.endObj();
-    }
-
-    j.beginArr("procs");
-    for (NodeId p = 0; p < sys.numProcs(); ++p) {
-        const auto &s = sys.proc(p).stats();
-        j.beginObj();
-        j.kv("node", static_cast<std::uint64_t>(p));
-        j.kv("useful_cycles", s.usefulCycles);
-        j.kv("miss_cycles", s.missCycles);
-        j.kv("commit_cycles", s.commitCycles);
-        j.kv("idle_cycles", s.idleCycles);
-        j.kv("violation_cycles", s.violationCycles);
-        j.kv("txns_committed", s.txnsCommitted);
-        j.kv("violations", s.violations);
-        j.kv("overflows", s.overflows);
-        j.kv("solo_commits", s.soloCommits);
-        j.kv("drains", s.drains);
-        j.kv("tid_requests", s.tidRequests);
-        j.kv("value_validation_failures", s.valueValidationFailures);
-        jsonDistribution(j, "txn_instructions", s.txnInstructions);
-        jsonDistribution(j, "commit_latency", s.commitLatency);
-        jsonDistribution(j, "dirs_per_commit", s.dirsPerCommit);
-        jsonDistribution(j, "dirs_touched_per_commit",
-                         s.dirsTouchedPerCommit);
-        jsonDistribution(j, "multicast_nic_per_commit",
-                         s.multicastNicPerCommit);
-
-        const auto &cs = sys.proc(p).cache().stats();
-        j.beginObj("cache");
-        j.kv("loads", cs.loads);
-        j.kv("stores", cs.stores);
-        j.kv("l1_hits", cs.l1Hits);
-        j.kv("l2_hits", cs.l2Hits);
-        j.kv("misses", cs.misses);
-        j.kv("fills", cs.fills);
-        j.kv("dirty_evictions", cs.dirtyEvictions);
-        j.kv("overflows", cs.overflows);
-        j.kv("ghosts", cs.ghostsCreated);
-        j.endObj();
-        j.endObj();
-    }
-    j.endArr();
-
-    j.beginArr("dirs");
-    for (NodeId d = 0; d < sys.numProcs(); ++d) {
-        const auto &s = sys.directory(d).stats();
-        j.beginObj();
-        j.kv("node", static_cast<std::uint64_t>(d));
-        j.kv("nstid", sys.directory(d).nstid());
-        j.kv("loads_served", s.loadsServed);
-        j.kv("loads_stalled", s.loadsStalled);
-        j.kv("loads_forwarded", s.loadsForwarded);
-        j.kv("skips", s.skipsReceived);
-        j.kv("commits", s.commitsServed);
-        j.kv("partial_commits", s.partialCommitsServed);
-        j.kv("aborts", s.abortsServed);
-        j.kv("invalidations", s.invalidationsSent);
-        j.kv("writebacks_accepted", s.writeBacksAccepted);
-        j.kv("writebacks_dropped", s.writeBacksDropped);
-        j.kv("marks", s.marksReceived);
-        j.kv("probes_deferred", s.probesDeferred);
-        j.kv("dir_cache_misses", s.dirCacheMisses);
-        j.kv("busy_cycles", s.busyCycles);
-        j.kv("entries",
-             static_cast<std::uint64_t>(sys.directory(d).numEntries()));
-        jsonDistribution(j, "commit_occupancy", s.commitOccupancy);
-        jsonDistribution(j, "working_set", s.workingSet);
-        j.endObj();
-    }
-    j.endArr();
-
-    std::vector<TxLedgerEntry> ledger;
-    if (sys.traceRecorder().captured() != 0)
-        ledger = buildTxLedger(sys.traceRecorder());
-
-    j.beginArr("tx_ledger");
-    for (const TxLedgerEntry &e : ledger) {
-        j.beginObj();
-        j.kv("tid", e.tid);
-        j.kv("node", static_cast<std::uint64_t>(e.node));
-        j.kv("begin_tick", e.beginTick);
-        j.kv("exec_cycles", e.execCycles());
-        j.kv("commit_cycles", e.commitCycles());
-        j.kv("retries", static_cast<std::uint64_t>(e.retries));
-        j.kv("probes", e.probeCount);
-        j.kv("probe_rtt_mean", e.probeRttMean());
-        j.kv("probe_rtt_max", e.probeRttMax);
-        j.kv("mark_to_commit", e.markToCommitCycles());
-        j.kv("skip_to_commit", e.skipToCommitCycles());
-        j.kv("directories_touched", e.directoriesTouched);
-        j.kv("multicast_events", e.multicastEvents);
-        j.kvBool("has_violation", e.hasViolation);
-        if (e.hasViolation) {
-            j.kv("violation_addr", e.violationAddr);
-            j.kv("violation_writer", e.violationWriter);
-            j.beginArr("causes");
-            for (const auto &[addr, n] : e.causes) {
-                j.beginObj();
-                j.kv("addr", addr);
-                j.kv("count", static_cast<std::uint64_t>(n));
-                j.endObj();
-            }
-            j.endArr();
-        }
-        j.endObj();
-    }
-    j.endArr();
-
-    // Cross-commit fan-out distributions: directories touched per
-    // commit and NIC-serialized multicast cost per commit.
-    {
-        Distribution dirs, mcast;
-        for (const TxLedgerEntry &e : ledger) {
-            dirs.sample(static_cast<double>(e.directoriesTouched));
-            mcast.sample(static_cast<double>(e.multicastEvents));
-        }
-        j.beginObj("tx_ledger_summary");
-        j.beginObj("directories_touched");
-        j.kv("count", static_cast<std::uint64_t>(dirs.count()));
-        if (dirs.count() != 0) {
-            j.kv("mean", dirs.mean());
-            j.kv("p50", dirs.percentile(50));
-            j.kv("p99", dirs.percentile(99));
-        }
-        j.endObj();
-        j.beginObj("multicast_events");
-        j.kv("count", static_cast<std::uint64_t>(mcast.count()));
-        if (mcast.count() != 0) {
-            j.kv("mean", mcast.mean());
-            j.kv("p50", mcast.percentile(50));
-            j.kv("p99", mcast.percentile(99));
-        }
-        j.endObj();
-        // Ledger-wide violation-cause histogram (count desc, addr asc).
-        j.beginArr("violation_causes");
-        for (const auto &[addr, n] : aggregateCauses(ledger)) {
-            j.beginObj();
-            j.kv("addr", addr);
-            j.kv("count", n);
-            j.endObj();
-        }
-        j.endArr();
-        j.endObj();
-    }
-
-    j.endObj();
+    renderStatsJson(buildStatsTree(sys), os);
     os << "\n";
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Full statistics dump, in the spirit of gem5's stats.txt: every
- * counter the simulator keeps, rendered as "name value" lines grouped
- * by component. Meant for regression diffing and offline analysis.
+ * counter the simulator keeps, built once as a StatsNode tree
+ * (obs/stats_tree.hh) and rendered as text or JSON. The text and JSON
+ * forms share one schema: every text path is a JSON path.
  */
 
 #ifndef TCC_CORE_STATS_DUMP_HH
@@ -11,31 +12,31 @@
 #include <ostream>
 
 #include "core/system.hh"
+#include "obs/stats_tree.hh"
 
 namespace tcc {
 
 /**
- * Write every statistic of @p sys to @p os:
- *   system.*            run-level aggregates
- *   network.*           message/byte/hop counters by traffic class
- *   proc<N>.*           per-processor breakdown + transaction stats
- *   dir<N>.*            per-directory protocol counters
- *   tx_ledger.*         per-transaction lifecycle (when traced)
+ * Every statistic of @p sys as one ordered tree:
+ *   config              resolved configuration
+ *   system              run-level aggregates
+ *   network             message/byte/hop counters by traffic class
+ *   pdes                parallel-engine counters (PDES runs only)
+ *   metrics             epoch time series (sampler armed only)
+ *   contention          hot words + blame graph (profiler armed only)
+ *   procs[]             per-processor breakdown, transactions, cache
+ *   dirs[]              per-directory protocol counters
+ *   tx_ledger[]         per-transaction lifecycle, empty unless the
+ *                       Proc + Commit trace categories were on
+ *   tx_ledger_summary   ledger-wide fan-out and violation causes
  */
+StatsNode buildStatsTree(const System &sys);
+
+/** The tree as "name value" lines between begin/end marker lines. */
 void dumpStats(const System &sys, std::ostream &os);
 
-/**
- * The same statistics tree as machine-readable JSON: nested objects
- * with stable key order and fixed double formatting ("%.6g"), so the
- * output of a deterministic run is byte-identical across platforms.
- * Top-level shape:
- *
- *   { "system": {...}, "network": {...},
- *     "procs": [...], "dirs": [...], "tx_ledger": [...] }
- *
- * tx_ledger entries come from obs/tx_ledger.hh and are empty unless
- * the Proc + Commit trace categories were enabled during the run.
- */
+/** The tree as one line of JSON with stable key order and "%.6g"
+ *  doubles, so a deterministic run is byte-identical everywhere. */
 void dumpStatsJson(const System &sys, std::ostream &os);
 
 } // namespace tcc

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <ostream>
 
+#include "obs/stats_tree.hh"
+
 namespace tcc {
 
 namespace {
@@ -133,29 +135,38 @@ MetricsSampler::adoptMerged(const std::vector<const MetricsSampler *> &parts)
 }
 
 void
-writeMetricsCsv(const MetricsSampler &m, std::ostream &os)
+addMetricsSeries(const MetricsSampler &m, StatsNode &series)
 {
+    const std::uint64_t first = m.firstEpoch();
+    StatsNode &epoch = series.vector("epoch");
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        epoch.push(first + r);
+    StatsNode &start = series.vector("start_tick");
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        start.push((first + r) * m.epochLength());
+    for (std::size_t p = 0; p < m.probeCount(); ++p) {
+        StatsNode &col = series.vector(m.probeName(p));
+        for (std::size_t r = 0; r < m.rows(); ++r)
+            col.push(m.at(r, p));
+    }
     const int issued = m.probeIndex("tids_issued");
     const int nstid = m.probeIndex("nstid_min");
-    os << "epoch,start_tick";
-    for (std::size_t p = 0; p < m.probeCount(); ++p)
-        os << ',' << m.probeName(p);
-    if (issued >= 0 && nstid >= 0)
-        os << ",nstid_lag";
-    os << '\n';
-    const std::uint64_t first = m.firstEpoch();
+    if (issued < 0 || nstid < 0)
+        return;
+    StatsNode &lag = series.vector("nstid_lag");
     for (std::size_t r = 0; r < m.rows(); ++r) {
-        const std::uint64_t epoch = first + r;
-        os << epoch << ',' << epoch * m.epochLength();
-        for (std::size_t p = 0; p < m.probeCount(); ++p)
-            os << ',' << m.at(r, p);
-        if (issued >= 0 && nstid >= 0) {
-            const std::uint64_t hi = m.at(r, static_cast<std::size_t>(issued));
-            const std::uint64_t lo = m.at(r, static_cast<std::size_t>(nstid));
-            os << ',' << (hi > lo ? hi - lo : 0);
-        }
-        os << '\n';
+        const std::uint64_t hi = m.at(r, static_cast<std::size_t>(issued));
+        const std::uint64_t lo = m.at(r, static_cast<std::size_t>(nstid));
+        lag.push(hi > lo ? hi - lo : 0);
     }
+}
+
+void
+writeMetricsCsv(const MetricsSampler &m, std::ostream &os)
+{
+    StatsNode series;
+    addMetricsSeries(m, series);
+    renderStatsCsv(series, os);
 }
 
 } // namespace tcc

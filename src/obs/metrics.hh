@@ -53,6 +53,8 @@
 
 namespace tcc {
 
+class StatsNode;
+
 class MetricsSampler
 {
   public:
@@ -186,11 +188,16 @@ class MetricsSampler
 };
 
 /**
- * Write the sampler's kept rows as a CSV time series: one row per
- * epoch with columns epoch, start_tick, then one column per probe,
- * plus a derived nstid_lag column (tids_issued - nstid_min) when both
- * probes exist - the paper's commit-pipeline depth over time.
+ * Append the sampler's kept rows to @p series (a Group) as equal-length
+ * Vectors: epoch, start_tick, one column per probe, plus a derived
+ * nstid_lag column (tids_issued - nstid_min) when both probes exist -
+ * the paper's commit-pipeline depth over time. The single definition
+ * of the time-series columns: the stats JSON's metrics.series and the
+ * CSV below both render it.
  */
+void addMetricsSeries(const MetricsSampler &m, StatsNode &series);
+
+/** Write the series above as CSV: one row per kept epoch. */
 void writeMetricsCsv(const MetricsSampler &m, std::ostream &os);
 
 } // namespace tcc

@@ -2,7 +2,8 @@
  * @file
  * Lightweight statistics: named scalar counters and sampled
  * distributions with percentile queries. Components own their stats as
- * plain members; a StatDump helper renders them for reports.
+ * plain members; core/stats_dump.cc collects them into one StatsNode
+ * tree (obs/stats_tree.hh) that every report format renders.
  */
 
 #ifndef TCC_SIM_STATS_HH

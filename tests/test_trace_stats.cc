@@ -131,9 +131,9 @@ TEST(StatsDump, ContainsAllComponentGroups)
 
     for (const char *key :
          {"system.procs 2", "system.quiesced 1", "network.messages",
-          "proc0.txns_committed 1", "proc1.txns_committed 1",
-          "dir0.nstid", "dir1.skips", "proc0.cache.loads",
-          "dir0.commit_occupancy.count"}) {
+          "procs.0.txns_committed 1", "procs.1.txns_committed 1",
+          "dirs.0.nstid", "dirs.1.skips", "procs.0.cache.loads",
+          "dirs.0.commit_occupancy.count"}) {
         EXPECT_NE(out.find(key), std::string::npos)
             << "missing stat: " << key;
     }
@@ -153,7 +153,7 @@ TEST(StatsDump, ValuesAreConsistentWithAccessors)
     std::ostringstream os;
     dumpStats(sys, os);
     const std::string out = os.str();
-    EXPECT_NE(out.find("proc0.txns_committed 3"), std::string::npos);
+    EXPECT_NE(out.find("procs.0.txns_committed 3"), std::string::npos);
     EXPECT_NE(out.find("system.tids_issued 3"), std::string::npos);
 }
 
