@@ -100,7 +100,7 @@ main(int argc, char **argv)
             const bool busOk =
                 base.bus.completed && cell.bus.completed;
             const bool scalOk =
-                base.scal.completed && cell.scal.completed;
+                base.scal.res.completed && cell.scal.res.completed;
             if (!busOk || !scalOk) {
                 std::printf("%-16s %5u %14s %14s %12s\n", name, p,
                             busOk ? "-" : "DID NOT COMPLETE",
@@ -111,8 +111,8 @@ main(int argc, char **argv)
                 static_cast<double>(base.bus.cycles) /
                 static_cast<double>(cell.bus.cycles);
             const double scal_speedup =
-                static_cast<double>(base.scal.cycles) /
-                static_cast<double>(cell.scal.cycles);
+                static_cast<double>(base.scal.res.cycles) /
+                static_cast<double>(cell.scal.res.cycles);
             std::printf("%-16s %5u %13.1fx %13.1fx %11.2fx\n", name, p,
                         bus_speedup, scal_speedup,
                         scal_speedup / bus_speedup);

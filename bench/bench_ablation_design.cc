@@ -63,10 +63,10 @@ main(int argc, char **argv)
             const auto &line = outs[a * 2 + 1];
             std::printf("%-16s %14llu %14llu %12llu %12llu\n",
                         names[a].c_str(),
-                        (unsigned long long)word.cycles,
-                        (unsigned long long)line.cycles,
-                        (unsigned long long)word.violations,
-                        (unsigned long long)line.violations);
+                        (unsigned long long)word.res.cycles,
+                        (unsigned long long)line.res.cycles,
+                        (unsigned long long)word.res.violations,
+                        (unsigned long long)line.res.violations);
         }
     }
 
@@ -92,10 +92,10 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < agings.size(); ++i) {
             const auto &out = outs[i];
             std::printf("aging=%-10u %14llu %14llu %12llu %12s\n",
-                        agings[i], (unsigned long long)out.cycles,
-                        (unsigned long long)out.violations,
-                        (unsigned long long)out.committedTxns,
-                        out.completed ? "yes" : "NO");
+                        agings[i], (unsigned long long)out.res.cycles,
+                        (unsigned long long)out.res.violations,
+                        (unsigned long long)out.res.committedTxns,
+                        out.res.completed ? "yes" : "NO");
         }
     }
 
@@ -117,8 +117,8 @@ main(int argc, char **argv)
             const auto &b = outs[i * 2 + 1];
             std::printf("%-16s %14llu %14llu %16.4f %16.4f\n",
                         names[i].c_str(),
-                        (unsigned long long)a.cycles,
-                        (unsigned long long)b.cycles,
+                        (unsigned long long)a.res.cycles,
+                        (unsigned long long)b.res.cycles,
                         a.traffic.total(), b.traffic.total());
         }
     }
@@ -142,9 +142,9 @@ main(int argc, char **argv)
                 const auto &out = outs[a * sizes.size() + s];
                 std::printf("%-16s %12u %14llu %14llu%s\n",
                             names[a].c_str(), sizes[s],
-                            (unsigned long long)out.cycles,
+                            (unsigned long long)out.res.cycles,
                             (unsigned long long)out.dirCacheMisses,
-                            out.completed ? "" : " INCOMPLETE");
+                            out.res.completed ? "" : " INCOMPLETE");
             }
         }
     }
@@ -167,10 +167,10 @@ main(int argc, char **argv)
             const auto &b = outs[i * 2 + 1];
             std::printf("%-16s %16llu %16llu %9.2fx\n",
                         names[i].c_str(),
-                        (unsigned long long)a.cycles,
-                        (unsigned long long)b.cycles,
-                        static_cast<double>(b.cycles) /
-                            static_cast<double>(a.cycles));
+                        (unsigned long long)a.res.cycles,
+                        (unsigned long long)b.res.cycles,
+                        static_cast<double>(b.res.cycles) /
+                            static_cast<double>(a.res.cycles));
         }
     }
     return 0;

@@ -1,55 +1,155 @@
 /**
  * @file
- * Shared driver for the benchmark harness. Each bench binary
+ * Shared driver for the benchmark harness. Each figure binary
  * regenerates one table or figure of the paper (see DESIGN.md's
- * per-experiment index); this header provides the run-one-configuration
- * plumbing they share.
+ * per-experiment index); each JSON binary writes one BENCH_*.json.
+ * This header is the plumbing they share: running one configuration,
+ * comparing two runs' outcomes, parsing the command line, and writing
+ * the JSON document with its gate verdicts.
  */
 
 #ifndef TCC_BENCH_COMMON_HH
 #define TCC_BENCH_COMMON_HH
 
+#include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/report.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "obs/metrics.hh"
+#include "obs/stats_tree.hh"
 #include "workload/registry.hh"
+
+// Configure-time git revision (set by bench/CMakeLists.txt) so each
+// BENCH_*.json records what code produced it.
+#ifndef TCC_GIT_REV
+#define TCC_GIT_REV "unknown"
+#endif
 
 namespace tccbench {
 
 using namespace tcc;
 
+/**
+ * A run's simulated outcome: its RunResult plus the final-memory
+ * fingerprint. Every identity gate compares two of these through
+ * outcomeDiff().
+ */
+struct Outcome {
+    RunResult res;
+    /** System::memory().fingerprint() after the run. */
+    std::uint64_t fingerprint = 0;
+    /** Host wall-clock of System::run() (never compared). */
+    double wallSec = 0;
+};
+
+/** Wall-clock seconds from @p a to @p b. */
+inline double
+seconds(std::chrono::steady_clock::time_point a,
+        std::chrono::steady_clock::time_point b)
+{
+    return std::chrono::duration<double>(b - a).count();
+}
+
+/** @p v as lower-case hex, zero-padded to @p width digits. */
+inline std::string
+hex(std::uint64_t v, int width = 0)
+{
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%0*llx", width,
+                  (unsigned long long)v);
+    return buf;
+}
+
+/** Run @p sys to completion and capture its Outcome. */
+inline Outcome
+runOutcome(System &sys)
+{
+    Outcome out;
+    const auto t0 = std::chrono::steady_clock::now();
+    out.res = sys.run();
+    out.wallSec = seconds(t0, std::chrono::steady_clock::now());
+    out.fingerprint = sys.memory().fingerprint();
+    return out;
+}
+
+/**
+ * The first field in which @p a and @p b differ, or null when the two
+ * runs are bit-identical. pdes.jobs never counts: it records the
+ * thread count itself. With @p cross_sync the barrier cadence
+ * (pdes.adaptive, pdes.windows, pdes.emptyBroadcastsSkipped) may
+ * differ too - everything the simulation can observe must not.
+ */
+inline const char *
+outcomeDiff(const Outcome &a, const Outcome &b, bool cross_sync = false)
+{
+#define TCC_CMP(field)                                                 \
+    if (a.field != b.field)                                            \
+        return #field;
+    TCC_CMP(fingerprint);
+    TCC_CMP(res.cycles);
+    TCC_CMP(res.completed);
+    TCC_CMP(res.events);
+    TCC_CMP(res.quiesced);
+    TCC_CMP(res.committedTxns);
+    TCC_CMP(res.violations);
+    TCC_CMP(res.overflows);
+    TCC_CMP(res.committedInstructions);
+    TCC_CMP(res.breakdown.useful);
+    TCC_CMP(res.breakdown.miss);
+    TCC_CMP(res.breakdown.commit);
+    TCC_CMP(res.breakdown.idle);
+    TCC_CMP(res.breakdown.violation);
+    TCC_CMP(res.pdes.domains);
+    TCC_CMP(res.pdes.lookahead);
+    TCC_CMP(res.pdes.phases);
+    TCC_CMP(res.pdes.mailboxMessages);
+    TCC_CMP(res.pdes.idleDomainSkips);
+    if (!cross_sync) {
+        TCC_CMP(res.pdes.adaptive);
+        TCC_CMP(res.pdes.windows);
+        TCC_CMP(res.pdes.emptyBroadcastsSkipped);
+    }
+    TCC_CMP(res.procs.size());
+    TCC_CMP(res.dirs.size());
+    for (std::size_t p = 0; p < a.res.procs.size(); ++p) {
+        TCC_CMP(res.procs[p].txnsCommitted);
+        TCC_CMP(res.procs[p].violations);
+        TCC_CMP(res.procs[p].overflows);
+        TCC_CMP(res.procs[p].soloCommits);
+        TCC_CMP(res.procs[p].committedInstructions);
+    }
+    for (std::size_t d = 0; d < a.res.dirs.size(); ++d) {
+        TCC_CMP(res.dirs[d].nstid);
+        TCC_CMP(res.dirs[d].commitsServed);
+        TCC_CMP(res.dirs[d].skipsReceived);
+        TCC_CMP(res.dirs[d].abortsServed);
+        TCC_CMP(res.dirs[d].invalidationsSent);
+        TCC_CMP(res.dirs[d].writeBacksDropped);
+    }
+#undef TCC_CMP
+    return nullptr;
+}
+
 /** Everything a figure needs from one finished run. */
-struct RunOutcome {
+struct RunOutcome : Outcome {
     std::string app;
     std::uint32_t procs = 0;
-    Tick cycles = 0;
-    bool completed = false;
-    Breakdown breakdown;
     AppCharacterization characterization;
     TrafficRow traffic;
-    std::uint64_t committedTxns = 0;
-    std::uint64_t violations = 0;
-    std::uint64_t committedInstructions = 0;
     std::uint64_t dirCacheMisses = 0;
-    /** Memory footprint of the run's arena (see common/arena.hh). */
-    std::uint64_t arenaPeakBytes = 0;
-    std::uint64_t arenaChunks = 0;
-    /** Verdicts of any checkers armed via RunOptions::check. */
-    CheckVerdict serial;
-    CheckVerdict invariants;
     /** Epochs the metrics sampler closed (0 when not armed via
      *  RunOptions::trace). */
     std::uint64_t metricsEpochs = 0;
-    /** Committed logical data-structure ops (0 for synthetic apps). */
-    std::uint64_t committedOps = 0;
 };
 
 /** Tweaks applied on top of the default Table 2 configuration. */
@@ -97,29 +197,17 @@ runWorkload(const std::string &name, const RunOptions &opt)
     const WorkloadBundle bundle =
         makeWorkload(name, opt.wl, opt.seed, opt.procs);
     bundle.attach(sys);
-    const RunResult res = sys.run();
 
     RunOutcome out;
+    static_cast<Outcome &>(out) = runOutcome(sys);
     out.app = name;
     out.procs = opt.procs;
-    out.cycles = res.cycles;
-    out.completed = res.completed;
-    out.breakdown = res.breakdown;
     out.characterization = characterize(sys, name);
     out.traffic = trafficPerInstr(sys, name);
-    out.committedTxns = res.committedTxns;
-    out.violations = res.violations;
     for (NodeId p = 0; p < sys.numProcs(); ++p)
         out.dirCacheMisses += sys.directory(p).stats().dirCacheMisses;
-    out.committedInstructions = res.committedInstructions;
-    const Arena::Stats as = sys.arenaStats();
-    out.arenaPeakBytes = as.peakBytes;
-    out.arenaChunks = as.chunks;
-    out.serial = res.serial;
-    out.invariants = res.invariants;
     if (const MetricsSampler *m = sys.metricsSampler())
         out.metricsEpochs = m->closed();
-    out.committedOps = bundle.committedOps();
     return out;
 }
 
@@ -136,29 +224,49 @@ benchApps()
 }
 
 /**
- * Command-line options shared by every figure driver:
+ * Command-line options. The figure drivers take
  *   --filter=<app>   only run applications whose name contains <app>
  *   --procs=<list>   comma-separated processor counts, replacing the
  *                    figure's default sweep (e.g. --procs=8,16)
  *   --jobs=<n>       concurrent simulations (default: TCC_JOBS env,
  *                    else hardware threads; 1 = serial)
+ * and the JSON drivers take
+ *   --smoke          tiny grid (CI wiring check, not a benchmark)
+ *   --out PATH       JSON output path (default BENCH_<name>.json)
+ *   --jobs=<n>       as above, for the drivers that sweep in parallel
  */
 struct BenchArgs {
     std::string filter;
     std::vector<std::uint32_t> procs;
     unsigned jobs = 0; ///< 0 = SweepRunner::defaultJobs()
+    bool smoke = false;
+    std::string out;
 };
 
-/** Parse @p argv into a BenchArgs; exits with usage on bad input. */
+/**
+ * Parse @p argv into a BenchArgs; exits 2 with a usage line on bad
+ * input. A JSON driver passes its default output path as @p json_out
+ * (and @p takes_jobs when it sweeps in parallel); a figure driver
+ * passes null.
+ */
 inline BenchArgs
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv, const char *json_out,
+               bool takes_jobs)
 {
+    const bool json = json_out != nullptr;
     BenchArgs args;
+    if (json)
+        args.out = json_out;
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        if (std::strncmp(a, "--filter=", 9) == 0) {
+        if (json && std::strcmp(a, "--smoke") == 0) {
+            args.smoke = true;
+        } else if (json && std::strcmp(a, "--out") == 0 &&
+                   i + 1 < argc) {
+            args.out = argv[++i];
+        } else if (!json && std::strncmp(a, "--filter=", 9) == 0) {
             args.filter = a + 9;
-        } else if (std::strncmp(a, "--procs=", 8) == 0) {
+        } else if (!json && std::strncmp(a, "--procs=", 8) == 0) {
             const char *s = a + 8;
             while (*s) {
                 char *end = nullptr;
@@ -173,7 +281,7 @@ parseBenchArgs(int argc, char **argv)
                     static_cast<std::uint32_t>(v));
                 s = *end == ',' ? end + 1 : end;
             }
-        } else if (std::strncmp(a, "--jobs=", 7) == 0) {
+        } else if (takes_jobs && std::strncmp(a, "--jobs=", 7) == 0) {
             char *end = nullptr;
             const unsigned long v = std::strtoul(a + 7, &end, 10);
             if (end == a + 7 || *end != '\0' || v == 0) {
@@ -183,15 +291,144 @@ parseBenchArgs(int argc, char **argv)
             }
             args.jobs = static_cast<unsigned>(v);
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--filter=<app>] "
-                         "[--procs=<n,n,...>] [--jobs=<n>]\n",
-                         argv[0]);
+            std::fprintf(stderr, "usage: %s %s%s\n", argv[0],
+                         json ? "[--smoke] [--out PATH]"
+                              : "[--filter=<app>] [--procs=<n,n,...>]",
+                         takes_jobs ? " [--jobs=<n>]" : "");
             std::exit(2);
         }
     }
     return args;
 }
+
+/** The figure drivers' flags: --filter, --procs and --jobs. */
+inline BenchArgs
+parseBenchArgs(int argc, char **argv)
+{
+    return parseBenchArgs(argc, argv, nullptr, true);
+}
+
+/**
+ * The JSON document of one bench driver, and its gate verdicts.
+ *
+ * The driver adds its results to root(), reports every armed gate
+ * through check() or match(), optionally fills config(), and returns
+ * finish(). The written document is the driver's results plus
+ *   "hardware_concurrency", "git_rev", "config": {"smoke", ...} and
+ *   "gates": {<name>: true|false, ...}
+ * and finish()'s exit code is 0 when every gate passed, else 1.
+ * Gates that do not arm on this run (a full-grid-only threshold, a
+ * multicore-only speedup) are not recorded.
+ */
+class BenchReport
+{
+  public:
+    explicit BenchReport(const BenchArgs &args)
+        : path(args.out), smoke(args.smoke)
+    {
+    }
+
+    StatsNode &root() { return doc; }
+
+    /** Gate @p gate passes iff @p ok (ANDed over repeated calls); a
+     *  failure prints "FAIL: <fmt ...>" to stderr. Returns @p ok. */
+    bool
+    check(const char *gate, bool ok, const char *fmt, ...)
+        __attribute__((format(printf, 4, 5)))
+    {
+        va_list ap;
+        va_start(ap, fmt);
+        record(gate, ok, "FAIL: ", fmt, ap);
+        va_end(ap);
+        return ok;
+    }
+
+    /** An identity gate: like check(), printing "MISMATCH <fmt ...>". */
+    bool
+    match(const char *gate, bool same, const char *fmt, ...)
+        __attribute__((format(printf, 4, 5)))
+    {
+        va_list ap;
+        va_start(ap, fmt);
+        record(gate, same, "MISMATCH ", fmt, ap);
+        va_end(ap);
+        return same;
+    }
+
+    /** Verdict of @p gate so far (true when not yet checked). */
+    bool
+    passed(const char *gate) const
+    {
+        for (const auto &[name, ok] : gates)
+            if (std::strcmp(name, gate) == 0)
+                return ok;
+        return true;
+    }
+
+    /** Add the run-identity header to the document and return its
+     *  config group (already holding "smoke"). Call once, after the
+     *  last result. */
+    StatsNode &
+    config()
+    {
+        configured = true;
+        doc.num("hardware_concurrency",
+                std::thread::hardware_concurrency());
+        doc.name("git_rev", TCC_GIT_REV);
+        StatsNode &cfg = doc.group("config");
+        cfg.flag("smoke", smoke);
+        return cfg;
+    }
+
+    /** Write the document; returns the driver's exit code. */
+    int
+    finish()
+    {
+        if (!configured)
+            config();
+        StatsNode &g = doc.group("gates");
+        bool all = true;
+        for (const auto &[name, ok] : gates) {
+            g.flag(name, ok);
+            all = all && ok;
+        }
+        std::ofstream f(path);
+        if (!f) {
+            std::fprintf(stderr, "cannot open %s for writing\n",
+                         path.c_str());
+            return 1;
+        }
+        renderStatsJson(doc, f);
+        f << '\n';
+        std::printf("wrote %s\n", path.c_str());
+        return all ? 0 : 1;
+    }
+
+  private:
+    void
+    record(const char *gate, bool ok, const char *prefix,
+           const char *fmt, va_list ap)
+    {
+        if (!ok) {
+            std::fputs(prefix, stderr);
+            std::vfprintf(stderr, fmt, ap);
+            std::fputc('\n', stderr);
+        }
+        for (auto &[name, verdict] : gates) {
+            if (std::strcmp(name, gate) == 0) {
+                verdict = verdict && ok;
+                return;
+            }
+        }
+        gates.emplace_back(gate, ok);
+    }
+
+    std::string path;
+    bool smoke;
+    bool configured = false;
+    StatsNode doc;
+    std::vector<std::pair<const char *, bool>> gates;
+};
 
 /** The figure's application list after applying --filter. */
 inline std::vector<std::string>

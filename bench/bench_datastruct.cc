@@ -10,18 +10,20 @@
  * Per point the JSON records goodput (committed logical ops per
  * cycle - the headline metric: raw commit throughput counts aborted
  * work), the abort rate, commit-latency p50/p99 from the transaction
- * ledger, the final-memory fingerprint, and the contention profiler's
+ * processors' per-commit statistics (every commit counts), the
+ * final-memory fingerprint, and the contention profiler's
  * top-K hot words resolved back to key indices (which keys are
  * killing the system).
  *
  * Gates, all hard failures:
  *  - every point must complete, quiesce, and pass the online
  *    protocol-invariant checker;
+ *  - every point's latency statistics cover all of its commits
+ *    (commit_latency_n == commits);
  *  - seeded determinism: re-running a point yields a bit-identical
- *    fingerprint and cycle count;
+ *    outcome (RunResult and final-memory fingerprint);
  *  - SweepRunner identity: the whole grid re-run under jobs=N is
- *    bit-identical (cycles, commits, violations, ops, fingerprint)
- *    to the serial pass;
+ *    bit-identical to the serial pass;
  *  - the flash-crowd point's abort rate must rise after the phase
  *    flip (the cold key turned hot);
  *  - the bank point must conserve the total balance: the sum over
@@ -34,29 +36,17 @@
  *             else hardware threads)
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/log.hh"
-#include "core/sweep.hh"
-#include "core/system.hh"
+#include "bench_common.hh"
 #include "obs/contention.hh"
-#include "obs/tx_ledger.hh"
-#include "sim/stats.hh"
-#include "workload/registry.hh"
-
-#ifndef TCC_GIT_REV
-#define TCC_GIT_REV "unknown"
-#endif
 
 namespace {
 
-using namespace tcc;
+using namespace tccbench;
 
 /** One requested grid point. */
 struct Spec {
@@ -71,9 +61,10 @@ struct Spec {
 
 /** A hot word resolved to its key index. */
 struct HotKey {
-    Addr addr = 0;
-    std::int64_t key = -1; ///< -1: outside the key array (e.g. queue
-                           ///< head/tail counters)
+    std::string addrHex; ///< the JSON value; outlives the tree
+    /** Key index; -1 outside the key array (e.g. the queue's
+     *  head/tail counters). */
+    std::int64_t key = -1;
     std::uint64_t conflicts = 0;
     std::uint64_t aborts = 0;
 };
@@ -81,19 +72,19 @@ struct HotKey {
 /** Everything one point reports and gates on. */
 struct Point {
     Spec spec;
-    Tick cycles = 0;
-    std::uint64_t committedTxns = 0;
-    std::uint64_t violations = 0;
+    Outcome out;
+    std::string fingerprintHex; ///< the JSON value; outlives the tree
     std::uint64_t committedOps = 0;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t ledgerEntries = 0;
     double goodput = 0;   ///< committed ops / cycle
     double abortRate = 0; ///< violations / (commits + violations)
-    double latP50 = 0, latP99 = 0;
+    /** Commit latency (cycles) merged across processors. */
+    Distribution lat;
     std::vector<HotKey> hotKeys;
     std::vector<PhaseTally> phases;
     bool bankConserved = true; ///< only meaningful for ds_bank
-    bool ok = false;
+    /** Why the run failed its completion / invariant check (empty:
+     *  it passed). */
+    std::string error;
 };
 
 constexpr std::uint64_t kSeed = 1;
@@ -107,12 +98,6 @@ runPoint(const Spec &spec, bool smoke)
     cfg.numProcs = spec.procs;
     cfg.check.invariants = true;
     cfg.trace.contentionTopK = kTopK;
-    // The ledger needs every commit's Proc/Commit records resident;
-    // ds write-sets are small, so a fixed ring with per-node headroom
-    // is plenty.
-    cfg.trace.capacity =
-        std::max(std::size_t{1} << 18,
-                 std::size_t{spec.procs} * 8192);
 
     System sys(cfg);
     WorkloadParams wl;
@@ -127,54 +112,40 @@ runPoint(const Spec &spec, bool smoke)
         makeWorkload(spec.workload, wl, kSeed, spec.procs);
     bundle.attach(sys);
 
-    const RunResult res = sys.run();
-
     Point pt;
     pt.spec = spec;
-    pt.cycles = res.cycles;
-    pt.committedTxns = res.committedTxns;
-    pt.violations = res.violations;
+    pt.out = runOutcome(sys);
+    const RunResult &res = pt.out.res;
+    pt.fingerprintHex = hex(pt.out.fingerprint, 16);
     pt.committedOps = bundle.committedOps();
-    pt.fingerprint = sys.memory().fingerprint();
     pt.phases = bundle.phaseTallies();
 
     if (!res.completed || !res.quiesced) {
-        std::fprintf(stderr, "FAIL: %s procs=%u did not %s\n",
-                     spec.workload.c_str(), spec.procs,
-                     res.completed ? "quiesce" : "complete");
+        pt.error = res.completed ? "did not quiesce" : "did not complete";
         return pt;
     }
     if (!res.invariants.ok) {
-        std::fprintf(stderr,
-                     "FAIL: %s procs=%u invariant checker: %s\n",
-                     spec.workload.c_str(), spec.procs,
-                     res.invariants.error.c_str());
+        pt.error = "invariant checker: " + res.invariants.error;
         return pt;
     }
 
-    pt.goodput = pt.cycles
-                     ? static_cast<double>(pt.committedOps) /
-                           static_cast<double>(pt.cycles)
-                     : 0.0;
-    const std::uint64_t attempts = pt.committedTxns + pt.violations;
-    pt.abortRate = attempts ? static_cast<double>(pt.violations) /
+    pt.goodput = res.cycles ? static_cast<double>(pt.committedOps) /
+                                  static_cast<double>(res.cycles)
+                            : 0.0;
+    const std::uint64_t attempts = res.committedTxns + res.violations;
+    pt.abortRate = attempts ? static_cast<double>(res.violations) /
                                   static_cast<double>(attempts)
                             : 0.0;
 
-    Distribution lat;
-    const auto ledger = buildTxLedger(sys.traceRecorder());
-    pt.ledgerEntries = ledger.size();
-    for (const TxLedgerEntry &e : ledger)
-        lat.sample(static_cast<double>(e.commitCycles()));
-    pt.latP50 = lat.percentile(50);
-    pt.latP99 = lat.percentile(99);
+    for (NodeId p = 0; p < sys.numProcs(); ++p)
+        pt.lat.merge(sys.proc(p).stats().commitLatency);
 
     if (const ContentionProfiler *prof = sys.contentionProfiler()) {
         for (const auto &hw : prof->hotWords()) {
             if (pt.hotKeys.size() >= kHotKeysReported)
                 break;
             HotKey hk;
-            hk.addr = hw.addr;
+            hk.addrHex = hex(hw.addr);
             hk.key = bundle.keyOf(hw.addr);
             hk.conflicts = hw.s.weight();
             hk.aborts = hw.s.aborts;
@@ -193,26 +164,8 @@ runPoint(const Spec &spec, bool smoke)
             actual += sys.memory().read(addr);
         }
         pt.bankConserved = expected == actual;
-        if (!pt.bankConserved)
-            std::fprintf(stderr,
-                         "FAIL: ds_bank balance not conserved: "
-                         "%llu != %llu\n",
-                         (unsigned long long)actual,
-                         (unsigned long long)expected);
     }
-
-    pt.ok = pt.bankConserved;
     return pt;
-}
-
-bool
-samePoint(const Point &a, const Point &b)
-{
-    return a.cycles == b.cycles &&
-           a.committedTxns == b.committedTxns &&
-           a.violations == b.violations &&
-           a.committedOps == b.committedOps &&
-           a.fingerprint == b.fingerprint;
 }
 
 std::vector<Spec>
@@ -241,115 +194,15 @@ buildGrid(bool smoke)
     return grid;
 }
 
-void
-writeJson(std::FILE *f, const std::vector<Point> &points,
-          bool deterministic, bool jobsIdentical, double flashPre,
-          double flashPost, bool flashRising, bool bankConserved,
-          unsigned jobs, bool smoke)
-{
-    std::fprintf(f,
-                 "{\n"
-                 "  \"deterministic\": %d,\n"
-                 "  \"jobs_identical\": %d,\n"
-                 "  \"flash_abort_pre\": %.4f,\n"
-                 "  \"flash_abort_post\": %.4f,\n"
-                 "  \"flash_abort_rising\": %d,\n"
-                 "  \"bank_conserved\": %d,\n"
-                 "  \"points_total\": %zu,\n"
-                 "  \"hardware_concurrency\": %u,\n"
-                 "  \"git_rev\": \"%s\",\n"
-                 "  \"points\": [\n",
-                 deterministic ? 1 : 0, jobsIdentical ? 1 : 0,
-                 flashPre, flashPost, flashRising ? 1 : 0,
-                 bankConserved ? 1 : 0, points.size(),
-                 std::thread::hardware_concurrency(), TCC_GIT_REV);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Point &pt = points[i];
-        std::fprintf(
-            f,
-            "    {\"workload\": \"%s\", \"theta\": %.2f, "
-            "\"mix\": \"%s\", \"procs\": %u, "
-            "\"cycles\": %llu, \"commits\": %llu, "
-            "\"violations\": %llu, \"committed_ops\": %llu, "
-            "\"goodput\": %.6f, \"abort_rate\": %.4f, "
-            "\"commit_latency_p50\": %.1f, "
-            "\"commit_latency_p99\": %.1f, "
-            "\"ledger_entries\": %llu, "
-            "\"fingerprint\": \"%016llx\",\n"
-            "     \"phase_tallies\": [",
-            pt.spec.workload.c_str(), pt.spec.theta,
-            pt.spec.mix.c_str(), pt.spec.procs,
-            (unsigned long long)pt.cycles,
-            (unsigned long long)pt.committedTxns,
-            (unsigned long long)pt.violations,
-            (unsigned long long)pt.committedOps, pt.goodput,
-            pt.abortRate, pt.latP50, pt.latP99,
-            (unsigned long long)pt.ledgerEntries,
-            (unsigned long long)pt.fingerprint);
-        for (std::size_t p = 0; p < pt.phases.size(); ++p)
-            std::fprintf(f, "{\"commits\": %llu, \"aborts\": %llu}%s",
-                         (unsigned long long)pt.phases[p].commits,
-                         (unsigned long long)pt.phases[p].aborts,
-                         p + 1 == pt.phases.size() ? "" : ", ");
-        std::fprintf(f, "],\n     \"hot_keys\": [");
-        for (std::size_t k = 0; k < pt.hotKeys.size(); ++k) {
-            const HotKey &hk = pt.hotKeys[k];
-            std::fprintf(f,
-                         "{\"addr\": \"%llx\", \"key\": %lld, "
-                         "\"conflicts\": %llu, \"aborts\": %llu}%s",
-                         (unsigned long long)hk.addr,
-                         (long long)hk.key,
-                         (unsigned long long)hk.conflicts,
-                         (unsigned long long)hk.aborts,
-                         k + 1 == pt.hotKeys.size() ? "" : ", ");
-        }
-        std::fprintf(f, "]}%s\n",
-                     i + 1 == points.size() ? "" : ",");
-    }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"config\": {\n"
-                 "    \"smoke\": %s,\n"
-                 "    \"seed\": %llu,\n"
-                 "    \"jobs\": %u,\n"
-                 "    \"contention_top_k\": %zu\n"
-                 "  }\n"
-                 "}\n",
-                 smoke ? "true" : "false",
-                 (unsigned long long)kSeed, jobs, kTopK);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string outPath = "BENCH_datastruct.json";
-    unsigned jobs = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 &&
-                   i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[i] + 7, nullptr, 10));
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--out PATH] "
-                         "[--jobs=N]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-
-    // The ledger needs the Proc + Commit categories recorded
-    // (structured ring only; no stderr text).
-    Trace::setTextOutput(false);
-    Trace::enable(TraceCat::Proc);
-    Trace::enable(TraceCat::Commit);
+    const BenchArgs args =
+        parseBenchArgs(argc, argv, "BENCH_datastruct.json", true);
+    BenchReport report(args);
+    const bool smoke = args.smoke;
 
     const std::vector<Spec> grid = buildGrid(smoke);
     std::printf("== data-structure / hot-key sweep: %zu points ==\n",
@@ -358,53 +211,62 @@ main(int argc, char **argv)
     // Serial reference pass.
     std::vector<Point> points;
     for (const Spec &spec : grid) {
-        Point pt = runPoint(spec, smoke);
-        if (!pt.ok)
-            return 1;
+        points.push_back(runPoint(spec, smoke));
+        const Point &pt = points.back();
+        if (!report.check("completed", pt.error.empty(),
+                          "%s procs=%u %s", spec.workload.c_str(),
+                          spec.procs, pt.error.c_str()))
+            return report.finish();
+        report.check("latency_lossless",
+                     pt.lat.count() == pt.out.res.committedTxns,
+                     "%s procs=%u: %zu latency samples for %llu "
+                     "commits",
+                     spec.workload.c_str(), spec.procs, pt.lat.count(),
+                     (unsigned long long)pt.out.res.committedTxns);
         std::printf("%-9s th=%.2f %-12s procs=%-3u : %9llu cycles  "
                     "goodput %.4f  abort %.3f  lat p50/p99 "
                     "%5.0f/%5.0f\n",
-                    pt.spec.workload.c_str(), pt.spec.theta,
-                    pt.spec.mix.c_str(), pt.spec.procs,
-                    (unsigned long long)pt.cycles, pt.goodput,
-                    pt.abortRate, pt.latP50, pt.latP99);
-        points.push_back(std::move(pt));
+                    spec.workload.c_str(), spec.theta, spec.mix.c_str(),
+                    spec.procs, (unsigned long long)pt.out.res.cycles,
+                    pt.goodput, pt.abortRate, pt.lat.percentile(50),
+                    pt.lat.percentile(99));
     }
 
     // Gate: seeded determinism (same spec, same seed, same machine
     // state -> bit-identical outcome).
     const Point rerun = runPoint(grid.front(), smoke);
-    const bool deterministic = rerun.ok && samePoint(rerun, points[0]);
+    const char *rerunDiff = outcomeDiff(rerun.out, points[0].out);
+    report.match("deterministic", !rerunDiff,
+                 "rerun of %s procs=%u differs in '%s'",
+                 grid.front().workload.c_str(), grid.front().procs,
+                 rerunDiff);
+    const bool deterministic = report.passed("deterministic");
     std::printf("determinism        : %s\n",
                 deterministic ? "rerun bit-identical" : "MISMATCH");
 
     // Gate: the SweepRunner pass (jobs=N) is bit-identical to the
     // serial loop above, point by point.
-    SweepRunner runner(jobs);
+    SweepRunner runner(args.jobs);
     const auto parPoints = sweepIndex<Point>(
         runner, grid.size(),
         [&](std::size_t i) { return runPoint(grid[i], smoke); });
-    bool jobsIdentical = true;
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!parPoints[i].ok || !samePoint(parPoints[i], points[i])) {
-            std::fprintf(stderr,
-                         "MISMATCH: jobs=%u pass differs at %s "
-                         "th=%.2f %s procs=%u\n",
-                         runner.jobs(),
-                         grid[i].workload.c_str(), grid[i].theta,
-                         grid[i].mix.c_str(), grid[i].procs);
-            jobsIdentical = false;
-        }
+        const char *diff = outcomeDiff(parPoints[i].out, points[i].out);
+        report.match("jobs_identical", !diff,
+                     "jobs=%u pass differs at %s th=%.2f %s procs=%u "
+                     "in '%s'",
+                     runner.jobs(), grid[i].workload.c_str(),
+                     grid[i].theta, grid[i].mix.c_str(), grid[i].procs,
+                     diff);
     }
+    const bool jobsIdentical = report.passed("jobs_identical");
     std::printf("jobs=%u identity    : %s\n", runner.jobs(),
-                jobsIdentical ? "bit-identical to serial"
-                              : "MISMATCH");
+                jobsIdentical ? "bit-identical to serial" : "MISMATCH");
 
     // Gate: the flash crowd raises the abort rate after the phase
     // flip (phase 0 read-mostly/no flash, phase 1 write-heavy with
     // the flash override).
     double flashPre = 0, flashPost = 0;
-    bool flashRising = false;
     for (const Point &pt : points) {
         if (pt.spec.workload != "ds_flash" || pt.phases.size() < 2)
             continue;
@@ -416,33 +278,67 @@ main(int argc, char **argv)
         };
         flashPre = rate(pt.phases.front());
         flashPost = rate(pt.phases.back());
-        flashRising = flashPost > flashPre;
     }
+    const bool flashRising = flashPost > flashPre;
+    report.check("flash_abort_rising", flashRising,
+                 "flash crowd abort rate %.3f -> %.3f does not rise",
+                 flashPre, flashPost);
     std::printf("flash crowd        : abort %.3f -> %.3f  %s\n",
                 flashPre, flashPost,
                 flashRising ? "(rising, OK)" : "FAIL");
 
-    bool bankConserved = true;
     for (const Point &pt : points)
         if (pt.spec.workload == "ds_bank")
-            bankConserved = bankConserved && pt.bankConserved;
+            report.check("bank_conserved", pt.bankConserved,
+                         "ds_bank balance not conserved");
+    const bool bankConserved = report.passed("bank_conserved");
     std::printf("bank conservation  : %s\n",
                 bankConserved ? "total balance preserved" : "FAIL");
 
-    std::FILE *f = std::fopen(outPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     outPath.c_str());
-        return 1;
+    StatsNode &r = report.root();
+    r.flag("deterministic", deterministic);
+    r.flag("jobs_identical", jobsIdentical);
+    r.real("flash_abort_pre", flashPre);
+    r.real("flash_abort_post", flashPost);
+    r.flag("flash_abort_rising", flashRising);
+    r.flag("bank_conserved", bankConserved);
+    r.num("points_total", points.size());
+    StatsNode &list = r.list("points");
+    for (const Point &pt : points) {
+        const RunResult &res = pt.out.res;
+        StatsNode &it = list.item();
+        it.name("workload", pt.spec.workload.c_str());
+        it.real("theta", pt.spec.theta);
+        it.name("mix", pt.spec.mix.c_str());
+        it.num("procs", pt.spec.procs);
+        it.num("cycles", res.cycles);
+        it.num("commits", res.committedTxns);
+        it.num("violations", res.violations);
+        it.num("committed_ops", pt.committedOps);
+        it.real("goodput", pt.goodput);
+        it.real("abort_rate", pt.abortRate);
+        it.real("commit_latency_p50", pt.lat.percentile(50));
+        it.real("commit_latency_p99", pt.lat.percentile(99));
+        it.num("commit_latency_n", pt.lat.count());
+        it.name("fingerprint", pt.fingerprintHex.c_str());
+        StatsNode &phases = it.list("phase_tallies");
+        for (const PhaseTally &t : pt.phases) {
+            StatsNode &ph = phases.item();
+            ph.num("commits", t.commits);
+            ph.num("aborts", t.aborts);
+        }
+        StatsNode &hot = it.list("hot_keys");
+        for (const HotKey &hk : pt.hotKeys) {
+            StatsNode &h = hot.item();
+            h.name("addr", hk.addrHex.c_str());
+            h.inum("key", hk.key);
+            h.num("conflicts", hk.conflicts);
+            h.num("aborts", hk.aborts);
+        }
     }
-    writeJson(f, points, deterministic, jobsIdentical, flashPre,
-              flashPost, flashRising, bankConserved, runner.jobs(),
-              smoke);
-    std::fclose(f);
-    std::printf("wrote %s\n", outPath.c_str());
-
-    return deterministic && jobsIdentical && flashRising &&
-                   bankConserved
-               ? 0
-               : 1;
+    StatsNode &cfg = report.config();
+    cfg.num("seed", kSeed);
+    cfg.num("jobs", runner.jobs());
+    cfg.num("contention_top_k", kTopK);
+    return report.finish();
 }

@@ -33,10 +33,10 @@ main(int argc, char **argv)
 
     double worst_commit = 0;
     for (const auto &out : outs) {
-        std::puts(breakdownRow(out.app, out.breakdown).c_str());
+        std::puts(breakdownRow(out.app, out.res.breakdown).c_str());
         worst_commit = std::max(
             worst_commit,
-            out.breakdown.fraction(out.breakdown.commit));
+            out.res.breakdown.fraction(out.res.breakdown.commit));
     }
     std::printf("\nmax commit overhead on 1 CPU: %.1f%% (paper: ~1%% "
                 "on average)\n",

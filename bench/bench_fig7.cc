@@ -53,26 +53,26 @@ main(int argc, char **argv)
     const std::size_t stride = 1 + procList.size();
     for (std::size_t a = 0; a < apps.size(); ++a) {
         const auto &uni = outs[a * stride];
-        if (!uni.completed) {
+        if (!uni.res.completed) {
             std::printf("%-16s 1-CPU run DID NOT COMPLETE\n",
                         apps[a].c_str());
             continue;
         }
-        const double t1 = static_cast<double>(uni.cycles);
+        const double t1 = static_cast<double>(uni.res.cycles);
 
         for (std::size_t j = 0; j < procList.size(); ++j) {
             const auto &out = outs[a * stride + 1 + j];
-            if (!out.completed) {
+            if (!out.res.completed) {
                 std::printf("%-16s %5u DID NOT COMPLETE\n",
                             apps[a].c_str(), procList[j]);
                 continue;
             }
-            const double tp = static_cast<double>(out.cycles);
+            const double tp = static_cast<double>(out.res.cycles);
             const double speedup = t1 / tp;
             // Per-bucket fractions of total busy time, scaled to the
             // normalized bar height (tp/t1 * 100%).
             const double height = 100.0 * tp / t1;
-            const auto &bd = out.breakdown;
+            const auto &bd = out.res.breakdown;
             std::printf("%-16s %5u %8.1fx %8.1f%% | %6.1f%% %6.1f%% "
                         "%6.1f%% %6.1f%% %8.1f%%\n",
                         apps[a].c_str(), out.procs, speedup,

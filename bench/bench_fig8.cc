@@ -43,17 +43,17 @@ main(int argc, char **argv)
         for (std::size_t h = 0; h < hops.size(); ++h) {
             const Tick hop = hops[h];
             const auto &out = outs[a * hops.size() + h];
-            if (!out.completed) {
+            if (!out.res.completed) {
                 std::printf("%-16s %10llu DID NOT COMPLETE\n",
                             apps[a].c_str(),
                             (unsigned long long)hop);
                 continue;
             }
             if (h == 0)
-                t_base = static_cast<double>(out.cycles);
+                t_base = static_cast<double>(out.res.cycles);
             const double height =
-                100.0 * static_cast<double>(out.cycles) / t_base;
-            const auto &bd = out.breakdown;
+                100.0 * static_cast<double>(out.res.cycles) / t_base;
+            const auto &bd = out.res.breakdown;
             std::printf("%-16s %10llu %10.1f%% | %6.1f%% %6.1f%% "
                         "%6.1f%% %6.1f%% %8.1f%%\n",
                         apps[a].c_str(), (unsigned long long)hop,

@@ -27,38 +27,21 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <queue>
-#include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hh"
 #include "common/log.hh"
-#include "core/system.hh"
 #include "noc/message.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
 #include "sim/random.hh"
 #include "workload/scripted_source.hh"
-#include "workload/registry.hh"
-
-// Configure-time git revision (set by bench/CMakeLists.txt) so each
-// BENCH_*.json records what code produced it.
-#ifndef TCC_GIT_REV
-#define TCC_GIT_REV "unknown"
-#endif
 
 namespace {
 
-using namespace tcc;
-
-double
-seconds(std::chrono::steady_clock::time_point a,
-        std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double>(b - a).count();
-}
+using namespace tccbench;
 
 /**
  * Reference kernel: byte-for-byte the seed EventQueue (binary heap of
@@ -239,15 +222,12 @@ endToEnd(std::uint32_t txns_per_phase)
     const WorkloadBundle bundle =
         makeWorkload("water_spatial", wl, /*seed=*/1, cfg.numProcs);
     bundle.attach(sys);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto res = sys.run();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = seconds(t0, t1);
+    const Outcome run = runOutcome(sys);
     EndToEndResult out;
-    out.simCycles = res.cycles;
-    out.events = res.events;
-    out.cyclesPerSec = static_cast<double>(res.cycles) / s;
-    out.eventsPerSec = static_cast<double>(res.events) / s;
+    out.simCycles = run.res.cycles;
+    out.events = run.res.events;
+    out.cyclesPerSec = static_cast<double>(run.res.cycles) / run.wallSec;
+    out.eventsPerSec = static_cast<double>(run.res.events) / run.wallSec;
     const Arena::Stats as = sys.arenaStats();
     out.arenaPeakBytes = as.peakBytes;
     out.arenaChunks = as.chunks;
@@ -292,22 +272,12 @@ tracedEventCount()
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string outPath = "BENCH_kernel.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            outPath = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--out PATH]\n", argv[0]);
-            return 2;
-        }
-    }
+    const BenchArgs args =
+        parseBenchArgs(argc, argv, "BENCH_kernel.json", false);
+    BenchReport report(args);
 
-    const std::uint64_t kernelEvents = smoke ? 20'000 : 20'000'000;
-    const std::uint32_t txnsPerPhase = smoke ? 32 : 1024;
+    const std::uint64_t kernelEvents = args.smoke ? 20'000 : 20'000'000;
+    const std::uint32_t txnsPerPhase = args.smoke ? 32 : 1024;
     const int kChains = 256;
 
     std::printf("== simulation-kernel throughput ==\n");
@@ -336,42 +306,20 @@ main(int argc, char **argv)
                 "(scripted conflict)\n",
                 (unsigned long long)traceEvents);
 
-    std::FILE *f = std::fopen(outPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     outPath.c_str());
-        return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"events_per_sec\": %.0f,\n"
-        "  \"cycles_per_sec\": %.0f,\n"
-        "  \"reference_events_per_sec\": %.0f,\n"
-        "  \"speedup_vs_seed_kernel\": %.3f,\n"
-        "  \"end_to_end_events_per_sec\": %.0f,\n"
-        "  \"arena_peak_bytes\": %llu,\n"
-        "  \"arena_chunks\": %llu,\n"
-        "  \"trace_events_captured\": %llu,\n"
-        "  \"hardware_concurrency\": %u,\n"
-        "  \"git_rev\": \"%s\",\n"
-        "  \"config\": {\n"
-        "    \"smoke\": %s,\n"
-        "    \"kernel_events\": %llu,\n"
-        "    \"chains\": %d,\n"
-        "    \"num_procs\": 16,\n"
-        "    \"app\": \"water_spatial\",\n"
-        "    \"txns_per_phase\": %u\n"
-        "  }\n"
-        "}\n",
-        newRate, e2e.cyclesPerSec, refRate, newRate / refRate,
-        e2e.eventsPerSec, (unsigned long long)e2e.arenaPeakBytes,
-        (unsigned long long)e2e.arenaChunks,
-        (unsigned long long)traceEvents,
-        std::thread::hardware_concurrency(), TCC_GIT_REV,
-        smoke ? "true" : "false", (unsigned long long)kernelEvents,
-        kChains, txnsPerPhase);
-    std::fclose(f);
-    std::printf("wrote %s\n", outPath.c_str());
-    return 0;
+    StatsNode &r = report.root();
+    r.real("events_per_sec", newRate);
+    r.real("cycles_per_sec", e2e.cyclesPerSec);
+    r.real("reference_events_per_sec", refRate);
+    r.real("speedup_vs_seed_kernel", newRate / refRate);
+    r.real("end_to_end_events_per_sec", e2e.eventsPerSec);
+    r.num("arena_peak_bytes", e2e.arenaPeakBytes);
+    r.num("arena_chunks", e2e.arenaChunks);
+    r.num("trace_events_captured", traceEvents);
+    StatsNode &cfg = report.config();
+    cfg.num("kernel_events", kernelEvents);
+    cfg.num("chains", kChains);
+    cfg.num("num_procs", 16);
+    cfg.name("app", "water_spatial");
+    cfg.num("txns_per_phase", txnsPerPhase);
+    return report.finish();
 }

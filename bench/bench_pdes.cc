@@ -33,32 +33,23 @@
  * hardware_concurrency so a trend reader knows which case produced
  * each file.
  *
- * Usage: bench_pdes [--smoke] [--sync fixed|adaptive|both] [--out PATH]
+ * Usage: bench_pdes [--smoke] [--out PATH]
  *   --smoke   16 procs, jobs {1,2}, tiny workload (CI wiring check)
- *   --sync    which barrier modes to sweep (default both)
  *   --out     JSON output path (default BENCH_pdes.json)
  */
 
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/system.hh"
-#include "workload/registry.hh"
-
-// Configure-time git revision (set by bench/CMakeLists.txt) so each
-// BENCH_*.json records what code produced it.
-#ifndef TCC_GIT_REV
-#define TCC_GIT_REV "unknown"
-#endif
+#include "bench_common.hh"
 
 namespace {
 
-using namespace tcc;
+using namespace tccbench;
 
 /** Headline-row (barnes, 16 procs, 4 domains) jobs = 1 events/sec of
  *  the engine before variable lookahead landed: every sub-phase closed
@@ -67,86 +58,19 @@ using namespace tcc;
  *  BENCH_pdes.json; only meaningful relative to rates measured there. */
 constexpr double kSeedEventsPerSecJobs1 = 2.56e6;
 
-double
-seconds(std::chrono::steady_clock::time_point a,
-        std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double>(b - a).count();
-}
-
-/** Everything the determinism gates compare, plus the timing. */
+/** One (row, jobs, sync) measurement. */
 struct Point {
     std::uint32_t procs = 0;
     std::uint32_t domains = 0;
-    std::uint32_t jobs = 0;
     const char *sync = "";
-    double wallSec = 0;
-    double eventsPerSec = 0;
-    RunResult res;
-};
+    Outcome out;
 
-/**
- * The jobs = 1 result every jobs > 1 run of the same (row, sync) must
- * reproduce bit for bit; pdes.jobs is the one excluded field (it
- * records the thread count itself). With @p cross_sync the same
- * comparison runs across barrier modes: only the cadence bookkeeping
- * (windows, empty-broadcast count, window widths, the mode flag) may
- * differ - simulated time, events, commits, traffic, phase count, and
- * idle-domain skips must all match.
- */
-bool
-sameResult(const RunResult &a, const RunResult &b, bool cross_sync,
-           std::string *why)
-{
-#define CMP(field)                                                     \
-    do {                                                               \
-        if (a.field != b.field) {                                      \
-            *why = #field;                                             \
-            return false;                                              \
-        }                                                              \
-    } while (0)
-    CMP(cycles);
-    CMP(completed);
-    CMP(events);
-    CMP(quiesced);
-    CMP(committedTxns);
-    CMP(violations);
-    CMP(overflows);
-    CMP(committedInstructions);
-    CMP(breakdown.useful);
-    CMP(breakdown.miss);
-    CMP(breakdown.commit);
-    CMP(breakdown.idle);
-    CMP(breakdown.violation);
-    CMP(pdes.domains);
-    CMP(pdes.lookahead);
-    CMP(pdes.phases);
-    CMP(pdes.mailboxMessages);
-    CMP(pdes.idleDomainSkips);
-    if (!cross_sync) {
-        CMP(pdes.adaptive);
-        CMP(pdes.windows);
-        CMP(pdes.emptyBroadcastsSkipped);
+    double
+    eventsPerSec() const
+    {
+        return static_cast<double>(out.res.events) / out.wallSec;
     }
-    if (a.procs.size() != b.procs.size() ||
-        a.dirs.size() != b.dirs.size()) {
-        *why = "stats vector size";
-        return false;
-    }
-    for (std::size_t p = 0; p < a.procs.size(); ++p) {
-        CMP(procs[p].txnsCommitted);
-        CMP(procs[p].violations);
-        CMP(procs[p].overflows);
-        CMP(procs[p].committedInstructions);
-    }
-    for (std::size_t d = 0; d < a.dirs.size(); ++d) {
-        CMP(dirs[d].nstid);
-        CMP(dirs[d].commitsServed);
-        CMP(dirs[d].invalidationsSent);
-    }
-#undef CMP
-    return true;
-}
+};
 
 Point
 runPoint(const std::string &app, std::uint32_t procs,
@@ -166,17 +90,11 @@ runPoint(const std::string &app, std::uint32_t procs,
     const WorkloadBundle bundle =
         makeWorkload(app, wl, /*seed=*/1, procs);
     bundle.attach(sys);
-    const auto t0 = std::chrono::steady_clock::now();
-    RunResult res = sys.run();
-    const auto t1 = std::chrono::steady_clock::now();
     Point pt;
     pt.procs = procs;
     pt.domains = domains;
-    pt.jobs = jobs;
     pt.sync = sync == PdesConfig::Sync::Adaptive ? "adaptive" : "fixed";
-    pt.wallSec = seconds(t0, t1);
-    pt.eventsPerSec = static_cast<double>(res.events) / pt.wallSec;
-    pt.res = std::move(res);
+    pt.out = runOutcome(sys);
     return pt;
 }
 
@@ -185,34 +103,12 @@ runPoint(const std::string &app, std::uint32_t procs,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string outPath = "BENCH_pdes.json";
-    std::string syncArg = "both";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--sync") == 0 && i + 1 < argc) {
-            syncArg = argv[++i];
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            outPath = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] "
-                         "[--sync fixed|adaptive|both] [--out PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    std::vector<PdesConfig::Sync> syncs;
-    if (syncArg == "fixed" || syncArg == "both")
-        syncs.push_back(PdesConfig::Sync::Fixed);
-    if (syncArg == "adaptive" || syncArg == "both")
-        syncs.push_back(PdesConfig::Sync::Adaptive);
-    if (syncs.empty()) {
-        std::fprintf(stderr, "unknown --sync '%s'\n", syncArg.c_str());
-        return 2;
-    }
-    const bool bothSyncs = syncs.size() == 2;
+    const BenchArgs args =
+        parseBenchArgs(argc, argv, "BENCH_pdes.json", false);
+    BenchReport report(args);
+    const bool smoke = args.smoke;
+    const PdesConfig::Sync syncs[] = {PdesConfig::Sync::Fixed,
+                                      PdesConfig::Sync::Adaptive};
 
     // Domain count per processor count: one domain per mesh-row block
     // of 2 rows (16 procs: 4x4 grid -> 4 domains of one row each is
@@ -236,236 +132,121 @@ main(int argc, char **argv)
                 hw);
 
     std::vector<Point> points;
-    bool deterministic = true;
-    bool crossSyncIdentical = true;
     double speedupJ4 = 0.0; // largest-procs row, jobs 4 vs jobs 1
     double epsJobs1Fixed = 0.0;    // headline row
     double epsJobs1Adaptive = 0.0; // headline row
     double windowReduction = 0.0;  // min over rows, jobs = 1
     for (const Row &row : rows) {
-        RunResult fixedBase; // fixed-sync jobs = 1 of this row
-        bool haveFixedBase = false;
+        Outcome fixedBase; // fixed-sync jobs = 1 of this row
         for (PdesConfig::Sync sync : syncs) {
-            RunResult baseRes;
-            double baseWall = 0;
+            Outcome base; // jobs = 1 of this (row, sync)
             for (std::uint32_t jobs : jobsList) {
                 // The engine clamps jobs to the domain count, so a
-                // request beyond it reruns an already-measured point
-                // and would emit a duplicate JSON row (same procs +
-                // effective jobs + sync).
-                if (jobs > row.domains) {
-                    const std::uint32_t effective = row.domains;
-                    bool dup = false;
-                    for (std::uint32_t j : jobsList) {
-                        if (j < jobs &&
-                            std::min(j, row.domains) == effective) {
-                            dup = true;
-                            break;
-                        }
-                    }
-                    if (dup) {
-                        std::printf("%-8s procs=%-4u domains=%-3u "
-                                    "jobs=%-2u %-8s : skipped (clamps "
-                                    "to jobs=%u, already measured)\n",
-                                    row.app, row.procs, row.domains,
-                                    jobs,
-                                    sync == PdesConfig::Sync::Adaptive
-                                        ? "adaptive"
-                                        : "fixed",
-                                    effective);
-                        continue;
-                    }
+                // request beyond it would rerun the point measured at
+                // jobs = domains (or its smaller jobs neighbour) and
+                // emit a duplicate JSON row.
+                if (jobs > row.domains &&
+                    std::any_of(jobsList.begin(), jobsList.end(),
+                                [&](std::uint32_t j) {
+                                    return j < jobs && j >= row.domains;
+                                })) {
+                    std::printf("%-8s procs=%-4u domains=%-3u "
+                                "jobs=%-2u : skipped (clamps to "
+                                "jobs=%u, already measured)\n",
+                                row.app, row.procs, row.domains, jobs,
+                                row.domains);
+                    continue;
                 }
                 points.push_back(runPoint(row.app, row.procs,
                                           row.domains, jobs, sync,
                                           smoke));
                 const Point &pt = points.back();
+                const RunResult &res = pt.out.res;
                 std::printf(
                     "%-8s procs=%-4u domains=%-3u jobs=%-2u %-8s : "
                     "%9.3f sec  %12.0f events/sec  "
                     "(%llu windows, %llu mailbox msgs)\n",
                     row.app, row.procs, row.domains, jobs, pt.sync,
-                    pt.wallSec, pt.eventsPerSec,
-                    (unsigned long long)pt.res.pdes.windows,
-                    (unsigned long long)pt.res.pdes.mailboxMessages);
-                if (!pt.res.completed) {
-                    std::fprintf(stderr,
-                                 "FAIL: run did not complete\n");
-                    return 1;
-                }
-                if (jobs == 1) {
-                    baseRes = pt.res;
-                    baseWall = pt.wallSec;
-                    if (sync == PdesConfig::Sync::Fixed) {
-                        fixedBase = pt.res;
-                        haveFixedBase = true;
-                        if (&row == &rows.front())
-                            epsJobs1Fixed = pt.eventsPerSec;
-                    } else {
-                        if (&row == &rows.front())
-                            epsJobs1Adaptive = pt.eventsPerSec;
-                        std::string why;
-                        if (haveFixedBase &&
-                            !sameResult(fixedBase, pt.res,
-                                        /*cross_sync=*/true, &why)) {
-                            std::fprintf(
-                                stderr,
-                                "MISMATCH at procs=%u: '%s' differs "
-                                "between fixed and adaptive sync - "
-                                "deferred barriers changed the "
-                                "simulation\n",
-                                row.procs, why.c_str());
-                            crossSyncIdentical = false;
-                        }
-                        if (haveFixedBase &&
-                            pt.res.pdes.windows != 0) {
-                            const double r =
-                                static_cast<double>(
-                                    fixedBase.pdes.windows) /
-                                static_cast<double>(
-                                    pt.res.pdes.windows);
-                            if (windowReduction == 0.0 ||
-                                r < windowReduction)
-                                windowReduction = r;
-                        }
-                    }
+                    pt.out.wallSec, pt.eventsPerSec(),
+                    (unsigned long long)res.pdes.windows,
+                    (unsigned long long)res.pdes.mailboxMessages);
+                if (!report.check("completed", res.completed,
+                                  "procs=%u jobs=%u sync=%s: run did "
+                                  "not complete",
+                                  row.procs, jobs, pt.sync))
+                    return report.finish();
+                if (jobs != 1) {
+                    const char *diff = outcomeDiff(base, pt.out);
+                    report.match("deterministic", !diff,
+                                 "at procs=%u jobs=%u sync=%s: '%s' "
+                                 "differs from the jobs=1 run - PDES "
+                                 "result depends on the thread count",
+                                 row.procs, jobs, pt.sync, diff);
+                    if (&row == &rows.back() && jobs == 4 &&
+                        sync == PdesConfig::Sync::Adaptive)
+                        speedupJ4 = base.wallSec / pt.out.wallSec;
                     continue;
                 }
-                std::string why;
-                if (!sameResult(baseRes, pt.res, /*cross_sync=*/false,
-                                &why)) {
-                    std::fprintf(
-                        stderr,
-                        "MISMATCH at procs=%u jobs=%u sync=%s: '%s' "
-                        "differs from the jobs=1 run - PDES result "
-                        "depends on the thread count\n",
-                        row.procs, jobs, pt.sync, why.c_str());
-                    deterministic = false;
+                base = pt.out;
+                const bool headline = &row == &rows.front();
+                if (sync == PdesConfig::Sync::Fixed) {
+                    fixedBase = pt.out;
+                    if (headline)
+                        epsJobs1Fixed = pt.eventsPerSec();
+                    continue;
                 }
-                if (&row == &rows.back() && jobs == 4 &&
-                    sync == syncs.back())
-                    speedupJ4 = baseWall / pt.wallSec;
+                if (headline)
+                    epsJobs1Adaptive = pt.eventsPerSec();
+                const char *diff =
+                    outcomeDiff(fixedBase, pt.out, /*cross_sync=*/true);
+                report.match("cross_sync_identical", !diff,
+                             "at procs=%u: '%s' differs between fixed "
+                             "and adaptive sync - deferred barriers "
+                             "changed the simulation",
+                             row.procs, diff);
+                if (res.pdes.windows != 0) {
+                    const double r =
+                        static_cast<double>(fixedBase.res.pdes.windows) /
+                        static_cast<double>(res.pdes.windows);
+                    if (windowReduction == 0.0 || r < windowReduction)
+                        windowReduction = r;
+                }
             }
         }
     }
+    const bool deterministic = report.passed("deterministic");
+    const bool crossSyncIdentical = report.passed("cross_sync_identical");
     std::printf("determinism        : %s\n",
                 deterministic ? "jobs>1 bit-identical to jobs=1"
                               : "MISMATCH");
-    if (bothSyncs) {
-        std::printf("cross-sync         : %s\n",
-                    crossSyncIdentical
-                        ? "adaptive bit-identical to fixed "
-                          "(modulo barrier cadence)"
-                        : "MISMATCH");
-        std::printf("window reduction   : %8.2fx fewer barrier "
-                    "windows (worst row, jobs=1)\n",
-                    windowReduction);
-        if (epsJobs1Fixed > 0.0 && epsJobs1Adaptive > 0.0)
-            std::printf("adaptive speedup   : %8.2fx at jobs=1 "
-                        "(headline row)\n",
-                        epsJobs1Adaptive / epsJobs1Fixed);
-    }
+    std::printf("cross-sync         : %s\n",
+                crossSyncIdentical ? "adaptive bit-identical to fixed "
+                                     "(modulo barrier cadence)"
+                                   : "MISMATCH");
+    std::printf("window reduction   : %8.2fx fewer barrier "
+                "windows (worst row, jobs=1)\n",
+                windowReduction);
+    const double adaptiveSpeedupJ1 = epsJobs1Adaptive / epsJobs1Fixed;
+    std::printf("adaptive speedup   : %8.2fx at jobs=1 "
+                "(headline row)\n",
+                adaptiveSpeedupJ1);
     if (speedupJ4 != 0.0)
         std::printf("speedup (jobs=4)   : %8.2fx at %u procs\n",
                     speedupJ4, rows.back().procs);
-
-    const double adaptiveSpeedupJ1 =
-        epsJobs1Fixed > 0.0 && epsJobs1Adaptive > 0.0
-            ? epsJobs1Adaptive / epsJobs1Fixed
-            : 0.0;
     const double speedupVsSeed =
-        !smoke && epsJobs1Adaptive > 0.0
-            ? epsJobs1Adaptive / kSeedEventsPerSecJobs1
-            : 0.0;
+        smoke ? 0.0 : epsJobs1Adaptive / kSeedEventsPerSecJobs1;
     if (speedupVsSeed != 0.0)
         std::printf("speedup vs seed    : %8.2fx at jobs=1 "
                     "(headline row, adaptive)\n",
                     speedupVsSeed);
 
-    std::FILE *f = std::fopen(outPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     outPath.c_str());
-        return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"deterministic\": %d,\n"
-                 "  \"cross_sync_identical\": %d,\n"
-                 "  \"points_total\": %zu,\n"
-                 "  \"events_per_sec_jobs1\": %.0f,\n"
-                 "  \"events_per_sec_jobs1_adaptive\": %.0f,\n"
-                 "  \"adaptive_speedup_jobs1\": %.3f,\n"
-                 "  \"adaptive_window_reduction\": %.3f,\n"
-                 "  \"seed_events_per_sec_jobs1\": %.0f,\n"
-                 "  \"adaptive_speedup_vs_seed\": %.3f,\n"
-                 "  \"speedup_jobs4\": %.3f,\n"
-                 "  \"hardware_concurrency\": %u,\n"
-                 "  \"git_rev\": \"%s\",\n"
-                 "  \"points\": [\n",
-                 deterministic ? 1 : 0, crossSyncIdentical ? 1 : 0,
-                 points.size(),
-                 points.empty() ? 0.0 : points.front().eventsPerSec,
-                 epsJobs1Adaptive, adaptiveSpeedupJ1, windowReduction,
-                 kSeedEventsPerSecJobs1, speedupVsSeed,
-                 speedupJ4, hw, TCC_GIT_REV);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Point &pt = points[i];
-        const double epw =
-            pt.res.pdes.windows == 0
-                ? 0.0
-                : static_cast<double>(pt.res.events) /
-                      static_cast<double>(pt.res.pdes.windows);
-        std::fprintf(
-            f,
-            "    {\"procs\": %u, \"domains\": %u, \"jobs\": %u, "
-            "\"sync\": \"%s\", "
-            "\"wall_sec\": %.6f, \"events_per_sec\": %.0f, "
-            "\"cycles\": %llu, \"events\": %llu, "
-            "\"lookahead\": %llu, \"windows\": %llu, \"phases\": %llu, "
-            "\"events_per_window\": %.1f, "
-            "\"mailbox_messages\": %llu, "
-            "\"idle_domain_skips\": %llu, "
-            "\"empty_broadcasts_skipped\": %llu}%s\n",
-            pt.procs, pt.domains, pt.res.pdes.jobs, pt.sync, pt.wallSec,
-            pt.eventsPerSec, (unsigned long long)pt.res.cycles,
-            (unsigned long long)pt.res.events,
-            (unsigned long long)pt.res.pdes.lookahead,
-            (unsigned long long)pt.res.pdes.windows,
-            (unsigned long long)pt.res.pdes.phases, epw,
-            (unsigned long long)pt.res.pdes.mailboxMessages,
-            (unsigned long long)pt.res.pdes.idleDomainSkips,
-            (unsigned long long)pt.res.pdes.emptyBroadcastsSkipped,
-            i + 1 == points.size() ? "" : ",");
-    }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"config\": {\n"
-                 "    \"smoke\": %s,\n"
-                 "    \"sync_modes\": %zu,\n"
-                 "    \"jobs_swept\": %zu,\n"
-                 "    \"rows\": %zu\n"
-                 "  }\n"
-                 "}\n",
-                 smoke ? "true" : "false", syncs.size(),
-                 jobsList.size(), rows.size());
-    std::fclose(f);
-    std::printf("wrote %s\n", outPath.c_str());
-
-    if (!deterministic)
-        return 1;
-    if (!crossSyncIdentical)
-        return 1;
     // Window-reduction gate: the whole point of adaptive sync. Armed
     // in smoke too - the reduction is a property of the event pattern,
     // not of wall-clock timing.
-    if (bothSyncs && windowReduction < 5.0) {
-        std::fprintf(stderr,
-                     "FAIL: adaptive closed only %.2fx fewer windows "
-                     "than fixed (< 5x)\n",
-                     windowReduction);
-        return 1;
-    }
+    report.check("window_reduction", windowReduction >= 5.0,
+                 "adaptive closed only %.2fx fewer windows than fixed "
+                 "(< 5x)",
+                 windowReduction);
     // Throughput gate: full runs only (the smoke workload finishes in
     // milliseconds and its timing is noise). jobs=1 on the headline
     // row, so it is meaningful on any core count. The bar is a
@@ -473,22 +254,57 @@ main(int argc, char **argv)
     // where both legs already carry the barrier micro-fixes; the
     // speedup over the pre-adaptive engine is the recorded
     // adaptive_speedup_vs_seed.
-    if (!smoke && bothSyncs && adaptiveSpeedupJ1 != 0.0 &&
-        adaptiveSpeedupJ1 < 1.05) {
-        std::fprintf(stderr,
-                     "FAIL: adaptive jobs=1 throughput %.2fx fixed "
-                     "(< 1.05x)\n",
+    if (!smoke)
+        report.check("adaptive_throughput", adaptiveSpeedupJ1 >= 1.05,
+                     "adaptive jobs=1 throughput %.2fx fixed (< 1.05x)",
                      adaptiveSpeedupJ1);
-        return 1;
-    }
     // Speedup gate: only meaningful where the OS can actually schedule
     // 4 workers concurrently.
-    if (!smoke && hw >= 4 && speedupJ4 != 0.0 && speedupJ4 < 1.5) {
-        std::fprintf(stderr,
-                     "FAIL: jobs=4 speedup %.2fx < 1.5x on %u "
-                     "hardware threads\n",
+    if (!smoke && hw >= 4 && speedupJ4 != 0.0)
+        report.check("speedup_jobs4", speedupJ4 >= 1.5,
+                     "jobs=4 speedup %.2fx < 1.5x on %u hardware "
+                     "threads",
                      speedupJ4, hw);
-        return 1;
+
+    StatsNode &r = report.root();
+    r.flag("deterministic", deterministic);
+    r.flag("cross_sync_identical", crossSyncIdentical);
+    r.num("points_total", points.size());
+    r.real("events_per_sec_jobs1", points.front().eventsPerSec());
+    r.real("events_per_sec_jobs1_adaptive", epsJobs1Adaptive);
+    r.real("adaptive_speedup_jobs1", adaptiveSpeedupJ1);
+    r.real("adaptive_window_reduction", windowReduction);
+    r.real("seed_events_per_sec_jobs1", kSeedEventsPerSecJobs1);
+    r.real("adaptive_speedup_vs_seed", speedupVsSeed);
+    r.real("speedup_jobs4", speedupJ4);
+    StatsNode &list = r.list("points");
+    for (const Point &pt : points) {
+        const RunResult &res = pt.out.res;
+        StatsNode &it = list.item();
+        it.num("procs", pt.procs);
+        it.num("domains", pt.domains);
+        it.num("jobs", res.pdes.jobs);
+        it.name("sync", pt.sync);
+        it.real("wall_sec", pt.out.wallSec);
+        it.real("events_per_sec", pt.eventsPerSec());
+        it.num("cycles", res.cycles);
+        it.num("events", res.events);
+        it.num("lookahead", res.pdes.lookahead);
+        it.num("windows", res.pdes.windows);
+        it.num("phases", res.pdes.phases);
+        it.real("events_per_window",
+                res.pdes.windows == 0
+                    ? 0.0
+                    : static_cast<double>(res.events) /
+                          static_cast<double>(res.pdes.windows));
+        it.num("mailbox_messages", res.pdes.mailboxMessages);
+        it.num("idle_domain_skips", res.pdes.idleDomainSkips);
+        it.num("empty_broadcasts_skipped",
+               res.pdes.emptyBroadcastsSkipped);
     }
-    return 0;
+    StatsNode &cfg = report.config();
+    cfg.num("sync_modes", std::size(syncs));
+    cfg.num("jobs_swept", jobsList.size());
+    cfg.num("rows", rows.size());
+    return report.finish();
 }

@@ -12,9 +12,10 @@
  * DESIGN.md section 12) relays copies through the first destinations,
  * cutting the critical path to O(k log_k N).
  *
- * Three gates, all hard failures:
+ * Four gates, all hard failures:
  *  - every point must complete, quiesce, and pass the online
  *    protocol-invariant checker;
+ *  - every point's latency statistics cover all of its commits;
  *  - at each processor count, tree runs must commit exactly the same
  *    transaction count and produce a bit-identical final-memory
  *    fingerprint as the flat run (timing changes, outcomes do not);
@@ -24,16 +25,15 @@
  *
  * Per point the JSON records commit-latency percentiles and the
  * per-commit directories-touched / multicast-cost distributions (all
- * from the transaction ledger), merged directory commit-occupancy, and
- * the network's multicast counters.
+ * merged from the processors' per-commit statistics, so every commit
+ * counts: commit_latency_n == commits is gated), merged directory
+ * commit-occupancy, and the network's multicast counters.
  *
  * Usage: bench_scaling [--smoke] [--out PATH]
  *   --smoke   procs {16, 64} x {flat, tree-k4}, tiny workload
  *   --out     JSON output path (default BENCH_scaling.json)
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -41,19 +41,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/log.hh"
-#include "core/system.hh"
-#include "obs/tx_ledger.hh"
-#include "sim/stats.hh"
-#include "workload/registry.hh"
-
-#ifndef TCC_GIT_REV
-#define TCC_GIT_REV "unknown"
-#endif
+#include "bench_common.hh"
 
 namespace {
 
-using namespace tcc;
+using namespace tccbench;
 
 struct Topo {
     const char *name;
@@ -63,48 +55,29 @@ struct Topo {
 /** Everything one (procs, topology) point reports and gates on. */
 struct Point {
     std::uint32_t procs = 0;
-    std::string topo;
-    double wallSec = 0;
-    Tick cycles = 0;
-    std::uint64_t committedTxns = 0;
-    std::uint64_t violations = 0;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t ledgerEntries = 0;
-    // Commit latency (cycles), per committed transaction.
-    double latP50 = 0, latP90 = 0, latP99 = 0;
-    // Directories touched per commit.
-    double dirsMean = 0, dirsP50 = 0, dirsP99 = 0;
-    // NIC-serialized multicast injections per commit.
-    double nicMean = 0, nicP50 = 0, nicP99 = 0;
-    // Directory single-server occupancy per served commit, merged
-    // across all directories.
-    double occMean = 0, occP99 = 0;
+    const char *topo = "";
+    Outcome out;
+    /** out.fingerprint as hex (the JSON value; outlives the tree). */
+    std::string fingerprintHex;
+    /** Per-commit distributions merged across processors: commit
+     *  latency (cycles), directories touched, and NIC-serialized
+     *  multicast injections. */
+    Distribution lat, dirs, nic;
+    /** Directory single-server occupancy per served commit, merged
+     *  across all directories. */
+    Distribution occ;
     std::uint64_t netMulticasts = 0;
     std::uint64_t netMulticastNic = 0;
 };
 
-double
-seconds(std::chrono::steady_clock::time_point a,
-        std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double>(b - a).count();
-}
-
-bool
-runPoint(std::uint32_t procs, const Topo &topo, bool smoke, Point *out)
+Point
+runPoint(std::uint32_t procs, const Topo &topo, bool smoke)
 {
     SystemConfig cfg;
     cfg.numProcs = procs;
     cfg.homePolicy = HomePolicy::Interleave;
     cfg.network.multicast = topo.mc;
     cfg.check.invariants = true;
-    // A commit's Skip fan-out emits one SkipSend per non-writing
-    // directory, so Commit-category traffic grows with the node count
-    // (~procs records per commit at 1024 nodes). Scale the ring with
-    // the sweep point so the ledger keeps every commit's start tick;
-    // 8k slots per node is ~320 MB of 40-byte records at 1024 procs.
-    cfg.trace.capacity =
-        std::max(std::size_t{1} << 18, std::size_t{procs} * 8192);
 
     System sys(cfg);
     // Pin every plain store to a single writer (each proc's own shared
@@ -122,60 +95,22 @@ runPoint(std::uint32_t procs, const Topo &topo, bool smoke, Point *out)
         makeWorkload("barnes", wl, /*seed=*/1, procs);
     bundle.attach(sys);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    RunResult res = sys.run();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    out->procs = procs;
-    out->topo = topo.name;
-    out->wallSec = seconds(t0, t1);
-    out->cycles = res.cycles;
-    out->committedTxns = res.committedTxns;
-    out->violations = res.violations;
-    out->fingerprint = sys.memory().fingerprint();
-
-    if (!res.completed || !res.quiesced) {
-        std::fprintf(stderr,
-                     "FAIL: procs=%u topo=%s did not %s\n", procs,
-                     topo.name,
-                     res.completed ? "quiesce" : "complete");
-        return false;
+    Point pt;
+    pt.procs = procs;
+    pt.topo = topo.name;
+    pt.out = runOutcome(sys);
+    pt.fingerprintHex = hex(pt.out.fingerprint, 16);
+    for (NodeId p = 0; p < sys.numProcs(); ++p) {
+        const TccProcessor::Stats &s = sys.proc(p).stats();
+        pt.lat.merge(s.commitLatency);
+        pt.dirs.merge(s.dirsTouchedPerCommit);
+        pt.nic.merge(s.multicastNicPerCommit);
+        pt.occ.merge(sys.directory(p).stats().commitOccupancy);
     }
-    if (!res.invariants.ok) {
-        std::fprintf(stderr,
-                     "FAIL: procs=%u topo=%s invariant checker: %s\n",
-                     procs, topo.name, res.invariants.error.c_str());
-        return false;
-    }
-
-    Distribution lat, dirs, nic;
-    const auto ledger = buildTxLedger(sys.traceRecorder());
-    out->ledgerEntries = ledger.size();
-    for (const TxLedgerEntry &e : ledger) {
-        lat.sample(static_cast<double>(e.commitCycles()));
-        dirs.sample(static_cast<double>(e.directoriesTouched));
-        nic.sample(static_cast<double>(e.multicastEvents));
-    }
-    out->latP50 = lat.percentile(50);
-    out->latP90 = lat.percentile(90);
-    out->latP99 = lat.percentile(99);
-    out->dirsMean = dirs.mean();
-    out->dirsP50 = dirs.percentile(50);
-    out->dirsP99 = dirs.percentile(99);
-    out->nicMean = nic.mean();
-    out->nicP50 = nic.percentile(50);
-    out->nicP99 = nic.percentile(99);
-
-    Distribution occ;
-    for (NodeId d = 0; d < sys.numProcs(); ++d)
-        occ.merge(sys.directory(d).stats().commitOccupancy);
-    out->occMean = occ.mean();
-    out->occP99 = occ.percentile(99);
-
     const auto &ns = sys.network().stats();
-    out->netMulticasts = ns.multicasts;
-    out->netMulticastNic = ns.multicastNicEvents;
-    return true;
+    pt.netMulticasts = ns.multicasts;
+    pt.netMulticastNic = ns.multicastNicEvents;
+    return pt;
 }
 
 } // namespace
@@ -183,25 +118,10 @@ runPoint(std::uint32_t procs, const Topo &topo, bool smoke, Point *out)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string outPath = "BENCH_scaling.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            outPath = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-
-    // The ledger needs the Proc + Commit categories recorded
-    // (structured ring only; no stderr text).
-    Trace::setTextOutput(false);
-    Trace::enable(TraceCat::Proc);
-    Trace::enable(TraceCat::Commit);
+    const BenchArgs args =
+        parseBenchArgs(argc, argv, "BENCH_scaling.json", false);
+    BenchReport report(args);
+    const bool smoke = args.smoke;
 
     const std::vector<std::uint32_t> procsList =
         smoke ? std::vector<std::uint32_t>{16, 64}
@@ -218,63 +138,72 @@ main(int argc, char **argv)
                           /*fanout=*/8, /*minDests=*/8}});
     }
 
-    const unsigned hw = std::thread::hardware_concurrency();
     std::printf("== commit-path scaling, 64 -> 1024 nodes "
                 "(hw threads: %u) ==\n",
-                hw);
+                std::thread::hardware_concurrency());
 
     std::vector<Point> points;
-    bool outcomesMatch = true;
     for (std::uint32_t procs : procsList) {
-        // Held by value: `points` reallocates as the row fills in.
-        Point flat;
-        bool haveFlat = false;
+        const std::size_t flat = points.size();
         for (const Topo &topo : topos) {
-            Point pt;
-            if (!runPoint(procs, topo, smoke, &pt))
-                return 1;
+            points.push_back(runPoint(procs, topo, smoke));
+            const Point &pt = points.back();
+            const RunResult &res = pt.out.res;
+            if (!report.check("completed",
+                              res.completed && res.quiesced &&
+                                  res.invariants.ok,
+                              "procs=%u topo=%s %s", procs, topo.name,
+                              !res.completed  ? "did not complete"
+                              : !res.quiesced ? "did not quiesce"
+                                              : res.invariants.error
+                                                    .c_str()))
+                return report.finish();
+            report.check("latency_lossless",
+                         pt.lat.count() == res.committedTxns,
+                         "procs=%u topo=%s: %zu latency samples for "
+                         "%llu commits",
+                         procs, topo.name, pt.lat.count(),
+                         (unsigned long long)res.committedTxns);
             std::printf(
                 "procs=%-5u %-8s : %8.3f sec  %9llu cycles  "
                 "commits=%-5llu  lat p50/p99 %7.0f/%7.0f  "
                 "nic/commit p50 %6.0f  dirs/commit p50 %4.0f\n",
-                procs, topo.name, pt.wallSec,
-                (unsigned long long)pt.cycles,
-                (unsigned long long)pt.committedTxns, pt.latP50,
-                pt.latP99, pt.nicP50, pt.dirsP50);
-            points.push_back(pt);
-            if (!haveFlat) {
-                flat = pt;
-                haveFlat = true;
+                procs, topo.name, pt.out.wallSec,
+                (unsigned long long)res.cycles,
+                (unsigned long long)res.committedTxns,
+                pt.lat.percentile(50), pt.lat.percentile(99),
+                pt.nic.percentile(50), pt.dirs.percentile(50));
+            if (points.size() - 1 == flat)
                 continue;
-            }
             // Gate: the tree reshapes timing, never protocol outcomes.
-            if (pt.committedTxns != flat.committedTxns ||
-                pt.fingerprint != flat.fingerprint) {
-                std::fprintf(
-                    stderr,
-                    "MISMATCH at procs=%u %s vs flat: commits "
-                    "%llu vs %llu, fingerprint %016llx vs %016llx\n",
-                    procs, pt.topo.c_str(),
-                    (unsigned long long)pt.committedTxns,
-                    (unsigned long long)flat.committedTxns,
-                    (unsigned long long)pt.fingerprint,
-                    (unsigned long long)flat.fingerprint);
-                outcomesMatch = false;
-            }
+            const Outcome &base = points[flat].out;
+            report.match(
+                "outcomes_match",
+                res.committedTxns == base.res.committedTxns &&
+                    pt.out.fingerprint == base.fingerprint,
+                "at procs=%u %s vs flat: commits %llu vs %llu, "
+                "fingerprint %016llx vs %016llx",
+                procs, topo.name, (unsigned long long)res.committedTxns,
+                (unsigned long long)base.res.committedTxns,
+                (unsigned long long)pt.out.fingerprint,
+                (unsigned long long)base.fingerprint);
         }
     }
+    const bool outcomesMatch = report.passed("outcomes_match");
 
     // Sublinearity gate at the largest processor count: the tree's
     // median per-commit NIC cost must beat flat by at least 4x (the
-    // analytic ratio N / (k log_k N) is ~40x at 1024, k=4).
+    // analytic ratio N / (k log_k N) is ~40x at 1024, k=4). The smoke
+    // grid stops at 64 nodes where the analytic margin is thin, so the
+    // gate arms on the full sweep only.
     double flatNicP50 = 0, treeNicP50 = 0;
     for (const Point &pt : points) {
         if (pt.procs != procsList.back())
             continue;
-        if (pt.topo == "flat")
-            flatNicP50 = pt.nicP50;
-        else if (pt.topo == "tree-k4")
-            treeNicP50 = pt.nicP50;
+        if (std::strcmp(pt.topo, "flat") == 0)
+            flatNicP50 = pt.nic.percentile(50);
+        else if (std::strcmp(pt.topo, "tree-k4") == 0)
+            treeNicP50 = pt.nic.percentile(50);
     }
     const bool sublinear =
         flatNicP50 > 0 && treeNicP50 > 0 &&
@@ -288,79 +217,48 @@ main(int argc, char **argv)
                 sublinear ? "OK"
                 : smoke   ? "not armed (smoke grid stops at 64)"
                           : "FAIL");
+    if (!smoke)
+        report.check("nic_sublinear", sublinear,
+                     "tree-k4 nic/commit p50 %.0f is not 4x below "
+                     "flat's %.0f at %u procs",
+                     treeNicP50, flatNicP50, procsList.back());
 
-    std::FILE *f = std::fopen(outPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     outPath.c_str());
-        return 1;
+    StatsNode &r = report.root();
+    r.flag("outcomes_match", outcomesMatch);
+    r.flag("nic_sublinear", sublinear);
+    r.real("flat_nic_p50_largest", flatNicP50);
+    r.real("tree_k4_nic_p50_largest", treeNicP50);
+    r.num("points_total", points.size());
+    StatsNode &list = r.list("points");
+    for (const Point &pt : points) {
+        const RunResult &res = pt.out.res;
+        StatsNode &it = list.item();
+        it.num("procs", pt.procs);
+        it.name("topology", pt.topo);
+        it.real("wall_sec", pt.out.wallSec);
+        it.num("cycles", res.cycles);
+        it.num("commits", res.committedTxns);
+        it.num("violations", res.violations);
+        it.num("commit_latency_n", pt.lat.count());
+        it.name("fingerprint", pt.fingerprintHex.c_str());
+        it.real("commit_latency_p50", pt.lat.percentile(50));
+        it.real("commit_latency_p90", pt.lat.percentile(90));
+        it.real("commit_latency_p99", pt.lat.percentile(99));
+        it.real("dirs_per_commit_mean", pt.dirs.mean());
+        it.real("dirs_per_commit_p50", pt.dirs.percentile(50));
+        it.real("dirs_per_commit_p99", pt.dirs.percentile(99));
+        it.real("nic_per_commit_mean", pt.nic.mean());
+        it.real("nic_per_commit_p50", pt.nic.percentile(50));
+        it.real("nic_per_commit_p99", pt.nic.percentile(99));
+        it.real("dir_occupancy_mean", pt.occ.mean());
+        it.real("dir_occupancy_p99", pt.occ.percentile(99));
+        it.num("net_multicasts", pt.netMulticasts);
+        it.num("net_multicast_nic_events", pt.netMulticastNic);
     }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"outcomes_match\": %d,\n"
-                 "  \"nic_sublinear\": %d,\n"
-                 "  \"flat_nic_p50_largest\": %.1f,\n"
-                 "  \"tree_k4_nic_p50_largest\": %.1f,\n"
-                 "  \"points_total\": %zu,\n"
-                 "  \"hardware_concurrency\": %u,\n"
-                 "  \"git_rev\": \"%s\",\n"
-                 "  \"points\": [\n",
-                 outcomesMatch ? 1 : 0, sublinear ? 1 : 0, flatNicP50,
-                 treeNicP50, points.size(), hw, TCC_GIT_REV);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Point &pt = points[i];
-        std::fprintf(
-            f,
-            "    {\"procs\": %u, \"topology\": \"%s\", "
-            "\"wall_sec\": %.6f, \"cycles\": %llu, "
-            "\"commits\": %llu, \"violations\": %llu, "
-            "\"ledger_entries\": %llu, "
-            "\"fingerprint\": \"%016llx\", "
-            "\"commit_latency_p50\": %.1f, "
-            "\"commit_latency_p90\": %.1f, "
-            "\"commit_latency_p99\": %.1f, "
-            "\"dirs_per_commit_mean\": %.2f, "
-            "\"dirs_per_commit_p50\": %.1f, "
-            "\"dirs_per_commit_p99\": %.1f, "
-            "\"nic_per_commit_mean\": %.2f, "
-            "\"nic_per_commit_p50\": %.1f, "
-            "\"nic_per_commit_p99\": %.1f, "
-            "\"dir_occupancy_mean\": %.2f, "
-            "\"dir_occupancy_p99\": %.1f, "
-            "\"net_multicasts\": %llu, "
-            "\"net_multicast_nic_events\": %llu}%s\n",
-            pt.procs, pt.topo.c_str(), pt.wallSec,
-            (unsigned long long)pt.cycles,
-            (unsigned long long)pt.committedTxns,
-            (unsigned long long)pt.violations,
-            (unsigned long long)pt.ledgerEntries,
-            (unsigned long long)pt.fingerprint, pt.latP50, pt.latP90,
-            pt.latP99, pt.dirsMean, pt.dirsP50, pt.dirsP99, pt.nicMean,
-            pt.nicP50, pt.nicP99, pt.occMean, pt.occP99,
-            (unsigned long long)pt.netMulticasts,
-            (unsigned long long)pt.netMulticastNic,
-            i + 1 == points.size() ? "" : ",");
-    }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"config\": {\n"
-                 "    \"smoke\": %s,\n"
-                 "    \"app\": \"barnes\",\n"
-                 "    \"write_spread_dirs\": 1,\n"
-                 "    \"topologies\": %zu,\n"
-                 "    \"procs_swept\": %zu\n"
-                 "  }\n"
-                 "}\n",
-                 smoke ? "true" : "false", topos.size(),
-                 procsList.size());
-    std::fclose(f);
-    std::printf("wrote %s\n", outPath.c_str());
-
-    if (!outcomesMatch)
-        return 1;
-    // The smoke grid stops at 64 nodes where the analytic margin is
-    // thin; the sublinearity gate arms on the full sweep only.
-    if (!smoke && !sublinear)
-        return 1;
-    return 0;
+    StatsNode &cfg = report.config();
+    cfg.name("app", "barnes");
+    cfg.num("write_spread_dirs", 1);
+    cfg.num("topologies", topos.size());
+    cfg.num("procs_swept", procsList.size());
+    return report.finish();
 }

@@ -33,7 +33,7 @@ main(int argc, char **argv)
         });
 
     for (const auto &out : outs) {
-        if (!out.completed) {
+        if (!out.res.completed) {
             std::printf("%-16s DID NOT COMPLETE\n", out.app.c_str());
             continue;
         }

@@ -19,19 +19,13 @@
  *             hardware threads)
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "noc/chaos_network.hh"
-
-#ifndef TCC_GIT_REV
-#define TCC_GIT_REV "unknown"
-#endif
 
 namespace {
 
@@ -51,10 +45,8 @@ cellName(const ChaosCell &c)
            "/s" + std::to_string(c.seed);
 }
 
-bool gSmoke = false;
-
 RunOutcome
-runCell(const ChaosCell &c)
+runCell(const ChaosCell &c, bool smoke)
 {
     RunOptions opt;
     opt.procs = c.procs;
@@ -66,7 +58,7 @@ runCell(const ChaosCell &c)
     opt.network.chaos.seed = c.seed * 0x9E3779B97F4A7C15ull + 1;
     opt.check.serial = true;
     opt.check.invariants = true;
-    if (gSmoke) {
+    if (smoke) {
         // Sanitizer builds run this fixture too: keep each point to a
         // few hundred transactions while touching every fault path.
         opt.wl.set("phases", "1").set("max_txns_per_phase", "64");
@@ -74,81 +66,28 @@ runCell(const ChaosCell &c)
     return runWorkload(c.app, opt);
 }
 
-struct Fingerprint {
-    Tick cycles;
-    std::uint64_t committedTxns;
-    std::uint64_t violations;
-    bool completed;
-
-    bool
-    operator==(const Fingerprint &o) const
-    {
-        return cycles == o.cycles &&
-               committedTxns == o.committedTxns &&
-               violations == o.violations && completed == o.completed;
-    }
-};
-
-Fingerprint
-fingerprint(const RunOutcome &out)
-{
-    return Fingerprint{out.cycles, out.committedTxns, out.violations,
-                       out.completed};
-}
-
-bool
-cellClean(const RunOutcome &out)
-{
-    return out.completed && out.serial.ok && out.invariants.ok;
-}
-
-double
-seconds(std::chrono::steady_clock::time_point a,
-        std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double>(b - a).count();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string outPath = "BENCH_chaos.json";
-    unsigned jobs = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 &&
-                   i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[i] + 7, nullptr, 10));
-        } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--smoke] [--out PATH] [--jobs=<n>]\n",
-                argv[0]);
-            return 2;
-        }
-    }
-    if (jobs == 0)
-        jobs = SweepRunner::defaultJobs();
-    gSmoke = smoke;
+    const BenchArgs args =
+        parseBenchArgs(argc, argv, "BENCH_chaos.json", true);
+    BenchReport report(args);
+    const unsigned jobs =
+        args.jobs ? args.jobs : SweepRunner::defaultJobs();
 
     // The grid: every fault preset x applications x machine sizes,
     // 40 points (the acceptance floor is 32). Smoke trims to the
     // presets x one small application - still every fault model,
     // fast enough for sanitizer CI.
     const std::vector<std::string> apps =
-        smoke ? std::vector<std::string>{"radix"}
-              : std::vector<std::string>{"barnes", "radix",
-                                         "water_spatial", "tomcatv"};
+        args.smoke ? std::vector<std::string>{"radix"}
+                   : std::vector<std::string>{"barnes", "radix",
+                                              "water_spatial", "tomcatv"};
     const std::vector<std::uint32_t> procs =
-        smoke ? std::vector<std::uint32_t>{4}
-              : std::vector<std::uint32_t>{8, 16};
+        args.smoke ? std::vector<std::uint32_t>{4}
+                   : std::vector<std::uint32_t>{8, 16};
 
     std::vector<ChaosCell> grid;
     std::uint64_t seed = 1;
@@ -161,40 +100,33 @@ main(int argc, char **argv)
                 "both checkers armed ==\n",
                 grid.size());
 
+    const auto pass = [&](unsigned n) {
+        SweepRunner runner(n);
+        return sweepIndex<RunOutcome>(
+            runner, grid.size(),
+            [&](std::size_t i) { return runCell(grid[i], args.smoke); });
+    };
     const auto s0 = std::chrono::steady_clock::now();
-    SweepRunner serialRunner(1);
-    const auto serial = sweepIndex<RunOutcome>(
-        serialRunner, grid.size(),
-        [&](std::size_t i) { return runCell(grid[i]); });
+    const auto serial = pass(1);
     const auto s1 = std::chrono::steady_clock::now();
-
-    SweepRunner parallelRunner(jobs);
-    const auto parallel = sweepIndex<RunOutcome>(
-        parallelRunner, grid.size(),
-        [&](std::size_t i) { return runCell(grid[i]); });
+    const auto parallel = pass(jobs);
     const auto s2 = std::chrono::steady_clock::now();
 
     std::size_t passed = 0;
-    bool deterministic = true;
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        const RunOutcome &out = serial[i];
-        if (cellClean(out)) {
-            ++passed;
-        } else {
-            std::fprintf(
-                stderr, "FAIL %s: %s\n", cellName(grid[i]).c_str(),
-                !out.completed         ? "did not complete"
-                : !out.serial.ok      ? out.serial.error.c_str()
-                                       : out.invariants.error.c_str());
-        }
-        if (!(fingerprint(serial[i]) == fingerprint(parallel[i]))) {
-            deterministic = false;
-            std::fprintf(stderr,
-                         "MISMATCH %s: parallel run not bit-identical "
-                         "to serial\n",
-                         cellName(grid[i]).c_str());
-        }
+        const RunResult &res = serial[i].res;
+        const bool clean = res.completed && res.checksPassed();
+        passed += clean;
+        report.check("clean", clean, "%s: %s", cellName(grid[i]).c_str(),
+                     !res.completed    ? "did not complete"
+                     : !res.serial.ok ? res.serial.error.c_str()
+                                      : res.invariants.error.c_str());
+        const char *diff = outcomeDiff(serial[i], parallel[i]);
+        report.match("deterministic", !diff,
+                     "%s: parallel run differs from serial in '%s'",
+                     cellName(grid[i]).c_str(), diff);
     }
+    const bool deterministic = report.passed("deterministic");
 
     std::printf("passed             : %zu / %zu points\n", passed,
                 grid.size());
@@ -204,34 +136,16 @@ main(int argc, char **argv)
     std::printf("parallel (%u jobs) : %8.3f sec\n", jobs,
                 seconds(s1, s2));
 
-    std::FILE *f = std::fopen(outPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     outPath.c_str());
-        return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"chaos_configs_passed\": %zu,\n"
-                 "  \"chaos_configs_total\": %zu,\n"
-                 "  \"deterministic\": %d,\n"
-                 "  \"jobs\": %u,\n"
-                 "  \"serial_sec\": %.6f,\n"
-                 "  \"parallel_sec\": %.6f,\n"
-                 "  \"git_rev\": \"%s\",\n"
-                 "  \"config\": {\n"
-                 "    \"smoke\": %s,\n"
-                 "    \"presets\": %zu,\n"
-                 "    \"apps\": %zu,\n"
-                 "    \"proc_counts\": %zu\n"
-                 "  }\n"
-                 "}\n",
-                 passed, grid.size(), deterministic ? 1 : 0, jobs,
-                 seconds(s0, s1), seconds(s1, s2), TCC_GIT_REV,
-                 smoke ? "true" : "false", chaosPresetNames().size(),
-                 apps.size(), procs.size());
-    std::fclose(f);
-    std::printf("wrote %s\n", outPath.c_str());
-
-    return (passed == grid.size() && deterministic) ? 0 : 1;
+    StatsNode &r = report.root();
+    r.num("chaos_configs_passed", passed);
+    r.num("chaos_configs_total", grid.size());
+    r.flag("deterministic", deterministic);
+    r.num("jobs", jobs);
+    r.real("serial_sec", seconds(s0, s1));
+    r.real("parallel_sec", seconds(s1, s2));
+    StatsNode &cfg = report.config();
+    cfg.num("presets", chaosPresetNames().size());
+    cfg.num("apps", apps.size());
+    cfg.num("proc_counts", procs.size());
+    return report.finish();
 }

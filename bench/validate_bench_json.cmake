@@ -1,59 +1,98 @@
-# Validate the schema of a machine-readable JSON artifact (the
-# BENCH_*.json bench outputs and the observability JSONs emitted by
-# --stats-json / --trace-out): required numeric fields, optional
-# required string fields, optional required non-empty arrays, plus a
-# config object. Run as
-#   cmake -DJSON_FILE=<path> [-DREQUIRED_KEYS=a,b.c] \
-#         [-DREQUIRED_STRING_KEYS=d,e] \
-#         [-DREQUIRED_ARRAY_KEYS=f,g.h] [-DSERIES_OBJECT=k.series] \
-#         [-DREQUIRE_CONFIG=OFF] -P validate_bench_json.cmake
+# Validate a machine-readable JSON artifact: the BENCH_*.json bench
+# outputs and the observability JSONs emitted by --stats-json /
+# --trace-out. Run as
+#   cmake -DJSON_FILE=<path> [-DSCHEMA_FILE=<golden>] \
+#         [-DUNIQUE_POINT_KEYS=a,b] [-DREQUIRED_ARRAY_KEYS=f,g.h] \
+#         [-DSERIES_OBJECT=k.series] -P validate_bench_json.cmake
 # Key lists are comma-separated; a dot inside a key descends into
 # nested objects ("system.procs" checks doc.system.procs). No emitted
 # key contains a literal dot, so the split is unambiguous.
-# REQUIRED_KEYS defaults to the bench_kernel schema for backward
-# compatibility; pass an explicitly empty value to skip numeric checks.
+#
+#  SCHEMA_FILE        the document's field set must equal this golden
+#                     file: one "path type" line per node (depth
+#                     first, keys sorted), array indices folded to
+#                     '#', so a field that appears, moves, vanishes or
+#                     changes type is a reviewed diff. Every object in one array must
+#                     carry the same keys (no sweep leg may emit
+#                     narrower rows than the others).
+#  UNIQUE_POINT_KEYS  each element of doc.points has a unique (a, b,
+#                     ...) tuple (no point measured twice under
+#                     different requested parameters).
+#  REQUIRED_ARRAY_KEYS  arrays that must exist and be non-empty.
+#  SERIES_OBJECT      every member of doc.<key> is an array, all of
+#                     equal length (the metrics epoch-series contract).
 if(NOT DEFINED JSON_FILE)
   message(FATAL_ERROR "pass -DJSON_FILE=<path>")
 endif()
-if(NOT DEFINED REQUIRED_KEYS)
-  set(REQUIRED_KEYS "events_per_sec,cycles_per_sec")
-endif()
-if(NOT DEFINED REQUIRE_CONFIG)
-  set(REQUIRE_CONFIG ON)
-endif()
-string(REPLACE "," ";" key_list "${REQUIRED_KEYS}")
-string(REPLACE "," ";" string_key_list "${REQUIRED_STRING_KEYS}")
 string(REPLACE "," ";" array_key_list "${REQUIRED_ARRAY_KEYS}")
 
 file(READ "${JSON_FILE}" doc)
 
-foreach(key IN LISTS key_list)
-  string(REPLACE "." ";" path "${key}")
-  string(JSON val ERROR_VARIABLE err GET "${doc}" ${path})
-  if(err)
-    message(FATAL_ERROR "${JSON_FILE}: missing key '${key}': ${err}")
+# Append the schema lines of the JSON text `json` at `path` to
+# `schema_lines` in the caller's scope.
+function(schema_walk json path)
+  string(JSON type TYPE "${json}")
+  string(JSON n LENGTH "${json}")
+  set(lines "${schema_lines}")
+  set(first_keys "")
+  if(n GREATER 0)
+    math(EXPR last "${n} - 1")
+    foreach(i RANGE ${last})
+      if(type STREQUAL "OBJECT")
+        string(JSON key MEMBER "${json}" ${i})
+        set(child_path "${path}${key}")
+      else()
+        set(key ${i})
+        set(child_path "${path}#")
+      endif()
+      string(JSON ctype TYPE "${json}" "${key}")
+      string(TOLOWER "${ctype}" ctype_lc)
+      set(line "${child_path} ${ctype_lc}")
+      list(FIND lines "${line}" seen)
+      if(seen EQUAL -1)
+        list(APPEND lines "${line}")
+      endif()
+      if(ctype STREQUAL "OBJECT" OR ctype STREQUAL "ARRAY")
+        string(JSON child GET "${json}" "${key}")
+        if(type STREQUAL "ARRAY" AND ctype STREQUAL "OBJECT")
+          string(JSON m LENGTH "${child}")
+          set(keys "")
+          if(m GREATER 0)
+            math(EXPR mlast "${m} - 1")
+            foreach(k RANGE ${mlast})
+              string(JSON member MEMBER "${child}" ${k})
+              list(APPEND keys "${member}")
+            endforeach()
+          endif()
+          if(i EQUAL 0)
+            set(first_keys "${keys}")
+          elseif(NOT keys STREQUAL first_keys)
+            message(FATAL_ERROR
+                    "${JSON_FILE}: '${path}${i}' has keys [${keys}], "
+                    "'${path}0' has [${first_keys}]")
+          endif()
+        endif()
+        set(schema_lines "${lines}")
+        schema_walk("${child}" "${child_path}.")
+        set(lines "${schema_lines}")
+      endif()
+    endforeach()
   endif()
-  if(NOT val MATCHES "^-?[0-9]+(\\.[0-9]+)?([eE][-+]?[0-9]+)?$")
-    message(FATAL_ERROR
-            "${JSON_FILE}: key '${key}' is not numeric: '${val}'")
-  endif()
-endforeach()
+  set(schema_lines "${lines}" PARENT_SCOPE)
+endfunction()
 
-foreach(key IN LISTS string_key_list)
-  string(REPLACE "." ";" path "${key}")
-  string(JSON ktype ERROR_VARIABLE err TYPE "${doc}" ${path})
-  if(err)
-    message(FATAL_ERROR "${JSON_FILE}: missing key '${key}': ${err}")
-  endif()
-  if(NOT ktype STREQUAL "STRING")
+if(DEFINED SCHEMA_FILE)
+  set(schema_lines "")
+  schema_walk("${doc}" "")
+  list(JOIN schema_lines "\n" schema)
+  file(READ "${SCHEMA_FILE}" golden)
+  if(NOT "${schema}\n" STREQUAL golden)
+    file(WRITE "${JSON_FILE}.schema" "${schema}\n")
     message(FATAL_ERROR
-            "${JSON_FILE}: key '${key}' is not a string (${ktype})")
+            "${JSON_FILE}: field set differs from ${SCHEMA_FILE}; if "
+            "the change is intended, copy ${JSON_FILE}.schema over it")
   endif()
-  string(JSON val GET "${doc}" ${path})
-  if(val STREQUAL "")
-    message(FATAL_ERROR "${JSON_FILE}: key '${key}' is empty")
-  endif()
-endforeach()
+endif()
 
 foreach(key IN LISTS array_key_list)
   string(REPLACE "." ";" path "${key}")
@@ -71,10 +110,6 @@ foreach(key IN LISTS array_key_list)
   endif()
 endforeach()
 
-# Time-series object check: with -DSERIES_OBJECT=<key> every member of
-# doc.<key> must be an array and all members must have equal length -
-# the column contract of the metrics epoch series (one value per probe
-# per closed epoch; a ragged series means a probe skipped an epoch).
 if(DEFINED SERIES_OBJECT)
   string(REPLACE "." ";" spath "${SERIES_OBJECT}")
   string(JSON stype ERROR_VARIABLE err TYPE "${doc}" ${spath})
@@ -109,56 +144,21 @@ if(DEFINED SERIES_OBJECT)
   endforeach()
 endif()
 
-if(REQUIRE_CONFIG)
-  string(JSON cfg_type ERROR_VARIABLE err TYPE "${doc}" config)
-  if(err OR NOT cfg_type STREQUAL "OBJECT")
-    message(FATAL_ERROR "${JSON_FILE}: 'config' must be an object")
-  endif()
-endif()
-
-# Optional per-point schema check: with -DPOINTS_ARRAY=<key> and
-# -DPOINT_REQUIRED_KEYS=a,b every element of doc.<key> must contain
-# each listed key. Guards against one sweep leg emitting rows with a
-# narrower schema than the others (e.g. a sync mode that forgets its
-# cadence counters).
-if(DEFINED POINTS_ARRAY AND DEFINED POINT_REQUIRED_KEYS)
-  string(REPLACE "," ";" point_key_list "${POINT_REQUIRED_KEYS}")
-  string(JSON npts LENGTH "${doc}" ${POINTS_ARRAY})
-  math(EXPR last "${npts} - 1")
-  foreach(i RANGE ${last})
-    foreach(key IN LISTS point_key_list)
-      string(JSON val ERROR_VARIABLE err GET
-             "${doc}" ${POINTS_ARRAY} ${i} ${key})
-      if(err)
-        message(FATAL_ERROR
-                "${JSON_FILE}: point ${i} of '${POINTS_ARRAY}' is "
-                "missing key '${key}': ${err}")
-      endif()
-    endforeach()
-  endforeach()
-endif()
-
-# Optional duplicate-point check: with -DPOINTS_ARRAY=<key> and
-# -DUNIQUE_POINT_KEYS=a,b each element of doc.<key> must have a unique
-# (a, b, ...) tuple. Guards against a sweep emitting the same measured
-# point twice under different requested parameters (e.g. a jobs value
-# clamped to the domain count).
-if(DEFINED POINTS_ARRAY AND DEFINED UNIQUE_POINT_KEYS)
+if(UNIQUE_POINT_KEYS)
   string(REPLACE "," ";" unique_key_list "${UNIQUE_POINT_KEYS}")
-  string(JSON npts LENGTH "${doc}" ${POINTS_ARRAY})
+  string(JSON npts LENGTH "${doc}" points)
   set(seen_tuples "")
   math(EXPR last "${npts} - 1")
   foreach(i RANGE ${last})
     set(tuple "")
     foreach(key IN LISTS unique_key_list)
-      string(JSON val GET "${doc}" ${POINTS_ARRAY} ${i} ${key})
+      string(JSON val GET "${doc}" points ${i} ${key})
       string(APPEND tuple "${key}=${val}/")
     endforeach()
     list(FIND seen_tuples "${tuple}" dup_idx)
     if(NOT dup_idx EQUAL -1)
       message(FATAL_ERROR
-              "${JSON_FILE}: duplicate point ${tuple} in "
-              "'${POINTS_ARRAY}'")
+              "${JSON_FILE}: duplicate point ${tuple} in 'points'")
     endif()
     list(APPEND seen_tuples "${tuple}")
   endforeach()

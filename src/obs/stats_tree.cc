@@ -15,7 +15,8 @@ StatsNode::add(Kind kind, const char *key)
     assert(key != nullptr
                ? kind_ == Kind::Group
                : (kind_ == Kind::List && kind == Kind::Group) ||
-                     (kind_ == Kind::Vector && kind == Kind::Uint));
+                     (kind_ == Kind::Vector &&
+                      (kind == Kind::Uint || kind == Kind::Real)));
     kids.push_back(StatsNode(kind, key));
     return kids.back();
 }
@@ -55,6 +56,8 @@ writeNumber(std::ostream &os, const StatsNode &n)
     char buf[40];
     if (n.kind() == StatsNode::Kind::Real)
         std::snprintf(buf, sizeof(buf), "%.6g", n.realValue());
+    else if (n.kind() == StatsNode::Kind::Int)
+        std::snprintf(buf, sizeof(buf), "%" PRId64, n.intValue());
     else
         std::snprintf(buf, sizeof(buf), "%" PRIu64, n.uintValue());
     os << buf;
@@ -90,6 +93,7 @@ textNode(const StatsNode &n, const std::string &path, std::ostream &os)
         os << path << ' ' << n.nameValue() << '\n';
         return;
       case Kind::Uint:
+      case Kind::Int:
       case Kind::Real:
         os << path << ' ';
         writeNumber(os, n);
@@ -132,6 +136,7 @@ jsonNode(const StatsNode &n, std::ostream &os)
         os << '"' << n.nameValue() << '"';
         return;
       case Kind::Uint:
+      case Kind::Int:
       case Kind::Real:
         writeNumber(os, n);
         return;

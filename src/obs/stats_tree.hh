@@ -11,9 +11,9 @@
  * Node kinds:
  *  - Group:  named children in insertion order (a JSON object)
  *  - List:   Group items (a JSON array of objects)
- *  - Vector: unsigned values (a JSON array of numbers; one column of
- *            a time series)
- *  - Uint / Real / Flag / Name: leaves
+ *  - Vector: numbers, unsigned or real (a JSON array of numbers; one
+ *            column of a time series)
+ *  - Uint / Int / Real / Flag / Name: leaves (Int is signed)
  *
  * Rendering rules, one set per format:
  *  - text: one "path value" line per leaf, path = keys joined by '.'.
@@ -46,6 +46,7 @@ class StatsNode
         List,
         Vector,
         Uint,
+        Int,
         Real,
         Flag,
         Name,
@@ -71,12 +72,19 @@ class StatsNode
 
     /** Append one value to this Vector. */
     void push(std::uint64_t v) { add(Kind::Uint, nullptr).val.u = v; }
+    void pushReal(double v) { add(Kind::Real, nullptr).val.d = v; }
 
     /** Add a leaf to this Group. */
     void
     num(const char *key, std::uint64_t v)
     {
         add(Kind::Uint, key).val.u = v;
+    }
+
+    void
+    inum(const char *key, std::int64_t v)
+    {
+        add(Kind::Int, key).val.i = v;
     }
 
     void
@@ -109,6 +117,7 @@ class StatsNode
 
     /** Leaf values; each is valid only for its own Kind. */
     std::uint64_t uintValue() const { return val.u; }
+    std::int64_t intValue() const { return val.i; }
     double realValue() const { return val.d; }
     bool flagValue() const { return val.u != 0; }
     const char *nameValue() const { return val.s; }
@@ -120,13 +129,14 @@ class StatsNode
     StatsNode(Kind kind, const char *key) : key_(key), kind_(kind) {}
 
     /** Append a child: keyed children go in a Group, unkeyed Groups
-     *  in a List and unkeyed Uints in a Vector. */
+     *  in a List and unkeyed Uints / Reals in a Vector. */
     StatsNode &add(Kind kind, const char *key);
 
     const char *key_ = nullptr;
     Kind kind_ = Kind::Group;
     union {
         std::uint64_t u;
+        std::int64_t i;
         double d;
         const char *s;
     } val{0};

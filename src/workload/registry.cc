@@ -216,8 +216,8 @@ makeSynthetic(const AppProfile &prof, std::uint64_t seed,
 {
     WorkloadBundle b;
     b.name = prof.name;
-    // Region order mirrors the legacy setupApp() binding order so a
-    // registry-built run is bit-identical to the legacy path.
+    // Region bind order (private/shared per processor, then hot) is
+    // part of the run: Registry.MatchesGoldenRadixRun pins it.
     for (NodeId p = 0; p < num_procs; ++p) {
         b.footprint.regions.push_back(
             {"private" + std::to_string(p),

@@ -18,10 +18,6 @@
  * the named workload's defaults (e.g. {"theta","0.99"},
  * {"mix","write_heavy"}, {"txns_per_phase","64"}), so CLI flags and
  * bench sweeps need no per-workload structs. Unknown keys are fatal.
- *
- * The legacy construction path - appProfile() + setupApp() in
- * workload/synthetic_app.hh - remains as a thin compatibility layer
- * for one release; new code selects workloads by name through here.
  */
 
 #ifndef TCC_WORKLOAD_REGISTRY_HH

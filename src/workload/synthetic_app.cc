@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
-
 namespace tcc {
 
 namespace {
@@ -218,17 +216,8 @@ appProfiles()
     return apps;
 }
 
-const AppProfile &
-appProfile(const std::string &name)
-{
-    for (const auto &a : appProfiles())
-        if (a.name == name)
-            return a;
-    fatal("unknown application profile '%s'", name.c_str());
-}
-
 // ---------------------------------------------------------------------
-// Address layout (byte addresses; regions are page-bound in setupApp)
+// Address layout (byte addresses; the registry page-binds regions)
 // ---------------------------------------------------------------------
 
 Addr
@@ -409,45 +398,6 @@ SyntheticSource::nextTransaction()
         ++phase;
     }
     return txn;
-}
-
-// ---------------------------------------------------------------------
-// System setup
-// ---------------------------------------------------------------------
-
-std::vector<std::unique_ptr<SyntheticSource>>
-setupApp(System &sys, const AppProfile &profile, std::uint64_t seed)
-{
-    const std::uint32_t procs = sys.numProcs();
-
-    // Region placement: private and shared slices live on their
-    // owning node; the hot words round-robin across nodes.
-    for (NodeId p = 0; p < procs; ++p) {
-        sys.bindRegion(SyntheticSource::privateBase(p),
-                       static_cast<std::uint64_t>(profile.privateWords) *
-                           4,
-                       p);
-        sys.bindRegion(SyntheticSource::sharedBase(p),
-                       static_cast<std::uint64_t>(profile.sharedWords) *
-                           4,
-                       p);
-    }
-    const std::uint32_t page = sys.cfg().pageBytes;
-    const std::uint64_t hot_bytes =
-        static_cast<std::uint64_t>(profile.hotWords) * 4;
-    std::uint32_t hp = 0;
-    for (Addr a = SyntheticSource::hotBase();
-         a < SyntheticSource::hotBase() + hot_bytes; a += page)
-        sys.bindRegion(a, page, hp++ % procs);
-
-    std::vector<std::unique_ptr<SyntheticSource>> sources;
-    sources.reserve(procs);
-    for (NodeId p = 0; p < procs; ++p) {
-        sources.push_back(std::make_unique<SyntheticSource>(
-            profile, seed, p, procs));
-        sys.setSource(p, sources.back().get());
-    }
-    return sources;
 }
 
 } // namespace tcc

@@ -27,11 +27,10 @@
 #define TCC_WORKLOAD_SYNTHETIC_APP_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/system.hh"
+#include "common/types.hh"
 #include "sim/random.hh"
 #include "workload/transaction_source.hh"
 
@@ -89,11 +88,9 @@ struct AppProfile {
     std::uint32_t privateWindow = 1u << 11;
 };
 
-/** The eleven applications of the paper's Table 3. */
+/** The eleven applications of the paper's Table 3 (the registry
+ *  builds them by name: see workload/registry.hh). */
 const std::vector<AppProfile> &appProfiles();
-
-/** Look up a profile by name (fatal if unknown). */
-const AppProfile &appProfile(const std::string &name);
 
 /**
  * The transaction generator for one processor running one application.
@@ -130,13 +127,6 @@ class SyntheticSource : public TransactionSource
     std::uint32_t txnInPhase = 0;
     std::uint64_t txnsGenerated = 0;
 };
-
-/**
- * Bind the workload's memory regions to their home nodes and build one
- * SyntheticSource per processor, attached to the system.
- */
-std::vector<std::unique_ptr<SyntheticSource>>
-setupApp(System &sys, const AppProfile &profile, std::uint64_t seed);
 
 } // namespace tcc
 

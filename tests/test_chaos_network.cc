@@ -14,7 +14,7 @@
 
 #include "noc/chaos_network.hh"
 #include "core/system.hh"
-#include "workload/synthetic_app.hh"
+#include "workload/registry.hh"
 
 namespace tcc {
 namespace {
@@ -206,7 +206,9 @@ runChaosApp(const std::string &preset, std::uint64_t seed)
     cfg.check.serial = true;
     cfg.check.invariants = true;
     System sys(cfg);
-    auto sources = setupApp(sys, appProfile("radix"), seed);
+    const WorkloadBundle bundle =
+        makeWorkload("radix", {}, seed, cfg.numProcs);
+    bundle.attach(sys);
     return sys.run(2'000'000'000ull);
 }
 

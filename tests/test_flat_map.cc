@@ -19,7 +19,7 @@
 #include "core/system.hh"
 #include "sim/random.hh"
 #include "workload/scripted_source.hh"
-#include "workload/synthetic_app.hh"
+#include "workload/registry.hh"
 
 namespace tcc {
 namespace {
@@ -244,10 +244,11 @@ TEST(FlatMapGolden, SyntheticAppRunUnchanged)
     SystemConfig cfg;
     cfg.numProcs = 8;
     System sys(cfg);
-    AppProfile prof = appProfile("water_spatial");
-    prof.txnsPerPhase = 64;
-    prof.phases = 2;
-    auto sources = setupApp(sys, prof, 7);
+    const WorkloadBundle bundle = makeWorkload(
+        "water_spatial",
+        WorkloadParams::parse("txns_per_phase=64,phases=2"), 7,
+        cfg.numProcs);
+    bundle.attach(sys);
     auto res = sys.run();
 
     ASSERT_TRUE(res.completed);

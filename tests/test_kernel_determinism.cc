@@ -17,7 +17,7 @@
 
 #include "core/system.hh"
 #include "workload/scripted_source.hh"
-#include "workload/synthetic_app.hh"
+#include "workload/registry.hh"
 
 namespace tcc {
 namespace {
@@ -165,10 +165,11 @@ TEST(KernelDeterminism, SyntheticAppRunsAreBitIdentical)
         SystemConfig cfg;
         cfg.numProcs = 8;
         System sys(cfg);
-        AppProfile prof = appProfile("water_spatial");
-        prof.txnsPerPhase = 64;
-        prof.phases = 2;
-        auto sources = setupApp(sys, prof, /*seed=*/7);
+        const WorkloadBundle bundle = makeWorkload(
+            "water_spatial",
+            WorkloadParams::parse("txns_per_phase=64,phases=2"),
+            /*seed=*/7, cfg.numProcs);
+        bundle.attach(sys);
         auto res = sys.run();
         EXPECT_TRUE(res.completed);
         return fingerprint(sys, res);

@@ -20,7 +20,7 @@
 #include "core/system.hh"
 #include "obs/contention.hh"
 #include "obs/metrics.hh"
-#include "workload/synthetic_app.hh"
+#include "workload/registry.hh"
 
 namespace tcc {
 namespace {
@@ -405,7 +405,8 @@ runApp(const std::string &app, std::uint32_t procs, Tick epoch,
     cfg.pdes.domains = domains;
     cfg.pdes.jobs = jobs;
     System sys(cfg);
-    auto sources = setupApp(sys, appProfile(app), seed);
+    const WorkloadBundle bundle = makeWorkload(app, {}, seed, procs);
+    bundle.attach(sys);
     const RunResult res = sys.run(2'000'000'000ull);
     return snapshot(sys, res);
 }
@@ -445,7 +446,9 @@ TEST(ObsSystem, SerialEpochSeriesSumsToTotals)
     cfg.trace.metricsCapacity = 1 << 20;
     cfg.trace.contentionTopK = 8;
     System sys(cfg);
-    auto sources = setupApp(sys, appProfile("radix"), 42);
+    const WorkloadBundle bundle =
+        makeWorkload("radix", {}, 42, cfg.numProcs);
+    bundle.attach(sys);
     const RunResult res = sys.run(2'000'000'000ull);
     ASSERT_TRUE(res.completed);
 

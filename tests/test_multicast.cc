@@ -18,7 +18,7 @@
 #include "core/system.hh"
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
-#include "workload/synthetic_app.hh"
+#include "workload/registry.hh"
 
 namespace tcc {
 namespace {
@@ -224,11 +224,12 @@ runOutcome(const MulticastConfig &mc, std::uint32_t domains = 0)
         cfg.pdes.jobs = 1;
     }
     System sys(cfg);
-    AppProfile prof = appProfile("barnes");
-    prof.writeSpreadDirs = 1;
-    prof.phases = 1;
-    prof.txnsPerPhase = 128;
-    auto sources = setupApp(sys, prof, /*seed=*/7);
+    const WorkloadBundle bundle = makeWorkload(
+        "barnes",
+        WorkloadParams::parse(
+            "write_spread_dirs=1,phases=1,txns_per_phase=128"),
+        /*seed=*/7, cfg.numProcs);
+    bundle.attach(sys);
     RunResult res = sys.run();
     EXPECT_TRUE(res.completed);
     EXPECT_TRUE(res.quiesced);

@@ -19,7 +19,7 @@
 #include "core/system.hh"
 #include "sim/domain.hh"
 #include "workload/scripted_source.hh"
-#include "workload/synthetic_app.hh"
+#include "workload/registry.hh"
 
 namespace tcc {
 namespace {
@@ -260,7 +260,9 @@ runPdes(const std::string &app, std::uint32_t procs,
         cfg.network.chaos.seed = seed;
     }
     System sys(cfg);
-    auto sources = setupApp(sys, appProfile(app), seed);
+    const WorkloadBundle bundle =
+        makeWorkload(app, {}, seed, cfg.numProcs);
+    bundle.attach(sys);
     return sys.run(max_ticks);
 }
 
@@ -381,7 +383,9 @@ TEST(PdesDeterminism, PartitionCollapseFallsBackToSerialEngine)
     cfg.check.serial = true;
     cfg.check.invariants = true;
     System sys(cfg);
-    auto sources = setupApp(sys, appProfile("barnes"), 42);
+    const WorkloadBundle bundle =
+        makeWorkload("barnes", {}, 42, cfg.numProcs);
+    bundle.attach(sys);
     const RunResult serial = sys.run(2'000'000'000ull);
     ASSERT_TRUE(pdes.completed);
     EXPECT_EQ(pdes.pdes.domains, 0u) << "collapse reports no PDES";
@@ -423,20 +427,26 @@ TEST(PdesDeterminism, NarrowedWindowIsItsOwnDeterministicModel)
     RunResult wide, narrow1, narrow4;
     {
         System sys(cfg);
-        auto sources = setupApp(sys, appProfile("equake"), 7);
+        const WorkloadBundle bundle =
+            makeWorkload("equake", {}, 7, cfg.numProcs);
+        bundle.attach(sys);
         wide = sys.run(2'000'000'000ull);
     }
     cfg.pdes.window = 2;
     cfg.pdes.jobs = 1;
     {
         System sys(cfg);
-        auto sources = setupApp(sys, appProfile("equake"), 7);
+        const WorkloadBundle bundle =
+            makeWorkload("equake", {}, 7, cfg.numProcs);
+        bundle.attach(sys);
         narrow1 = sys.run(2'000'000'000ull);
     }
     cfg.pdes.jobs = 4;
     {
         System sys(cfg);
-        auto sources = setupApp(sys, appProfile("equake"), 7);
+        const WorkloadBundle bundle =
+            makeWorkload("equake", {}, 7, cfg.numProcs);
+        bundle.attach(sys);
         narrow4 = sys.run(2'000'000'000ull);
     }
     ASSERT_TRUE(wide.completed);

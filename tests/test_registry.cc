@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the workload registry: name catalog, parameter parsing
- * and overrides, bundle round-trips, equivalence with the legacy
- * appProfile()+setupApp() construction path, and attaching a
- * data-structure workload to the bus baseline.
+ * and overrides, bundle round-trips, a golden Table-3 run, and
+ * attaching a data-structure workload to the bus baseline.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "busbaseline/bus_tcc.hh"
 #include "core/system.hh"
@@ -39,15 +40,15 @@ TEST(Registry, CatalogHasAllWorkloads)
 
 TEST(Registry, CatalogMatchesAppProfiles)
 {
-    // Every legacy profile is reachable by name through the registry,
-    // under the "table3" kind.
-    std::size_t table3 = 0;
+    // Every Table-3 profile is reachable by name through the registry,
+    // under the "table3" kind, in the table's order.
+    std::vector<std::string> table3;
     for (const auto &info : workloadInfos())
-        if (info.kind == "table3") {
-            EXPECT_NO_FATAL_FAILURE(appProfile(info.name));
-            ++table3;
-        }
-    EXPECT_EQ(table3, appProfiles().size());
+        if (info.kind == "table3")
+            table3.push_back(info.name);
+    ASSERT_EQ(table3.size(), appProfiles().size());
+    for (std::size_t i = 0; i < table3.size(); ++i)
+        EXPECT_EQ(table3[i], appProfiles()[i].name);
 }
 
 TEST(Registry, ParamsParse)
@@ -98,37 +99,27 @@ TEST(Registry, OverridesReachTheWorkload)
     EXPECT_EQ(makeWorkload("radix", {}, 1, 4).layout(), nullptr);
 }
 
-TEST(Registry, MatchesLegacySetupAppExactly)
+TEST(Registry, MatchesGoldenRadixRun)
 {
-    // The registry path must reproduce the legacy construction
-    // bit-for-bit: same regions in the same bind order, same
-    // per-processor sources, so the run is identical.
+    // A registry-built Table-3 run reproduces the run of the retired
+    // appProfile() + setupApp() construction path bit for bit: same
+    // regions in the same bind order, same per-processor sources. The
+    // golden values were captured from that path.
     constexpr std::uint32_t procs = 8;
-    constexpr std::uint64_t seed = 1;
-    AppProfile prof = appProfile("radix");
-    prof.phases = 1;
-    prof.txnsPerPhase = 64;
-
     SystemConfig cfg;
     cfg.numProcs = procs;
-    System legacy(cfg);
-    const auto sources = setupApp(legacy, prof, seed);
-    const RunResult a = legacy.run();
+    System sys(cfg);
+    const WorkloadBundle b = makeWorkload(
+        "radix", WorkloadParams::parse("phases=1,txns_per_phase=64"),
+        /*seed=*/1, procs);
+    b.attach(sys);
+    const RunResult r = sys.run();
 
-    System fresh(cfg);
-    WorkloadParams wl;
-    wl.set("phases", "1").set("txns_per_phase", "64");
-    const WorkloadBundle b = makeWorkload("radix", wl, seed, procs);
-    b.attach(fresh);
-    const RunResult r = fresh.run();
-
-    ASSERT_TRUE(a.completed);
     ASSERT_TRUE(r.completed);
-    EXPECT_EQ(r.cycles, a.cycles);
-    EXPECT_EQ(r.committedTxns, a.committedTxns);
-    EXPECT_EQ(r.violations, a.violations);
-    EXPECT_EQ(fresh.memory().fingerprint(),
-              legacy.memory().fingerprint());
+    EXPECT_EQ(r.cycles, 594968u);
+    EXPECT_EQ(r.committedTxns, 64u);
+    EXPECT_EQ(r.violations, 17u);
+    EXPECT_EQ(sys.memory().fingerprint(), 0xfc7611869fb23d9full);
 }
 
 TEST(Registry, DataStructOnBusBaseline)

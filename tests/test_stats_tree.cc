@@ -97,6 +97,24 @@ TEST(StatsTree, RenderersShareOneWalk)
     EXPECT_EQ(csv.str(), "epoch,commits\n0,5\n1,7\n");
 }
 
+TEST(StatsTree, SignedLeavesAndRealVectors)
+{
+    // The bench drivers' kinds: a signed key (-1 = no key) and a
+    // column of per-pass wall times.
+    StatsNode root;
+    root.inum("key", -1);
+    StatsNode &times = root.vector("runs_sec");
+    times.pushReal(0.5);
+    times.pushReal(1.25);
+
+    std::ostringstream text;
+    renderStatsText(root, text);
+    EXPECT_EQ(text.str(), "key -1\nruns_sec 0.5 1.25\n");
+    std::ostringstream json;
+    renderStatsJson(root, json);
+    EXPECT_EQ(json.str(), "{\"key\":-1,\"runs_sec\":[0.5,1.25]}");
+}
+
 /**
  * The text dump's paths with list indices folded to '#', in first-seen
  * order: the schema of the tree without its values.

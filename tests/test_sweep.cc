@@ -17,7 +17,6 @@
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "workload/scripted_source.hh"
-#include "workload/synthetic_app.hh"
 
 namespace tcc {
 namespace {

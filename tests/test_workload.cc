@@ -7,12 +7,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/system.hh"
 #include "sim/stats.hh"
+#include "workload/registry.hh"
 #include "workload/synthetic_app.hh"
 
 namespace tcc {
 namespace {
+
+/** Profile @p name of the Table-3 table (the one the registry reads). */
+const AppProfile &
+tableProfile(const std::string &name)
+{
+    const auto &apps = appProfiles();
+    const auto it =
+        std::find_if(apps.begin(), apps.end(),
+                     [&](const AppProfile &a) { return a.name == name; });
+    EXPECT_NE(it, apps.end()) << name;
+    return *it;
+}
 
 TEST(AppProfiles, AllElevenPresent)
 {
@@ -22,13 +37,16 @@ TEST(AppProfiles, AllElevenPresent)
          {"barnes", "cluster_ga", "equake", "radix", "specjbb",
           "svm_classify", "swim", "tomcatv", "volrend",
           "water_nsquared", "water_spatial"}) {
-        EXPECT_NO_FATAL_FAILURE(appProfile(name));
+        EXPECT_TRUE(std::any_of(
+            apps.begin(), apps.end(),
+            [&](const AppProfile &a) { return a.name == name; }))
+            << name;
     }
 }
 
 TEST(SyntheticSource, DeterministicForSameSeed)
 {
-    const auto &prof = appProfile("barnes");
+    const auto &prof = tableProfile("barnes");
     SyntheticSource a(prof, 7, 0, 4);
     SyntheticSource b(prof, 7, 0, 4);
     for (int i = 0; i < 5; ++i) {
@@ -47,7 +65,7 @@ TEST(SyntheticSource, DeterministicForSameSeed)
 
 TEST(SyntheticSource, DifferentProcsDiffer)
 {
-    const auto &prof = appProfile("barnes");
+    const auto &prof = tableProfile("barnes");
     SyntheticSource a(prof, 7, 0, 4);
     SyntheticSource b(prof, 7, 1, 4);
     auto ta = a.nextTransaction();
@@ -69,7 +87,7 @@ TEST(SyntheticSource, DifferentProcsDiffer)
 
 TEST(SyntheticSource, TotalWorkIsFixedAcrossProcessorCounts)
 {
-    const auto &prof = appProfile("specjbb");
+    const auto &prof = tableProfile("specjbb");
     for (std::uint32_t procs : {1u, 2u, 8u}) {
         std::uint64_t total = 0;
         for (NodeId p = 0; p < procs; ++p) {
@@ -85,7 +103,7 @@ TEST(SyntheticSource, TotalWorkIsFixedAcrossProcessorCounts)
 
 TEST(SyntheticSource, BarriersSeparatePhases)
 {
-    const auto &prof = appProfile("swim");
+    const auto &prof = tableProfile("swim");
     SyntheticSource s(prof, 1, 0, 1);
     std::uint32_t barriers = 0;
     while (auto t = s.nextTransaction())
@@ -96,7 +114,7 @@ TEST(SyntheticSource, BarriersSeparatePhases)
 
 TEST(SyntheticSource, TransactionSizeMatchesCalibration)
 {
-    const auto &prof = appProfile("swim");
+    const auto &prof = tableProfile("swim");
     SyntheticSource s(prof, 5, 0, 1);
     Distribution instr;
     int n = 0;
@@ -123,10 +141,10 @@ TEST(SyntheticApp, EndToEndSerializableOnFourProcs)
 
     // A shrunken high-conflict profile keeps the test fast while still
     // exercising violations.
-    AppProfile prof = appProfile("volrend");
-    prof.txnsPerPhase = 64;
-    prof.phases = 2;
-    auto sources = setupApp(sys, prof, 42);
+    const WorkloadBundle bundle = makeWorkload(
+        "volrend", WorkloadParams::parse("txns_per_phase=64,phases=2"),
+        42, cfg.numProcs);
+    bundle.attach(sys);
 
     const RunResult res = sys.run(/*max_ticks=*/50'000'000);
     ASSERT_TRUE(res.completed);
@@ -145,12 +163,14 @@ TEST(SyntheticApp, HighConflictStillLivelockFree)
     cfg.check.invariants = true;
     System sys(cfg);
 
-    AppProfile prof = appProfile("cluster_ga");
-    prof.conflictProb = 0.9; // nearly every transaction contends
-    prof.hotWords = 4;       // on four words
-    prof.txnsPerPhase = 64;
-    prof.phases = 2;
-    auto sources = setupApp(sys, prof, 9);
+    // conflict_prob=0.9: nearly every transaction contends, on four
+    // hot words.
+    const WorkloadBundle bundle = makeWorkload(
+        "cluster_ga",
+        WorkloadParams::parse("conflict_prob=0.9,hot_words=4,"
+                              "txns_per_phase=64,phases=2"),
+        9, cfg.numProcs);
+    bundle.attach(sys);
 
     const RunResult res = sys.run(/*max_ticks=*/200'000'000);
     ASSERT_TRUE(res.completed) << "possible livelock";
