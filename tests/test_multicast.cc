@@ -260,5 +260,35 @@ TEST(MulticastSystem, TreeUnderPdesMatchesSequentialTree)
     EXPECT_EQ(pdes.fingerprint, seq.fingerprint);
 }
 
+TEST(MulticastSystem, GoldenSerialTreeRun)
+{
+    // Absolute outcome of one serial-engine tree-k4 run. The gates
+    // above compare tree with flat and PDES with serial; this pins the
+    // tree schedule's timing itself. The values come from a known-good
+    // build and are never edited to follow a code change.
+    SystemConfig cfg;
+    cfg.numProcs = 64;
+    cfg.homePolicy = HomePolicy::Interleave;
+    cfg.network.multicast = treeCfg(4);
+    cfg.check.serial = true;
+    cfg.check.invariants = true;
+    System sys(cfg);
+    const WorkloadBundle bundle = makeWorkload(
+        "barnes",
+        WorkloadParams::parse(
+            "write_spread_dirs=1,phases=1,txns_per_phase=128"),
+        /*seed=*/7, cfg.numProcs);
+    bundle.attach(sys);
+    const RunResult r = sys.run();
+    ASSERT_TRUE(r.completed);
+    ASSERT_TRUE(r.checksPassed()) << r.serial.error << r.invariants.error;
+    EXPECT_GT(sys.network().stats().multicasts, 0u);
+    EXPECT_EQ(r.cycles, 64584u);
+    EXPECT_EQ(r.committedTxns, 128u);
+    EXPECT_EQ(r.violations, 2u);
+    EXPECT_EQ(r.events, 115002u);
+    EXPECT_EQ(sys.memory().fingerprint(), 4472990100756069682ull);
+}
+
 } // namespace
 } // namespace tcc
