@@ -303,10 +303,8 @@ BusTcc::run(Tick max_ticks)
         eventq.schedule(0, [this, pp]() { startNext(*pp); });
     }
     RunResult res;
-    while (!eventq.empty() && eventq.now() <= max_ticks) {
-        eventq.step();
+    while (eventq.step(max_ticks))
         ++res.events;
-    }
 
     bool all_done = true;
     Tick end = 0;
@@ -317,7 +315,10 @@ BusTcc::run(Tick max_ticks)
             end = std::max(end, p->doneAt);
     }
     res.completed = all_done;
-    res.cycles = all_done ? end : eventq.now();
+    // A run cut by max_ticks ran every event up to it and none later.
+    res.cycles = all_done         ? end
+                 : eventq.empty() ? eventq.now()
+                                  : max_ticks;
     if (all_done)
         for (auto &p : procs)
             p->stats.idleCycles += end - p->doneAt;

@@ -15,6 +15,7 @@
 #define TCC_CHECK_SERIAL_CHECKER_HH
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -42,6 +43,16 @@ class SerialChecker
            const std::vector<std::pair<Addr, std::uint64_t>> &writes)
     {
         log.push_back(Record{tid, proc, reads, writes});
+    }
+
+    /** Move every record of @p other into this log (PDES gathers the
+     *  per-domain logs at finalize; verify() orders by TID anyway). */
+    void
+    absorb(SerialChecker &other)
+    {
+        log.insert(log.end(), std::make_move_iterator(other.log.begin()),
+                   std::make_move_iterator(other.log.end()));
+        other.log.clear();
     }
 
     struct Result {

@@ -14,10 +14,7 @@ SystemConfig::validate() const
 {
     if (numProcs == 0)
         return "a system needs at least one processor";
-    const bool uses_mesh =
-        network.model == NetworkConfig::Model::Mesh ||
-        (network.model == NetworkConfig::Model::Chaos &&
-         !network.chaos.overIdeal);
+    const bool uses_mesh = network.meshBased();
     if (uses_mesh) {
         if (network.mesh.linkBytesPerCycle == 0)
             return "mesh linkBytesPerCycle must be nonzero";
@@ -31,10 +28,7 @@ SystemConfig::validate() const
                    "topology); use chaos over the ideal network for "
                    "odd sizes";
     }
-    const bool uses_ideal =
-        network.model == NetworkConfig::Model::Ideal ||
-        (network.model == NetworkConfig::Model::Chaos &&
-         network.chaos.overIdeal);
+    const bool uses_ideal = !uses_mesh;
     if (uses_ideal && network.model == NetworkConfig::Model::Chaos &&
         network.idealLatency == 0) {
         return "chaos over an ideal base needs idealLatency >= 1: "
@@ -100,27 +94,18 @@ static std::unique_ptr<Network>
 buildNetwork(const SystemConfig &cfg, EventQueue &eventq, Arena *arena)
 {
     const NetworkConfig &nc = cfg.network;
-    switch (nc.model) {
-      case NetworkConfig::Model::Ideal:
-        return std::make_unique<IdealNetwork>(
-            eventq, cfg.numProcs, nc.idealLatency, arena);
-      case NetworkConfig::Model::Mesh:
-        return std::make_unique<MeshNetwork>(eventq, cfg.numProcs,
+    std::unique_ptr<Network> base;
+    if (nc.meshBased()) {
+        base = std::make_unique<MeshNetwork>(eventq, cfg.numProcs,
                                              nc.mesh, arena);
-      case NetworkConfig::Model::Chaos: {
-        std::unique_ptr<Network> base;
-        if (nc.chaos.overIdeal) {
-            base = std::make_unique<IdealNetwork>(
-                eventq, cfg.numProcs, nc.idealLatency, arena);
-        } else {
-            base = std::make_unique<MeshNetwork>(eventq, cfg.numProcs,
-                                                 nc.mesh, arena);
-        }
-        return std::make_unique<ChaosNetwork>(
-            eventq, cfg.numProcs, std::move(base), nc.chaos, arena);
-      }
+    } else {
+        base = std::make_unique<IdealNetwork>(eventq, cfg.numProcs,
+                                              nc.idealLatency, arena);
     }
-    panic("unknown network model");
+    if (nc.model != NetworkConfig::Model::Chaos)
+        return base;
+    return std::make_unique<ChaosNetwork>(eventq, cfg.numProcs,
+                                          std::move(base), nc.chaos, arena);
 }
 
 System::System(const SystemConfig &cfg)
@@ -141,62 +126,111 @@ System::System(const SystemConfig &cfg)
 
     if (cfg.pdes.domains > 1)
         buildPdes(); // leaves pdesState null if the partition collapses
-    if (pdesState)
-        return;
+    wireNodes();
+}
 
-    if (cfg.check.invariants) {
-        invariants = std::make_unique<InvariantChecker>(
-            cfg.numProcs, &tracer, cfg.check.invariantHistory);
+std::vector<System::Part>
+System::parts()
+{
+    if (!pdesState) {
+        return {Part{0, config.numProcs, &eventq, net.get(), &arena,
+                     &store, &tracer, &invariants, &serialChecker,
+                     &metricsSamp, &contentionProf, nullptr}};
     }
+    std::vector<Part> out;
+    for (auto &d : pdesState->domains) {
+        out.push_back(Part{d->spec.firstNode, d->spec.numNodes, &d->eq,
+                           d->net.get(), &d->arena, &d->store,
+                           &d->tracer, &d->checker, &d->commitLog,
+                           &d->metrics, &d->contention, d.get()});
+    }
+    return out;
+}
 
-    tidVendor = std::make_unique<TidVendor>(0, eventq, *net,
-                                            cfg.tidVendorLatency);
+void
+System::wireNodes()
+{
+    const std::vector<Part> all = parts();
+    // The TID vendor lives at node 0, in the first part.
+    tidVendor = std::make_unique<TidVendor>(
+        0, *all[0].eq, *all[0].net, config.tidVendorLatency);
 
-    DirectoryConfig dir_cfg = cfg.directory;
-    dir_cfg.lineBytes = cfg.cache.lineBytes;
-    dir_cfg.writeThroughCommit = cfg.writeThroughCommit;
-    ProcessorConfig proc_cfg = cfg.processor;
-    proc_cfg.writeThroughCommit = cfg.writeThroughCommit;
-    for (NodeId n = 0; n < cfg.numProcs; ++n) {
-        dirs.push_back(std::make_unique<Directory>(
-            n, cfg.numProcs, eventq, *net, dir_cfg, &arena));
-        procs.push_back(std::make_unique<TccProcessor>(
-            n, cfg.numProcs, eventq, *net, homes, store, cfg.cache,
-            proc_cfg, /*vendor_node=*/0, &arena));
-        dirs.back()->setTraceRecorder(&tracer);
-        procs.back()->setTraceRecorder(&tracer);
-        dirs.back()->setInvariantChecker(invariants.get());
-        procs.back()->setInvariantChecker(invariants.get());
-        procs.back()->setBarrier(
-            [this](NodeId node, std::function<void()> resume) {
-                barrierArrive(node, std::move(resume));
-            });
-        procs.back()->setDoneHook([this]() {
-            ++doneProcs;
-            checkBarrierRelease();
-        });
-        if (cfg.check.serial) {
-            procs.back()->setCommitHook(
-                [this](Tid tid, NodeId proc, const auto &reads,
-                       const auto &writes) {
-                    serialChecker.record(tid, proc, reads, writes);
-                });
+    const std::uint32_t num = config.numProcs;
+    DirectoryConfig dir_cfg = config.directory;
+    dir_cfg.lineBytes = config.cache.lineBytes;
+    dir_cfg.writeThroughCommit = config.writeThroughCommit;
+    ProcessorConfig proc_cfg = config.processor;
+    proc_cfg.writeThroughCommit = config.writeThroughCommit;
+    for (const Part &part : all) {
+        if (config.check.invariants) {
+            *part.checker = std::make_unique<InvariantChecker>(
+                num, part.tracer, config.check.invariantHistory);
+            (*part.checker)->setNodeRange(part.first, part.count);
         }
-        net->connect(n, [this, n](const Message &msg) {
-            dispatch(n, msg);
-        });
-    }
+        InvariantChecker *checker = part.checker->get();
+        const NodeId end = part.first + part.count;
+        for (NodeId n = part.first; n < end; ++n) {
+            dirs.push_back(std::make_unique<Directory>(
+                n, num, *part.eq, *part.net, dir_cfg, part.arena));
+            procs.push_back(std::make_unique<TccProcessor>(
+                n, num, *part.eq, *part.net, homes, *part.store,
+                config.cache, proc_cfg, /*vendor_node=*/0, part.arena));
+            Directory &dir = *dirs.back();
+            TccProcessor &proc = *procs.back();
+            dir.setTraceRecorder(part.tracer);
+            proc.setTraceRecorder(part.tracer);
+            dir.setInvariantChecker(checker);
+            proc.setInvariantChecker(checker);
+            if (config.check.serial) {
+                proc.setCommitHook([log = part.commitLog](
+                                       Tid tid, NodeId p,
+                                       const auto &reads,
+                                       const auto &writes) {
+                    log->record(tid, p, reads, writes);
+                });
+            }
+            if (PdesDomain *d = part.domain) {
+                // Cross-domain effects defer to the window barrier:
+                // arrivals and done-hooks buffer in the domain, and
+                // the coordinator merges them in domain-id order.
+                proc.setBarrier(
+                    [d](NodeId node, std::function<void()> resume) {
+                        d->barrierArrivals.emplace_back(
+                            node, std::move(resume));
+                    });
+                proc.setDoneHook([d]() { ++d->newlyDone; });
+            } else {
+                proc.setBarrier(
+                    [this](NodeId node, std::function<void()> resume) {
+                        barrierWaiters.emplace_back(node,
+                                                    std::move(resume));
+                        releaseBarrier(eventq.now() + 1);
+                    });
+                proc.setDoneHook([this]() {
+                    ++doneProcs;
+                    releaseBarrier(eventq.now() + 1);
+                });
+            }
+            part.net->connect(n, [this, n](const Message &msg) {
+                dispatch(n, msg);
+            });
+        }
 
-    if (cfg.trace.metricsEpoch != 0) {
-        metricsSamp = std::make_unique<MetricsSampler>(
-            cfg.trace.metricsEpoch, cfg.trace.metricsCapacity, &arena);
-        registerMetricProbes(*metricsSamp, 0, cfg.numProcs, *net);
-    }
-    if (cfg.trace.contentionTopK != 0) {
-        contentionProf = std::make_unique<ContentionProfiler>(
-            cfg.trace.contentionTopK, &arena);
-        for (auto &p : procs)
-            p->setContentionProfiler(contentionProf.get());
+        // Observability layers: one private instance per part, touched
+        // only by the thread stepping it; PDES merges them at finalize.
+        if (config.trace.metricsEpoch != 0) {
+            *part.metrics = std::make_unique<MetricsSampler>(
+                config.trace.metricsEpoch, config.trace.metricsCapacity,
+                part.arena);
+            registerMetricProbes(**part.metrics, part.first, part.count,
+                                 *part.net);
+        }
+        if (config.trace.contentionTopK != 0) {
+            *part.contention = std::make_unique<ContentionProfiler>(
+                config.trace.contentionTopK, part.arena);
+            for (NodeId n = part.first; n < end; ++n)
+                procs[n]->setContentionProfiler(part.contention->get());
+        }
     }
 }
 
@@ -268,13 +302,9 @@ void
 System::buildPdes()
 {
     const NetworkConfig &nc = config.network;
-    const bool mesh_based =
-        nc.model == NetworkConfig::Model::Mesh ||
-        (nc.model == NetworkConfig::Model::Chaos &&
-         !nc.chaos.overIdeal);
     PdesPlan plan = computePdesPlan(config.numProcs,
                                     config.pdes.domains,
-                                    config.pdes.window, mesh_based,
+                                    config.pdes.window, nc.meshBased(),
                                     nc.mesh, nc.idealLatency);
     if (plan.domains.size() < 2)
         return; // partition collapsed (tiny machine): serial engine
@@ -282,12 +312,9 @@ System::buildPdes()
     pdesState = std::make_unique<PdesState>(std::move(plan));
     PdesState &st = *pdesState;
 
-    DomainNetConfig dnc;
-    dnc.meshBased = mesh_based;
-    dnc.mesh = nc.mesh;
-    dnc.idealLatency = nc.idealLatency;
-    dnc.chaos = nc.model == NetworkConfig::Model::Chaos;
-    dnc.chaosCfg = nc.chaos;
+    const DomainNetConfig dnc{nc.meshBased(), nc.mesh, nc.idealLatency,
+                              nc.model == NetworkConfig::Model::Chaos,
+                              nc.chaos};
 
     for (const DomainSpec &spec : st.plan.domains) {
         auto d = std::make_unique<PdesDomain>(spec,
@@ -296,75 +323,7 @@ System::buildPdes()
             d->eq, config.numProcs, spec, st.plan, dnc, &d->arena);
         d->net->setMulticast(nc.multicast);
         d->net->setTraceRecorder(&d->tracer);
-        if (config.check.invariants) {
-            d->checker = std::make_unique<InvariantChecker>(
-                config.numProcs, &d->tracer,
-                config.check.invariantHistory);
-            d->checker->setNodeRange(spec.firstNode, spec.numNodes);
-        }
         st.domains.push_back(std::move(d));
-    }
-
-    // The TID vendor lives in the domain owning node 0.
-    PdesDomain &d0 = *st.domains[st.plan.nodeDomain[0]];
-    tidVendor = std::make_unique<TidVendor>(0, d0.eq, *d0.net,
-                                            config.tidVendorLatency);
-
-    DirectoryConfig dir_cfg = config.directory;
-    dir_cfg.lineBytes = config.cache.lineBytes;
-    dir_cfg.writeThroughCommit = config.writeThroughCommit;
-    ProcessorConfig proc_cfg = config.processor;
-    proc_cfg.writeThroughCommit = config.writeThroughCommit;
-    for (NodeId n = 0; n < config.numProcs; ++n) {
-        PdesDomain *d = st.domains[st.plan.nodeDomain[n]].get();
-        dirs.push_back(std::make_unique<Directory>(
-            n, config.numProcs, d->eq, *d->net, dir_cfg, &d->arena));
-        procs.push_back(std::make_unique<TccProcessor>(
-            n, config.numProcs, d->eq, *d->net, homes, d->store,
-            config.cache, proc_cfg, /*vendor_node=*/0, &d->arena));
-        dirs.back()->setTraceRecorder(&d->tracer);
-        procs.back()->setTraceRecorder(&d->tracer);
-        dirs.back()->setInvariantChecker(d->checker.get());
-        procs.back()->setInvariantChecker(d->checker.get());
-        // Cross-domain effects defer to the window barrier: arrivals
-        // and done-hooks buffer in the domain, and the coordinator
-        // merges them in domain-id order between windows.
-        procs.back()->setBarrier(
-            [d](NodeId node, std::function<void()> resume) {
-                d->barrierArrivals.emplace_back(node,
-                                                std::move(resume));
-            });
-        procs.back()->setDoneHook([d]() { ++d->newlyDone; });
-        if (config.check.serial) {
-            procs.back()->setCommitHook(
-                [d](Tid tid, NodeId proc, const auto &reads,
-                    const auto &writes) {
-                    d->commits.push_back(PdesDomain::CommitRec{
-                        tid, proc, reads, writes});
-                });
-        }
-        d->net->connect(n, [this, n](const Message &msg) {
-            dispatch(n, msg);
-        });
-    }
-
-    // Observability layers: one private instance per domain, touched
-    // only by that domain's worker thread; merged at finalize.
-    for (auto &d : st.domains) {
-        if (config.trace.metricsEpoch != 0) {
-            d->metrics = std::make_unique<MetricsSampler>(
-                config.trace.metricsEpoch, config.trace.metricsCapacity,
-                &d->arena);
-            registerMetricProbes(*d->metrics, d->spec.firstNode,
-                                 d->spec.numNodes, *d->net);
-        }
-        if (config.trace.contentionTopK != 0) {
-            d->contention = std::make_unique<ContentionProfiler>(
-                config.trace.contentionTopK, &d->arena);
-            for (NodeId n = d->spec.firstNode;
-                 n < d->spec.firstNode + d->spec.numNodes; ++n)
-                procs[n]->setContentionProfiler(d->contention.get());
-        }
     }
 }
 
@@ -425,24 +384,59 @@ System::initializeWord(Addr addr, std::uint64_t value)
 }
 
 void
-System::barrierArrive(NodeId node, std::function<void()> resume)
+System::releaseBarrier(Tick at)
 {
-    barrierWaiters.emplace_back(node, std::move(resume));
-    checkBarrierRelease();
-}
-
-void
-System::checkBarrierRelease()
-{
-    const std::uint32_t active = config.numProcs - doneProcs;
-    if (active == 0 || barrierWaiters.size() < active)
+    // A waiting processor is never done, so an empty list also covers
+    // the case of no active processors.
+    if (barrierWaiters.empty() ||
+        barrierWaiters.size() < config.numProcs - doneProcs)
         return;
     auto waiters = std::move(barrierWaiters);
     barrierWaiters.clear();
     for (auto &[node, resume] : waiters) {
-        eventq.schedule(1, [fn = std::move(resume)]() { fn(); });
+        EventQueue *eq = &eventq;
+        if (pdesState) {
+            PdesState &st = *pdesState;
+            const std::uint32_t dom = st.plan.nodeDomain[node];
+            eq = &st.domains[dom]->eq;
+            st.pulse[dom].next = std::min(st.pulse[dom].next, at);
+        }
+        eq->scheduleAt(at, [fn = std::move(resume)]() { fn(); });
     }
 }
+
+namespace {
+
+/**
+ * The run loop of both engines (the serial run and every PDES domain's
+ * window): execute every event at or before @p limit, and none later.
+ * An armed @p metrics sampler first closes the epochs ending at or
+ * before each event's tick. A failure of @p halt stops the loop at
+ * the next event boundary: running on would only bury the first
+ * diagnostic under follow-on carnage. @return events executed.
+ */
+std::uint64_t
+stepThrough(EventQueue &eq, Tick limit, MetricsSampler *metrics,
+            const InvariantChecker *halt)
+{
+    std::uint64_t n = 0;
+    for (;;) {
+        if (metrics) {
+            const Tick next = eq.nextWhen();
+            if (next == kTickMax || next > limit)
+                break;
+            metrics->advanceTo(next);
+        }
+        if (!eq.step(limit))
+            break;
+        ++n;
+        if (halt && halt->failed())
+            break;
+    }
+    return n;
+}
+
+} // namespace
 
 RunResult
 System::run(Tick max_ticks)
@@ -454,60 +448,20 @@ System::run(Tick max_ticks)
         p->start();
 
     RunResult res;
-    if (metricsSamp) {
-        // Identical to the loop below plus the epoch hook: peeking the
-        // next event's tick before executing it closes every epoch
-        // whose boundary has passed, with the events inside it - and
-        // only those - already applied. Sampling never touches sim
-        // state, so both loops produce bit-identical results; the off
-        // path stays byte-for-byte the legacy loop.
-        while (!eventq.empty() && eventq.now() <= max_ticks) {
-            metricsSamp->advanceTo(eventq.nextWhen());
-            eventq.step();
-            ++res.events;
-            if (invariants && invariants->failed())
-                break;
-        }
-        metricsSamp->finish(eventq.now());
-    } else {
-        while (!eventq.empty() && eventq.now() <= max_ticks) {
-            eventq.step();
-            ++res.events;
-            // An invariant failure halts the run at the next event
-            // boundary: the protocol state is wrong from here on, and
-            // running further would only bury the first diagnostic
-            // under follow-on carnage (or trip a panic in the model
-            // itself).
-            if (invariants && invariants->failed())
-                break;
-        }
-    }
-    const bool halted_on_failure = invariants && invariants->failed();
-    const bool hit_tick_limit = !eventq.empty() && !halted_on_failure;
-
-    populateRunStats(res, eventq.now());
-
-    if (config.check.serial) {
-        res.serial.checked = true;
-        const SerialChecker::Result v = serialChecker.verify();
-        res.serial.ok = v.ok;
-        res.serial.error = v.error;
-        res.serial.checks = v.txnsChecked;
-    }
-    if (invariants) {
-        invariants->finalize(tidVendor->issued(), res.completed,
-                             hit_tick_limit);
-        res.invariants.checked = true;
-        const InvariantChecker::Result &v = invariants->result();
-        res.invariants.ok = v.ok;
-        res.invariants.error = v.error;
-        res.invariants.checks = v.checks;
-    }
+    res.events = stepThrough(eventq, max_ticks, metricsSamp.get(),
+                             invariants.get());
+    const bool halted = invariants && invariants->failed();
+    const bool hit_tick_limit = !halted && !eventq.empty();
+    const Tick end = hit_tick_limit ? max_ticks : eventq.now();
+    if (metricsSamp)
+        metricsSamp->finish(end);
+    finishRun(res, end, halted, hit_tick_limit);
     return res;
 }
 
 void
-System::populateRunStats(RunResult &res, Tick fallback_now)
+System::finishRun(RunResult &res, Tick fallback_now, bool halted,
+                  bool hit_tick_limit)
 {
     bool all_done = true;
     Tick end = 0;
@@ -556,29 +510,27 @@ System::populateRunStats(RunResult &res, Tick fallback_now)
         res.dirs.push_back(ds);
     }
     res.quiesced = protocolQuiesced();
-}
 
-void
-System::pdesBarrierPhase(Tick at)
-{
-    PdesState &st = *pdesState;
-    for (auto &d : st.domains) {
-        doneProcs += d->newlyDone;
-        d->newlyDone = 0;
-        for (auto &w : d->barrierArrivals)
-            barrierWaiters.push_back(std::move(w));
-        d->barrierArrivals.clear();
+    if (config.check.serial) {
+        res.serial.checked = true;
+        const SerialChecker::Result v = serialChecker.verify();
+        res.serial.ok = v.ok;
+        res.serial.error = v.error;
+        res.serial.checks = v.txnsChecked;
     }
-    const std::uint32_t active = config.numProcs - doneProcs;
-    if (active != 0 && barrierWaiters.size() < active)
-        return;
-    auto waiters = std::move(barrierWaiters);
-    barrierWaiters.clear();
-    for (auto &[node, resume] : waiters) {
-        const std::uint32_t dom = st.plan.nodeDomain[node];
-        st.domains[dom]->eq.scheduleAt(
-            at, [fn = std::move(resume)]() { fn(); });
-        st.pulse[dom].next = std::min(st.pulse[dom].next, at);
+    if (config.check.invariants) {
+        res.invariants.checked = true;
+        for (const Part &part : parts()) {
+            InvariantChecker &c = **part.checker;
+            if (!halted)
+                c.finalize(tidVendor->issued(), res.completed, hit_tick_limit);
+            const InvariantChecker::Result &v = c.result();
+            res.invariants.checks += v.checks;
+            if (res.invariants.ok && !v.ok) {
+                res.invariants.ok = false;
+                res.invariants.error = v.error;
+            }
+        }
     }
 }
 
@@ -616,36 +568,14 @@ System::runPdes(Tick max_ticks)
             if (pu.next > st.curLimit)
                 continue;
             PdesDomain &d = *st.domains[i];
-            if (d.metrics) {
-                // Metrics-aware stepping, clamped to the window end:
-                // parcels injected at the barrier arrive at or after
-                // window_end (= curLimit + 1), so every epoch ending
-                // inside the window is final once local events have
-                // run. The trailing runUntil executes nothing; it only
-                // advances now() to the limit, exactly like the plain
-                // path below.
-                const Tick bound = st.curLimit >= kTickMax - 1
-                                       ? kTickMax
-                                       : st.curLimit + 1;
-                while (d.eq.nextWhen() <= st.curLimit) {
-                    d.metrics->advanceTo(d.eq.nextWhen());
-                    d.eq.step();
-                }
-                d.metrics->advanceTo(bound);
-                d.eq.runUntil(st.curLimit);
-            } else {
-                d.eq.runUntil(st.curLimit);
-            }
-            std::uint32_t f = 0;
-            if (d.net->hasParcels())
-                f |= PdesState::kPulseParcels;
-            if (!d.storeLog.empty())
-                f |= PdesState::kPulseStore;
-            if (!d.barrierArrivals.empty() || d.newlyDone != 0 ||
-                (d.checker && d.checker->failed()))
-                f |= PdesState::kPulseSync;
-            pu.next = d.eq.nextWhen();
-            pu.flags = f;
+            stepThrough(d.eq, st.curLimit, d.metrics.get(),
+                        d.checker.get());
+            // Parcels injected at the barrier arrive at or after the
+            // window end (= curLimit + 1), so every epoch ending inside
+            // the window is final once the local events have run.
+            if (d.metrics)
+                d.metrics->advanceTo(pdesWindowEnd(st.curLimit, 1));
+            pu = PdesState::summarize(d);
         }
     });
 
@@ -711,24 +641,26 @@ System::runPdes(Tick max_ticks)
                 st.applyStoreLogs();
             else
                 ++res.pdes.emptyBroadcastsSkipped;
-            if (effects & PdesState::kPulseSync)
-                pdesBarrierPhase(window_end);
+            if (effects & PdesState::kPulseSync) {
+                // Merge the deferred done-hooks and barrier arrivals
+                // in domain-id order, then release the SPMD barrier.
+                // An invariant failure halts the run here; the failing
+                // domain raised kPulseSync, so the window closed
+                // exactly where the fixed cadence halts.
+                for (auto &d : st.domains) {
+                    doneProcs += d->newlyDone;
+                    d->newlyDone = 0;
+                    for (auto &w : d->barrierArrivals)
+                        barrierWaiters.push_back(std::move(w));
+                    d->barrierArrivals.clear();
+                    halted = halted || (d->checker && d->checker->failed());
+                }
+                releaseBarrier(window_end);
+            }
             ++res.pdes.windows;
             res.pdes.windowWidth.sample(
                 static_cast<double>(window_end - window_start));
             window_open = false;
-            // An invariant failure halts the run at the window
-            // boundary; the failing domain raised kPulseSync, so the
-            // window closed exactly where the fixed cadence halts.
-            if ((effects & PdesState::kPulseSync) &&
-                config.check.invariants) {
-                for (auto &d : st.domains) {
-                    if (d->checker->failed()) {
-                        halted = true;
-                        break;
-                    }
-                }
-            }
             if (halted)
                 break;
         }
@@ -760,11 +692,11 @@ System::runPdes(Tick max_ticks)
             config.trace.metricsEpoch, config.trace.metricsCapacity,
             &arena);
         registerMetricProbes(*metricsSamp, 0, config.numProcs, *net);
-        std::vector<const MetricsSampler *> parts;
-        parts.reserve(st.domains.size());
+        std::vector<const MetricsSampler *> series;
+        series.reserve(st.domains.size());
         for (auto &d : st.domains)
-            parts.push_back(d->metrics.get());
-        metricsSamp->adoptMerged(parts);
+            series.push_back(d->metrics.get());
+        metricsSamp->adoptMerged(series);
     }
     if (config.trace.contentionTopK != 0) {
         contentionProf = std::make_unique<ContentionProfiler>(
@@ -772,51 +704,12 @@ System::runPdes(Tick max_ticks)
         for (auto &d : st.domains)
             contentionProf->mergeFrom(*d->contention);
     }
+    for (auto &d : st.domains)
+        serialChecker.absorb(d->commitLog);
 
-    populateRunStats(res, phase_start);
+    finishRun(res, hit_tick_limit ? max_ticks : phase_start, halted,
+              hit_tick_limit);
     lastPdesStats = res.pdes;
-
-    if (config.check.serial) {
-        // The oracle replays in TID order regardless of record order;
-        // merge the per-domain buffers in TID order for determinism.
-        std::vector<const PdesDomain::CommitRec *> all;
-        for (auto &d : st.domains) {
-            for (const auto &c : d->commits)
-                all.push_back(&c);
-        }
-        std::sort(all.begin(), all.end(),
-                  [](const PdesDomain::CommitRec *a,
-                     const PdesDomain::CommitRec *b) {
-                      return a->tid < b->tid;
-                  });
-        for (const PdesDomain::CommitRec *c : all)
-            serialChecker.record(c->tid, c->proc, c->reads, c->writes);
-        res.serial.checked = true;
-        const SerialChecker::Result v = serialChecker.verify();
-        res.serial.ok = v.ok;
-        res.serial.error = v.error;
-        res.serial.checks = v.txnsChecked;
-    }
-    if (config.check.invariants) {
-        res.invariants.checked = true;
-        // On a halt the failing verdict is already recorded; running
-        // the completeness pass would bury it under the (expected)
-        // incompleteness of the aborted run.
-        if (!halted) {
-            for (auto &d : st.domains) {
-                d->checker->finalize(tidVendor->issued(),
-                                     res.completed, hit_tick_limit);
-            }
-        }
-        for (auto &d : st.domains) {
-            const InvariantChecker::Result &v = d->checker->result();
-            res.invariants.checks += v.checks;
-            if (res.invariants.ok && !v.ok) {
-                res.invariants.ok = false;
-                res.invariants.error = v.error;
-            }
-        }
-    }
     return res;
 }
 

@@ -65,6 +65,15 @@ struct NetworkConfig {
      *  mesh (Model::Mesh only; see noc/network.hh and DESIGN.md
      *  section 12). */
     MulticastConfig multicast;
+
+    /** Messages cross mesh links: Mesh, or Chaos over a mesh base
+     *  (otherwise the ideal network carries them). */
+    bool
+    meshBased() const
+    {
+        return model == Model::Mesh ||
+               (model == Model::Chaos && !chaos.overIdeal);
+    }
 };
 
 /** Correctness-checker selection. */
@@ -282,6 +291,7 @@ struct RunResult {
 };
 
 struct PdesState;         // sim/domain.hh (PDES engine internals)
+struct PdesDomain;        // sim/domain.hh (one PDES domain)
 class MetricsSampler;     // obs/metrics.hh (epoch time series)
 class ContentionProfiler; // obs/contention.hh (conflict attribution)
 
@@ -310,9 +320,12 @@ class System
     using RunResult = tcc::RunResult;
 
     /** Run to completion (or @p max_ticks) and report the outcome,
-     *  including any armed checker verdicts (CheckConfig). With the
-     *  invariant checker armed, a failure halts the run at the next
-     *  event boundary and the diagnostic lands in
+     *  including any armed checker verdicts (CheckConfig). A run cut
+     *  by @p max_ticks executes every event at or before it, none
+     *  later, and reports cycles == max_ticks. With the invariant
+     *  checker armed, a failure halts the run at the next event
+     *  boundary (under PDES: the failing domain's next event boundary,
+     *  the others' window end) and the diagnostic lands in
      *  RunResult::invariants.error. */
     RunResult run(Tick max_ticks = kTickMax);
 
@@ -324,15 +337,9 @@ class System
     const Network &network() const { return *net; }
     Network &network() { return *net; }
     GlobalStore &memory() { return store; }
-    EventQueue &eventQueue() { return eventq; }
     /** The serializability checker's commit log (structural access,
      *  e.g. replayFinalState(); the verdict is in RunResult::serial). */
     const SerialChecker &commitLog() const { return serialChecker; }
-    /** The online invariant checker, or null when not armed. */
-    const InvariantChecker *invariantChecker() const
-    {
-        return invariants.get();
-    }
     const TidVendor &vendor() const { return *tidVendor; }
     const SystemConfig &cfg() const { return config; }
     /** The protocol event ring (populated when Trace categories are
@@ -384,20 +391,48 @@ class System
     bool protocolQuiesced() const;
 
   private:
+    /**
+     * One independently stepped slice of the machine: the System
+     * itself in serial mode, or one PDES domain. Both engines wire
+     * nodes, attach observability, and finalize checkers per part;
+     * the members point at whichever object owns the component.
+     */
+    struct Part {
+        NodeId first;
+        std::uint32_t count;
+        EventQueue *eq;
+        Network *net;
+        Arena *arena;
+        GlobalStore *store;
+        TraceRecorder *tracer;
+        std::unique_ptr<InvariantChecker> *checker;
+        SerialChecker *commitLog;
+        std::unique_ptr<MetricsSampler> *metrics;
+        std::unique_ptr<ContentionProfiler> *contention;
+        PdesDomain *domain; ///< null in serial mode
+    };
+    /** The engine's parts, in ascending node order. */
+    std::vector<Part> parts();
+
+    /** Build every node (directory + processor) and the TID vendor
+     *  into its part, then each part's observability layers. */
+    void wireNodes();
     void dispatch(NodeId node, const Message &msg);
-    void barrierArrive(NodeId node, std::function<void()> resume);
-    void checkBarrierRelease();
+    /** Release the SPMD barrier at tick @p at once every active
+     *  processor waits at it (serial: now+1 of the last arrival;
+     *  PDES: the end of the window it arrived in). */
+    void releaseBarrier(Tick at);
 
     // --- PDES engine (sim/domain.hh; DESIGN.md section 11) ----------
     void buildPdes();
     RunResult runPdes(Tick max_ticks);
-    /** Collect deferred done-hooks and barrier arrivals; release the
-     *  SPMD barrier (if complete) at tick @p at. */
-    void pdesBarrierPhase(Tick at);
-    /** Completion, idle accounting, breakdown, per-node stats, and
-     *  quiescence - shared by both engines. @p fallback_now stands in
-     *  for "current time" when the run did not complete. */
-    void populateRunStats(RunResult &res, Tick fallback_now);
+
+    /** The end of a run in both engines: run statistics, then every
+     *  checker's verdict. @p fallback_now is the reported cycles of an
+     *  incomplete run. A @p halted run (invariant failure) skips the
+     *  completeness pass, so its first failure stands. */
+    void finishRun(RunResult &res, Tick fallback_now, bool halted,
+                   bool hit_tick_limit);
 
     /** Register the standard probe set on @p m for nodes
      *  [first, first+count) reading @p net's counters; the single

@@ -6,7 +6,10 @@ namespace tcc {
 
 namespace {
 
-/** Smallest near-square grid that holds @p n nodes. */
+enum Dir : unsigned { East = 0, West = 1, North = 2, South = 3 };
+
+} // namespace
+
 std::uint32_t
 gridSide(std::uint32_t n)
 {
@@ -16,33 +19,22 @@ gridSide(std::uint32_t n)
     return c;
 }
 
-enum Dir : unsigned { East = 0, West = 1, North = 2, South = 3 };
-
-} // namespace
-
-MeshNetwork::MeshNetwork(EventQueue &eq, std::uint32_t num_nodes,
-                         const MeshConfig &cfg, Arena *arena)
-    : Network(eq, num_nodes, arena), config(cfg),
-      gridCols(gridSide(num_nodes)),
-      gridRows((num_nodes + gridSide(num_nodes) - 1) /
-               gridSide(num_nodes)),
-      // Routes may pass through unpopulated grid slots when the node
-      // count is not a perfect square, so size links for the full grid.
+MeshRouter::MeshRouter(std::uint32_t num_nodes, const MeshConfig &cfg,
+                       std::uint64_t jitter_seed, std::uint32_t first_row,
+                       std::uint32_t end_row)
+    : config(cfg), gridCols(gridSide(num_nodes)),
+      gridRows((num_nodes + gridCols - 1) / gridCols),
+      ownFirst(first_row * gridCols),
+      ownCount((std::min(end_row, gridRows) - first_row) * gridCols),
       linkFree(static_cast<std::size_t>(gridCols) * gridRows * 4, 0),
-      jitterRng(cfg.seed)
+      jitterRng(jitter_seed)
 {
     if (config.linkBytesPerCycle == 0)
         fatal("mesh linkBytesPerCycle must be nonzero");
 }
 
-std::size_t
-MeshNetwork::linkIndex(NodeId n, unsigned dir) const
-{
-    return static_cast<std::size_t>(n) * 4 + dir;
-}
-
 unsigned
-MeshNetwork::hopCount(NodeId a, NodeId b) const
+MeshRouter::hopCount(NodeId a, NodeId b) const
 {
     const int ax = static_cast<int>(a % gridCols);
     const int ay = static_cast<int>(a / gridCols);
@@ -52,8 +44,20 @@ MeshNetwork::hopCount(NodeId a, NodeId b) const
 }
 
 Tick
-MeshNetwork::routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
-                          Tick start, unsigned &hops)
+MeshRouter::arrival(NodeId from, NodeId to, std::uint32_t bytes,
+                    Tick start, unsigned &hops)
+{
+    // Owning every row (the serial mesh) skips the per-hop ownership
+    // test; the walk is the same code either way.
+    return ownFirst == 0 && ownCount == gridCols * gridRows
+               ? walk<true>(from, to, bytes, start, hops)
+               : walk<false>(from, to, bytes, start, hops);
+}
+
+template <bool OwnsAll>
+Tick
+MeshRouter::walk(NodeId from, NodeId to, std::uint32_t bytes, Tick start,
+                 unsigned &hops)
 {
     hops = 0;
     if (from == to) {
@@ -61,12 +65,11 @@ MeshNetwork::routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
         return start + 1;
     }
 
-    const Tick ser = std::max<Tick>(
-        1,
-        (bytes + config.linkBytesPerCycle - 1) / config.linkBytesPerCycle);
+    const Tick ser = serialization(bytes);
 
-    // Walk the XY route, advancing time across each link and updating
-    // its next-free tick (store-and-forward with contention).
+    // Walk the XY route, advancing time across each link; an owned
+    // link also delays departure until it is free and then holds it
+    // for the serialization time (store-and-forward with contention).
     Tick t = start + config.routerDelay;
     int x = static_cast<int>(from % gridCols);
     int y = static_cast<int>(from / gridCols);
@@ -75,10 +78,12 @@ MeshNetwork::routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
     NodeId cur = from;
 
     auto cross = [&](unsigned dir, NodeId next) {
-        const std::size_t li = linkIndex(cur, dir);
-        const Tick depart = std::max(t, linkFree[li]);
-        linkFree[li] = depart + ser;
-        t = depart + ser + config.hopLatency + config.routerDelay;
+        if (OwnsAll || cur - ownFirst < ownCount) {
+            Tick &free = linkFree[static_cast<std::size_t>(cur) * 4 + dir];
+            t = std::max(t, free);
+            free = t + ser;
+        }
+        t += ser + config.hopLatency + config.routerDelay;
         cur = next;
         ++hops;
     };
@@ -104,21 +109,18 @@ MeshNetwork::routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
     return t;
 }
 
+MeshNetwork::MeshNetwork(EventQueue &eq, std::uint32_t num_nodes,
+                         const MeshConfig &cfg, Arena *arena)
+    : Network(eq, num_nodes, arena), router(num_nodes, cfg, cfg.seed)
+{}
+
 void
 MeshNetwork::send(Message msg)
 {
-    const NodeId src = msg.src;
-    const NodeId dst = msg.dst;
-    if (src >= numNodes() || dst >= numNodes())
-        panic("mesh send with bad endpoint %u->%u", src, dst);
-
+    if (msg.src >= numNodes() || msg.dst >= numNodes())
+        panic("mesh send with bad endpoint %u->%u", msg.src, msg.dst);
     unsigned hops = 0;
-    const Tick arrive =
-        routeArrival(src, dst, msg.bytes, eventq.now(), hops);
-    Tick delay = arrive - eventq.now();
-    if (hops != 0 && config.reorderJitter > 0)
-        delay += jitterRng.below(config.reorderJitter + 1);
-
+    const Tick delay = router.delay(msg, eventq.now(), hops);
     deliver(std::move(msg), delay, hops);
 }
 
@@ -126,66 +128,13 @@ MulticastReceipt
 MeshNetwork::doMulticast(const Message &proto,
                          std::span<const NodeId> dsts)
 {
-    if (mcastCfg.topology != MulticastConfig::Topology::Tree ||
-        dsts.size() < mcastCfg.minDests) {
+    if (!treeEngages(dsts))
         return Network::doMulticast(proto, dsts);
-    }
-
-    // Combining tree over the destination list (call sites pass it in
-    // ascending node order): the source feeds the first k destinations
-    // directly; destination index p relays to indices (p+1)*k .. +k-1.
-    // Ascending index order is a valid breadth-first schedule (a
-    // parent's index is always below its children's), so one pass
-    // computes every copy's injection and arrival. The whole staging
-    // is resolved analytically at send time against the current link
-    // state - exactly how send() resolves a point-to-point route - so
-    // relays need no forwarding events, and under PDES the tree lives
-    // entirely in the sending domain's timeline.
-    const std::uint32_t k = std::max<std::uint32_t>(2, mcastCfg.fanout);
-    const std::size_t n = dsts.size();
-    const Tick ser = std::max<Tick>(
-        1, (proto.bytes + config.linkBytesPerCycle - 1) /
-               config.linkBytesPerCycle);
-
-    mcArrival.assign(n, 0);
-    mcNicFree.assign(n + 1, 0); // slot 0 = source, i+1 = dsts[i]
-    mcNicPath.assign(n, 0);
-    mcDepth.assign(n, 0);
-
-    MulticastReceipt r;
-    r.dests = static_cast<std::uint32_t>(n);
-    const Tick now = eventq.now();
-    for (std::size_t i = 0; i < n; ++i) {
-        const bool root = i < k;
-        const std::size_t pi = root ? 0 : i / k - 1;
-        const NodeId parent = root ? proto.src : dsts[pi];
-        // A relay re-injects one router pass after the copy reaches it.
-        const Tick ready =
-            root ? now : mcArrival[pi] + config.routerDelay;
-        const std::size_t slot = root ? 0 : pi + 1;
-        const Tick inject = std::max(ready, mcNicFree[slot]);
-        mcNicFree[slot] = inject + ser;
-        unsigned hops = 0;
-        const Tick arrive =
-            routeArrival(parent, dsts[i], proto.bytes, inject, hops);
-        mcArrival[i] = arrive;
-        const std::uint32_t rank = static_cast<std::uint32_t>(
-            root ? i : i - (pi + 1) * k);
-        mcNicPath[i] = (root ? 0 : mcNicPath[pi]) + rank + 1;
-        mcDepth[i] = (root ? 0 : mcDepth[pi]) + 1;
-        if (mcNicPath[i] > r.nicSerialized)
-            r.nicSerialized = mcNicPath[i];
-        if (mcDepth[i] > r.depth)
-            r.depth = mcDepth[i];
-
-        Message copy = proto;
-        copy.dst = dsts[i];
-        Tick delay = arrive - now;
-        if (hops != 0 && config.reorderJitter > 0)
-            delay += jitterRng.below(config.reorderJitter + 1);
-        deliver(std::move(copy), delay, hops);
-    }
-    return r;
+    return router.multicast(
+        proto, dsts, mcastCfg.fanout, eventq.now(),
+        [this](Message &&copy, Tick delay, unsigned hops) {
+            deliver(std::move(copy), delay, hops);
+        });
 }
 
 } // namespace tcc

@@ -10,6 +10,7 @@
 #ifndef TCC_NOC_NETWORK_HH
 #define TCC_NOC_NETWORK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -222,6 +223,15 @@ class Network
         return r;
     }
 
+    /** The configured fan-out is a tree and @p dsts is wide enough
+     *  for it. */
+    bool
+    treeEngages(std::span<const NodeId> dsts) const
+    {
+        return mcastCfg.topology == MulticastConfig::Topology::Tree &&
+               dsts.size() >= mcastCfg.minDests;
+    }
+
     /** Stats + NetSend trace for one send (delivery handled by the
      *  caller: either deliver() below or a PDES mailbox). */
     void
@@ -320,15 +330,160 @@ struct MeshConfig {
     std::uint64_t seed = 12345;
 };
 
+/** Smallest near-square grid side that holds @p n nodes: the mesh's
+ *  column count (row-major node numbering; the last row may be
+ *  ragged). PDES partitions the rows of this same grid. */
+std::uint32_t gridSide(std::uint32_t n);
+
 /**
- * 2D mesh with XY dimension-order routing.
+ * The mesh's timing model: the XY route walk and the combining-tree
+ * schedule, shared by MeshNetwork and the PDES domain shim
+ * (sim/domain.hh). It resolves every route analytically at send time
+ * and leaves delivery to the owner.
  *
  * Contention model: each directed link keeps the tick at which it next
  * becomes free. A message crossing the link departs at
  * max(arrival, linkFree) and occupies the link for its serialization
  * time. This analytic store-and-forward model captures queueing delay
  * and link saturation without per-flit events.
+ *
+ * Only links leaving an *owned* row range model contention; the
+ * others add the uncontended crossing cost without touching any state.
+ * MeshNetwork owns every row. A PDES domain owns its own rows, which
+ * keeps its window race-free.
  */
+class MeshRouter
+{
+  public:
+    /** Rows [@p first_row, @p end_row) are owned (default: all).
+     *  @p jitter_seed seeds the reorder-jitter stream. */
+    MeshRouter(std::uint32_t num_nodes, const MeshConfig &cfg,
+               std::uint64_t jitter_seed, std::uint32_t first_row = 0,
+               std::uint32_t end_row = ~std::uint32_t(0));
+
+    std::uint32_t cols() const { return gridCols; }
+    std::uint32_t rows() const { return gridRows; }
+
+    /** Manhattan hop count between two nodes. */
+    unsigned hopCount(NodeId a, NodeId b) const;
+
+    /**
+     * Walk the XY route from @p from, injected no earlier than
+     * @p start, advancing owned links' next-free ticks, and return the
+     * absolute arrival tick at @p to. @p from == @p to is the
+     * one-cycle local loopback (no link usage). Point-to-point sends
+     * and tree edges share this walk, so a tree edge pays exactly what
+     * a message between its endpoints would.
+     */
+    Tick arrival(NodeId from, NodeId to, std::uint32_t bytes, Tick start,
+                 unsigned &hops);
+
+    /** Delay of a point-to-point send at @p now, reorder jitter
+     *  included. */
+    Tick
+    delay(const Message &msg, Tick now, unsigned &hops)
+    {
+        const Tick arrive = arrival(msg.src, msg.dst, msg.bytes, now, hops);
+        return jitter(arrive - now, hops);
+    }
+
+    /**
+     * Stage a copy of @p proto to every node in @p dsts through a
+     * k-ary combining tree (call sites pass ascending node lists): the
+     * source feeds the first k destinations directly; destination
+     * index p relays to indices (p+1)*k .. +k-1. Ascending index order
+     * is a valid breadth-first schedule (a parent's index is always
+     * below its children's), so one pass computes every copy's
+     * injection and arrival. Relays need no forwarding events, and
+     * under PDES the tree lives entirely in the sending domain's
+     * timeline. Each copy goes to @p dispose(Message&&, delay, hops).
+     */
+    template <class Dispose>
+    MulticastReceipt
+    multicast(const Message &proto, std::span<const NodeId> dsts,
+              std::uint32_t fanout, Tick now, Dispose &&dispose)
+    {
+        const std::uint32_t k = std::max<std::uint32_t>(2, fanout);
+        const std::size_t n = dsts.size();
+        const Tick ser = serialization(proto.bytes);
+
+        mcArrival.assign(n, 0);
+        mcNicFree.assign(n + 1, 0); // slot 0 = source, i+1 = dsts[i]
+        mcNicPath.assign(n, 0);
+        mcDepth.assign(n, 0);
+
+        MulticastReceipt r;
+        r.dests = static_cast<std::uint32_t>(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const bool root = i < k;
+            const std::size_t pi = root ? 0 : i / k - 1;
+            const NodeId parent = root ? proto.src : dsts[pi];
+            // A relay re-injects one router pass after the copy
+            // reaches it.
+            const Tick ready =
+                root ? now : mcArrival[pi] + config.routerDelay;
+            const std::size_t slot = root ? 0 : pi + 1;
+            const Tick inject = std::max(ready, mcNicFree[slot]);
+            mcNicFree[slot] = inject + ser;
+            unsigned hops = 0;
+            const Tick arrive =
+                arrival(parent, dsts[i], proto.bytes, inject, hops);
+            mcArrival[i] = arrive;
+            const std::uint32_t rank = static_cast<std::uint32_t>(
+                root ? i : i - (pi + 1) * k);
+            mcNicPath[i] = (root ? 0 : mcNicPath[pi]) + rank + 1;
+            mcDepth[i] = (root ? 0 : mcDepth[pi]) + 1;
+            r.nicSerialized = std::max(r.nicSerialized, mcNicPath[i]);
+            r.depth = std::max(r.depth, mcDepth[i]);
+
+            Message copy = proto;
+            copy.dst = dsts[i];
+            dispose(std::move(copy), jitter(arrive - now, hops), hops);
+        }
+        return r;
+    }
+
+  private:
+    template <bool OwnsAll>
+    Tick walk(NodeId from, NodeId to, std::uint32_t bytes, Tick start,
+              unsigned &hops);
+
+    Tick
+    serialization(std::uint32_t bytes) const
+    {
+        return std::max<Tick>(1, (bytes + config.linkBytesPerCycle - 1) /
+                                     config.linkBytesPerCycle);
+    }
+
+    Tick
+    jitter(Tick delay, unsigned hops)
+    {
+        if (hops != 0 && config.reorderJitter > 0)
+            delay += jitterRng.below(config.reorderJitter + 1);
+        return delay;
+    }
+
+    MeshConfig config;
+    std::uint32_t gridCols;
+    std::uint32_t gridRows;
+    /** Owned grid slots [ownFirst, ownFirst + ownCount): the links
+     *  leaving them model contention. */
+    NodeId ownFirst;
+    std::uint32_t ownCount;
+    /** Next-free tick per directed link (4 directions per grid slot;
+     *  routes may pass through unpopulated slots of a ragged grid). */
+    std::vector<Tick> linkFree;
+    Rng jitterRng;
+    /** Tree-multicast scratch (sized on first use, then reused; never
+     *  touched on the flat path). mcNicFree slot 0 is the source,
+     *  slot i+1 is destination index i. */
+    std::vector<Tick> mcArrival;
+    std::vector<Tick> mcNicFree;
+    std::vector<std::uint32_t> mcNicPath;
+    std::vector<std::uint32_t> mcDepth;
+};
+
+/** 2D mesh with XY dimension-order routing (timing: MeshRouter). */
 class MeshNetwork : public Network
 {
   public:
@@ -339,11 +494,14 @@ class MeshNetwork : public Network
     void send(Message msg) override;
 
     /** Mesh side lengths chosen at construction. */
-    std::uint32_t cols() const { return gridCols; }
-    std::uint32_t rows() const { return gridRows; }
+    std::uint32_t cols() const { return router.cols(); }
+    std::uint32_t rows() const { return router.rows(); }
 
     /** Manhattan hop count between two nodes. */
-    unsigned hopCount(NodeId a, NodeId b) const;
+    unsigned hopCount(NodeId a, NodeId b) const
+    {
+        return router.hopCount(a, b);
+    }
 
   protected:
     /** Combining-tree staging when configured (Topology::Tree and a
@@ -352,33 +510,7 @@ class MeshNetwork : public Network
                                  std::span<const NodeId> dsts) override;
 
   private:
-    /** Directed link index from node @p n toward direction @p d. */
-    std::size_t linkIndex(NodeId n, unsigned dir) const;
-
-    /**
-     * Walk the XY route from @p from, injected no earlier than
-     * @p start, advancing per-link next-free ticks (contention), and
-     * return the absolute arrival tick at @p to. @p from == @p to is
-     * the one-cycle local loopback (no link usage). send() and the
-     * tree multicast share this walk, so a tree edge pays exactly what
-     * a point-to-point message between its endpoints would.
-     */
-    Tick routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
-                      Tick start, unsigned &hops);
-
-    MeshConfig config;
-    std::uint32_t gridCols;
-    std::uint32_t gridRows;
-    /** Next-free tick per directed link (4 directions per node). */
-    std::vector<Tick> linkFree;
-    Rng jitterRng;
-    /** Tree-multicast scratch (sized on first use, then reused; never
-     *  touched on the flat path). mcNicFree slot 0 is the source,
-     *  slot i+1 is destination index i. */
-    std::vector<Tick> mcArrival;
-    std::vector<Tick> mcNicFree;
-    std::vector<std::uint32_t> mcNicPath;
-    std::vector<std::uint32_t> mcDepth;
+    MeshRouter router;
 };
 
 } // namespace tcc

@@ -8,19 +8,6 @@ namespace tcc {
 
 namespace {
 
-/** Smallest near-square grid that holds @p n nodes (must match
- *  MeshNetwork's construction-time choice, noc/network.cc). */
-std::uint32_t
-gridSideOf(std::uint32_t n)
-{
-    std::uint32_t c = 1;
-    while (c * c < n)
-        ++c;
-    return c;
-}
-
-enum Dir : unsigned { East = 0, West = 1, North = 2, South = 3 };
-
 /** Decorrelate one seeded stream per domain. */
 std::uint64_t
 domainSeed(std::uint64_t seed, std::uint32_t domain)
@@ -39,7 +26,7 @@ computePdesPlan(std::uint32_t num_procs, std::uint32_t requested_domains,
     plan.meshBased = mesh_based;
     std::uint32_t d = std::max<std::uint32_t>(1, requested_domains);
     if (mesh_based) {
-        const std::uint32_t cols = gridSideOf(num_procs);
+        const std::uint32_t cols = gridSide(num_procs);
         const std::uint32_t rows = (num_procs + cols - 1) / cols;
         plan.gridCols = cols;
         plan.gridRows = rows;
@@ -82,16 +69,16 @@ DomainNet::DomainNet(EventQueue &eq_, std::uint32_t num_nodes,
                      const DomainNetConfig &cfg, Arena *arena)
     : Network(eq_, num_nodes, arena), outbox(plan_.domains.size()),
       spec(spec_), plan(plan_), config(cfg),
-      jitterRng(domainSeed(cfg.mesh.seed, spec_.id)),
-      chaosRng(domainSeed(cfg.chaosCfg.seed, spec_.id)),
-      dupPool(arena)
+      chaosRng(domainSeed(cfg.chaosCfg.seed, spec_.id)), dupPool(arena)
 {
     if (config.meshBased) {
-        if (config.mesh.linkBytesPerCycle == 0)
-            fatal("mesh linkBytesPerCycle must be nonzero");
-        linkFree.assign(static_cast<std::size_t>(plan.gridCols) *
-                            plan.gridRows * 4,
-                        0);
+        // Domains are whole-row blocks: own the rows mapped to us.
+        const std::uint32_t first = spec.firstNode / plan.gridCols;
+        std::uint32_t end = first;
+        while (end < plan.gridRows && plan.rowDomain[end] == spec.id)
+            ++end;
+        router.emplace(num_nodes, config.mesh,
+                       domainSeed(cfg.mesh.seed, spec.id), first, end);
     }
 }
 
@@ -119,13 +106,17 @@ void
 DomainNet::route(Message msg)
 {
     unsigned hops = 1;
-    Tick delay;
-    if (config.meshBased)
-        delay = meshDelay(msg, hops);
-    else
-        delay = config.idealLatency;
+    Tick delay = config.idealLatency;
+    if (router)
+        delay = router->delay(msg, eventq.now(), hops);
     if (config.chaos)
         delay += chaosExtra();
+    dispose(std::move(msg), delay, hops);
+}
+
+void
+DomainNet::dispose(Message msg, Tick delay, unsigned hops)
+{
     const std::uint32_t dst_dom = plan.nodeDomain[msg.dst];
     if (dst_dom == spec.id) {
         deliver(std::move(msg), delay, hops);
@@ -139,147 +130,19 @@ DomainNet::route(Message msg)
     box.push_back(Parcel{std::move(msg), eventq.now() + delay});
 }
 
-Tick
-DomainNet::meshDelay(const Message &msg, unsigned &hops)
-{
-    const Tick arrive =
-        meshArrival(msg.src, msg.dst, msg.bytes, eventq.now(), hops);
-    Tick delay = arrive - eventq.now();
-    if (hops != 0 && config.mesh.reorderJitter > 0)
-        delay += jitterRng.below(config.mesh.reorderJitter + 1);
-    return delay;
-}
-
-Tick
-DomainNet::meshArrival(NodeId from, NodeId to, std::uint32_t bytes,
-                       Tick start, unsigned &hops)
-{
-    hops = 0;
-    if (from == to)
-        return start + 1; // local loopback: one-cycle turnaround
-
-    const MeshConfig &m = config.mesh;
-    const Tick ser = std::max<Tick>(
-        1, (bytes + m.linkBytesPerCycle - 1) / m.linkBytesPerCycle);
-
-    // Walk the XY route exactly as MeshNetwork does, except that only
-    // links owned by this domain (by source grid row) model contention
-    // through linkFree; foreign links contribute the uncontended
-    // crossing cost without touching shared state.
-    Tick t = start + m.routerDelay;
-    int x = static_cast<int>(from % plan.gridCols);
-    int y = static_cast<int>(from / plan.gridCols);
-    const int dx = static_cast<int>(to % plan.gridCols);
-    const int dy = static_cast<int>(to / plan.gridCols);
-    NodeId cur = from;
-
-    auto cross = [&](unsigned dir, NodeId next) {
-        if (plan.rowDomain[cur / plan.gridCols] == spec.id) {
-            const std::size_t li =
-                static_cast<std::size_t>(cur) * 4 + dir;
-            const Tick depart = std::max(t, linkFree[li]);
-            linkFree[li] = depart + ser;
-            t = depart + ser + m.hopLatency + m.routerDelay;
-        } else {
-            t += ser + m.hopLatency + m.routerDelay;
-        }
-        cur = next;
-        ++hops;
-    };
-
-    while (x != dx) {
-        if (x < dx) {
-            cross(East, cur + 1);
-            ++x;
-        } else {
-            cross(West, cur - 1);
-            --x;
-        }
-    }
-    while (y != dy) {
-        if (y < dy) {
-            cross(South, cur + plan.gridCols);
-            ++y;
-        } else {
-            cross(North, cur - plan.gridCols);
-            --y;
-        }
-    }
-    return t;
-}
-
 MulticastReceipt
 DomainNet::doMulticast(const Message &proto,
                        std::span<const NodeId> dsts)
 {
     // The tree engages only on a plain mesh (validate() rejects it
-    // combined with chaos or an ideal base), and only past the
-    // destination-count threshold.
-    if (mcastCfg.topology != MulticastConfig::Topology::Tree ||
-        !config.meshBased || config.chaos ||
-        dsts.size() < mcastCfg.minDests) {
+    // combined with chaos or an ideal base).
+    if (!router || config.chaos || !treeEngages(dsts))
         return Network::doMulticast(proto, dsts);
-    }
-
-    // Same k-ary layout and one-pass schedule as
-    // MeshNetwork::doMulticast (see that function and DESIGN.md sec.
-    // 12); the only difference is each copy's disposition: own-domain
-    // destinations deliver through this domain's queue, cross-domain
-    // destinations park in the mailbox with their final arrival tick.
-    const std::uint32_t k = std::max<std::uint32_t>(2, mcastCfg.fanout);
-    const std::size_t n = dsts.size();
-    const MeshConfig &m = config.mesh;
-    const Tick ser = std::max<Tick>(
-        1, (proto.bytes + m.linkBytesPerCycle - 1) /
-               m.linkBytesPerCycle);
-
-    mcArrival.assign(n, 0);
-    mcNicFree.assign(n + 1, 0); // slot 0 = source, i+1 = dsts[i]
-    mcNicPath.assign(n, 0);
-    mcDepth.assign(n, 0);
-
-    MulticastReceipt r;
-    r.dests = static_cast<std::uint32_t>(n);
-    const Tick now = eventq.now();
-    for (std::size_t i = 0; i < n; ++i) {
-        const bool root = i < k;
-        const std::size_t pi = root ? 0 : i / k - 1;
-        const NodeId parent = root ? proto.src : dsts[pi];
-        const Tick ready = root ? now : mcArrival[pi] + m.routerDelay;
-        const std::size_t slot = root ? 0 : pi + 1;
-        const Tick inject = std::max(ready, mcNicFree[slot]);
-        mcNicFree[slot] = inject + ser;
-        unsigned hops = 0;
-        const Tick arrive =
-            meshArrival(parent, dsts[i], proto.bytes, inject, hops);
-        mcArrival[i] = arrive;
-        const std::uint32_t rank = static_cast<std::uint32_t>(
-            root ? i : i - (pi + 1) * k);
-        mcNicPath[i] = (root ? 0 : mcNicPath[pi]) + rank + 1;
-        mcDepth[i] = (root ? 0 : mcDepth[pi]) + 1;
-        if (mcNicPath[i] > r.nicSerialized)
-            r.nicSerialized = mcNicPath[i];
-        if (mcDepth[i] > r.depth)
-            r.depth = mcDepth[i];
-
-        Message copy = proto;
-        copy.dst = dsts[i];
-        Tick delay = arrive - now;
-        if (hops != 0 && m.reorderJitter > 0)
-            delay += jitterRng.below(m.reorderJitter + 1);
-        const std::uint32_t dst_dom = plan.nodeDomain[copy.dst];
-        if (dst_dom == spec.id) {
-            deliver(std::move(copy), delay, hops);
-            continue;
-        }
-        accountSend(copy, hops);
-        ++crossCount;
-        auto &box = outbox[dst_dom];
-        if (box.empty())
-            dirtyDests.push_back(dst_dom);
-        box.push_back(Parcel{std::move(copy), now + delay});
-    }
-    return r;
+    return router->multicast(
+        proto, dsts, mcastCfg.fanout, eventq.now(),
+        [this](Message &&copy, Tick delay, unsigned hops) {
+            dispose(std::move(copy), delay, hops);
+        });
 }
 
 Tick
@@ -367,32 +230,27 @@ WindowCrew::runPhase()
         std::rethrow_exception(err);
 }
 
-Tick
-PdesState::earliestEvent() const
+PdesState::DomainPulse
+PdesState::summarize(const PdesDomain &d)
 {
-    Tick next = kTickMax;
-    for (const auto &d : domains)
-        next = std::min(next, d->eq.nextWhen());
-    return next;
+    DomainPulse pu;
+    pu.next = d.eq.nextWhen();
+    if (d.net->hasParcels())
+        pu.flags |= kPulseParcels;
+    if (!d.storeLog.empty())
+        pu.flags |= kPulseStore;
+    if (!d.barrierArrivals.empty() || d.newlyDone != 0 ||
+        (d.checker && d.checker->failed()))
+        pu.flags |= kPulseSync;
+    return pu;
 }
 
 void
 PdesState::initPulse()
 {
-    pulse.assign(domains.size(), DomainPulse{});
-    for (std::size_t i = 0; i < domains.size(); ++i) {
-        const PdesDomain &d = *domains[i];
-        DomainPulse pu;
-        pu.next = d.eq.nextWhen();
-        if (d.net->hasParcels())
-            pu.flags |= kPulseParcels;
-        if (!d.storeLog.empty())
-            pu.flags |= kPulseStore;
-        if (!d.barrierArrivals.empty() || d.newlyDone != 0 ||
-            (d.checker && d.checker->failed()))
-            pu.flags |= kPulseSync;
-        pulse[i] = pu;
-    }
+    pulse.clear();
+    for (const auto &d : domains)
+        pulse.push_back(summarize(*d));
 }
 
 std::uint64_t

@@ -19,11 +19,12 @@
  * decides which OS thread executes a domain's window - it never
  * reorders events, randomness draws, or barrier-phase merges - so
  * jobs=1 and jobs=N produce bit-identical RunResults by construction.
- * PDES is its own execution model, distinct from the legacy serial
- * engine (which remains byte-for-byte unchanged): cross-domain values
- * and messages become visible at window granularity, so fingerprints
- * are comparable across jobs counts and domain counts are part of the
- * model, not across engines. See DESIGN.md section 11.
+ * PDES is its own execution model, distinct from the serial engine
+ * (which shares its node wiring, run loop and finalize, but not its
+ * timing): cross-domain values and messages become visible at window
+ * granularity, so fingerprints are comparable across jobs counts and
+ * domain counts are part of the model, not across engines. See
+ * DESIGN.md section 11.3 for the seams.
  *
  * Lookahead derivation (DESIGN.md section 11.2): every cross-domain
  * message crosses at least one mesh link, so its end-to-end latency is
@@ -43,11 +44,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "check/invariant_checker.hh"
+#include "check/serial_checker.hh"
 #include "common/arena.hh"
 #include "common/types.hh"
 #include "mem/global_store.hh"
@@ -111,26 +114,16 @@ PdesPlan computePdesPlan(std::uint32_t num_procs,
                          const MeshConfig &mesh, Tick ideal_latency);
 
 /** End of a window starting at @p start with lookahead @p lookahead,
- *  saturating at kTickMax (the overflow clamp near the end of time). */
+ *  saturating at kTickMax (the overflow clamp near the end of time).
+ *  This is also the conservative earliest-output-time (EOT) bound: a
+ *  domain whose next event is at @p start cannot make a cross-domain
+ *  effect visible before it, because every cross-domain message pays
+ *  at least the lookahead and store writes publish at the barrier
+ *  that ends their window. */
 constexpr Tick
 pdesWindowEnd(Tick start, Tick lookahead)
 {
     return start > kTickMax - lookahead ? kTickMax : start + lookahead;
-}
-
-/**
- * Conservative earliest-output-time (EOT) bound: a domain whose next
- * runnable event is at @p next cannot make any cross-domain effect
- * (message arrival, store write, barrier arrival) visible before
- * next + lookahead, because every cross-domain message pays at least
- * the lookahead in latency and store writes publish at the barrier
- * that ends the window containing them. kTickMax (no events) maps to
- * kTickMax: an empty domain emits nothing until something reaches it.
- */
-constexpr Tick
-pdesEot(Tick next, Tick lookahead)
-{
-    return next >= kTickMax - lookahead ? kTickMax : next + lookahead;
 }
 
 /** Transport parameters a DomainNet needs (translated from the
@@ -150,14 +143,13 @@ struct DomainNetConfig {
  * their already-computed arrival tick) in per-destination-domain
  * mailboxes for the coordinator to flush at the window barrier.
  *
- * Mesh timing matches MeshNetwork's analytic store-and-forward model
- * with one refinement: a directed link is owned by the domain of the
- * row its source grid slot lies in. Owned links model contention
- * exactly (depart at max(arrival, linkFree), then occupy the link);
- * foreign links add the uncontended crossing cost without touching
- * any state, keeping the window race-free. With whole-row domains and
- * XY routing, a route's horizontal phase and its first vertical link
- * are always owned by the sender's domain.
+ * Mesh timing is MeshNetwork's own MeshRouter with the domain's rows
+ * as the owned range: a directed link belongs to the domain of the
+ * row its source grid slot lies in, owned links model contention
+ * exactly, and foreign links add the uncontended crossing cost without
+ * touching any state, keeping the window race-free. With whole-row
+ * domains and XY routing, a route's horizontal phase and its first
+ * vertical link are always owned by the sender's domain.
  *
  * Chaos faults draw from a per-domain Rng stream at *send* time (the
  * serial ChaosNetwork draws jitter at delivery), so a parcel's arrival
@@ -199,42 +191,33 @@ class DomainNet : public Network
 
   protected:
     /**
-     * Combining-tree staging under PDES. The whole tree is resolved
-     * analytically in the *sending* domain's timeline at multicast
-     * time (owned links with contention, foreign links additive -
-     * the same ownership rule as point-to-point routes), so relays
-     * never need forwarding events in foreign domains. Each copy is
-     * then delivered locally or parked in its destination domain's
-     * mailbox with its final arrival tick; every cross-domain copy
-     * crosses at least one full link, so the lookahead bound holds.
+     * Combining-tree staging under PDES: MeshRouter's schedule,
+     * resolved in the *sending* domain's timeline (owned links with
+     * contention, foreign links additive), so relays never need
+     * forwarding events in foreign domains. Each copy is then
+     * delivered locally or parked like a point-to-point send; every
+     * cross-domain copy crosses at least one full link, so the
+     * lookahead bound holds.
      */
     MulticastReceipt doMulticast(const Message &proto,
                                  std::span<const NodeId> dsts) override;
 
   private:
     void route(Message msg);
-    Tick meshDelay(const Message &msg, unsigned &hops);
-    /** XY-route arrival tick from @p from (injected >= @p start) to
-     *  @p to; shared by meshDelay and the tree multicast. */
-    Tick meshArrival(NodeId from, NodeId to, std::uint32_t bytes,
-                     Tick start, unsigned &hops);
+    /** Deliver @p msg after @p delay through this domain's queue, or
+     *  park it with its arrival tick in its destination's mailbox. */
+    void dispose(Message msg, Tick delay, unsigned hops);
     Tick chaosExtra();
 
     DomainSpec spec;
     const PdesPlan &plan;
     DomainNetConfig config;
-    /** Next-free tick per directed link; only owned links are touched. */
-    std::vector<Tick> linkFree;
-    Rng jitterRng;
+    /** Mesh timing, owning this domain's rows (empty when ideal). */
+    std::optional<MeshRouter> router;
     Rng chaosRng;
     /** Parking slab for lagged chaos duplicates. */
     ObjectPool<Message> dupPool;
     std::uint64_t crossCount = 0;
-    /** Tree-multicast scratch (see MeshNetwork; unused when flat). */
-    std::vector<Tick> mcArrival;
-    std::vector<Tick> mcNicFree;
-    std::vector<std::uint32_t> mcNicPath;
-    std::vector<std::uint32_t> mcDepth;
 };
 
 /**
@@ -285,16 +268,9 @@ struct PdesDomain {
         barrierArrivals;
     /** Processors that drained their source since the last barrier. */
     std::uint32_t newlyDone = 0;
-
-    /** Buffered serializability-checker commit records (merged in TID
-     *  order at finalize; replay order is TID order anyway). */
-    struct CommitRec {
-        Tid tid;
-        NodeId proc;
-        std::vector<std::pair<Addr, std::uint64_t>> reads;
-        std::vector<std::pair<Addr, std::uint64_t>> writes;
-    };
-    std::vector<CommitRec> commits;
+    /** This domain's serializability-checker commit records,
+     *  absorbed into the System's checker at finalize. */
+    SerialChecker commitLog;
 };
 
 /**
@@ -384,10 +360,9 @@ struct PdesState {
      *  phase, read by the workers. */
     Tick curLimit = 0;
 
-    /** Earliest pending event across all domains (kTickMax if none).
-     *  Exact scan of every domain's queue; the window loop uses the
-     *  pulse-based earliestNext() instead. */
-    Tick earliestEvent() const;
+    /** @p d's pulse: its next event tick and the kPulse* flags of the
+     *  effects it holds for the coordinator. */
+    static DomainPulse summarize(const PdesDomain &d);
 
     /** Populate pulse from a full scan of every domain (run setup;
      *  afterwards the workers and coordinator keep it current). */
@@ -401,17 +376,6 @@ struct PdesState {
         for (const DomainPulse &pu : pulse)
             next = std::min(next, pu.next);
         return next;
-    }
-
-    /** min over domains of EOT(d) = pulse[d].next + lookahead: no
-     *  cross-domain effect can become visible before this tick. */
-    Tick
-    eotBound() const
-    {
-        Tick bound = kTickMax;
-        for (const DomainPulse &pu : pulse)
-            bound = std::min(bound, pdesEot(pu.next, plan.lookahead));
-        return bound;
     }
 
     /**

@@ -126,13 +126,15 @@ class EventQueue
     std::size_t pending() const { return wheelCount + overflow.size(); }
 
     /**
-     * Run the earliest event, advancing time to it.
-     * @return false if the queue was empty.
+     * Run the earliest event, advancing time to it, unless that event
+     * lies past @p limit (the one tick-limit rule of every run loop:
+     * events at or before the limit run, later ones never do).
+     * @return false if no event at or before @p limit was pending.
      */
     bool
-    step()
+    step(Tick limit = kTickMax)
     {
-        Node *n = popEarliest();
+        Node *n = popEarliest(limit);
         if (!n)
             return false;
         curTick = n->when;
@@ -161,10 +163,8 @@ class EventQueue
     runUntil(Tick limit)
     {
         std::uint64_t n = 0;
-        while (nextWhen() <= limit) {
-            step();
+        while (step(limit))
             ++n;
-        }
         if (curTick < limit)
             curTick = limit;
         return n;
@@ -328,12 +328,13 @@ class EventQueue
         panic("event wheel count/bitmap out of sync");
     }
 
-    /** Detach and return the earliest pending event, or nullptr. */
+    /** Detach and return the earliest pending event, or nullptr when
+     *  none is pending at or before @p limit. */
     Node *
-    popEarliest()
+    popEarliest(Tick limit)
     {
         if (wheelCount == 0) {
-            if (overflow.empty())
+            if (overflow.empty() || overflow.top()->when > limit)
                 return nullptr;
             // Jump the window forward to the next far-future event.
             windowStart = overflow.top()->when;
@@ -342,6 +343,8 @@ class EventQueue
         const std::size_t idx = earliestBucket();
         Bucket &b = wheel[idx];
         Node *n = b.head;
+        if (n->when > limit)
+            return nullptr;
         b.head = n->next;
         if (!b.head) {
             b.tail = nullptr;

@@ -130,6 +130,21 @@ TEST(BusTcc, BreakdownBucketsPopulated)
     EXPECT_EQ(res.procs[0].txnsCommitted, 5u);
 }
 
+TEST(BusTcc, TickLimitStopsAtMaxTicks)
+{
+    // Same tick-limit rule as System::run: every event at or before
+    // max_ticks runs, none later, and the cut run reports max_ticks.
+    BusTcc bus(smallBus(2));
+    ScriptedSource s0, s1;
+    s0.add({TxOp::compute(1'000'000)});
+    s1.add({TxOp::compute(1'000'000)});
+    bus.setSource(0, &s0);
+    bus.setSource(1, &s1);
+    const RunResult res = bus.run(/*max_ticks=*/1000);
+    EXPECT_FALSE(res.completed);
+    EXPECT_EQ(res.cycles, 1000u);
+}
+
 TEST(BusTcc, ManyProcsStressSerializable)
 {
     constexpr std::uint32_t kProcs = 8;
