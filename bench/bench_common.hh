@@ -1,11 +1,11 @@
 /**
  * @file
- * Shared driver for the benchmark harness. Each figure binary
- * regenerates one table or figure of the paper (see DESIGN.md's
- * per-experiment index); each JSON binary writes one BENCH_*.json.
- * This header is the plumbing they share: running one configuration,
- * comparing two runs' outcomes, parsing the command line, and writing
- * the JSON document with its gate verdicts.
+ * Shared driver for the benchmark harness. Each binary writes one
+ * BENCH_*.json; bench_paper regenerates the paper's tables and figures
+ * (see DESIGN.md's per-experiment index). This header is the plumbing
+ * they share: running one configuration, comparing two runs' outcomes,
+ * parsing the command line, and writing the JSON document with its
+ * gate verdicts.
  */
 
 #ifndef TCC_BENCH_COMMON_HH
@@ -211,8 +211,8 @@ runWorkload(const std::string &name, const RunOptions &opt)
     return out;
 }
 
-/** The paper's application ordering for every figure (Table-3
- *  workload names from the registry). */
+/** The paper's application ordering (Table-3 workload names from the
+ *  registry). */
 inline std::vector<std::string>
 benchApps()
 {
@@ -224,63 +224,34 @@ benchApps()
 }
 
 /**
- * Command-line options. The figure drivers take
- *   --filter=<app>   only run applications whose name contains <app>
- *   --procs=<list>   comma-separated processor counts, replacing the
- *                    figure's default sweep (e.g. --procs=8,16)
- *   --jobs=<n>       concurrent simulations (default: TCC_JOBS env,
- *                    else hardware threads; 1 = serial)
- * and the JSON drivers take
- *   --smoke          tiny grid (CI wiring check, not a benchmark)
- *   --out PATH       JSON output path (default BENCH_<name>.json)
- *   --jobs=<n>       as above, for the drivers that sweep in parallel
+ * Command-line options: --smoke (a tiny grid: CI wiring check, not a
+ * benchmark), --out PATH (default BENCH_<name>.json) and --jobs=<n>
+ * (concurrent simulations; default TCC_JOBS env, else hardware threads).
  */
 struct BenchArgs {
-    std::string filter;
-    std::vector<std::uint32_t> procs;
     unsigned jobs = 0; ///< 0 = SweepRunner::defaultJobs()
     bool smoke = false;
     std::string out;
 };
 
 /**
- * Parse @p argv into a BenchArgs; exits 2 with a usage line on bad
- * input. A JSON driver passes its default output path as @p json_out
- * (and @p takes_jobs when it sweeps in parallel); a figure driver
- * passes null.
+ * Parse @p argv into a BenchArgs, writing to @p json_out by default;
+ * exits 2 with a usage line on bad input. A driver that sweeps in
+ * parallel passes @p takes_jobs; one whose claims hold only on its
+ * full grid passes !@p takes_smoke.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv, const char *json_out,
-               bool takes_jobs)
+               bool takes_jobs, bool takes_smoke = true)
 {
-    const bool json = json_out != nullptr;
     BenchArgs args;
-    if (json)
-        args.out = json_out;
+    args.out = json_out;
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        if (json && std::strcmp(a, "--smoke") == 0) {
+        if (takes_smoke && std::strcmp(a, "--smoke") == 0) {
             args.smoke = true;
-        } else if (json && std::strcmp(a, "--out") == 0 &&
-                   i + 1 < argc) {
+        } else if (std::strcmp(a, "--out") == 0 && i + 1 < argc) {
             args.out = argv[++i];
-        } else if (!json && std::strncmp(a, "--filter=", 9) == 0) {
-            args.filter = a + 9;
-        } else if (!json && std::strncmp(a, "--procs=", 8) == 0) {
-            const char *s = a + 8;
-            while (*s) {
-                char *end = nullptr;
-                const unsigned long v = std::strtoul(s, &end, 10);
-                if (end == s || v == 0 ||
-                    (*end != '\0' && *end != ',')) {
-                    std::fprintf(stderr,
-                                 "bad --procs list: '%s'\n", a + 8);
-                    std::exit(2);
-                }
-                args.procs.push_back(
-                    static_cast<std::uint32_t>(v));
-                s = *end == ',' ? end + 1 : end;
-            }
         } else if (takes_jobs && std::strncmp(a, "--jobs=", 7) == 0) {
             char *end = nullptr;
             const unsigned long v = std::strtoul(a + 7, &end, 10);
@@ -291,21 +262,13 @@ parseBenchArgs(int argc, char **argv, const char *json_out,
             }
             args.jobs = static_cast<unsigned>(v);
         } else {
-            std::fprintf(stderr, "usage: %s %s%s\n", argv[0],
-                         json ? "[--smoke] [--out PATH]"
-                              : "[--filter=<app>] [--procs=<n,n,...>]",
+            std::fprintf(stderr, "usage: %s %s[--out PATH]%s\n", argv[0],
+                         takes_smoke ? "[--smoke] " : "",
                          takes_jobs ? " [--jobs=<n>]" : "");
             std::exit(2);
         }
     }
     return args;
-}
-
-/** The figure drivers' flags: --filter, --procs and --jobs. */
-inline BenchArgs
-parseBenchArgs(int argc, char **argv)
-{
-    return parseBenchArgs(argc, argv, nullptr, true);
 }
 
 /**
@@ -429,34 +392,6 @@ class BenchReport
     StatsNode doc;
     std::vector<std::pair<const char *, bool>> gates;
 };
-
-/** The figure's application list after applying --filter. */
-inline std::vector<std::string>
-benchApps(const BenchArgs &args)
-{
-    std::vector<std::string> apps;
-    for (const auto &app : benchApps()) {
-        if (args.filter.empty() ||
-            app.find(args.filter) != std::string::npos) {
-            apps.push_back(app);
-        }
-    }
-    if (apps.empty())
-        std::fprintf(stderr,
-                     "warning: --filter=%s matches no application\n",
-                     args.filter.c_str());
-    return apps;
-}
-
-/** The figure's processor sweep: --procs if given, else @p defaults. */
-inline std::vector<std::uint32_t>
-benchProcs(const BenchArgs &args,
-           std::initializer_list<std::uint32_t> defaults)
-{
-    if (!args.procs.empty())
-        return args.procs;
-    return std::vector<std::uint32_t>(defaults);
-}
 
 } // namespace tccbench
 

@@ -19,11 +19,16 @@
  *  2. End-to-end simulated cycles/sec on a Table 2 configuration
  *     (16 processors, 2D mesh, synthetic SPLASH-2 profile).
  *
+ *  3. Isolated costs of two hot calls: a SpecCache::load hit and a
+ *     64-node MeshNetwork::send with its delivery (the cost a per-hop
+ *     branch in the route walk shows up in).
+ *
  * Usage: bench_kernel [--smoke] [--out PATH]
  *   --smoke   tiny iteration counts (CI wiring check, not a benchmark)
  *   --out     JSON output path (default BENCH_kernel.json)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,8 +37,10 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "cache/spec_cache.hh"
 #include "common/log.hh"
 #include "noc/message.hh"
+#include "noc/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
 #include "sim/random.hh"
@@ -234,6 +241,56 @@ endToEnd(std::uint32_t txns_per_phase)
     return out;
 }
 
+/** Median ns per call of @p op over 15 timed batches of @p calls
+ *  calls, after one untimed warm-up batch. */
+template <typename Op>
+double
+medianNsPerCall(std::uint64_t calls, Op op)
+{
+    std::vector<double> ns;
+    for (int b = 0; b < 16; ++b) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::uint64_t i = 0; i < calls; ++i)
+            op();
+        const double sec = seconds(t0, std::chrono::steady_clock::now());
+        if (b > 0)
+            ns.push_back(sec * 1e9 / static_cast<double>(calls));
+    }
+    std::nth_element(ns.begin(), ns.begin() + 7, ns.end());
+    return ns[7];
+}
+
+volatile std::uint64_t gSink = 0;
+
+/** SpecCache::load hitting one filled line of a Table 2 hierarchy. */
+double
+cacheLoadHitNs(std::uint64_t calls)
+{
+    SpecCache cache(CacheConfig{});
+    cache.fill(0x1000);
+    return medianNsPerCall(calls, [&] { gSink = cache.load(0x1000).hit; });
+}
+
+/** One 16-byte Skip from node 0 to node 63 of a 64-node mesh:
+ *  MeshNetwork::send plus running its delivery. */
+double
+meshSendNs(std::uint64_t calls)
+{
+    EventQueue eq;
+    MeshNetwork net(eq, 64);
+    for (NodeId n = 0; n < 64; ++n)
+        net.connect(n, [](const Message &) {});
+    Message m;
+    m.type = MsgType::Skip;
+    m.src = 0;
+    m.dst = 63;
+    m.bytes = 16;
+    return medianNsPerCall(calls, [&] {
+        net.send(m);
+        eq.run();
+    });
+}
+
 /**
  * Observability wiring check: run the 2-processor scripted-conflict
  * scenario with every trace category enabled (text output off) and
@@ -278,6 +335,7 @@ main(int argc, char **argv)
 
     const std::uint64_t kernelEvents = args.smoke ? 20'000 : 20'000'000;
     const std::uint32_t txnsPerPhase = args.smoke ? 32 : 1024;
+    const std::uint64_t microCalls = args.smoke ? 1024 : 1 << 18;
     const int kChains = 256;
 
     std::printf("== simulation-kernel throughput ==\n");
@@ -301,6 +359,12 @@ main(int argc, char **argv)
                 (unsigned long long)e2e.arenaPeakBytes,
                 (unsigned long long)e2e.arenaChunks);
 
+    const double loadHitNs = cacheLoadHitNs(microCalls);
+    const double sendNs = meshSendNs(microCalls);
+    std::printf("isolated calls      : %12.1f ns SpecCache::load hit, "
+                "%.1f ns 64-node MeshNetwork::send\n",
+                loadHitNs, sendNs);
+
     const std::uint64_t traceEvents = tracedEventCount();
     std::printf("trace wiring        : %12llu events captured "
                 "(scripted conflict)\n",
@@ -315,11 +379,14 @@ main(int argc, char **argv)
     r.num("arena_peak_bytes", e2e.arenaPeakBytes);
     r.num("arena_chunks", e2e.arenaChunks);
     r.num("trace_events_captured", traceEvents);
+    r.real("cache_load_hit_ns", loadHitNs);
+    r.real("mesh_send_ns", sendNs);
     StatsNode &cfg = report.config();
     cfg.num("kernel_events", kernelEvents);
     cfg.num("chains", kChains);
     cfg.num("num_procs", 16);
     cfg.name("app", "water_spatial");
     cfg.num("txns_per_phase", txnsPerPhase);
+    cfg.num("micro_calls", microCalls);
     return report.finish();
 }
