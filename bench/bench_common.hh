@@ -85,12 +85,10 @@ runOutcome(System &sys)
 /**
  * The first field in which @p a and @p b differ, or null when the two
  * runs are bit-identical. pdes.jobs never counts: it records the
- * thread count itself. With @p cross_sync the barrier cadence
- * (pdes.adaptive, pdes.windows, pdes.emptyBroadcastsSkipped) may
- * differ too - everything the simulation can observe must not.
+ * thread count itself.
  */
 inline const char *
-outcomeDiff(const Outcome &a, const Outcome &b, bool cross_sync = false)
+outcomeDiff(const Outcome &a, const Outcome &b)
 {
 #define TCC_CMP(field)                                                 \
     if (a.field != b.field)                                            \
@@ -114,11 +112,9 @@ outcomeDiff(const Outcome &a, const Outcome &b, bool cross_sync = false)
     TCC_CMP(res.pdes.phases);
     TCC_CMP(res.pdes.mailboxMessages);
     TCC_CMP(res.pdes.idleDomainSkips);
-    if (!cross_sync) {
-        TCC_CMP(res.pdes.adaptive);
-        TCC_CMP(res.pdes.windows);
-        TCC_CMP(res.pdes.emptyBroadcastsSkipped);
-    }
+    TCC_CMP(res.pdes.sharedPhases);
+    TCC_CMP(res.pdes.windows);
+    TCC_CMP(res.pdes.emptyBroadcastsSkipped);
     TCC_CMP(res.procs.size());
     TCC_CMP(res.dirs.size());
     for (std::size_t p = 0; p < a.res.procs.size(); ++p) {

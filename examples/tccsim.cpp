@@ -86,8 +86,7 @@ usage(const char *argv0)
                  "[--chaos PRESET] [--multicast flat|tree:kN] "
                  "[--hop N] [--line-gran] "
                  "[--interleave] [--jitter N] [--aging N] "
-                 "[--domains D] [--jobs N] "
-                 "[--pdes-sync fixed|adaptive] [--seed N] "
+                 "[--domains D] [--jobs N] [--seed N] "
                  "[--check serial,invariants] [--trace] "
                  "[--trace-out FILE] [--stats FILE] "
                  "[--stats-json FILE] [--metrics-epoch N] "
@@ -242,17 +241,6 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             cfg.pdes.jobs =
                 static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (arg == "--pdes-sync") {
-            const std::string val = next();
-            if (val == "fixed") {
-                cfg.pdes.sync = PdesConfig::Sync::Fixed;
-            } else if (val == "adaptive") {
-                cfg.pdes.sync = PdesConfig::Sync::Adaptive;
-            } else {
-                std::fprintf(stderr, "%s: unknown --pdes-sync '%s'\n",
-                             argv[0], val.c_str());
-                usage(argv[0]);
-            }
         } else if (arg == "--seed") {
             seed = static_cast<std::uint64_t>(
                 std::atoll(next().c_str()));
@@ -370,14 +358,14 @@ main(int argc, char **argv)
                 (unsigned long long)res.cycles,
                 (unsigned long long)res.events);
     if (res.pdes.domains != 0) {
-        std::printf("pdes: %u domains x %u jobs (%s sync), "
-                    "lookahead %llu, %llu windows / %llu phases, "
-                    "%llu mailbox messages\n",
+        std::printf("pdes: %u domains x %u jobs, "
+                    "lookahead %llu, %llu windows / %llu phases "
+                    "(%llu shared), %llu mailbox messages\n",
                     res.pdes.domains, res.pdes.jobs,
-                    res.pdes.adaptive ? "adaptive" : "fixed",
                     (unsigned long long)res.pdes.lookahead,
                     (unsigned long long)res.pdes.windows,
                     (unsigned long long)res.pdes.phases,
+                    (unsigned long long)res.pdes.sharedPhases,
                     (unsigned long long)res.pdes.mailboxMessages);
         std::printf("pdes: window width mean %.1f p50 %.0f p99 %.0f, "
                     "%llu idle-domain skips, "

@@ -85,12 +85,12 @@ addPdes(StatsNode &g, const RunResult::PdesRunStats &ps)
 {
     g.num("domains", ps.domains);
     g.num("jobs", ps.jobs);
-    g.name("sync", ps.adaptive ? "adaptive" : "fixed");
     g.num("lookahead", ps.lookahead);
     g.num("windows", ps.windows);
     g.num("phases", ps.phases);
     g.num("mailbox_messages", ps.mailboxMessages);
     g.num("idle_domain_skips", ps.idleDomainSkips);
+    g.num("shared_phases", ps.sharedPhases);
     g.num("empty_broadcasts_skipped", ps.emptyBroadcastsSkipped);
     g.dist("window_width", ps.windowWidth);
 }

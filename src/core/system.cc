@@ -436,6 +436,17 @@ stepThrough(EventQueue &eq, Tick limit, MetricsSampler *metrics,
     return n;
 }
 
+/**
+ * Expected events (the dispatched domains' counts from their previous
+ * sub-phase) below which a sub-phase runs on the coordinator alone.
+ * Sharing one moves the claim word, the pulses and the domains' state
+ * between cores; on a 4-vCPU EPYC VM that cost changed by ~3 us with
+ * the vCPU placement, against a typical sub-phase of 5-60 events of
+ * ~150 ns each. Sharing those made run times follow the placement
+ * (DESIGN.md section 11.6); 128 events is ~20 us of work.
+ */
+constexpr std::uint64_t kPdesShareEvents = 128;
+
 } // namespace
 
 RunResult
@@ -555,34 +566,34 @@ System::runPdes(Tick max_ticks)
     for (auto &p : procs)
         p->start();
 
-    // Each worker runs its domains to the sub-phase limit, then
-    // summarizes the domain into its pulse slot while the domain's
-    // state is still hot in this worker's cache: next event tick plus
-    // flags for parked parcels, store-log writes, and barrier-phase
-    // work. Domains with no event inside the sub-phase are never
-    // touched at all (the idle-domain fast path) - their pulse is
-    // kept current by the coordinator's own injections.
-    WindowCrew crew(jobs, [&st, num_domains, jobs](unsigned w) {
-        for (std::uint32_t i = w; i < num_domains; i += jobs) {
-            PdesState::DomainPulse &pu = st.pulse[i];
-            if (pu.next > st.curLimit)
-                continue;
-            PdesDomain &d = *st.domains[i];
-            stepThrough(d.eq, st.curLimit, d.metrics.get(),
-                        d.checker.get());
-            // Parcels injected at the barrier arrive at or after the
-            // window end (= curLimit + 1), so every epoch ending inside
-            // the window is final once the local events have run.
-            if (d.metrics)
-                d.metrics->advanceTo(pdesWindowEnd(st.curLimit, 1));
-            pu = PdesState::summarize(d);
-        }
-    });
+    // Item i runs domain dispatch[i] of the sub-phase to the limit,
+    // then summarizes it into its pulse slot while the domain's state
+    // is still hot in that thread's cache: next event tick, the events
+    // it ran, plus flags for parked parcels, store-log writes, and
+    // barrier-phase work. Domains with no event inside the sub-phase
+    // are not on the list and never touched (the idle-domain fast
+    // path) - their pulse is kept current by the coordinator's own
+    // injections.
+    std::vector<std::uint32_t> dispatch;
+    dispatch.reserve(num_domains);
+    auto runItem = [&st, &dispatch](std::uint32_t i) {
+        const std::uint32_t di = dispatch[i];
+        PdesDomain &d = *st.domains[di];
+        const std::uint64_t ran = stepThrough(
+            d.eq, st.curLimit, d.metrics.get(), d.checker.get());
+        // Parcels injected at the barrier arrive at or after the
+        // window end (= curLimit + 1), so every epoch ending inside
+        // the window is final once the local events have run.
+        if (d.metrics)
+            d.metrics->advanceTo(pdesWindowEnd(st.curLimit, 1));
+        PdesState::DomainPulse pu = PdesState::summarize(d);
+        pu.events = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(ran, UINT32_MAX));
+        st.pulse[di] = pu;
+    };
+    WindowCrew crew(jobs, runItem);
 
     const Tick lookahead = st.plan.lookahead;
-    const bool adaptive =
-        config.pdes.sync == PdesConfig::Sync::Adaptive;
-    res.pdes.adaptive = adaptive;
     st.initPulse();
     Tick phase_start = 0;
     /** Upper bound on every epoch boundary any domain has closed (the
@@ -611,17 +622,30 @@ System::runPdes(Tick max_ticks)
         const Tick window_end = pdesWindowEnd(phase_start, lookahead);
         metrics_end = window_end;
         st.curLimit = std::min(window_end - 1, max_ticks);
-        crew.runPhase();
+        dispatch.clear();
+        std::uint64_t expected = 0;
+        for (std::uint32_t i = 0; i < num_domains; ++i) {
+            if (st.pulse[i].next <= st.curLimit) {
+                dispatch.push_back(i);
+                expected += st.pulse[i].events;
+            }
+        }
+        res.pdes.idleDomainSkips += num_domains - dispatch.size();
+        const auto count = static_cast<std::uint32_t>(dispatch.size());
+        if (expected >= kPdesShareEvents) {
+            crew.runPhase(count);
+            ++res.pdes.sharedPhases;
+        } else {
+            for (std::uint32_t i = 0; i < count; ++i)
+                runItem(i);
+        }
         ++res.pdes.phases;
 
         // Fold the per-domain pulses: one pass over a contiguous
         // array instead of poking every domain's queues and logs.
         std::uint32_t effects = 0;
-        for (const PdesState::DomainPulse &pu : st.pulse) {
+        for (const PdesState::DomainPulse &pu : st.pulse)
             effects |= pu.flags;
-            if (pu.next > st.curLimit)
-                ++res.pdes.idleDomainSkips;
-        }
 
         // Parcels flush every sub-phase: they carry exact arrival
         // ticks, so delivery is independent of the barrier cadence.
@@ -630,13 +654,8 @@ System::runPdes(Tick max_ticks)
 
         // Close the window when the sub-phase produced output only a
         // barrier can publish (store writes, SPMD arrivals, done
-        // transitions, a checker failure). Under the fixed cadence,
-        // close unconditionally - that is the legacy window grid.
-        const bool close =
-            !adaptive ||
-            (effects &
-             (PdesState::kPulseStore | PdesState::kPulseSync)) != 0;
-        if (close) {
+        // transitions, a checker failure).
+        if (effects & (PdesState::kPulseStore | PdesState::kPulseSync)) {
             if (effects & PdesState::kPulseStore)
                 st.applyStoreLogs();
             else
@@ -645,8 +664,8 @@ System::runPdes(Tick max_ticks)
                 // Merge the deferred done-hooks and barrier arrivals
                 // in domain-id order, then release the SPMD barrier.
                 // An invariant failure halts the run here; the failing
-                // domain raised kPulseSync, so the window closed
-                // exactly where the fixed cadence halts.
+                // domain raised kPulseSync, so the window closed at the
+                // end of the sub-phase in which it failed.
                 for (auto &d : st.domains) {
                     doneProcs += d->newlyDone;
                     d->newlyDone = 0;

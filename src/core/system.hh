@@ -116,30 +116,24 @@ struct TraceConfig {
  * never on jobs: any jobs value produces bit-identical RunResults.
  */
 struct PdesConfig {
-    /** Barrier cadence. Both modes execute the same lockstep
-     *  sub-phases (each bounded by the EOT rule min_d next_d +
-     *  lookahead) and are bit-identical in every simulation-visible
-     *  result; they differ only in when the coordinator runs the
-     *  barrier bookkeeping:
-     *   - Fixed: close a window (store-log broadcast, barrier phase,
-     *     window accounting) after every sub-phase - the legacy
-     *     cadence.
-     *   - Adaptive: extend the window across sub-phases that produced
-     *     no cross-domain output (no store writes, no SPMD arrivals,
-     *     no done transitions); mailbox parcels still flush every
-     *     sub-phase at their exact arrival ticks. Sparse phases then
-     *     cross hundreds of cycles in one window. */
-    enum class Sync : std::uint8_t { Fixed, Adaptive };
+    /** Barrier cadence, of which only Adaptive exists: a window
+     *  extends across sub-phases that produced no cross-domain output
+     *  (no store writes, no SPMD arrivals, no done transitions) and
+     *  closes at the first that did; mailbox parcels flush every
+     *  sub-phase at their exact arrival ticks. The type and `sync`
+     *  stay for source compatibility (benchmark/tcc_benchmark.cc sets
+     *  the field). */
+    enum class Sync : std::uint8_t { Adaptive };
     /** Requested domain count; clamped to the mesh row count (or the
      *  node count on an ideal network). 0 or 1 = serial engine. */
     std::uint32_t domains = 0;
-    /** Worker threads driving the domains; clamped to the domain
-     *  count. 0 = one thread per domain. Purely a throughput knob. */
+    /** Threads running the domains, the calling thread included;
+     *  clamped to the domain count. 0 = one thread per domain.
+     *  Purely a throughput knob. */
     std::uint32_t jobs = 0;
     /** Optional window-width override in [1, lookahead] cycles;
      *  0 = use the derived lookahead. */
     Tick window = 0;
-    /** Barrier cadence (purely a throughput knob, like jobs). */
     Sync sync = Sync::Adaptive;
 };
 
@@ -257,19 +251,14 @@ struct RunResult {
     CheckVerdict invariants;
 
     /** PDES execution statistics (all zero for serial-engine runs).
-     *  Everything except `jobs` and `adaptive` is part of the
-     *  deterministic result for a given sync mode; `jobs` records the
-     *  thread count actually used and `adaptive` the barrier cadence.
-     *  Between Sync::Fixed and Sync::Adaptive only `windows`,
-     *  `emptyBroadcastsSkipped`, and `windowWidth` may differ - every
-     *  simulation-visible field is bit-identical. */
+     *  Everything except `jobs` is part of the deterministic result;
+     *  `jobs` records the thread count actually used. */
     struct PdesRunStats {
         std::uint32_t domains = 0;
         std::uint32_t jobs = 0;
-        bool adaptive = false;
         Tick lookahead = 0;
         /** Barrier windows closed (store-log broadcast + barrier
-         *  phase). Under Fixed this equals `phases`. */
+         *  phase). */
         std::uint64_t windows = 0;
         /** Lockstep sub-phases executed (EOT-bounded dispatches). */
         std::uint64_t phases = 0;
@@ -277,11 +266,16 @@ struct RunResult {
         /** Domain-dispatches skipped because the domain had no event
          *  inside the sub-phase (its state was never touched). */
         std::uint64_t idleDomainSkips = 0;
+        /** Sub-phases big enough to share out (see kPdesShareEvents in
+         *  core/system.cc); with jobs > 1 only these ran on the crew's
+         *  threads, the rest on the coordinator alone. A function of
+         *  the model, so it does not depend on jobs either. */
+        std::uint64_t sharedPhases = 0;
         /** Window closes whose store write logs were all empty, so
          *  the replica broadcast was skipped outright. */
         std::uint64_t emptyBroadcastsSkipped = 0;
         /** Realized barrier-to-barrier window widths in cycles
-         *  (mean/p50/p99; constant = lookahead under Fixed). */
+         *  (mean/p50/p99). */
         Distribution windowWidth;
     };
     PdesRunStats pdes;

@@ -8,6 +8,15 @@ namespace tcc {
 
 namespace {
 
+/** Spin-wait hint: lets a sibling hyperthread run and saves power. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
 /** Decorrelate one seeded stream per domain. */
 std::uint64_t
 domainSeed(std::uint64_t seed, std::uint32_t domain)
@@ -157,77 +166,118 @@ DomainNet::chaosExtra()
     return extra;
 }
 
-WindowCrew::WindowCrew(unsigned jobs, std::function<void(unsigned)> body)
-    : n(jobs == 0 ? 1 : jobs), work(std::move(body))
+WindowCrew::WindowCrew(unsigned jobs,
+                       std::function<void(std::uint32_t)> item)
+    : work(std::move(item))
 {
-    if (n == 1)
-        return;
-    threads.reserve(n);
-    for (unsigned w = 0; w < n; ++w) {
-        threads.emplace_back([this, w]() {
-            std::uint64_t seen = 0;
-            for (;;) {
-                {
-                    std::unique_lock<std::mutex> lk(mtx);
-                    cvStart.wait(lk, [&]() {
-                        return stopping || gen != seen;
-                    });
-                    if (stopping)
-                        return;
-                    seen = gen;
-                }
-                try {
-                    work(w);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lk(mtx);
-                    if (!firstError)
-                        firstError = std::current_exception();
-                }
-                {
-                    std::lock_guard<std::mutex> lk(mtx);
-                    if (--running == 0)
-                        cvDone.notify_one();
-                }
-            }
-        });
+    try {
+        for (unsigned w = 1; w < jobs; ++w)
+            threads.emplace_back([this]() { workerLoop(); });
+    } catch (...) {
+        stopWorkers(); // join the workers already started
+        throw;
     }
 }
 
 WindowCrew::~WindowCrew()
 {
-    if (n == 1)
-        return;
-    {
-        std::lock_guard<std::mutex> lk(mtx);
-        stopping = true;
-    }
-    cvStart.notify_all();
+    stopWorkers();
+}
+
+void
+WindowCrew::ring()
+{
+    doorbell.fetch_add(1, std::memory_order_seq_cst);
+    doorbell.notify_all();
+}
+
+void
+WindowCrew::stopWorkers()
+{
+    stopping.store(true, std::memory_order_seq_cst);
+    ring();
     for (std::thread &t : threads)
         t.join();
 }
 
-void
-WindowCrew::runPhase()
+std::uint32_t
+WindowCrew::claimAll()
 {
-    if (n == 1) {
-        work(0);
-        return;
+    std::uint32_t ran = 0;
+    for (;;) {
+        const std::uint64_t w =
+            word.fetch_add(1, std::memory_order_acquire);
+        const auto i = static_cast<std::uint32_t>(w);
+        if (i >= static_cast<std::uint32_t>(w >> 32))
+            return ran;
+        try {
+            work(i);
+        } catch (...) {
+            if (!failed.exchange(true, std::memory_order_relaxed))
+                firstError = std::current_exception();
+        }
+        ++ran;
     }
-    {
-        std::lock_guard<std::mutex> lk(mtx);
-        ++gen;
-        running = n;
+}
+
+void
+WindowCrew::workerLoop()
+{
+    auto open = [](std::uint64_t w) {
+        return static_cast<std::uint32_t>(w) <
+               static_cast<std::uint32_t>(w >> 32);
+    };
+    unsigned spins = 0;
+    for (;;) {
+        if (open(word.load(std::memory_order_acquire))) {
+            const std::uint32_t ran = claimAll();
+            if (ran != 0)
+                finished.fetch_add(ran, std::memory_order_release);
+            spins = 0;
+            continue;
+        }
+        if (stopping.load(std::memory_order_acquire))
+            return;
+        if (++spins < kSpinBudget) {
+            cpuRelax();
+            continue;
+        }
+        spins = 0;
+        // Park. Every access here is seq_cst, as are runPhase()'s
+        // publish and parked load and stopWorkers()' stop flag: if
+        // the re-check below misses a new phase (or the stop), the
+        // coordinator's later parked load sees this worker and rings
+        // after `bell` was read, so wait() returns.
+        const std::uint32_t bell =
+            doorbell.load(std::memory_order_seq_cst);
+        parked.fetch_add(1, std::memory_order_seq_cst);
+        if (!open(word.load(std::memory_order_seq_cst)) &&
+            !stopping.load(std::memory_order_seq_cst))
+            doorbell.wait(bell, std::memory_order_seq_cst);
+        parked.fetch_sub(1, std::memory_order_relaxed);
     }
-    cvStart.notify_all();
-    std::exception_ptr err;
-    {
-        std::unique_lock<std::mutex> lk(mtx);
-        cvDone.wait(lk, [&]() { return running == 0; });
-        err = firstError;
-        firstError = nullptr;
+}
+
+void
+WindowCrew::runPhase(std::uint32_t count)
+{
+    finished.store(0, std::memory_order_relaxed);
+    word.store(std::uint64_t{count} << 32, std::memory_order_seq_cst);
+    if (parked.load(std::memory_order_seq_cst) != 0)
+        ring();
+    const std::uint32_t others = count - claimAll();
+    // Every item is claimed; wait only for those still running.
+    for (unsigned spins = 0;
+         finished.load(std::memory_order_acquire) != others;) {
+        if (++spins < kSpinBudget)
+            cpuRelax();
+        else
+            std::this_thread::yield();
     }
-    if (err)
-        std::rethrow_exception(err);
+    if (failed.load(std::memory_order_relaxed)) {
+        failed.store(false, std::memory_order_relaxed);
+        std::rethrow_exception(std::exchange(firstError, nullptr));
+    }
 }
 
 PdesState::DomainPulse
@@ -320,7 +370,8 @@ PdesState::applyStoreLogs()
     // Each domain's log is tick-sorted (its clock never runs
     // backwards), so a pointer-per-log merge suffices.
     mergeScratch.clear();
-    std::vector<std::size_t> at(domains.size(), 0);
+    std::vector<std::size_t> &at = mergeAt;
+    at.assign(domains.size(), 0);
     for (;;) {
         std::size_t pick = domains.size();
         Tick best = kTickMax;

@@ -39,11 +39,11 @@
 #define TCC_SIM_DOMAIN_HH
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -274,47 +274,82 @@ struct PdesDomain {
 };
 
 /**
- * A fixed crew of worker threads executing one parallel phase per
- * window. Domains are assigned statically (domain d runs on worker
- * d % jobs), and with jobs == 1 no threads are created at all - the
- * phase body runs inline, which doubles as the reference execution
- * the threaded runs must match bit-for-bit.
+ * The threads that run one sub-phase's domains. A phase is a list of
+ * items [0, count); every item runs exactly once, on whichever thread
+ * claims it first. The coordinator (the thread calling runPhase())
+ * publishes the phase, claims items like any worker, and then waits
+ * only for items other threads are still running - never for a worker
+ * that has not woken up yet. With jobs == 1 no thread is started and
+ * the coordinator runs every item itself.
  *
- * Memory ordering: runPhase() publishes everything the coordinator
- * wrote (window limit, flushed mailboxes, store replicas) to the
- * workers through the crew mutex, and collects everything the workers
- * wrote back the same way. TSan-clean by construction: during a phase
- * a domain is touched by exactly one thread, and between phases only
- * by the coordinator.
+ * Claim protocol: one atomic word holds (count << 32) | next. The
+ * coordinator writes everything the items read (window limit, flushed
+ * mailboxes, store replicas, the dispatch list), then publishes
+ * (count << 32) | 0 with a seq_cst (so also release) store; a claim is
+ * a fetch_add with acquire ordering that owns item `next` when
+ * next < count. Each thread adds the items it ran to `finished` with
+ * release ordering, and the coordinator's acquire load that sees every
+ * item finished collects everything the items wrote. During a phase a
+ * domain is touched by exactly one thread, and between phases only by
+ * the coordinator.
+ *
+ * Idle workers spin on the word (with a pause) for kSpinBudget polls,
+ * then park with std::atomic::wait on a separate 32-bit doorbell that
+ * the coordinator rings (increments, then notify_all) only when a
+ * worker is parked. They do not wait on the claim word itself: it can
+ * come back to a value a worker parked on (the same count, the same
+ * number of failed claims), and such a worker would sleep through the
+ * change. Claiming, not a static domain-to-thread map, is what keeps
+ * spinning safe when threads outnumber cores: a descheduled worker
+ * simply claims nothing.
  */
 class WindowCrew
 {
   public:
-    /** @param jobs worker count (>= 1); @param body runs as body(w)
-     *  for each worker index w in [0, jobs) every phase. */
-    WindowCrew(unsigned jobs, std::function<void(unsigned)> body);
+    /** @param jobs threads running items (>= 1), the coordinator
+     *  included, so jobs - 1 workers are started; @param item runs as
+     *  item(i) for each item index i of a phase. */
+    WindowCrew(unsigned jobs, std::function<void(std::uint32_t)> item);
     ~WindowCrew();
 
     WindowCrew(const WindowCrew &) = delete;
     WindowCrew &operator=(const WindowCrew &) = delete;
 
-    /** Run one phase; returns when every worker finished. Rethrows
-     *  the first exception a worker raised, if any. */
-    void runPhase();
-
-    unsigned jobs() const { return n; }
+    /** Run items [0, @p count); returns when every item finished.
+     *  Rethrows the first exception an item raised, if any, after the
+     *  whole phase has finished. */
+    void runPhase(std::uint32_t count);
 
   private:
-    unsigned n;
-    std::function<void(unsigned)> work;
-    std::vector<std::thread> threads;
-    std::mutex mtx;
-    std::condition_variable cvStart;
-    std::condition_variable cvDone;
-    std::uint64_t gen = 0;
-    unsigned running = 0;
-    bool stopping = false;
+    /** Polls an idle worker spins before it parks. */
+    static constexpr unsigned kSpinBudget = 1u << 14;
+
+    /** Claim and run items until the phase has none left unclaimed;
+     *  returns how many this thread ran. */
+    std::uint32_t claimAll();
+    void workerLoop();
+    /** Wake parked workers: a new phase or the stop flag is visible. */
+    void ring();
+    /** Wake every worker, parked or spinning, and join it. */
+    void stopWorkers();
+
+    std::function<void(std::uint32_t)> work;
+    // Each hot word on its own cache line: workers poll `word`, the
+    // coordinator polls `finished`, and the rest is rarely written.
+    /** (count << 32) | next unclaimed item. */
+    alignas(64) std::atomic<std::uint64_t> word{0};
+    /** Items finished by workers in the current phase. */
+    alignas(64) std::atomic<std::uint32_t> finished{0};
+    /** Workers parked, or about to park, on `doorbell`. */
+    alignas(64) std::atomic<std::uint32_t> parked{0};
+    /** Rung by ring(); parked workers wait for it to change. */
+    std::atomic<std::uint32_t> doorbell{0};
+    std::atomic<bool> stopping{false};
+    /** Set by the first item to throw; its exception is firstError. */
+    std::atomic<bool> failed{false};
     std::exception_ptr firstError;
+    /** Declared last: the workers use every member above. */
+    std::vector<std::thread> threads;
 };
 
 /**
@@ -341,6 +376,9 @@ struct PdesState {
         Tick next = kTickMax;
         /** kPulse* bits describing the effects of the last phase. */
         std::uint32_t flags = 0;
+        /** Events the domain ran in its last sub-phase (saturating):
+         *  the coordinator's estimate of its next one. */
+        std::uint32_t events = 0;
     };
 
     /** Parcels were parked (outbox dirty). */
@@ -410,6 +448,8 @@ struct PdesState {
   private:
     /** Reused (tick, domain) merge scratch for applyStoreLogs. */
     std::vector<GlobalStore::WriteRec> mergeScratch;
+    /** Reused per-domain read positions of that merge. */
+    std::vector<std::size_t> mergeAt;
 };
 
 } // namespace tcc

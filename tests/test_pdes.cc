@@ -11,9 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/system.hh"
@@ -237,13 +242,147 @@ TEST(PdesMailbox, MeshParcelsRespectTheLookahead)
     EXPECT_EQ(st.flushMailboxes(st.plan.lookahead), parcels);
 }
 
+// --- the window crew ------------------------------------------------
+
+TEST(PdesCrew, EveryItemRunsExactlyOnce)
+{
+    // 100k phases of 0..8 items at jobs 1, 2, 4 and 16; 16 threads
+    // oversubscribe a 4-core machine on purpose. Each item also writes
+    // a plain (non-atomic) slot the coordinator reads after the phase,
+    // so a missing happens-before edge is a data race under TSan.
+    constexpr std::uint32_t kPhases = 100'000;
+    constexpr std::uint32_t kMaxItems = 8;
+    for (unsigned jobs : {1u, 2u, 4u, 16u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        std::array<std::atomic<std::uint32_t>, kMaxItems> runs{};
+        std::array<std::uint32_t, kMaxItems> stamp{};
+        std::uint32_t phase = 0;
+        WindowCrew crew(jobs, [&](std::uint32_t i) {
+            runs[i].fetch_add(1, std::memory_order_relaxed);
+            stamp[i] = phase;
+        });
+        std::uint32_t bad = 0;
+        for (phase = 1; phase <= kPhases; ++phase) {
+            const std::uint32_t count =
+                (phase * 2654435761u >> 16) % (kMaxItems + 1);
+            crew.runPhase(count);
+            for (std::uint32_t i = 0; i < kMaxItems; ++i) {
+                const std::uint32_t want = i < count ? 1 : 0;
+                if (runs[i].exchange(0, std::memory_order_relaxed) !=
+                        want ||
+                    (want != 0 && stamp[i] != phase))
+                    ++bad;
+            }
+        }
+        EXPECT_EQ(bad, 0u);
+    }
+}
+
+/** Run 16-item phases on a @p jobs crew until one item throws on the
+ *  coordinator (@p from_coordinator) or on a worker thread; that phase
+ *  must rethrow it once, and the next phase must run normally. */
+void
+expectRethrownOnce(unsigned jobs, bool from_coordinator)
+{
+    const std::thread::id coordinator = std::this_thread::get_id();
+    std::atomic<bool> armed{true};
+    std::atomic<std::uint32_t> ran{0};
+    WindowCrew crew(jobs, [&](std::uint32_t) {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        // Long enough that every thread gets to claim something.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        const bool on_coordinator =
+            std::this_thread::get_id() == coordinator;
+        if (on_coordinator == from_coordinator && armed.exchange(false))
+            throw std::runtime_error("item failed");
+    });
+    int caught = 0;
+    for (int attempt = 0; attempt < 100 && armed.load(); ++attempt) {
+        try {
+            crew.runPhase(16);
+        } catch (const std::runtime_error &e) {
+            ++caught;
+            EXPECT_STREQ(e.what(), "item failed");
+        }
+    }
+    ASSERT_FALSE(armed.load()) << "no item ran on the wanted thread";
+    EXPECT_EQ(caught, 1);
+    ran.store(0);
+    EXPECT_NO_THROW(crew.runPhase(16));
+    EXPECT_EQ(ran.load(), 16u);
+}
+
+TEST(PdesCrew, WorkerExceptionIsRethrownOnce)
+{
+    for (unsigned jobs : {2u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        expectRethrownOnce(jobs, /*from_coordinator=*/false);
+    }
+}
+
+TEST(PdesCrew, CoordinatorExceptionIsRethrownOnce)
+{
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        expectRethrownOnce(jobs, /*from_coordinator=*/true);
+    }
+}
+
+TEST(PdesCrew, ParkedWorkersWakeAndJoin)
+{
+    std::atomic<std::uint32_t> ran{0};
+    {
+        WindowCrew crew(4, [&ran](std::uint32_t) {
+            ran.fetch_add(1, std::memory_order_relaxed);
+        });
+        crew.runPhase(8);
+        // Long enough for every worker to spend its spin budget and
+        // park; the next phase must wake them (or run without them).
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        crew.runPhase(8);
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        // Destroying the crew with every worker parked must wake and
+        // join them; a hang here is the failure.
+    }
+    EXPECT_EQ(ran.load(), 16u);
+}
+
+TEST(PdesCrew, RepeatedClaimWordDoesNotStrandAParkedWorker)
+{
+    // A 16-item phase both threads claim from ends with the claim word
+    // at (16 << 32) | 18: every item plus one failed claim per thread.
+    // The worker then parks. If the coordinator runs the next phase
+    // alone before the worker wakes, that phase ends at
+    // (16 << 32) | 17, and one more claim-word increment brings back
+    // the value the worker parked on. A worker waiting on the claim
+    // word itself could sleep through the stop, and the crew's
+    // destructor would hang joining it.
+    std::atomic<bool> slow{true};
+    std::atomic<std::uint32_t> ran{0};
+    constexpr int kReps = 20;
+    for (int rep = 0; rep < kReps; ++rep) {
+        WindowCrew crew(2, [&](std::uint32_t) {
+            ran.fetch_add(1, std::memory_order_relaxed);
+            // Slow items make sure the worker claims some.
+            if (slow.load(std::memory_order_relaxed))
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+        });
+        slow.store(true);
+        crew.runPhase(16);
+        // Longer than the spin budget: the worker parks.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        slow.store(false);
+        crew.runPhase(16);
+    }
+    EXPECT_EQ(ran.load(), 2u * 16u * kReps);
+}
+
 // --- determinism gate: jobs is invisible ----------------------------
 
 RunResult
 runPdes(const std::string &app, std::uint32_t procs,
         std::uint32_t domains, std::uint32_t jobs,
         const std::string &chaos_preset = "", std::uint64_t seed = 42,
-        PdesConfig::Sync sync = PdesConfig::Sync::Adaptive,
         Tick max_ticks = 2'000'000'000ull)
 {
     SystemConfig cfg;
@@ -253,7 +392,6 @@ runPdes(const std::string &app, std::uint32_t procs,
     cfg.check.invariants = true;
     cfg.pdes.domains = domains;
     cfg.pdes.jobs = jobs;
-    cfg.pdes.sync = sync;
     if (!chaos_preset.empty()) {
         cfg.network.model = NetworkConfig::Model::Chaos;
         cfg.network.chaos = chaosPreset(chaos_preset);
@@ -267,14 +405,9 @@ runPdes(const std::string &app, std::uint32_t procs,
 }
 
 /** Full-RunResult equality, excluding only pdes.jobs (the one field
- *  that records the thread count rather than the simulation). With
- *  @p cross_sync the same comparison runs between a fixed-cadence and
- *  an adaptive run: only the barrier-cadence bookkeeping (windows,
- *  empty-broadcast count) may differ - a deferred barrier that had
- *  nothing to publish must be invisible to the simulation. */
+ *  that records the thread count rather than the simulation). */
 void
-expectSameResult(const RunResult &a, const RunResult &b,
-                 bool cross_sync = false)
+expectSameResult(const RunResult &a, const RunResult &b)
 {
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.completed, b.completed);
@@ -320,12 +453,9 @@ expectSameResult(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.pdes.phases, b.pdes.phases);
     EXPECT_EQ(a.pdes.mailboxMessages, b.pdes.mailboxMessages);
     EXPECT_EQ(a.pdes.idleDomainSkips, b.pdes.idleDomainSkips);
-    if (!cross_sync) {
-        EXPECT_EQ(a.pdes.adaptive, b.pdes.adaptive);
-        EXPECT_EQ(a.pdes.windows, b.pdes.windows);
-        EXPECT_EQ(a.pdes.emptyBroadcastsSkipped,
-                  b.pdes.emptyBroadcastsSkipped);
-    }
+    EXPECT_EQ(a.pdes.sharedPhases, b.pdes.sharedPhases);
+    EXPECT_EQ(a.pdes.windows, b.pdes.windows);
+    EXPECT_EQ(a.pdes.emptyBroadcastsSkipped, b.pdes.emptyBroadcastsSkipped);
 }
 
 TEST(PdesDeterminism, JobsCountIsInvisible)
@@ -343,6 +473,40 @@ TEST(PdesDeterminism, JobsCountIsInvisible)
         expectSameResult(serial_crew, threaded);
         EXPECT_EQ(threaded.pdes.jobs, std::min(jobs, 4u))
             << "jobs clamps to the domain count";
+    }
+}
+
+TEST(PdesDeterminism, SharedPhasesAreJobsInvisible)
+{
+    // The 16-proc runs above are all small sub-phases, which run on
+    // the coordinator alone; at 512 procs some sub-phases are big
+    // enough to go to the crew's threads, and they too must leave no
+    // trace of the thread count.
+    auto run = [](std::uint32_t jobs) {
+        SystemConfig cfg;
+        cfg.numProcs = 512;
+        cfg.homePolicy = HomePolicy::Interleave;
+        cfg.check.serial = true;
+        cfg.check.invariants = true;
+        cfg.pdes.domains = 8;
+        cfg.pdes.jobs = jobs;
+        System sys(cfg);
+        WorkloadParams wl;
+        wl.set("phases", "1");
+        const WorkloadBundle bundle =
+            makeWorkload("barnes", wl, 42, cfg.numProcs);
+        bundle.attach(sys);
+        return sys.run();
+    };
+    const RunResult one = run(1);
+    ASSERT_TRUE(one.completed);
+    ASSERT_TRUE(one.checksPassed())
+        << one.serial.error << one.invariants.error;
+    EXPECT_GT(one.pdes.sharedPhases, 0u);
+    EXPECT_LT(one.pdes.sharedPhases, one.pdes.phases);
+    for (std::uint32_t jobs : {2u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        expectSameResult(one, run(jobs));
     }
 }
 
@@ -510,44 +674,11 @@ TEST(PdesAdaptive, WindowBoundHelpersClampAndStayMonotone)
     }
 }
 
-TEST(PdesAdaptive, MatchesFixedSyncAcrossJobsAndChaos)
-{
-    // The tentpole identity gate: for every (workload, chaos, jobs)
-    // cell the adaptive run must reproduce the fixed-cadence run bit
-    // for bit - fingerprints, commit counts, checker verdicts, phase
-    // and mailbox counts - while closing far fewer windows.
-    for (const char *preset : {"", "jitter", "heavy"}) {
-        for (std::uint32_t jobs : {1u, 2u, 4u}) {
-            SCOPED_TRACE(std::string("preset=") +
-                         (*preset ? preset : "off") +
-                         " jobs=" + std::to_string(jobs));
-            const RunResult fixed =
-                runPdes("barnes", 16, 4, jobs, preset, 42,
-                        PdesConfig::Sync::Fixed);
-            const RunResult adaptive =
-                runPdes("barnes", 16, 4, jobs, preset, 42,
-                        PdesConfig::Sync::Adaptive);
-            ASSERT_TRUE(fixed.completed);
-            ASSERT_TRUE(fixed.checksPassed())
-                << fixed.serial.error << fixed.invariants.error;
-            expectSameResult(fixed, adaptive, /*cross_sync=*/true);
-            EXPECT_FALSE(fixed.pdes.adaptive);
-            EXPECT_TRUE(adaptive.pdes.adaptive);
-            EXPECT_EQ(fixed.pdes.windows, fixed.pdes.phases)
-                << "fixed sync closes a window every sub-phase";
-            EXPECT_LT(adaptive.pdes.windows * 5, fixed.pdes.windows)
-                << "adaptive must cross sparse stretches in wide "
-                   "windows";
-        }
-    }
-}
-
 TEST(PdesAdaptive, SpotCheckLargerGridsTruncatedMidWindow)
 {
-    // Larger partitions, capped at a tick limit that lands mid-window
-    // for both cadences: the truncated prefix must still be identical
-    // across sync modes and jobs counts (the max_ticks clamp cuts the
-    // same sub-phase short either way).
+    // Larger partitions, capped at a tick limit that lands mid-window:
+    // the truncated prefix must still be identical across jobs counts
+    // (the max_ticks clamp cuts the same sub-phase short either way).
     struct Cell {
         const char *app;
         std::uint32_t procs;
@@ -558,19 +689,13 @@ TEST(PdesAdaptive, SpotCheckLargerGridsTruncatedMidWindow)
                           Cell{"swim", 256, 16, 60'007}}) {
         SCOPED_TRACE(std::string(c.app) + " procs=" +
                      std::to_string(c.procs));
-        const RunResult fixed =
-            runPdes(c.app, c.procs, c.domains, 2, "", 42,
-                    PdesConfig::Sync::Fixed, c.cap);
-        const RunResult adaptive =
-            runPdes(c.app, c.procs, c.domains, 2, "", 42,
-                    PdesConfig::Sync::Adaptive, c.cap);
-        EXPECT_FALSE(fixed.completed)
-            << "cap chosen to truncate the run";
-        expectSameResult(fixed, adaptive, /*cross_sync=*/true);
-        const RunResult adaptive4 =
-            runPdes(c.app, c.procs, c.domains, 4, "", 42,
-                    PdesConfig::Sync::Adaptive, c.cap);
-        expectSameResult(adaptive, adaptive4);
+        const RunResult one =
+            runPdes(c.app, c.procs, c.domains, 1, "", 42, c.cap);
+        EXPECT_FALSE(one.completed) << "cap chosen to truncate the run";
+        EXPECT_EQ(one.cycles, c.cap);
+        const RunResult four =
+            runPdes(c.app, c.procs, c.domains, 4, "", 42, c.cap);
+        expectSameResult(one, four);
     }
 }
 
@@ -578,7 +703,6 @@ TEST(PdesAdaptive, WindowWidthDistributionIsSound)
 {
     const RunResult res = runPdes("barnes", 16, 4, 2);
     ASSERT_TRUE(res.completed);
-    EXPECT_TRUE(res.pdes.adaptive) << "adaptive is the default";
     EXPECT_EQ(res.pdes.windowWidth.count(), res.pdes.windows);
     EXPECT_GE(res.pdes.windows, 1u);
     EXPECT_LE(res.pdes.windows, res.pdes.phases);
@@ -600,7 +724,7 @@ TEST(PdesAdaptive, IdleDomainsAreNeverDispatched)
     // events, and the idle fast path must skip them in those
     // sub-phases without touching their queues, invisibly to the
     // result.
-    auto build = [](PdesConfig::Sync sync, std::uint32_t jobs,
+    auto build = [](std::uint32_t jobs,
                     std::vector<ScriptedSource> &srcs) {
         SystemConfig cfg;
         cfg.numProcs = 16;
@@ -609,7 +733,6 @@ TEST(PdesAdaptive, IdleDomainsAreNeverDispatched)
         cfg.check.invariants = true;
         cfg.pdes.domains = 4;
         cfg.pdes.jobs = jobs;
-        cfg.pdes.sync = sync;
         auto sys = std::make_unique<System>(cfg);
         srcs.clear();
         srcs.resize(16);
@@ -631,12 +754,15 @@ TEST(PdesAdaptive, IdleDomainsAreNeverDispatched)
     };
 
     std::vector<ScriptedSource> srcs;
-    auto sys = build(PdesConfig::Sync::Adaptive, 1, srcs);
-    const RunResult adaptive = sys->run(2'000'000'000ull);
-    ASSERT_TRUE(adaptive.completed);
-    ASSERT_TRUE(adaptive.checksPassed())
-        << adaptive.serial.error << adaptive.invariants.error;
-    EXPECT_GT(adaptive.pdes.idleDomainSkips, 0u);
+    auto sys = build(1, srcs);
+    const RunResult one = sys->run(2'000'000'000ull);
+    ASSERT_TRUE(one.completed);
+    ASSERT_TRUE(one.checksPassed())
+        << one.serial.error << one.invariants.error;
+    // Skips count the domains left off each sub-phase's dispatch list:
+    // some, but not all of them.
+    EXPECT_GT(one.pdes.idleDomainSkips, 0u);
+    EXPECT_LT(one.pdes.idleDomainSkips, 4 * one.pdes.phases);
 
     // The engine state is kept alive by the System: domains 1-3 ran
     // their short prologue plus the per-commit skip deliveries, a
@@ -655,21 +781,17 @@ TEST(PdesAdaptive, IdleDomainsAreNeverDispatched)
         EXPECT_FALSE(st->domains[d]->net->hasParcels());
     }
 
-    // Invisible: same run under fixed sync and under more workers.
-    std::vector<ScriptedSource> srcsF;
-    auto sysF = build(PdesConfig::Sync::Fixed, 1, srcsF);
-    const RunResult fixed = sysF->run(2'000'000'000ull);
-    expectSameResult(fixed, adaptive, /*cross_sync=*/true);
+    // Invisible: the same run under more threads.
     std::vector<ScriptedSource> srcs4;
-    auto sys4 = build(PdesConfig::Sync::Adaptive, 4, srcs4);
-    const RunResult adaptive4 = sys4->run(2'000'000'000ull);
-    expectSameResult(adaptive, adaptive4);
+    auto sys4 = build(4, srcs4);
+    const RunResult four = sys4->run(2'000'000'000ull);
+    expectSameResult(one, four);
 }
 
 // --- golden runs: absolute outcomes ---------------------------------
 //
-// Everything above compares PDES with itself (jobs=1 vs jobs=N, fixed
-// vs adaptive). These pin absolute values, so a refactor of the
+// Everything above compares PDES with itself (jobs=1 vs jobs=N).
+// These pin absolute values, so a refactor of the
 // engine that shifts every run the same way still fails. The values
 // are captured from a known-good build and are never edited to follow
 // a code change: a mismatch means simulated behaviour moved.
