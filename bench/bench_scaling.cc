@@ -12,7 +12,7 @@
  * DESIGN.md section 12) relays copies through the first destinations,
  * cutting the critical path to O(k log_k N).
  *
- * Four gates, all hard failures:
+ * Five gates, all hard failures:
  *  - every point must complete, quiesce, and pass the online
  *    protocol-invariant checker;
  *  - every point's latency statistics cover all of its commits;
@@ -21,19 +21,24 @@
  *    fingerprint as the flat run (timing changes, outcomes do not);
  *  - at the largest processor count, the tree's per-commit
  *    NIC-serialized multicast cost must be at most 1/4 of flat's
- *    (in practice it is ~1/40 at 1024 nodes).
+ *    (in practice it is ~1/40 at 1024 nodes);
+ *  - at the largest processor count, the run's arena high-water mark
+ *    must stay at most 1 MiB per node (host memory follows the state
+ *    a run touches; one Table-2 L2 alone is 1 MiB of line records).
  *
  * Per point the JSON records commit-latency percentiles and the
  * per-commit directories-touched / multicast-cost distributions (all
  * merged from the processors' per-commit statistics, so every commit
  * counts: commit_latency_n == commits is gated), merged directory
- * commit-occupancy, and the network's multicast counters.
+ * commit-occupancy, the network's multicast counters, and the
+ * System arena's high-water mark (arena_peak_bytes).
  *
  * Usage: bench_scaling [--smoke] [--out PATH]
  *   --smoke   procs {16, 64} x {flat, tree-k4}, tiny workload
  *   --out     JSON output path (default BENCH_scaling.json)
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -68,7 +73,12 @@ struct Point {
     Distribution occ;
     std::uint64_t netMulticasts = 0;
     std::uint64_t netMulticastNic = 0;
+    /** High-water mark of the System's arena over the run. */
+    std::size_t arenaPeakBytes = 0;
 };
+
+/** Arena bytes per node the largest point may hold. */
+constexpr double kMaxArenaBytesPerNode = 1 << 20;
 
 Point
 runPoint(std::uint32_t procs, const Topo &topo, bool smoke)
@@ -110,6 +120,7 @@ runPoint(std::uint32_t procs, const Topo &topo, bool smoke)
     const auto &ns = sys.network().stats();
     pt.netMulticasts = ns.multicasts;
     pt.netMulticastNic = ns.multicastNicEvents;
+    pt.arenaPeakBytes = sys.arenaStats().peakBytes;
     return pt;
 }
 
@@ -167,12 +178,14 @@ main(int argc, char **argv)
             std::printf(
                 "procs=%-5u %-8s : %8.3f sec  %9llu cycles  "
                 "commits=%-5llu  lat p50/p99 %7.0f/%7.0f  "
-                "nic/commit p50 %6.0f  dirs/commit p50 %4.0f\n",
+                "nic/commit p50 %6.0f  dirs/commit p50 %4.0f  "
+                "arena %7.1f MiB\n",
                 procs, topo.name, pt.out.wallSec,
                 (unsigned long long)res.cycles,
                 (unsigned long long)res.committedTxns,
                 pt.lat.percentile(50), pt.lat.percentile(99),
-                pt.nic.percentile(50), pt.dirs.percentile(50));
+                pt.nic.percentile(50), pt.dirs.percentile(50),
+                pt.arenaPeakBytes / double(1 << 20));
             if (points.size() - 1 == flat)
                 continue;
             // Gate: the tree reshapes timing, never protocol outcomes.
@@ -196,10 +209,12 @@ main(int argc, char **argv)
     // analytic ratio N / (k log_k N) is ~40x at 1024, k=4). The smoke
     // grid stops at 64 nodes where the analytic margin is thin, so the
     // gate arms on the full sweep only.
-    double flatNicP50 = 0, treeNicP50 = 0;
+    double flatNicP50 = 0, treeNicP50 = 0, arenaPerNode = 0;
     for (const Point &pt : points) {
         if (pt.procs != procsList.back())
             continue;
+        arenaPerNode = std::max(arenaPerNode,
+                                double(pt.arenaPeakBytes) / pt.procs);
         if (std::strcmp(pt.topo, "flat") == 0)
             flatNicP50 = pt.nic.percentile(50);
         else if (std::strcmp(pt.topo, "tree-k4") == 0)
@@ -217,6 +232,15 @@ main(int argc, char **argv)
                 sublinear ? "OK"
                 : smoke   ? "not armed (smoke grid stops at 64)"
                           : "FAIL");
+    // Memory gate: per-node host state follows what the run touches
+    // (L2 sets on first fill, directory entries on first message), so
+    // the largest point stays far below one L2's 1 MiB per node.
+    std::printf("arena per node     : %.0f KiB at %u procs (max %.0f)\n",
+                arenaPerNode / 1024, procsList.back(),
+                kMaxArenaBytesPerNode / 1024);
+    report.check("arena_per_node", arenaPerNode <= kMaxArenaBytesPerNode,
+                 "%.0f arena bytes per node at %u procs exceeds %.0f",
+                 arenaPerNode, procsList.back(), kMaxArenaBytesPerNode);
     if (!smoke)
         report.check("nic_sublinear", sublinear,
                      "tree-k4 nic/commit p50 %.0f is not 4x below "
@@ -228,6 +252,7 @@ main(int argc, char **argv)
     r.flag("nic_sublinear", sublinear);
     r.real("flat_nic_p50_largest", flatNicP50);
     r.real("tree_k4_nic_p50_largest", treeNicP50);
+    r.real("arena_bytes_per_node_largest", arenaPerNode);
     r.num("points_total", points.size());
     StatsNode &list = r.list("points");
     for (const Point &pt : points) {
@@ -254,6 +279,7 @@ main(int argc, char **argv)
         it.real("dir_occupancy_p99", pt.occ.percentile(99));
         it.num("net_multicasts", pt.netMulticasts);
         it.num("net_multicast_nic_events", pt.netMulticastNic);
+        it.num("arena_peak_bytes", pt.arenaPeakBytes);
     }
     StatsNode &cfg = report.config();
     cfg.name("app", "barnes");

@@ -1,5 +1,8 @@
 #include "cache/spec_cache.hh"
 
+#include <new>
+#include <type_traits>
+
 namespace tcc {
 
 namespace {
@@ -10,12 +13,20 @@ isPow2(std::uint32_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/** First chunk of a cache's private arena: room for a Table-2
+ *  hierarchy's L1 tags and L2 set table plus a few dozen L2 sets. */
+constexpr std::size_t kOwnArenaFirstChunk = std::size_t{64} << 10;
+
 } // namespace
 
-SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena)
-    : config(cfg), lines(ArenaAllocator<Line>(arena)),
+SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena_)
+    : config(cfg),
+      ownArena(arena_ ? nullptr
+                      : std::make_unique<Arena>(kOwnArenaFirstChunk)),
+      arena(arena_ ? arena_ : ownArena.get()),
+      l2Ways(ArenaAllocator<Line *>(arena)),
       l1Tags(ArenaAllocator<L1Tag>(arena)),
-      specSlots(ArenaAllocator<std::uint32_t>(arena))
+      specSlots(ArenaAllocator<Line *>(arena))
 {
     if (!isPow2(cfg.lineBytes) || cfg.lineBytes < 4)
         fatal("line size must be a power of two >= 4");
@@ -29,7 +40,7 @@ SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena)
     l2Sets = l2_lines / cfg.l2Assoc;
     if (!isPow2(l2Sets))
         fatal("L2 set count must be a power of two");
-    lines.assign(static_cast<std::size_t>(l2Sets) * cfg.l2Assoc, Line{});
+    l2Ways.assign(l2Sets, nullptr);
 
     const std::uint32_t l1_lines = cfg.l1Bytes / cfg.lineBytes;
     if (l1_lines % cfg.l1Assoc != 0)
@@ -59,10 +70,27 @@ SpecCache::setOf(Addr lineAddr) const
 }
 
 SpecCache::Line *
+SpecCache::allocSet(std::uint32_t set)
+{
+    Line *&ways = l2Ways[set];
+    if (!ways) {
+        // Line is trivially destructible, so the arena reclaims the
+        // block wholesale without a destructor pass.
+        static_assert(std::is_trivially_destructible_v<Line>);
+        ways = static_cast<Line *>(arena->allocate(
+            config.l2Assoc * sizeof(Line), Arena::kAlign));
+        for (std::uint32_t w = 0; w < config.l2Assoc; ++w)
+            ::new (ways + w) Line{};
+    }
+    return ways;
+}
+
+SpecCache::Line *
 SpecCache::find(Addr lineAddr)
 {
-    const std::uint32_t set = setOf(lineAddr);
-    Line *base = &lines[static_cast<std::size_t>(set) * config.l2Assoc];
+    Line *base = l2Ways[setOf(lineAddr)];
+    if (!base)
+        return nullptr; // no fill has landed in this set yet
     for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
         if (base[w].allocated && base[w].tag == lineAddr)
             return &base[w];
@@ -125,11 +153,11 @@ SpecCache::dropL1(Addr lineAddr)
 }
 
 void
-SpecCache::noteSpec(Line &line, std::uint32_t set, std::uint32_t way)
+SpecCache::noteSpec(Line &line)
 {
     if (!line.inSpecList) {
         line.inSpecList = true;
-        specSlots.push_back(set * config.l2Assoc + way);
+        specSlots.push_back(&line);
     }
 }
 
@@ -156,11 +184,7 @@ SpecCache::load(Addr addr)
             line->sr |= (m & ~line->sm);
         else
             line->sr |= m;
-        const std::uint32_t set = setOf(la);
-        noteSpec(*line, set,
-                 static_cast<std::uint32_t>(
-                     line - &lines[static_cast<std::size_t>(set) *
-                                   config.l2Assoc]));
+        noteSpec(*line);
     }
     line->lru = ++lruClock;
 
@@ -200,11 +224,7 @@ SpecCache::store(Addr addr)
     line->sm |= m;
     line->valid |= m;
     line->lru = ++lruClock;
-    const std::uint32_t set = setOf(la);
-    noteSpec(*line, set,
-             static_cast<std::uint32_t>(
-                 line - &lines[static_cast<std::size_t>(set) *
-                               config.l2Assoc]));
+    noteSpec(*line);
 
     if (l1Hit(la)) {
         ++cacheStats.l1Hits;
@@ -234,8 +254,7 @@ SpecCache::fill(Addr addr)
         return out;
     }
 
-    const std::uint32_t set = setOf(la);
-    Line *base = &lines[static_cast<std::size_t>(set) * config.l2Assoc];
+    Line *base = allocSet(setOf(la));
     Line *victim = nullptr;
     for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
         Line &cand = base[w];
@@ -280,8 +299,8 @@ std::vector<SpecCache::WriteSetLine>
 SpecCache::writeSet() const
 {
     std::vector<WriteSetLine> ws;
-    for (std::uint32_t slot : specSlots) {
-        const Line &line = lines[slot];
+    for (const Line *slot : specSlots) {
+        const Line &line = *slot;
         if (line.allocated && line.sm != 0)
             ws.push_back(WriteSetLine{line.tag, line.sm});
     }
@@ -292,8 +311,8 @@ std::uint32_t
 SpecCache::readSetLines() const
 {
     std::uint32_t n = 0;
-    for (std::uint32_t slot : specSlots) {
-        const Line &line = lines[slot];
+    for (const Line *slot : specSlots) {
+        const Line &line = *slot;
         if (line.allocated && line.sr != 0)
             ++n;
     }
@@ -303,8 +322,8 @@ SpecCache::readSetLines() const
 void
 SpecCache::commitSpec(Tid tid, bool make_dirty)
 {
-    for (std::uint32_t slot : specSlots) {
-        Line &line = lines[slot];
+    for (Line *slot : specSlots) {
+        Line &line = *slot;
         if (!line.allocated) {
             line.inSpecList = false;
             continue;
@@ -326,8 +345,8 @@ SpecCache::commitSpec(Tid tid, bool make_dirty)
 void
 SpecCache::abortSpec()
 {
-    for (std::uint32_t slot : specSlots) {
-        Line &line = lines[slot];
+    for (Line *slot : specSlots) {
+        Line &line = *slot;
         if (!line.allocated) {
             line.inSpecList = false;
             continue;

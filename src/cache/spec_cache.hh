@@ -25,6 +25,7 @@
 #define TCC_CACHE_SPEC_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/arena.hh"
@@ -59,7 +60,8 @@ using WordMask = std::uint64_t;
 class SpecCache
 {
   public:
-    /** @param arena backs the tag/state arrays (nullptr = heap). */
+    /** @param arena backs the tag/state arrays (nullptr = a private
+     *  arena owned by this cache). */
     explicit SpecCache(const CacheConfig &cfg, Arena *arena = nullptr);
 
     /** Number of 4-byte words per line. */
@@ -255,23 +257,31 @@ class SpecCache
     };
 
     std::uint32_t setOf(Addr lineAddr) const;
+    /** First way of @p set, allocating its ways on first use. */
+    Line *allocSet(std::uint32_t set);
     Line *find(Addr lineAddr);
     const Line *find(Addr lineAddr) const;
     void touchL1(Addr lineAddr);
     bool l1Hit(Addr lineAddr) const;
     void dropL1(Addr lineAddr);
-    void noteSpec(Line &line, std::uint32_t set, std::uint32_t way);
+    void noteSpec(Line &line);
 
     CacheConfig config;
     std::uint32_t lineWords;
     std::uint32_t l2Sets;
     std::uint32_t l1Sets;
-    /// l2Sets x l2Assoc
-    std::vector<Line, ArenaAllocator<Line>> lines;
+    /// Private arena, created only when the caller supplied none.
+    std::unique_ptr<Arena> ownArena;
+    /// Every allocation below comes from here (never null).
+    Arena *arena;
+    /** First way of each L2 set; null until a fill lands in the set,
+     *  so host memory follows the sets a run touches, not the
+     *  configured capacity. Ways never move once allocated. */
+    std::vector<Line *, ArenaAllocator<Line *>> l2Ways;
     /// l1Sets x l1Assoc
     std::vector<L1Tag, ArenaAllocator<L1Tag>> l1Tags;
-    /** (set, way) slots holding speculative state, for O(txn) cleanup. */
-    std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> specSlots;
+    /** Lines holding speculative state, for O(txn) cleanup. */
+    std::vector<Line *, ArenaAllocator<Line *>> specSlots;
     std::uint64_t lruClock = 0;
     bool srTracking = true;
     Stats cacheStats;

@@ -14,14 +14,15 @@ Directory::Directory(NodeId node, std::uint32_t num_nodes,
       config(cfg), arena(arena_), skipWindow(arena_), entries(arena_),
       deferredProbes(ArenaAllocator<Message>(arena_)),
       stalledLoads(ArenaAllocator<Message>(arena_)),
+      loadScratch(ArenaAllocator<Message>(arena_)),
       mcastBuf(ArenaAllocator<NodeId>(arena_)), lruIndex(arena_),
       msgPool(arena_)
 {
-    // Size the entry map up front: with a directory cache configured
-    // its LRU bounds the hot set; otherwise start with a generous
-    // default so steady-state inserts never rehash.
-    entries.reserve(config.dirCacheEntries != 0 ? config.dirCacheEntries
-                                                : 1024);
+    // The entry map starts empty and grows with the lines this
+    // directory homes; a directory cache's LRU bounds the hot set, so
+    // that map is sized once.
+    if (config.dirCacheEntries != 0)
+        entries.reserve(config.dirCacheEntries);
 }
 
 Directory::Entry &
@@ -296,16 +297,16 @@ Directory::advance()
     traceEmit(tracer, TraceCat::Dir, TraceEventKind::DirNstidAdvance,
               nodeId, kInvalidTid, nowServing, moved);
 
-    // Release deferred probes whose condition now holds.
-    MsgVec still(deferredProbes.get_allocator());
-    still.reserve(deferredProbes.size());
-    for (const Message &p : deferredProbes) {
+    // Release deferred probes whose condition now holds, compacting
+    // the rest in place (replies go out in deferral order).
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < deferredProbes.size(); ++i) {
+        const Message &p = deferredProbes[i];
         // A write probe is normally released when its TID is served
         // (nowServing == tid). nowServing > tid happens only when the
         // prober aborted (its Abort retired the TID); reply anyway -
         // the prober ignores replies for stale attempts.
-        const bool ready = nowServing >= p.tid;
-        if (ready) {
+        if (nowServing >= p.tid) {
             Message reply;
             reply.type = MsgType::ProbeReply;
             reply.dst = p.src;
@@ -314,16 +315,18 @@ Directory::advance()
             reply.wantWrite = p.wantWrite;
             post(reply);
         } else {
-            still.push_back(p);
+            deferredProbes[kept++] = p;
         }
     }
-    deferredProbes.swap(still);
+    deferredProbes.resize(kept);
 
-    // Re-dispatch loads that were stalled on marked lines.
-    MsgVec loads(stalledLoads.get_allocator());
-    loads.swap(stalledLoads);
-    for (const Message &m : loads)
+    // Re-dispatch loads that were stalled on marked lines. handleLoad
+    // may stall a load again, so walk a swapped-out copy; both vectors
+    // keep their capacity, so steady state allocates nothing.
+    loadScratch.swap(stalledLoads);
+    for (const Message &m : loadScratch)
         handleLoad(m);
+    loadScratch.clear();
 }
 
 void

@@ -245,6 +245,9 @@ class Directory
     MsgVec deferredProbes;
     /** Loads stalled on Marked lines. */
     MsgVec stalledLoads;
+    /** advance()'s re-dispatch buffer: swapped with stalledLoads and
+     *  cleared, never freed, so NSTID advances allocate nothing. */
+    MsgVec loadScratch;
 
     /** Scratch destination list for invalidation multicasts. */
     std::vector<NodeId, ArenaAllocator<NodeId>> mcastBuf;

@@ -15,6 +15,7 @@
 #include <map>
 #include <vector>
 
+#include "common/arena.hh"
 #include "directory/directory.hh"
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
@@ -30,7 +31,7 @@ class DirectoryTest : public ::testing::Test
 
     DirectoryTest()
         : net(eq, kNodes),
-          dir(kDir, kNodes, eq, net, DirectoryConfig{})
+          dir(kDir, kNodes, eq, net, DirectoryConfig{}, &arena)
     {
         for (NodeId n = 0; n < kNodes; ++n) {
             net.connect(n, [this, n](const Message &m) {
@@ -82,6 +83,11 @@ class DirectoryTest : public ::testing::Test
         return out;
     }
 
+    /** Arena high-water mark: the directory's alone (the queue and
+     *  network stay on the heap). */
+    std::size_t peak() const { return arena.stats().peakBytes; }
+
+    Arena arena;
     EventQueue eq;
     IdealNetwork net;
     Directory dir;
@@ -370,6 +376,60 @@ TEST_F(DirectoryTest, OccupancyAndWorkingSetAreSampled)
     EXPECT_EQ(dir.stats().commitOccupancy.count(), 1u);
     EXPECT_EQ(dir.stats().workingSet.count(), 1u);
     EXPECT_GT(dir.stats().commitOccupancy.mean(), 0.0);
+}
+
+TEST_F(DirectoryTest, NstidAdvancesDoNotCopyDeferredProbes)
+{
+    // K read probes wait for TIDs beyond every advance below, then N
+    // skips each advance the NSTID by one. Every advance walks the K
+    // parked probes; none may copy them into fresh arena memory (the
+    // arena never frees, so a per-advance copy costs N * K messages).
+    constexpr Tid kProbes = 64;
+    constexpr Tid kAdvances = 256;
+    for (Tid j = 0; j < kProbes; ++j)
+        send(mk(MsgType::Probe, 1 + j % 3, kAdvances + 1 + j));
+    EXPECT_EQ(dir.stats().probesDeferred, kProbes);
+    const std::size_t parked = peak();
+
+    for (Tid t = 0; t < kAdvances; ++t)
+        send(mk(MsgType::Skip, 1, t));
+    EXPECT_EQ(dir.nstid(), kAdvances);
+    EXPECT_LT(peak() - parked, kProbes * sizeof(Message))
+        << "arena grew by " << peak() - parked << " bytes over "
+        << kAdvances << " advances";
+
+    // Every probe is answered once its TID is reached.
+    for (Tid t = kAdvances; t <= kAdvances + kProbes; ++t)
+        send(mk(MsgType::Skip, 1, t));
+    EXPECT_EQ(take(1, MsgType::ProbeReply).size() +
+                  take(2, MsgType::ProbeReply).size() +
+                  take(3, MsgType::ProbeReply).size(),
+              kProbes);
+    EXPECT_TRUE(dir.quiesced());
+}
+
+TEST_F(DirectoryTest, StalledLoadRedispatchReusesItsBuffer)
+{
+    // Each round stalls L loads behind a marked line and then aborts
+    // the marking TID, so the advance re-dispatches them. The stall
+    // buffer must be reused across rounds, not regrown in the arena.
+    constexpr int kLoads = 32;
+    constexpr Tid kRounds = 64;
+    std::size_t first = 0;
+    for (Tid t = 0; t < kRounds; ++t) {
+        send(mk(MsgType::Mark, 1, t, 0x100));
+        for (int l = 0; l < kLoads; ++l)
+            send(mk(MsgType::LoadReq, 2 + l % 2, kInvalidTid, 0x100));
+        send(mk(MsgType::Abort, 1, t));
+        if (t == 1)
+            first = peak();
+    }
+    EXPECT_EQ(dir.stats().loadsStalled, kRounds * kLoads);
+    EXPECT_EQ(dir.nstid(), kRounds);
+    EXPECT_TRUE(dir.quiesced());
+    EXPECT_LT(peak() - first, kLoads * sizeof(Message))
+        << "arena grew by " << peak() - first << " bytes over "
+        << kRounds - 2 << " rounds";
 }
 
 TEST_F(DirectoryTest, SkipForRetiredTidPanics)

@@ -288,5 +288,35 @@ TEST(SpecCache, StatsCountAccesses)
     EXPECT_EQ(c.stats().fills, 1u);
 }
 
+TEST(SpecCache, L2SetsAreAllocatedOnFirstFill)
+{
+    // Table 2: 512 KB, 8-way, 32-byte lines = 2048 sets. Host memory
+    // follows the sets a run fills, not the configured capacity.
+    const CacheConfig cfg;
+    const std::uint32_t sets = cfg.l2Bytes / cfg.lineBytes / cfg.l2Assoc;
+    Arena arena;
+    SpecCache c(cfg, &arena);
+    const std::size_t empty = arena.stats().peakBytes;
+    EXPECT_LT(empty, std::size_t{64} << 10);
+    EXPECT_FALSE(c.load(0x40).hit); // an untouched set is a miss
+    EXPECT_FALSE(c.present(0x40));
+
+    // S distinct sets, each filled with more lines than it has ways,
+    // add at most S * l2Assoc line records (64 bytes each, every set
+    // aligned to a 64-byte host line).
+    constexpr std::uint32_t kSets = 40;
+    const Addr setStride = Addr(sets) * cfg.lineBytes;
+    for (std::uint32_t s = 0; s < kSets; ++s) {
+        for (std::uint32_t w = 0; w < 2 * cfg.l2Assoc; ++w)
+            ASSERT_TRUE(c.fill(Addr(s) * cfg.lineBytes + w * setStride).ok);
+    }
+    const std::size_t grown = arena.stats().peakBytes - empty;
+    EXPECT_LE(grown, std::size_t{kSets} * (cfg.l2Assoc * 64 + 64));
+
+    // Replacement inside an allocated set still evicts LRU-first.
+    EXPECT_FALSE(c.present(0));
+    EXPECT_TRUE(c.present(Addr(2 * cfg.l2Assoc - 1) * setStride));
+}
+
 } // namespace
 } // namespace tcc

@@ -152,6 +152,20 @@ TEST(SystemSmoke, UsefulCyclesDominateUncontendedRun)
     EXPECT_EQ(bd.violation, 0u);
 }
 
+TEST(SystemSmoke, IdleThousandNodeSystemHoldsLittleArena)
+{
+    // Per-node state is allocated as a run touches it: an L2 set on
+    // its first fill, a directory entry on its first message. What a
+    // 1024-node machine holds before running anything is the L1 tags,
+    // the L2 set table and the per-processor arrays sized by node
+    // count (~93 KiB a node), far below one Table-2 L2's 1 MiB of
+    // line records.
+    System sys(smallConfig(1024));
+    const Arena::Stats as = sys.arenaStats();
+    EXPECT_LT(as.peakBytes, std::size_t{128} << 20)
+        << as.peakBytes / 1024 << " KiB";
+}
+
 TEST(SystemSmoke, IdealNetworkAlsoWorks)
 {
     auto cfg = smallConfig(4);
