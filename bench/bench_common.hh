@@ -84,8 +84,7 @@ runOutcome(System &sys)
 
 /**
  * The first field in which @p a and @p b differ, or null when the two
- * runs are bit-identical. pdes.jobs never counts: it records the
- * thread count itself.
+ * runs are bit-identical.
  */
 inline const char *
 outcomeDiff(const Outcome &a, const Outcome &b)
@@ -112,7 +111,6 @@ outcomeDiff(const Outcome &a, const Outcome &b)
     TCC_CMP(res.pdes.phases);
     TCC_CMP(res.pdes.mailboxMessages);
     TCC_CMP(res.pdes.idleDomainSkips);
-    TCC_CMP(res.pdes.sharedPhases);
     TCC_CMP(res.pdes.windows);
     TCC_CMP(res.pdes.emptyBroadcastsSkipped);
     TCC_CMP(res.procs.size());

@@ -100,7 +100,7 @@ main(int argc, char **argv)
     // the ledger's view of each transaction's lifecycle.
     std::printf("trace: %llu events captured\n",
                 (unsigned long long)sys.traceRecorder().captured());
-    for (const auto &e : buildTxLedger(sys.traceRecorder())) {
+    for (const auto &e : buildTxLedger(sys.traceRecorder()).entries) {
         std::printf("  tx %llu @ proc %u: exec=%llu commit=%llu "
                     "retries=%u",
                     (unsigned long long)e.tid, e.node,

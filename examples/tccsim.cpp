@@ -26,12 +26,8 @@
  *     --jitter N        random reorder jitter (unordered network)
  *     --aging N         violations before TID aging (0 = off)
  *     --domains D       PDES: partition the run into D domains (>= 2
- *                       engages the parallel engine; needs
- *                       --interleave). Part of the model: results
- *                       depend on D, never on --jobs.
- *     --jobs N          PDES: worker threads driving the domains
- *                       (default: one per domain; any N gives
- *                       bit-identical results)
+ *                       engages the PDES engine; needs --interleave).
+ *                       Part of the model: results depend on D.
  *     --seed N          workload + chaos seed (default 1)
  *     --check LIST      comma list of checkers: serial, invariants
  *                       (bare --check arms the serial checker)
@@ -86,7 +82,7 @@ usage(const char *argv0)
                  "[--chaos PRESET] [--multicast flat|tree:kN] "
                  "[--hop N] [--line-gran] "
                  "[--interleave] [--jitter N] [--aging N] "
-                 "[--domains D] [--jobs N] [--seed N] "
+                 "[--domains D] [--seed N] "
                  "[--check serial,invariants] [--trace] "
                  "[--trace-out FILE] [--stats FILE] "
                  "[--stats-json FILE] [--metrics-epoch N] "
@@ -226,9 +222,6 @@ main(int argc, char **argv)
             cfg.cache.granularity = Granularity::Line;
         } else if (arg == "--interleave") {
             cfg.homePolicy = HomePolicy::Interleave;
-        } else if (arg == "--ideal-net") {
-            // Legacy spelling of --network=ideal.
-            cfg.network.model = NetworkConfig::Model::Ideal;
         } else if (arg == "--jitter") {
             cfg.network.mesh.reorderJitter =
                 static_cast<Tick>(std::atoi(next().c_str()));
@@ -237,9 +230,6 @@ main(int argc, char **argv)
                 static_cast<std::uint32_t>(std::atoi(next().c_str()));
         } else if (arg == "--domains") {
             cfg.pdes.domains =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (arg == "--jobs") {
-            cfg.pdes.jobs =
                 static_cast<std::uint32_t>(std::atoi(next().c_str()));
         } else if (arg == "--seed") {
             seed = static_cast<std::uint64_t>(
@@ -358,14 +348,13 @@ main(int argc, char **argv)
                 (unsigned long long)res.cycles,
                 (unsigned long long)res.events);
     if (res.pdes.domains != 0) {
-        std::printf("pdes: %u domains x %u jobs, "
-                    "lookahead %llu, %llu windows / %llu phases "
-                    "(%llu shared), %llu mailbox messages\n",
-                    res.pdes.domains, res.pdes.jobs,
+        std::printf("pdes: %u domains, "
+                    "lookahead %llu, %llu windows / %llu phases, "
+                    "%llu mailbox messages\n",
+                    res.pdes.domains,
                     (unsigned long long)res.pdes.lookahead,
                     (unsigned long long)res.pdes.windows,
                     (unsigned long long)res.pdes.phases,
-                    (unsigned long long)res.pdes.sharedPhases,
                     (unsigned long long)res.pdes.mailboxMessages);
         std::printf("pdes: window width mean %.1f p50 %.0f p99 %.0f, "
                     "%llu idle-domain skips, "

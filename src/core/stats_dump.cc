@@ -84,13 +84,11 @@ void
 addPdes(StatsNode &g, const RunResult::PdesRunStats &ps)
 {
     g.num("domains", ps.domains);
-    g.num("jobs", ps.jobs);
     g.num("lookahead", ps.lookahead);
     g.num("windows", ps.windows);
     g.num("phases", ps.phases);
     g.num("mailbox_messages", ps.mailboxMessages);
     g.num("idle_domain_skips", ps.idleDomainSkips);
-    g.num("shared_phases", ps.sharedPhases);
     g.num("empty_broadcasts_skipped", ps.emptyBroadcastsSkipped);
     g.dist("window_width", ps.windowWidth);
 }
@@ -219,15 +217,17 @@ addLedgerEntry(StatsNode &g, const TxLedgerEntry &e)
     }
 }
 
-/** Ledger-wide fan-out distributions plus the violation-cause
- *  histogram: which addresses caused retries, not just each
- *  transaction's last cause (count descending, address ascending). */
+/** The count of commits left out of the ledger, ledger-wide fan-out
+ *  distributions, and the violation-cause histogram: which addresses
+ *  caused retries, not just each transaction's last cause (count
+ *  descending, address ascending). */
 void
-addLedgerSummary(StatsNode &g, const std::vector<TxLedgerEntry> &ledger)
+addLedgerSummary(StatsNode &g, const TxLedger &ledger)
 {
+    g.num("truncated", ledger.truncated);
     Distribution dirs, mcast;
     FlatMap<Addr, std::uint64_t> agg;
-    for (const TxLedgerEntry &e : ledger) {
+    for (const TxLedgerEntry &e : ledger.entries) {
         dirs.sample(static_cast<double>(e.directoriesTouched));
         mcast.sample(static_cast<double>(e.multicastEvents));
         for (const auto &[addr, n] : e.causes)
@@ -277,10 +277,9 @@ buildStatsTree(const System &sys)
     for (NodeId d = 0; d < sys.numProcs(); ++d)
         addDirectory(dirs.item(), d, sys.directory(d));
 
-    const std::vector<TxLedgerEntry> ledger =
-        buildTxLedger(sys.traceRecorder());
+    const TxLedger ledger = buildTxLedger(sys.traceRecorder());
     StatsNode &entries = root.list("tx_ledger");
-    for (const TxLedgerEntry &e : ledger)
+    for (const TxLedgerEntry &e : ledger.entries)
         addLedgerEntry(entries.item(), e);
     addLedgerSummary(root.group("tx_ledger_summary"), ledger);
     return root;

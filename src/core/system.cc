@@ -75,17 +75,6 @@ SystemConfig::validate() const
                    "1: the latency is the lookahead window, and a "
                    "zero-width window cannot make progress";
         }
-        if (pdes.window != 0) {
-            const PdesPlan probe = computePdesPlan(
-                numProcs, pdes.domains, /*window_override=*/0,
-                uses_mesh, network.mesh, network.idealLatency);
-            if (pdes.window > probe.lookahead) {
-                return "pdes.window exceeds the network's lookahead: "
-                       "widening the window past the minimum "
-                       "cross-domain latency would deliver messages "
-                       "late (a causality violation)";
-            }
-        }
     }
     return {};
 }
@@ -158,9 +147,6 @@ System::wireNodes()
     const std::uint32_t num = config.numProcs;
     DirectoryConfig dir_cfg = config.directory;
     dir_cfg.lineBytes = config.cache.lineBytes;
-    dir_cfg.writeThroughCommit = config.writeThroughCommit;
-    ProcessorConfig proc_cfg = config.processor;
-    proc_cfg.writeThroughCommit = config.writeThroughCommit;
     for (const Part &part : all) {
         if (config.check.invariants) {
             *part.checker = std::make_unique<InvariantChecker>(
@@ -174,9 +160,12 @@ System::wireNodes()
                 n, num, *part.eq, *part.net, dir_cfg, part.arena));
             procs.push_back(std::make_unique<TccProcessor>(
                 n, num, *part.eq, *part.net, homes, *part.store,
-                config.cache, proc_cfg, /*vendor_node=*/0, part.arena));
+                config.cache, config.processor, /*vendor_node=*/0,
+                part.arena));
             Directory &dir = *dirs.back();
             TccProcessor &proc = *procs.back();
+            dir.setWriteThroughCommit(config.writeThroughCommit);
+            proc.setWriteThroughCommit(config.writeThroughCommit);
             dir.setTraceRecorder(part.tracer);
             proc.setTraceRecorder(part.tracer);
             dir.setInvariantChecker(checker);
@@ -216,8 +205,8 @@ System::wireNodes()
             });
         }
 
-        // Observability layers: one private instance per part, touched
-        // only by the thread stepping it; PDES merges them at finalize.
+        // Observability layers: one private instance per part, fed
+        // only by that part's nodes; PDES merges them at finalize.
         if (config.trace.metricsEpoch != 0) {
             *part.metrics = std::make_unique<MetricsSampler>(
                 config.trace.metricsEpoch, config.trace.metricsCapacity,
@@ -303,8 +292,7 @@ System::buildPdes()
 {
     const NetworkConfig &nc = config.network;
     PdesPlan plan = computePdesPlan(config.numProcs,
-                                    config.pdes.domains,
-                                    config.pdes.window, nc.meshBased(),
+                                    config.pdes.domains, nc.meshBased(),
                                     nc.mesh, nc.idealLatency);
     if (plan.domains.size() < 2)
         return; // partition collapsed (tiny machine): serial engine
@@ -436,17 +424,6 @@ stepThrough(EventQueue &eq, Tick limit, MetricsSampler *metrics,
     return n;
 }
 
-/**
- * Expected events (the dispatched domains' counts from their previous
- * sub-phase) below which a sub-phase runs on the coordinator alone.
- * Sharing one moves the claim word, the pulses and the domains' state
- * between cores; on a 4-vCPU EPYC VM that cost changed by ~3 us with
- * the vCPU placement, against a typical sub-phase of 5-60 events of
- * ~150 ns each. Sharing those made run times follow the placement
- * (DESIGN.md section 11.6); 128 events is ~20 us of work.
- */
-constexpr std::uint64_t kPdesShareEvents = 128;
-
 } // namespace
 
 RunResult
@@ -552,11 +529,7 @@ System::runPdes(Tick max_ticks)
     RunResult res;
     const std::uint32_t num_domains =
         static_cast<std::uint32_t>(st.domains.size());
-    std::uint32_t jobs =
-        config.pdes.jobs == 0 ? num_domains : config.pdes.jobs;
-    jobs = std::max(1u, std::min(jobs, num_domains));
     res.pdes.domains = num_domains;
-    res.pdes.jobs = jobs;
     res.pdes.lookahead = st.plan.lookahead;
 
     // Seed every replica from the master store (initializeWord state),
@@ -565,33 +538,6 @@ System::runPdes(Tick max_ticks)
         d->store.copyFrom(store);
     for (auto &p : procs)
         p->start();
-
-    // Item i runs domain dispatch[i] of the sub-phase to the limit,
-    // then summarizes it into its pulse slot while the domain's state
-    // is still hot in that thread's cache: next event tick, the events
-    // it ran, plus flags for parked parcels, store-log writes, and
-    // barrier-phase work. Domains with no event inside the sub-phase
-    // are not on the list and never touched (the idle-domain fast
-    // path) - their pulse is kept current by the coordinator's own
-    // injections.
-    std::vector<std::uint32_t> dispatch;
-    dispatch.reserve(num_domains);
-    auto runItem = [&st, &dispatch](std::uint32_t i) {
-        const std::uint32_t di = dispatch[i];
-        PdesDomain &d = *st.domains[di];
-        const std::uint64_t ran = stepThrough(
-            d.eq, st.curLimit, d.metrics.get(), d.checker.get());
-        // Parcels injected at the barrier arrive at or after the
-        // window end (= curLimit + 1), so every epoch ending inside
-        // the window is final once the local events have run.
-        if (d.metrics)
-            d.metrics->advanceTo(pdesWindowEnd(st.curLimit, 1));
-        PdesState::DomainPulse pu = PdesState::summarize(d);
-        pu.events = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(ran, UINT32_MAX));
-        st.pulse[di] = pu;
-    };
-    WindowCrew crew(jobs, runItem);
 
     const Tick lookahead = st.plan.lookahead;
     st.initPulse();
@@ -621,23 +567,26 @@ System::runPdes(Tick max_ticks)
         }
         const Tick window_end = pdesWindowEnd(phase_start, lookahead);
         metrics_end = window_end;
-        st.curLimit = std::min(window_end - 1, max_ticks);
-        dispatch.clear();
-        std::uint64_t expected = 0;
+        const Tick limit = std::min(window_end - 1, max_ticks);
+        // Run each domain with an event inside the sub-phase to the
+        // limit, then summarize it into its pulse slot: next event
+        // tick, plus flags for parked parcels, store-log writes, and
+        // barrier-phase work. A domain with no event inside the
+        // sub-phase is never touched (the idle-domain fast path) -
+        // its pulse is kept current by the coordinator's injections.
         for (std::uint32_t i = 0; i < num_domains; ++i) {
-            if (st.pulse[i].next <= st.curLimit) {
-                dispatch.push_back(i);
-                expected += st.pulse[i].events;
+            if (st.pulse[i].next > limit) {
+                ++res.pdes.idleDomainSkips;
+                continue;
             }
-        }
-        res.pdes.idleDomainSkips += num_domains - dispatch.size();
-        const auto count = static_cast<std::uint32_t>(dispatch.size());
-        if (expected >= kPdesShareEvents) {
-            crew.runPhase(count);
-            ++res.pdes.sharedPhases;
-        } else {
-            for (std::uint32_t i = 0; i < count; ++i)
-                runItem(i);
+            PdesDomain &d = *st.domains[i];
+            stepThrough(d.eq, limit, d.metrics.get(), d.checker.get());
+            // Parcels injected at the barrier arrive at or after the
+            // window end (= limit + 1), so every epoch ending inside
+            // the window is final once the local events have run.
+            if (d.metrics)
+                d.metrics->advanceTo(pdesWindowEnd(limit, 1));
+            st.pulse[i] = PdesState::summarize(d);
         }
         ++res.pdes.phases;
 
@@ -703,7 +652,7 @@ System::runPdes(Tick max_ticks)
     // Close and merge the observability layers, in domain-id order.
     // Every domain finishes at the same tick (>= every window bound it
     // ever sampled under), so all close identical epoch counts and the
-    // merge is element-wise - independent of jobs by construction.
+    // merge is element-wise.
     if (config.trace.metricsEpoch != 0) {
         for (auto &d : st.domains)
             d->metrics->finish(metrics_end);

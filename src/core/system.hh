@@ -109,11 +109,11 @@ struct TraceConfig {
 };
 
 /**
- * Conservative parallel single-run execution (sim/domain.hh,
+ * Conservative PDES execution of a single run (sim/domain.hh,
  * DESIGN.md section 11). With domains >= 2 the run executes in the
- * barrier-synchronous PDES engine; otherwise the legacy serial engine
- * runs unchanged. Results depend on the (effective) domain count but
- * never on jobs: any jobs value produces bit-identical RunResults.
+ * barrier-synchronous PDES engine, every domain on the calling
+ * thread; otherwise the serial engine runs unchanged. Results depend
+ * on the (effective) domain count.
  */
 struct PdesConfig {
     /** Barrier cadence, of which only Adaptive exists: a window
@@ -127,13 +127,10 @@ struct PdesConfig {
     /** Requested domain count; clamped to the mesh row count (or the
      *  node count on an ideal network). 0 or 1 = serial engine. */
     std::uint32_t domains = 0;
-    /** Threads running the domains, the calling thread included;
-     *  clamped to the domain count. 0 = one thread per domain.
-     *  Purely a throughput knob. */
+    /** Ignored: the domains run on the calling thread. The field
+     *  stays for source compatibility (benchmark/tcc_benchmark.cc
+     *  sets it), like `sync`. */
     std::uint32_t jobs = 0;
-    /** Optional window-width override in [1, lookahead] cycles;
-     *  0 = use the derived lookahead. */
-    Tick window = 0;
     Sync sync = Sync::Adaptive;
 };
 
@@ -150,13 +147,13 @@ struct SystemConfig {
     /** TID vendor service latency. */
     Tick tidVendorLatency = 5;
     /** Ablation: write-through commit (data with marks) instead of the
-     *  paper's write-back commit. */
+     *  paper's write-back commit, for every processor and directory. */
     bool writeThroughCommit = false;
     /** Correctness checkers to arm for the run. */
     CheckConfig check;
     /** Protocol trace ring. */
     TraceConfig trace;
-    /** Parallel single-run execution (off by default). */
+    /** PDES domain partition of the run (off by default). */
     PdesConfig pdes;
 
     /** Sanity-check the configuration. Returns an empty string when
@@ -250,12 +247,9 @@ struct RunResult {
     /** Online invariant-checker verdict (armed via check.invariants). */
     CheckVerdict invariants;
 
-    /** PDES execution statistics (all zero for serial-engine runs).
-     *  Everything except `jobs` is part of the deterministic result;
-     *  `jobs` records the thread count actually used. */
+    /** PDES execution statistics (all zero for serial-engine runs). */
     struct PdesRunStats {
         std::uint32_t domains = 0;
-        std::uint32_t jobs = 0;
         Tick lookahead = 0;
         /** Barrier windows closed (store-log broadcast + barrier
          *  phase). */
@@ -266,11 +260,6 @@ struct RunResult {
         /** Domain-dispatches skipped because the domain had no event
          *  inside the sub-phase (its state was never touched). */
         std::uint64_t idleDomainSkips = 0;
-        /** Sub-phases big enough to share out (see kPdesShareEvents in
-         *  core/system.cc); with jobs > 1 only these ran on the crew's
-         *  threads, the rest on the coordinator alone. A function of
-         *  the model, so it does not depend on jobs either. */
-        std::uint64_t sharedPhases = 0;
         /** Window closes whose store write logs were all empty, so
          *  the replica broadcast was skipped outright. */
         std::uint64_t emptyBroadcastsSkipped = 0;

@@ -488,9 +488,8 @@ Directory::finishCommit()
         // Write-back commit: the committer keeps the only up-to-date
         // copy. Write-through (ablation): memory was updated by the
         // data-carrying marks, so there is no owner.
-        e.owned = !config.writeThroughCommit;
-        e.owner = config.writeThroughCommit ? kInvalidNode
-                                            : pending.committer;
+        e.owned = !writeThrough;
+        e.owner = writeThrough ? kInvalidNode : pending.committer;
         e.commitTid = pending.tid;
         // A new commit supersedes any stale data-forwarding state.
         e.awaitingWriteBack = false;

@@ -56,9 +56,6 @@ struct DirectoryConfig {
      * 0 models a perfectly-sized cache (no misses).
      */
     std::uint32_t dirCacheEntries = 0;
-    /** Write-through commit ablation: committed data goes straight to
-     *  memory; lines are never owned by a processor. */
-    bool writeThroughCommit = false;
 };
 
 /**
@@ -121,6 +118,12 @@ class Directory
      *  invariant failures instead of panicking, so checker-efficacy
      *  tests can assert on the diagnostic. */
     void setInvariantChecker(InvariantChecker *c) { invariants = c; }
+
+    /** Write-through commit ablation: committed data goes straight to
+     *  memory; lines are never owned by a processor. The System sets
+     *  this and the processors' flag from
+     *  SystemConfig::writeThroughCommit. */
+    void setWriteThroughCommit(bool on) { writeThrough = on; }
 
   private:
     using WordMaskT = std::uint64_t;
@@ -228,6 +231,7 @@ class Directory
     EventQueue &eventq;
     Network &network;
     DirectoryConfig config;
+    bool writeThrough = false;
     /** Run-private memory for every map/pool below (may be null). */
     Arena *arena;
 

@@ -171,8 +171,12 @@ class TraceRecorder
      *  in canonical (tick, domain) order; see sim/domain.hh). */
     void pushRaw(const TraceEvent &src);
 
+    /** Count @p n events lost before they reached this ring (a PDES
+     *  domain ring's drops, at the merge). */
+    void noteDropped(std::uint64_t n) { lost += n; }
+
     /** Total events emitted, including any lost to ring wrap. */
-    std::uint64_t captured() const { return total; }
+    std::uint64_t captured() const { return total + lost; }
 
     /** Events currently held (min(captured, capacity)). */
     std::size_t
@@ -184,11 +188,11 @@ class TraceRecorder
     /** Ring capacity in events. */
     std::size_t capacity() const { return cap; }
 
-    /** Events lost to ring wrap. */
+    /** Events lost to ring wrap, here or in a merged ring. */
     std::uint64_t
     dropped() const
     {
-        return total > cap ? total - cap : 0;
+        return (total > cap ? total - cap : 0) + lost;
     }
 
     /** The @p i-th stored event, oldest first (i in [0, size())). */
@@ -218,6 +222,7 @@ class TraceRecorder
     clear()
     {
         total = 0;
+        lost = 0;
     }
 
   private:
@@ -226,6 +231,7 @@ class TraceRecorder
     TraceEvent *buf = nullptr; ///< lazily allocated ring storage
     std::size_t cap;
     std::uint64_t total = 0;   ///< events ever pushed
+    std::uint64_t lost = 0;    ///< see noteDropped()
     bool heapStorage = false;  ///< buf came from ::operator new
 };
 

@@ -24,6 +24,8 @@ struct NodeFold {
     Tick firstMark = 0;
     std::uint64_t dirsTouched = 0;
     std::uint64_t mcastEvents = 0;
+    /** A commit of this node was seen (its later ones are whole). */
+    bool committed = false;
     /** Outstanding probe send tick per target directory. */
     FlatMap<NodeId, Tick> probeSent;
     /** Violation causes across all attempts: address -> count.
@@ -64,10 +66,11 @@ struct NodeFold {
 
 } // namespace
 
-std::vector<TxLedgerEntry>
+TxLedger
 buildTxLedger(const TraceRecorder &rec)
 {
-    std::vector<TxLedgerEntry> out;
+    TxLedger out;
+    const bool lossy = rec.dropped() != 0;
     // Node-indexed fold state; nodes appear as they emit.
     std::vector<NodeFold> folds;
     auto fold = [&folds](NodeId n) -> NodeFold & {
@@ -130,6 +133,13 @@ buildTxLedger(const TraceRecorder &rec)
             f.resetAttempt();
             break;
           case TraceEventKind::TxCommit: {
+            const bool whole = !lossy || f.committed;
+            f.committed = true;
+            if (!whole) {
+                ++out.truncated;
+                f.resetTxn();
+                break;
+            }
             TxLedgerEntry entry;
             entry.tid = e.tid;
             entry.node = e.node;
@@ -154,7 +164,7 @@ buildTxLedger(const TraceRecorder &rec)
                 entry.causes.emplace_back(kv.first, kv.second);
             // FlatMap iterates in slot order; sort for determinism.
             std::sort(entry.causes.begin(), entry.causes.end());
-            out.push_back(entry);
+            out.entries.push_back(entry);
             f.resetTxn();
             break;
           }

@@ -11,7 +11,8 @@
  * breakdown and Table 3 latencies: instead of aggregate counters it
  * answers "why did *this* transaction take that long". Entries are
  * produced in commit order, which is deterministic, so ledgers are
- * golden-testable.
+ * golden-testable. Every entry is complete: a commit whose history
+ * may have fallen off the ring is counted, not reported.
  *
  * Building a ledger requires the Proc and Commit trace categories to
  * have been enabled during the run (tccsim --trace-out enables all).
@@ -109,12 +110,21 @@ struct TxLedgerEntry {
     }
 };
 
-/**
- * Fold the recorder's stored events into per-TID records, in commit
- * order. Tolerant of ring wrap: transactions whose begin fell off the
- * ring get beginTick == commitStartTick (exec cycles read as 0).
- */
-std::vector<TxLedgerEntry> buildTxLedger(const TraceRecorder &rec);
+/** The committed transactions a trace ring fully describes. */
+struct TxLedger {
+    /** One record per fully recorded committed TID, in commit
+     *  order. */
+    std::vector<TxLedgerEntry> entries;
+    /** Commits left out because the ring dropped events. A node's
+     *  retained events are a suffix of its own stream, so only its
+     *  first retained commit can be missing its begin or earlier
+     *  attempts; once anything was dropped, that commit is omitted
+     *  for every node. 0 when the ring holds the whole run. */
+    std::uint64_t truncated = 0;
+};
+
+/** Fold the recorder's stored events into per-TID records. */
+TxLedger buildTxLedger(const TraceRecorder &rec);
 
 } // namespace tcc
 

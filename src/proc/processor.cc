@@ -40,7 +40,7 @@ TccProcessor::post(Message msg)
     msg.src = nodeId;
     msg.bytes = msgBytes(msg.type, specCache.cfg().lineBytes);
     // Write-through commit ships the line data with each mark.
-    if (msg.type == MsgType::Mark && config.writeThroughCommit)
+    if (msg.type == MsgType::Mark && writeThrough)
         msg.bytes += specCache.cfg().lineBytes;
     network.send(std::move(msg));
 }
@@ -50,7 +50,7 @@ TccProcessor::postMulticast(Message msg, std::span<const NodeId> dsts)
 {
     msg.src = nodeId;
     msg.bytes = msgBytes(msg.type, specCache.cfg().lineBytes);
-    if (msg.type == MsgType::Mark && config.writeThroughCommit)
+    if (msg.type == MsgType::Mark && writeThrough)
         msg.bytes += specCache.cfg().lineBytes;
     const MulticastReceipt r = network.multicast(msg, dsts);
     attemptMcastNic += r.nicSerialized;
@@ -660,7 +660,7 @@ TccProcessor::completeCommit()
     }
 
     recordCommitStats(wDirs.size(), wDirs.size() + sOnlyDirs.size());
-    specCache.commitSpec(tid, !config.writeThroughCommit);
+    specCache.commitSpec(tid, !writeThrough);
     finishTransaction();
 }
 

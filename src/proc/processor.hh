@@ -71,14 +71,6 @@ struct ProcessorConfig {
      * reference in Section 3.1.
      */
     std::uint32_t soloOverflowThreshold = 1;
-    /**
-     * Ablation knob: write-through commit (the small-scale TCC policy)
-     * ships data with every Mark and leaves memory as the owner, vs
-     * the paper's write-back commit that moves addresses only and
-     * forwards data on true sharing. Must match the directories'
-     * setting.
-     */
-    bool writeThroughCommit = false;
 };
 
 /**
@@ -179,6 +171,13 @@ class TccProcessor
     /** Attach the online protocol-invariant checker (may be null). */
     void setInvariantChecker(InvariantChecker *c) { invariants = c; }
 
+    /** Ablation: write-through commit (the small-scale TCC policy)
+     *  ships data with every Mark and leaves memory as the owner, vs
+     *  the paper's write-back commit that moves addresses only and
+     *  forwards data on true sharing. The System sets this and the
+     *  directories' flag from SystemConfig::writeThroughCommit. */
+    void setWriteThroughCommit(bool on) { writeThrough = on; }
+
     /** Attach the conflict-attribution profiler (may be null; see
      *  obs/contention.hh). Pure observation: recording never changes
      *  protocol behavior. */
@@ -244,6 +243,7 @@ class TccProcessor
     GlobalStore &globalStore;
     SpecCache specCache;
     ProcessorConfig config;
+    bool writeThrough = false;
     NodeId vendorNode;
     TransactionSource *source = nullptr;
     BarrierFn barrier;

@@ -8,15 +8,6 @@ namespace tcc {
 
 namespace {
 
-/** Spin-wait hint: lets a sibling hyperthread run and saves power. */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-}
-
 /** Decorrelate one seeded stream per domain. */
 std::uint64_t
 domainSeed(std::uint64_t seed, std::uint32_t domain)
@@ -28,8 +19,8 @@ domainSeed(std::uint64_t seed, std::uint32_t domain)
 
 PdesPlan
 computePdesPlan(std::uint32_t num_procs, std::uint32_t requested_domains,
-                Tick window_override, bool mesh_based,
-                const MeshConfig &mesh, Tick ideal_latency)
+                bool mesh_based, const MeshConfig &mesh,
+                Tick ideal_latency)
 {
     PdesPlan plan;
     plan.meshBased = mesh_based;
@@ -63,8 +54,6 @@ computePdesPlan(std::uint32_t num_procs, std::uint32_t requested_domains,
         }
         plan.lookahead = std::max<Tick>(1, ideal_latency);
     }
-    if (window_override != 0 && window_override < plan.lookahead)
-        plan.lookahead = window_override;
     plan.nodeDomain.assign(num_procs, 0);
     for (const DomainSpec &s : plan.domains) {
         for (NodeId n = s.firstNode; n < s.firstNode + s.numNodes; ++n)
@@ -164,120 +153,6 @@ DomainNet::chaosExtra()
             extra += chaosRng.below(c.reorderWindow + 1);
     }
     return extra;
-}
-
-WindowCrew::WindowCrew(unsigned jobs,
-                       std::function<void(std::uint32_t)> item)
-    : work(std::move(item))
-{
-    try {
-        for (unsigned w = 1; w < jobs; ++w)
-            threads.emplace_back([this]() { workerLoop(); });
-    } catch (...) {
-        stopWorkers(); // join the workers already started
-        throw;
-    }
-}
-
-WindowCrew::~WindowCrew()
-{
-    stopWorkers();
-}
-
-void
-WindowCrew::ring()
-{
-    doorbell.fetch_add(1, std::memory_order_seq_cst);
-    doorbell.notify_all();
-}
-
-void
-WindowCrew::stopWorkers()
-{
-    stopping.store(true, std::memory_order_seq_cst);
-    ring();
-    for (std::thread &t : threads)
-        t.join();
-}
-
-std::uint32_t
-WindowCrew::claimAll()
-{
-    std::uint32_t ran = 0;
-    for (;;) {
-        const std::uint64_t w =
-            word.fetch_add(1, std::memory_order_acquire);
-        const auto i = static_cast<std::uint32_t>(w);
-        if (i >= static_cast<std::uint32_t>(w >> 32))
-            return ran;
-        try {
-            work(i);
-        } catch (...) {
-            if (!failed.exchange(true, std::memory_order_relaxed))
-                firstError = std::current_exception();
-        }
-        ++ran;
-    }
-}
-
-void
-WindowCrew::workerLoop()
-{
-    auto open = [](std::uint64_t w) {
-        return static_cast<std::uint32_t>(w) <
-               static_cast<std::uint32_t>(w >> 32);
-    };
-    unsigned spins = 0;
-    for (;;) {
-        if (open(word.load(std::memory_order_acquire))) {
-            const std::uint32_t ran = claimAll();
-            if (ran != 0)
-                finished.fetch_add(ran, std::memory_order_release);
-            spins = 0;
-            continue;
-        }
-        if (stopping.load(std::memory_order_acquire))
-            return;
-        if (++spins < kSpinBudget) {
-            cpuRelax();
-            continue;
-        }
-        spins = 0;
-        // Park. Every access here is seq_cst, as are runPhase()'s
-        // publish and parked load and stopWorkers()' stop flag: if
-        // the re-check below misses a new phase (or the stop), the
-        // coordinator's later parked load sees this worker and rings
-        // after `bell` was read, so wait() returns.
-        const std::uint32_t bell =
-            doorbell.load(std::memory_order_seq_cst);
-        parked.fetch_add(1, std::memory_order_seq_cst);
-        if (!open(word.load(std::memory_order_seq_cst)) &&
-            !stopping.load(std::memory_order_seq_cst))
-            doorbell.wait(bell, std::memory_order_seq_cst);
-        parked.fetch_sub(1, std::memory_order_relaxed);
-    }
-}
-
-void
-WindowCrew::runPhase(std::uint32_t count)
-{
-    finished.store(0, std::memory_order_relaxed);
-    word.store(std::uint64_t{count} << 32, std::memory_order_seq_cst);
-    if (parked.load(std::memory_order_seq_cst) != 0)
-        ring();
-    const std::uint32_t others = count - claimAll();
-    // Every item is claimed; wait only for those still running.
-    for (unsigned spins = 0;
-         finished.load(std::memory_order_acquire) != others;) {
-        if (++spins < kSpinBudget)
-            cpuRelax();
-        else
-            std::this_thread::yield();
-    }
-    if (failed.load(std::memory_order_relaxed)) {
-        failed.store(false, std::memory_order_relaxed);
-        std::rethrow_exception(std::exchange(firstError, nullptr));
-    }
 }
 
 PdesState::DomainPulse
@@ -424,6 +299,8 @@ PdesState::mergeTraces(TraceRecorder &into) const
             break;
         into.pushRaw(domains[pick]->tracer.at(idx[pick]++));
     }
+    for (const auto &d : domains)
+        into.noteDropped(d->tracer.dropped());
 }
 
 } // namespace tcc

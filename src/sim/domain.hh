@@ -1,9 +1,9 @@
 /**
  * @file
  * Conservative parallel discrete-event execution (PDES) of one System
- * run: domains, the per-domain network shim, and the window crew.
+ * run: domains, the per-domain network shim, and the window barrier.
  *
- * The simulated machine is partitioned into per-worker *domains*, each
+ * The simulated machine is partitioned into *domains*, each
  * owning a private arena, EventQueue, GlobalStore replica, trace ring,
  * and network endpoint shim for a contiguous NodeId range. All domains
  * advance in lockstep windows of width equal to the minimum
@@ -15,16 +15,14 @@
  * next window begins.
  *
  * Determinism contract: a PDES run is a pure function of
- * (SystemConfig, seeds, domain count). The worker-thread count only
- * decides which OS thread executes a domain's window - it never
- * reorders events, randomness draws, or barrier-phase merges - so
- * jobs=1 and jobs=N produce bit-identical RunResults by construction.
- * PDES is its own execution model, distinct from the serial engine
- * (which shares its node wiring, run loop and finalize, but not its
- * timing): cross-domain values and messages become visible at window
- * granularity, so fingerprints are comparable across jobs counts and
- * domain counts are part of the model, not across engines. See
- * DESIGN.md section 11.3 for the seams.
+ * (SystemConfig, seeds, domain count). Every domain runs on the
+ * calling thread, in domain-id order. PDES is its own execution
+ * model, distinct from the serial engine (which shares its node
+ * wiring, run loop and finalize, but not its timing): cross-domain
+ * values and messages become visible at window granularity, so the
+ * domain count is part of the model, and fingerprints are not
+ * comparable across engines. See DESIGN.md section 11.3 for the
+ * seams.
  *
  * Lookahead derivation (DESIGN.md section 11.2): every cross-domain
  * message crosses at least one mesh link, so its end-to-end latency is
@@ -39,13 +37,10 @@
 #define TCC_SIM_DOMAIN_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -101,17 +96,12 @@ struct PdesPlan {
  * domains only on vertical links, so the horizontal phase of every
  * route stays inside the sender's domain. The request is clamped to
  * the row count (mesh) or node count (ideal): the effective domain
- * count is a deterministic function of the topology, never of the
- * worker count.
- *
- * @p window_override, when nonzero, narrows the window below the
- * derived lookahead (it may never widen it - that would be a
- * causality violation, and SystemConfig::validate() rejects it).
+ * count is a deterministic function of the topology.
  */
 PdesPlan computePdesPlan(std::uint32_t num_procs,
                          std::uint32_t requested_domains,
-                         Tick window_override, bool mesh_based,
-                         const MeshConfig &mesh, Tick ideal_latency);
+                         bool mesh_based, const MeshConfig &mesh,
+                         Tick ideal_latency);
 
 /** End of a window starting at @p start with lookahead @p lookahead,
  *  saturating at kTickMax (the overflow clamp near the end of time).
@@ -252,7 +242,7 @@ struct PdesDomain {
      *  is restricted to this domain's node range. */
     std::unique_ptr<InvariantChecker> checker;
     /** Per-domain epoch sampler (nullptr unless metricsEpoch != 0);
-     *  sampled by this domain's worker inside its window, merged at
+     *  sampled as this domain runs its windows, merged at
      *  finalize (obs/metrics.hh). */
     std::unique_ptr<MetricsSampler> metrics;
     /** Per-domain conflict profiler (nullptr unless contentionTopK
@@ -274,111 +264,27 @@ struct PdesDomain {
 };
 
 /**
- * The threads that run one sub-phase's domains. A phase is a list of
- * items [0, count); every item runs exactly once, on whichever thread
- * claims it first. The coordinator (the thread calling runPhase())
- * publishes the phase, claims items like any worker, and then waits
- * only for items other threads are still running - never for a worker
- * that has not woken up yet. With jobs == 1 no thread is started and
- * the coordinator runs every item itself.
- *
- * Claim protocol: one atomic word holds (count << 32) | next. The
- * coordinator writes everything the items read (window limit, flushed
- * mailboxes, store replicas, the dispatch list), then publishes
- * (count << 32) | 0 with a seq_cst (so also release) store; a claim is
- * a fetch_add with acquire ordering that owns item `next` when
- * next < count. Each thread adds the items it ran to `finished` with
- * release ordering, and the coordinator's acquire load that sees every
- * item finished collects everything the items wrote. During a phase a
- * domain is touched by exactly one thread, and between phases only by
- * the coordinator.
- *
- * Idle workers spin on the word (with a pause) for kSpinBudget polls,
- * then park with std::atomic::wait on a separate 32-bit doorbell that
- * the coordinator rings (increments, then notify_all) only when a
- * worker is parked. They do not wait on the claim word itself: it can
- * come back to a value a worker parked on (the same count, the same
- * number of failed claims), and such a worker would sleep through the
- * change. Claiming, not a static domain-to-thread map, is what keeps
- * spinning safe when threads outnumber cores: a descheduled worker
- * simply claims nothing.
- */
-class WindowCrew
-{
-  public:
-    /** @param jobs threads running items (>= 1), the coordinator
-     *  included, so jobs - 1 workers are started; @param item runs as
-     *  item(i) for each item index i of a phase. */
-    WindowCrew(unsigned jobs, std::function<void(std::uint32_t)> item);
-    ~WindowCrew();
-
-    WindowCrew(const WindowCrew &) = delete;
-    WindowCrew &operator=(const WindowCrew &) = delete;
-
-    /** Run items [0, @p count); returns when every item finished.
-     *  Rethrows the first exception an item raised, if any, after the
-     *  whole phase has finished. */
-    void runPhase(std::uint32_t count);
-
-  private:
-    /** Polls an idle worker spins before it parks. */
-    static constexpr unsigned kSpinBudget = 1u << 14;
-
-    /** Claim and run items until the phase has none left unclaimed;
-     *  returns how many this thread ran. */
-    std::uint32_t claimAll();
-    void workerLoop();
-    /** Wake parked workers: a new phase or the stop flag is visible. */
-    void ring();
-    /** Wake every worker, parked or spinning, and join it. */
-    void stopWorkers();
-
-    std::function<void(std::uint32_t)> work;
-    // Each hot word on its own cache line: workers poll `word`, the
-    // coordinator polls `finished`, and the rest is rarely written.
-    /** (count << 32) | next unclaimed item. */
-    alignas(64) std::atomic<std::uint64_t> word{0};
-    /** Items finished by workers in the current phase. */
-    alignas(64) std::atomic<std::uint32_t> finished{0};
-    /** Workers parked, or about to park, on `doorbell`. */
-    alignas(64) std::atomic<std::uint32_t> parked{0};
-    /** Rung by ring(); parked workers wait for it to change. */
-    std::atomic<std::uint32_t> doorbell{0};
-    std::atomic<bool> stopping{false};
-    /** Set by the first item to throw; its exception is firstError. */
-    std::atomic<bool> failed{false};
-    std::exception_ptr firstError;
-    /** Declared last: the workers use every member above. */
-    std::vector<std::thread> threads;
-};
-
-/**
  * The per-run PDES state the System drives: the plan, the domains,
- * and the coordinator's barrier-phase operations. All methods run
- * single-threaded between windows.
+ * and the coordinator's barrier-phase operations, which run between
+ * sub-phases.
  */
 struct PdesState {
     explicit PdesState(PdesPlan p) : plan(std::move(p)) {}
 
     /**
-     * One domain's coordination summary, written by the domain's own
-     * worker at the end of each sub-phase (while the domain's state is
-     * hot in that worker's cache) and consumed by the coordinator.
-     * The coordinator steers entirely off this contiguous array: a
+     * One domain's coordination summary, written right after the
+     * domain runs each sub-phase and consumed by the barrier phase.
+     * The run loop steers entirely off this contiguous array: a
      * quiet or idle domain's queues, mailboxes, and logs are never
-     * touched between phases. Cacheline-aligned so workers on
-     * different domains never share a line.
+     * touched between phases.
      */
-    struct alignas(64) DomainPulse {
+    struct DomainPulse {
         /** eq.nextWhen() after the last phase, min-updated by the
          *  coordinator when it injects (mailbox flush, barrier
          *  release). kTickMax = domain fully drained. */
         Tick next = kTickMax;
         /** kPulse* bits describing the effects of the last phase. */
         std::uint32_t flags = 0;
-        /** Events the domain ran in its last sub-phase (saturating):
-         *  the coordinator's estimate of its next one. */
-        std::uint32_t events = 0;
     };
 
     /** Parcels were parked (outbox dirty). */
@@ -393,17 +299,14 @@ struct PdesState {
     std::vector<std::unique_ptr<PdesDomain>> domains;
     /** Per-domain coordination summaries (size domains.size()). */
     std::vector<DomainPulse> pulse;
-    /** Current window's inclusive execution limit (window end - 1,
-     *  clamped to max_ticks); set by the coordinator before each
-     *  phase, read by the workers. */
-    Tick curLimit = 0;
 
     /** @p d's pulse: its next event tick and the kPulse* flags of the
      *  effects it holds for the coordinator. */
     static DomainPulse summarize(const PdesDomain &d);
 
     /** Populate pulse from a full scan of every domain (run setup;
-     *  afterwards the workers and coordinator keep it current). */
+     *  afterwards the run loop and the coordinator keep it
+     *  current). */
     void initPulse();
 
     /** Earliest pending event according to the pulse array. */
@@ -442,7 +345,8 @@ struct PdesState {
     void applyStoreLogs();
 
     /** Merge the per-domain trace rings into @p into, ordered by
-     *  (tick, domain id); within a domain, ring order is kept. */
+     *  (tick, domain id); within a domain, ring order is kept. Events
+     *  the domain rings dropped count as dropped in @p into. */
     void mergeTraces(TraceRecorder &into) const;
 
   private:

@@ -4,8 +4,9 @@
  * boundary exactness, ring-wrap accounting, top-K eviction
  * determinism, blame-edge resolution - and the three system-level
  * gates: metrics off by default with armed runs bit-identical to off
- * runs (observability is free), PDES jobs=1 vs jobs=N merging to the
- * same series and table, and SweepRunner concurrency leaving every
+ * runs (observability is free), PDES per-domain layers merging to
+ * the same series and table on every run, and SweepRunner concurrency
+ * leaving every
  * armed simulation bit-identical to its serial twin.
  */
 
@@ -393,7 +394,7 @@ snapshot(System &sys, const RunResult &res)
 ObsSnapshot
 runApp(const std::string &app, std::uint32_t procs, Tick epoch,
        std::size_t top_k, std::uint32_t domains = 0,
-       std::uint32_t jobs = 1, std::uint64_t seed = 42)
+       std::uint64_t seed = 42)
 {
     SystemConfig cfg;
     cfg.numProcs = procs;
@@ -403,7 +404,6 @@ runApp(const std::string &app, std::uint32_t procs, Tick epoch,
     cfg.trace.metricsEpoch = epoch;
     cfg.trace.contentionTopK = top_k;
     cfg.pdes.domains = domains;
-    cfg.pdes.jobs = jobs;
     System sys(cfg);
     const WorkloadBundle bundle = makeWorkload(app, {}, seed, procs);
     bundle.attach(sys);
@@ -477,30 +477,25 @@ TEST(ObsSystem, SerialEpochSeriesSumsToTotals)
               min_nstid);
 }
 
-TEST(ObsSystem, PdesMergeIdenticalAcrossJobs)
+TEST(ObsSystem, PdesMergeIsReproducible)
 {
     // Both layers armed under PDES: the merged series and table are a
-    // pure function of the simulation, never of the thread count.
-    const ObsSnapshot j1 = runApp("barnes", 16, 400, 16, 4, 1);
-    ASSERT_TRUE(j1.completed);
-    ASSERT_TRUE(j1.checksOk);
-    ASSERT_TRUE(j1.hasMetrics);
-    ASSERT_TRUE(j1.hasContention);
-    EXPECT_GT(j1.epochsClosed, 0u);
-    for (std::uint32_t jobs : {2u, 4u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        const ObsSnapshot jn = runApp("barnes", 16, 400, 16, 4, jobs);
-        EXPECT_TRUE(j1 == jn)
-            << "jobs=" << jobs
-            << " merged observability diverged from jobs=1";
-    }
+    // pure function of the simulation.
+    const ObsSnapshot a = runApp("barnes", 16, 400, 16, 4);
+    ASSERT_TRUE(a.completed);
+    ASSERT_TRUE(a.checksOk);
+    ASSERT_TRUE(a.hasMetrics);
+    ASSERT_TRUE(a.hasContention);
+    EXPECT_GT(a.epochsClosed, 0u);
+    const ObsSnapshot b = runApp("barnes", 16, 400, 16, 4);
+    EXPECT_TRUE(a == b) << "merged observability diverged on a rerun";
 }
 
 TEST(ObsSystem, PdesArmedMatchesOffFingerprint)
 {
     // Observability is free under PDES too.
-    const ObsSnapshot off = runApp("barnes", 16, 0, 0, 4, 4);
-    const ObsSnapshot armed = runApp("barnes", 16, 400, 16, 4, 4);
+    const ObsSnapshot off = runApp("barnes", 16, 0, 0, 4);
+    const ObsSnapshot armed = runApp("barnes", 16, 400, 16, 4);
     ASSERT_TRUE(off.completed);
     EXPECT_TRUE(off.sameSimulation(armed));
 }
@@ -524,7 +519,7 @@ TEST(ObsSweep, ConcurrentArmedRunsStayIdentical)
     }
     auto one = [&](std::size_t i) {
         const Cfg &c = cfgs[i];
-        return runApp(c.app, c.procs, c.epoch, 16, 0, 1, c.seed);
+        return runApp(c.app, c.procs, c.epoch, 16, 0, c.seed);
     };
 
     SweepRunner serial(1);

@@ -219,10 +219,7 @@ runOutcome(const MulticastConfig &mc, std::uint32_t domains = 0)
     cfg.homePolicy = HomePolicy::Interleave;
     cfg.network.multicast = mc;
     cfg.check.invariants = true;
-    if (domains) {
-        cfg.pdes.domains = domains;
-        cfg.pdes.jobs = 1;
-    }
+    cfg.pdes.domains = domains;
     System sys(cfg);
     const WorkloadBundle bundle = makeWorkload(
         "barnes",

@@ -1,24 +1,17 @@
 /**
  * @file
  * Tests for the conservative PDES engine (sim/domain.hh): partitioner
- * properties, the window-barrier message-ordering contract, and the
- * determinism gate - a PDES run is a pure function of (config, seeds,
- * domain count), never of the worker-thread count. A chaos section
- * replays every fault preset across jobs counts. Built under
- * -DTCC_TSAN=ON this file is also the data-race gate for the
- * parallel path (jobs >= 2 spawns real threads).
+ * properties, the window-barrier message-ordering contract, the
+ * determinism contract - a PDES run is a pure function of (config,
+ * seeds, domain count) - and absolute golden runs. A chaos section
+ * runs every fault preset with both checkers armed.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/system.hh"
@@ -33,16 +26,16 @@ namespace {
 
 PdesPlan
 meshPlan(std::uint32_t procs, std::uint32_t domains,
-         Tick window_override = 0, MeshConfig mesh = MeshConfig{})
+         MeshConfig mesh = MeshConfig{})
 {
-    return computePdesPlan(procs, domains, window_override,
-                           /*mesh_based=*/true, mesh, /*ideal=*/1);
+    return computePdesPlan(procs, domains, /*mesh_based=*/true, mesh,
+                           /*ideal=*/1);
 }
 
 PdesPlan
 idealPlan(std::uint32_t procs, std::uint32_t domains, Tick latency)
 {
-    return computePdesPlan(procs, domains, 0, /*mesh_based=*/false,
+    return computePdesPlan(procs, domains, /*mesh_based=*/false,
                            MeshConfig{}, latency);
 }
 
@@ -110,8 +103,6 @@ TEST(PdesPartition, RequestClampedToTopology)
     EXPECT_EQ(meshPlan(16, 9).domains.size(), 4u);
     // Ideal: clamped to the node count.
     EXPECT_EQ(idealPlan(8, 99, 1).domains.size(), 8u);
-    // The effective count never depends on a jobs value - the plan has
-    // no jobs input at all (compile-time property of the signature).
 }
 
 TEST(PdesPartition, LookaheadFormula)
@@ -121,13 +112,10 @@ TEST(PdesPartition, LookaheadFormula)
     m.hopLatency = 5;
     // Minimum cross-domain crossing: router in + 1-cycle
     // serialization + hop + router out.
-    EXPECT_EQ(meshPlan(16, 4, 0, m).lookahead, Tick{2 * 2 + 5 + 1});
+    EXPECT_EQ(meshPlan(16, 4, m).lookahead, Tick{2 * 2 + 5 + 1});
     EXPECT_EQ(idealPlan(16, 4, 7).lookahead, Tick{7});
     EXPECT_EQ(idealPlan(16, 4, 0).lookahead, Tick{1})
         << "zero-latency ideal still needs a 1-cycle window";
-    // A window override may narrow the window but never widen it.
-    EXPECT_EQ(meshPlan(16, 4, 3, m).lookahead, Tick{3});
-    EXPECT_EQ(meshPlan(16, 4, 1000, m).lookahead, Tick{2 * 2 + 5 + 1});
 }
 
 // --- window-barrier message ordering --------------------------------
@@ -242,148 +230,12 @@ TEST(PdesMailbox, MeshParcelsRespectTheLookahead)
     EXPECT_EQ(st.flushMailboxes(st.plan.lookahead), parcels);
 }
 
-// --- the window crew ------------------------------------------------
-
-TEST(PdesCrew, EveryItemRunsExactlyOnce)
-{
-    // 100k phases of 0..8 items at jobs 1, 2, 4 and 16; 16 threads
-    // oversubscribe a 4-core machine on purpose. Each item also writes
-    // a plain (non-atomic) slot the coordinator reads after the phase,
-    // so a missing happens-before edge is a data race under TSan.
-    constexpr std::uint32_t kPhases = 100'000;
-    constexpr std::uint32_t kMaxItems = 8;
-    for (unsigned jobs : {1u, 2u, 4u, 16u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        std::array<std::atomic<std::uint32_t>, kMaxItems> runs{};
-        std::array<std::uint32_t, kMaxItems> stamp{};
-        std::uint32_t phase = 0;
-        WindowCrew crew(jobs, [&](std::uint32_t i) {
-            runs[i].fetch_add(1, std::memory_order_relaxed);
-            stamp[i] = phase;
-        });
-        std::uint32_t bad = 0;
-        for (phase = 1; phase <= kPhases; ++phase) {
-            const std::uint32_t count =
-                (phase * 2654435761u >> 16) % (kMaxItems + 1);
-            crew.runPhase(count);
-            for (std::uint32_t i = 0; i < kMaxItems; ++i) {
-                const std::uint32_t want = i < count ? 1 : 0;
-                if (runs[i].exchange(0, std::memory_order_relaxed) !=
-                        want ||
-                    (want != 0 && stamp[i] != phase))
-                    ++bad;
-            }
-        }
-        EXPECT_EQ(bad, 0u);
-    }
-}
-
-/** Run 16-item phases on a @p jobs crew until one item throws on the
- *  coordinator (@p from_coordinator) or on a worker thread; that phase
- *  must rethrow it once, and the next phase must run normally. */
-void
-expectRethrownOnce(unsigned jobs, bool from_coordinator)
-{
-    const std::thread::id coordinator = std::this_thread::get_id();
-    std::atomic<bool> armed{true};
-    std::atomic<std::uint32_t> ran{0};
-    WindowCrew crew(jobs, [&](std::uint32_t) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        // Long enough that every thread gets to claim something.
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        const bool on_coordinator =
-            std::this_thread::get_id() == coordinator;
-        if (on_coordinator == from_coordinator && armed.exchange(false))
-            throw std::runtime_error("item failed");
-    });
-    int caught = 0;
-    for (int attempt = 0; attempt < 100 && armed.load(); ++attempt) {
-        try {
-            crew.runPhase(16);
-        } catch (const std::runtime_error &e) {
-            ++caught;
-            EXPECT_STREQ(e.what(), "item failed");
-        }
-    }
-    ASSERT_FALSE(armed.load()) << "no item ran on the wanted thread";
-    EXPECT_EQ(caught, 1);
-    ran.store(0);
-    EXPECT_NO_THROW(crew.runPhase(16));
-    EXPECT_EQ(ran.load(), 16u);
-}
-
-TEST(PdesCrew, WorkerExceptionIsRethrownOnce)
-{
-    for (unsigned jobs : {2u, 4u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        expectRethrownOnce(jobs, /*from_coordinator=*/false);
-    }
-}
-
-TEST(PdesCrew, CoordinatorExceptionIsRethrownOnce)
-{
-    for (unsigned jobs : {1u, 2u, 4u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        expectRethrownOnce(jobs, /*from_coordinator=*/true);
-    }
-}
-
-TEST(PdesCrew, ParkedWorkersWakeAndJoin)
-{
-    std::atomic<std::uint32_t> ran{0};
-    {
-        WindowCrew crew(4, [&ran](std::uint32_t) {
-            ran.fetch_add(1, std::memory_order_relaxed);
-        });
-        crew.runPhase(8);
-        // Long enough for every worker to spend its spin budget and
-        // park; the next phase must wake them (or run without them).
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        crew.runPhase(8);
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        // Destroying the crew with every worker parked must wake and
-        // join them; a hang here is the failure.
-    }
-    EXPECT_EQ(ran.load(), 16u);
-}
-
-TEST(PdesCrew, RepeatedClaimWordDoesNotStrandAParkedWorker)
-{
-    // A 16-item phase both threads claim from ends with the claim word
-    // at (16 << 32) | 18: every item plus one failed claim per thread.
-    // The worker then parks. If the coordinator runs the next phase
-    // alone before the worker wakes, that phase ends at
-    // (16 << 32) | 17, and one more claim-word increment brings back
-    // the value the worker parked on. A worker waiting on the claim
-    // word itself could sleep through the stop, and the crew's
-    // destructor would hang joining it.
-    std::atomic<bool> slow{true};
-    std::atomic<std::uint32_t> ran{0};
-    constexpr int kReps = 20;
-    for (int rep = 0; rep < kReps; ++rep) {
-        WindowCrew crew(2, [&](std::uint32_t) {
-            ran.fetch_add(1, std::memory_order_relaxed);
-            // Slow items make sure the worker claims some.
-            if (slow.load(std::memory_order_relaxed))
-                std::this_thread::sleep_for(std::chrono::microseconds(50));
-        });
-        slow.store(true);
-        crew.runPhase(16);
-        // Longer than the spin budget: the worker parks.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        slow.store(false);
-        crew.runPhase(16);
-    }
-    EXPECT_EQ(ran.load(), 2u * 16u * kReps);
-}
-
-// --- determinism gate: jobs is invisible ----------------------------
+// --- determinism ---------------------------------------------------
 
 RunResult
 runPdes(const std::string &app, std::uint32_t procs,
-        std::uint32_t domains, std::uint32_t jobs,
-        const std::string &chaos_preset = "", std::uint64_t seed = 42,
-        Tick max_ticks = 2'000'000'000ull)
+        std::uint32_t domains, const std::string &chaos_preset = "",
+        std::uint64_t seed = 42, Tick max_ticks = 2'000'000'000ull)
 {
     SystemConfig cfg;
     cfg.numProcs = procs;
@@ -391,7 +243,6 @@ runPdes(const std::string &app, std::uint32_t procs,
     cfg.check.serial = true;
     cfg.check.invariants = true;
     cfg.pdes.domains = domains;
-    cfg.pdes.jobs = jobs;
     if (!chaos_preset.empty()) {
         cfg.network.model = NetworkConfig::Model::Chaos;
         cfg.network.chaos = chaosPreset(chaos_preset);
@@ -404,8 +255,7 @@ runPdes(const std::string &app, std::uint32_t procs,
     return sys.run(max_ticks);
 }
 
-/** Full-RunResult equality, excluding only pdes.jobs (the one field
- *  that records the thread count rather than the simulation). */
+/** Full-RunResult equality (the window-width distribution aside). */
 void
 expectSameResult(const RunResult &a, const RunResult &b)
 {
@@ -453,79 +303,25 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.pdes.phases, b.pdes.phases);
     EXPECT_EQ(a.pdes.mailboxMessages, b.pdes.mailboxMessages);
     EXPECT_EQ(a.pdes.idleDomainSkips, b.pdes.idleDomainSkips);
-    EXPECT_EQ(a.pdes.sharedPhases, b.pdes.sharedPhases);
     EXPECT_EQ(a.pdes.windows, b.pdes.windows);
     EXPECT_EQ(a.pdes.emptyBroadcastsSkipped, b.pdes.emptyBroadcastsSkipped);
 }
 
-TEST(PdesDeterminism, JobsCountIsInvisible)
-{
-    const RunResult serial_crew = runPdes("barnes", 16, 4, 1);
-    ASSERT_TRUE(serial_crew.completed);
-    ASSERT_TRUE(serial_crew.checksPassed())
-        << serial_crew.serial.error << serial_crew.invariants.error;
-    ASSERT_EQ(serial_crew.pdes.domains, 4u);
-    EXPECT_GT(serial_crew.pdes.windows, 0u);
-    EXPECT_GT(serial_crew.pdes.mailboxMessages, 0u);
-    for (std::uint32_t jobs : {2u, 3u, 4u, 8u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        const RunResult threaded = runPdes("barnes", 16, 4, jobs);
-        expectSameResult(serial_crew, threaded);
-        EXPECT_EQ(threaded.pdes.jobs, std::min(jobs, 4u))
-            << "jobs clamps to the domain count";
-    }
-}
-
-TEST(PdesDeterminism, SharedPhasesAreJobsInvisible)
-{
-    // The 16-proc runs above are all small sub-phases, which run on
-    // the coordinator alone; at 512 procs some sub-phases are big
-    // enough to go to the crew's threads, and they too must leave no
-    // trace of the thread count.
-    auto run = [](std::uint32_t jobs) {
-        SystemConfig cfg;
-        cfg.numProcs = 512;
-        cfg.homePolicy = HomePolicy::Interleave;
-        cfg.check.serial = true;
-        cfg.check.invariants = true;
-        cfg.pdes.domains = 8;
-        cfg.pdes.jobs = jobs;
-        System sys(cfg);
-        WorkloadParams wl;
-        wl.set("phases", "1");
-        const WorkloadBundle bundle =
-            makeWorkload("barnes", wl, 42, cfg.numProcs);
-        bundle.attach(sys);
-        return sys.run();
-    };
-    const RunResult one = run(1);
-    ASSERT_TRUE(one.completed);
-    ASSERT_TRUE(one.checksPassed())
-        << one.serial.error << one.invariants.error;
-    EXPECT_GT(one.pdes.sharedPhases, 0u);
-    EXPECT_LT(one.pdes.sharedPhases, one.pdes.phases);
-    for (std::uint32_t jobs : {2u, 4u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        expectSameResult(one, run(jobs));
-    }
-}
-
 TEST(PdesDeterminism, RepeatRunsAreIdentical)
 {
-    const RunResult a = runPdes("radix", 16, 4, 4);
-    const RunResult b = runPdes("radix", 16, 4, 4);
+    const RunResult a = runPdes("radix", 16, 4);
+    const RunResult b = runPdes("radix", 16, 4);
     ASSERT_TRUE(a.completed);
     expectSameResult(a, b);
-    EXPECT_EQ(a.pdes.jobs, b.pdes.jobs);
 }
 
 TEST(PdesDeterminism, DomainCountIsPartOfTheModel)
 {
     // Different partitions are different (valid) executions: both
     // pass the checkers, but fingerprints may differ - the domain
-    // count is a model parameter, unlike jobs.
-    const RunResult d2 = runPdes("barnes", 16, 2, 2);
-    const RunResult d4 = runPdes("barnes", 16, 4, 2);
+    // count is a model parameter.
+    const RunResult d2 = runPdes("barnes", 16, 2);
+    const RunResult d4 = runPdes("barnes", 16, 4);
     ASSERT_TRUE(d2.completed);
     ASSERT_TRUE(d4.completed);
     EXPECT_TRUE(d2.checksPassed());
@@ -540,7 +336,7 @@ TEST(PdesDeterminism, PartitionCollapseFallsBackToSerialEngine)
 {
     // 2 procs -> 2x1 grid -> one row -> one domain: the PDES request
     // silently collapses and the legacy serial engine runs.
-    const RunResult pdes = runPdes("barnes", 2, 4, 4);
+    const RunResult pdes = runPdes("barnes", 2, 4);
     SystemConfig cfg;
     cfg.numProcs = 2;
     cfg.homePolicy = HomePolicy::Interleave;
@@ -565,7 +361,6 @@ TEST(PdesDeterminism, TickLimitStopsAtMaxTicks)
     cfg.numProcs = 4;
     cfg.homePolicy = HomePolicy::Interleave;
     cfg.pdes.domains = 2;
-    cfg.pdes.jobs = 1;
     System sys(cfg);
     std::vector<ScriptedSource> srcs(4);
     for (NodeId p = 0; p < 4; ++p) {
@@ -589,61 +384,6 @@ TEST(PdesDeterminism, ValidateRejectsBadConfigs)
     EXPECT_NE(cfg.validate(), "");
     cfg.homePolicy = HomePolicy::Interleave;
     EXPECT_EQ(cfg.validate(), "");
-    // A window wider than the lookahead would violate causality.
-    cfg.pdes.window = 1000;
-    EXPECT_NE(cfg.validate(), "");
-    cfg.pdes.window = 1;
-    EXPECT_EQ(cfg.validate(), "");
-}
-
-TEST(PdesDeterminism, NarrowedWindowIsItsOwnDeterministicModel)
-{
-    // The window width is a model parameter like the domain count:
-    // barriers run more often, so cross-domain store writes become
-    // visible earlier and the execution legitimately differs from the
-    // full-lookahead run. What must hold: the narrowed run is still
-    // valid (checkers pass, same workload committed) and still
-    // jobs-invariant.
-    SystemConfig cfg;
-    cfg.numProcs = 16;
-    cfg.homePolicy = HomePolicy::Interleave;
-    cfg.check.serial = true;
-    cfg.check.invariants = true;
-    cfg.pdes.domains = 4;
-    RunResult wide, narrow1, narrow4;
-    {
-        System sys(cfg);
-        const WorkloadBundle bundle =
-            makeWorkload("equake", {}, 7, cfg.numProcs);
-        bundle.attach(sys);
-        wide = sys.run(2'000'000'000ull);
-    }
-    cfg.pdes.window = 2;
-    cfg.pdes.jobs = 1;
-    {
-        System sys(cfg);
-        const WorkloadBundle bundle =
-            makeWorkload("equake", {}, 7, cfg.numProcs);
-        bundle.attach(sys);
-        narrow1 = sys.run(2'000'000'000ull);
-    }
-    cfg.pdes.jobs = 4;
-    {
-        System sys(cfg);
-        const WorkloadBundle bundle =
-            makeWorkload("equake", {}, 7, cfg.numProcs);
-        bundle.attach(sys);
-        narrow4 = sys.run(2'000'000'000ull);
-    }
-    ASSERT_TRUE(wide.completed);
-    ASSERT_TRUE(narrow1.completed);
-    EXPECT_EQ(narrow1.pdes.lookahead, Tick{2});
-    EXPECT_GT(narrow1.pdes.windows, wide.pdes.windows);
-    EXPECT_EQ(wide.committedTxns, narrow1.committedTxns)
-        << "every window width must commit the same workload";
-    EXPECT_TRUE(narrow1.checksPassed())
-        << narrow1.serial.error << narrow1.invariants.error;
-    expectSameResult(narrow1, narrow4);
 }
 
 // --- variable lookahead (adaptive sync) -----------------------------
@@ -677,8 +417,8 @@ TEST(PdesAdaptive, WindowBoundHelpersClampAndStayMonotone)
 TEST(PdesAdaptive, SpotCheckLargerGridsTruncatedMidWindow)
 {
     // Larger partitions, capped at a tick limit that lands mid-window:
-    // the truncated prefix must still be identical across jobs counts
-    // (the max_ticks clamp cuts the same sub-phase short either way).
+    // the max_ticks clamp cuts that sub-phase short, and the run
+    // reports the cap as its cycle count.
     struct Cell {
         const char *app;
         std::uint32_t procs;
@@ -689,19 +429,16 @@ TEST(PdesAdaptive, SpotCheckLargerGridsTruncatedMidWindow)
                           Cell{"swim", 256, 16, 60'007}}) {
         SCOPED_TRACE(std::string(c.app) + " procs=" +
                      std::to_string(c.procs));
-        const RunResult one =
-            runPdes(c.app, c.procs, c.domains, 1, "", 42, c.cap);
-        EXPECT_FALSE(one.completed) << "cap chosen to truncate the run";
-        EXPECT_EQ(one.cycles, c.cap);
-        const RunResult four =
-            runPdes(c.app, c.procs, c.domains, 4, "", 42, c.cap);
-        expectSameResult(one, four);
+        const RunResult res =
+            runPdes(c.app, c.procs, c.domains, "", 42, c.cap);
+        EXPECT_FALSE(res.completed) << "cap chosen to truncate the run";
+        EXPECT_EQ(res.cycles, c.cap);
     }
 }
 
 TEST(PdesAdaptive, WindowWidthDistributionIsSound)
 {
-    const RunResult res = runPdes("barnes", 16, 4, 2);
+    const RunResult res = runPdes("barnes", 16, 4);
     ASSERT_TRUE(res.completed);
     EXPECT_EQ(res.pdes.windowWidth.count(), res.pdes.windows);
     EXPECT_GE(res.pdes.windows, 1u);
@@ -722,39 +459,29 @@ TEST(PdesAdaptive, IdleDomainsAreNeverDispatched)
     // still broadcast NSTID skips to every directory, so domains 1-3
     // see a trickle of parcels - but between arrivals they have no
     // events, and the idle fast path must skip them in those
-    // sub-phases without touching their queues, invisibly to the
-    // result.
-    auto build = [](std::uint32_t jobs,
-                    std::vector<ScriptedSource> &srcs) {
-        SystemConfig cfg;
-        cfg.numProcs = 16;
-        cfg.homePolicy = HomePolicy::Interleave;
-        cfg.check.serial = true;
-        cfg.check.invariants = true;
-        cfg.pdes.domains = 4;
-        cfg.pdes.jobs = jobs;
-        auto sys = std::make_unique<System>(cfg);
-        srcs.clear();
-        srcs.resize(16);
-        for (NodeId p = 0; p < 4; ++p) {
-            // 64 transactions per busy proc, each writing one word of
-            // the proc's own page (homed at directory p, domain 0).
-            for (std::uint32_t t = 0; t < 64; ++t) {
-                srcs[p].add({{TxOp::Kind::Compute, 10, 0, 0},
-                             {TxOp::Kind::Store, 0,
-                              static_cast<Addr>(p) * 4096 + t * 4,
-                              t + 1}});
-            }
+    // sub-phases without touching their queues.
+    SystemConfig cfg;
+    cfg.numProcs = 16;
+    cfg.homePolicy = HomePolicy::Interleave;
+    cfg.check.serial = true;
+    cfg.check.invariants = true;
+    cfg.pdes.domains = 4;
+    auto sys = std::make_unique<System>(cfg);
+    std::vector<ScriptedSource> srcs(16);
+    for (NodeId p = 0; p < 4; ++p) {
+        // 64 transactions per busy proc, each writing one word of the
+        // proc's own page (homed at directory p, domain 0).
+        for (std::uint32_t t = 0; t < 64; ++t) {
+            srcs[p].add({{TxOp::Kind::Compute, 10, 0, 0},
+                         {TxOp::Kind::Store, 0,
+                          static_cast<Addr>(p) * 4096 + t * 4, t + 1}});
         }
-        for (NodeId p = 4; p < 16; ++p)
-            srcs[p].add({{TxOp::Kind::Compute, 5, 0, 0}});
-        for (NodeId p = 0; p < 16; ++p)
-            sys->setSource(p, &srcs[p]);
-        return sys;
-    };
+    }
+    for (NodeId p = 4; p < 16; ++p)
+        srcs[p].add({{TxOp::Kind::Compute, 5, 0, 0}});
+    for (NodeId p = 0; p < 16; ++p)
+        sys->setSource(p, &srcs[p]);
 
-    std::vector<ScriptedSource> srcs;
-    auto sys = build(1, srcs);
     const RunResult one = sys->run(2'000'000'000ull);
     ASSERT_TRUE(one.completed);
     ASSERT_TRUE(one.checksPassed())
@@ -780,19 +507,13 @@ TEST(PdesAdaptive, IdleDomainsAreNeverDispatched)
         EXPECT_TRUE(st->domains[d]->storeLog.empty());
         EXPECT_FALSE(st->domains[d]->net->hasParcels());
     }
-
-    // Invisible: the same run under more threads.
-    std::vector<ScriptedSource> srcs4;
-    auto sys4 = build(4, srcs4);
-    const RunResult four = sys4->run(2'000'000'000ull);
-    expectSameResult(one, four);
 }
 
 // --- golden runs: absolute outcomes ---------------------------------
 //
-// Everything above compares PDES with itself (jobs=1 vs jobs=N).
-// These pin absolute values, so a refactor of the
-// engine that shifts every run the same way still fails. The values
+// Everything above compares PDES with itself. These pin absolute
+// values, so a refactor of the engine that shifts every run the same
+// way still fails. The values
 // are captured from a known-good build and are never edited to follow
 // a code change: a mismatch means simulated behaviour moved.
 
@@ -815,7 +536,6 @@ expectPdesGolden(SystemConfig cfg, const std::string &app,
     cfg.check.serial = true;
     cfg.check.invariants = true;
     cfg.pdes.domains = 4;
-    cfg.pdes.jobs = 1;
     System sys(cfg);
     const WorkloadBundle bundle = makeWorkload(
         app, WorkloadParams::parse(params), seed, cfg.numProcs);
@@ -883,24 +603,22 @@ TEST(PdesGolden, IdealNetwork)
 
 // --- PDES x chaos ---------------------------------------------------
 
-TEST(PdesChaos, EveryPresetDeterministicAcrossJobs)
+TEST(PdesChaos, EveryPresetPassesBothCheckers)
 {
     for (const auto &preset : chaosPresetNames()) {
         SCOPED_TRACE(preset);
-        const RunResult one = runPdes("radix", 16, 4, 1, preset, 99);
-        ASSERT_TRUE(one.completed);
-        ASSERT_TRUE(one.checksPassed())
-            << one.serial.error << one.invariants.error;
-        const RunResult four = runPdes("radix", 16, 4, 4, preset, 99);
-        expectSameResult(one, four);
+        const RunResult res = runPdes("radix", 16, 4, preset, 99);
+        ASSERT_TRUE(res.completed);
+        EXPECT_TRUE(res.checksPassed())
+            << res.serial.error << res.invariants.error;
     }
 }
 
 TEST(PdesChaos, SeedPerturbsTheRun)
 {
-    const RunResult a = runPdes("radix", 16, 4, 4, "heavy", 99);
-    const RunResult b = runPdes("radix", 16, 4, 4, "heavy", 99);
-    const RunResult c = runPdes("radix", 16, 4, 4, "heavy", 100);
+    const RunResult a = runPdes("radix", 16, 4, "heavy", 99);
+    const RunResult b = runPdes("radix", 16, 4, "heavy", 99);
+    const RunResult c = runPdes("radix", 16, 4, "heavy", 100);
     ASSERT_TRUE(a.completed);
     expectSameResult(a, b);
     EXPECT_TRUE(a.cycles != c.cycles || a.events != c.events)

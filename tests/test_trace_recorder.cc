@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/trace_recorder.hh"
 #include "obs/tx_ledger.hh"
+#include "workload/registry.hh"
 #include "workload/scripted_source.hh"
 
 namespace tcc {
@@ -222,7 +224,7 @@ TEST(TxLedger, NamesTheConflictAddressAndWriter)
 
     ConflictScenario s;
     ASSERT_TRUE(s.sys.run().completed);
-    const auto ledger = buildTxLedger(s.sys.traceRecorder());
+    const auto ledger = buildTxLedger(s.sys.traceRecorder()).entries;
 
     // One entry per committed transaction, in commit order.
     ASSERT_EQ(ledger.size(), 2u);
@@ -241,6 +243,65 @@ TEST(TxLedger, NamesTheConflictAddressAndWriter)
     EXPECT_EQ(ledger[1].violationWriter, 0u);
     // The committing attempt sent probes and observed round trips.
     EXPECT_GT(ledger[1].probeCount + ledger[0].probeCount, 0u);
+}
+
+/** The ledger of a contended 4-proc ds_map run recorded into a ring
+ *  of @p capacity events (per domain under PDES, @p domains >= 2). */
+TxLedger
+contendedLedger(std::size_t capacity, std::uint32_t domains)
+{
+    SystemConfig cfg;
+    cfg.numProcs = 4;
+    cfg.homePolicy = HomePolicy::Interleave;
+    cfg.trace.capacity = capacity;
+    cfg.pdes.domains = domains;
+    System sys(cfg);
+    const WorkloadBundle bundle = makeWorkload(
+        "ds_map", WorkloadParams::parse("theta=0.99,max_txns_per_phase=64"),
+        /*seed=*/5, cfg.numProcs);
+    bundle.attach(sys);
+    const RunResult res = sys.run();
+    EXPECT_TRUE(res.completed);
+    EXPECT_GT(res.violations, 0u) << "the run must retry transactions";
+    EXPECT_EQ(res.pdes.domains, domains);
+    return buildTxLedger(sys.traceRecorder());
+}
+
+TEST(TxLedger, WrappedRingReportsOnlyCompleteCommits)
+{
+    // A ring that wraps loses the start of some transactions. Each
+    // entry the wrapped ledger still reports must equal the same
+    // transaction's entry in a ledger of the whole run: no begin tick
+    // moved up to the commit start, no retries lost.
+    TraceFlagsGuard guard;
+    Trace::enable(TraceCat::Proc, true);
+    Trace::enable(TraceCat::Commit, true);
+    for (std::uint32_t domains : {0u, 2u}) {
+        SCOPED_TRACE("domains=" + std::to_string(domains));
+        const TxLedger full = contendedLedger(std::size_t{1} << 20, domains);
+        ASSERT_EQ(full.truncated, 0u);
+        const TxLedger cut = contendedLedger(64, domains);
+        EXPECT_GT(cut.truncated, 0u);
+        EXPECT_FALSE(cut.entries.empty());
+        for (const TxLedgerEntry &e : cut.entries) {
+            SCOPED_TRACE("tid " + std::to_string(e.tid));
+            auto it = std::find_if(
+                full.entries.begin(), full.entries.end(),
+                [&e](const TxLedgerEntry &f) { return f.tid == e.tid; });
+            ASSERT_NE(it, full.entries.end());
+            EXPECT_EQ(e.node, it->node);
+            EXPECT_EQ(e.beginTick, it->beginTick);
+            EXPECT_EQ(e.commitStartTick, it->commitStartTick);
+            EXPECT_EQ(e.commitEndTick, it->commitEndTick);
+            EXPECT_EQ(e.retries, it->retries);
+            EXPECT_EQ(e.hasViolation, it->hasViolation);
+            EXPECT_EQ(e.causes, it->causes);
+            EXPECT_EQ(e.probeCount, it->probeCount);
+            EXPECT_EQ(e.probeRttTotal, it->probeRttTotal);
+            EXPECT_EQ(e.firstSkipTick, it->firstSkipTick);
+            EXPECT_EQ(e.firstMarkTick, it->firstMarkTick);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
