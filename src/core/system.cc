@@ -145,8 +145,6 @@ System::wireNodes()
         0, *all[0].eq, *all[0].net, config.tidVendorLatency);
 
     const std::uint32_t num = config.numProcs;
-    DirectoryConfig dir_cfg = config.directory;
-    dir_cfg.lineBytes = config.cache.lineBytes;
     for (const Part &part : all) {
         if (config.check.invariants) {
             *part.checker = std::make_unique<InvariantChecker>(
@@ -157,7 +155,8 @@ System::wireNodes()
         const NodeId end = part.first + part.count;
         for (NodeId n = part.first; n < end; ++n) {
             dirs.push_back(std::make_unique<Directory>(
-                n, num, *part.eq, *part.net, dir_cfg, part.arena));
+                n, num, *part.eq, *part.net, config.directory,
+                config.cache.lineBytes, part.arena));
             procs.push_back(std::make_unique<TccProcessor>(
                 n, num, *part.eq, *part.net, homes, *part.store,
                 config.cache, config.processor, /*vendor_node=*/0,

@@ -9,9 +9,11 @@ namespace tcc {
 
 Directory::Directory(NodeId node, std::uint32_t num_nodes,
                      EventQueue &eq, Network &net,
-                     const DirectoryConfig &cfg, Arena *arena_)
+                     const DirectoryConfig &cfg,
+                     std::uint32_t line_bytes, Arena *arena_)
     : nodeId(node), numNodes(num_nodes), eventq(eq), network(net),
-      config(cfg), arena(arena_), skipWindow(arena_), entries(arena_),
+      config(cfg), lineBytes(line_bytes), arena(arena_),
+      skipWindow(arena_), entries(arena_),
       deferredProbes(ArenaAllocator<Message>(arena_)),
       stalledLoads(ArenaAllocator<Message>(arena_)),
       loadScratch(ArenaAllocator<Message>(arena_)),
@@ -56,7 +58,7 @@ Directory::noteSharerChange(Entry &e, bool had_remote_before)
 std::uint32_t
 Directory::sizeOf(MsgType t) const
 {
-    return msgBytes(t, config.lineBytes);
+    return msgBytes(t, lineBytes);
 }
 
 void

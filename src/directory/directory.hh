@@ -48,7 +48,6 @@ struct DirectoryConfig {
     Tick lookupLatency = 10;
     /** Main memory access latency (cycles). */
     Tick memLatency = 100;
-    std::uint32_t lineBytes = 32;
     /**
      * Directory cache capacity in entries (paper: 1 MB directory
      * cache). Protocol state is backed by memory, so a miss costs an
@@ -68,7 +67,7 @@ class Directory
   public:
     Directory(NodeId node, std::uint32_t num_nodes, EventQueue &eq,
               Network &net, const DirectoryConfig &cfg,
-              Arena *arena = nullptr);
+              std::uint32_t line_bytes, Arena *arena = nullptr);
 
     /** Network entry point for all directory-bound messages. */
     void receive(const Message &msg);
@@ -231,6 +230,7 @@ class Directory
     EventQueue &eventq;
     Network &network;
     DirectoryConfig config;
+    std::uint32_t lineBytes;
     bool writeThrough = false;
     /** Run-private memory for every map/pool below (may be null). */
     Arena *arena;

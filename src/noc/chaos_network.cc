@@ -10,8 +10,8 @@ bool
 chaosDuplicable(MsgType t)
 {
     // A duplicated LoadReply is filtered by the Mshr sequence tag; a
-    // duplicated ProbeReply is filtered by the commit engine's
-    // marksDone / sValidated / TID-match guards. Everything else
+    // duplicated ProbeReply is filtered by the commit table's done
+    // flags and the TID-match guard. Everything else
     // (TID grants, invalidations, acks, data-carrying flushes) has
     // effects-on-receipt and must arrive exactly once.
     return t == MsgType::LoadReply || t == MsgType::ProbeReply;

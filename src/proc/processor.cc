@@ -1,6 +1,7 @@
 #include "proc/processor.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "check/mutate.hh"
 #include "common/log.hh"
@@ -18,15 +19,8 @@ TccProcessor::TccProcessor(NodeId node, std::uint32_t num_nodes,
       homeMap(homes), globalStore(store), specCache(cache_cfg, arena),
       config(cfg), vendorNode(vendor_node), writeBuf(arena),
       sharingVec(num_nodes, arena), writingVec(num_nodes, arena),
-      earlyAnswered(num_nodes, arena),
-      earlyNstid(num_nodes, kInvalidTid, ArenaAllocator<Tid>(arena)),
-      marksDone(num_nodes, arena), sValidated(num_nodes, arena),
-      marksCount(num_nodes, 0, ArenaAllocator<std::uint32_t>(arena)),
-      writeSetByDir(
-          num_nodes,
-          LineVec(ArenaAllocator<SpecCache::WriteSetLine>(arena)),
-          ArenaAllocator<LineVec>(arena)),
-      wsDirs(num_nodes, arena),
+      commitDirs(ArenaAllocator<CommitDir>(arena)),
+      commitLines(ArenaAllocator<SpecCache::WriteSetLine>(arena)),
       mcastBuf(ArenaAllocator<NodeId>(arena))
 {
     // Pre-size the write buffer once: clear() keeps the bucket array,
@@ -127,16 +121,7 @@ TccProcessor::beginAttempt()
     writingVec.clearAll();
     skipsSent = false;
     validated = false;
-    wDirs.clear();
-    sOnlyDirs.clear();
-    earlyAnswered.clearAll();
-    marksDone.clearAll();
-    sValidated.clearAll();
-    // marksCount entries are always written (sendMarksTo) before they
-    // are read (completeCommit), so they need no per-attempt clear.
-    // The write-set groups were only filled for dirs in wsDirs.
-    wsDirs.forEach([&](NodeId d) { writeSetByDir[d].clear(); });
-    wsDirs.clearAll();
+    commitDirs.clear();
     mshr = Mshr{};
     attemptStart = eventq.now();
     attemptUseful = 0;
@@ -393,19 +378,10 @@ TccProcessor::startCommit()
     phase = Phase::Commit;
     commitStart = eventq.now();
 
-    // Group the write set by home directory and compute the dir sets.
-    for (const auto &line : specCache.writeSet()) {
-        const NodeId d = homeOf(line.lineAddr);
-        writeSetByDir[d].push_back(line);
-        wsDirs.set(d);
-    }
-    writingVec.forEach([&](NodeId d) { wDirs.push_back(d); });
-    sharingVec.forEach([&](NodeId d) {
-        if (!writingVec.test(d))
-            sOnlyDirs.push_back(d);
-    });
+    buildCommitTable();
     traceEmit(tracer, TraceCat::Commit, TraceEventKind::CommitStart,
-              nodeId, tid, wDirs.size(), sOnlyDirs.size());
+              nodeId, tid, writingVec.count(),
+              commitDirs.size() - writingVec.count());
 
     if (solo) {
         soloCommit();
@@ -421,36 +397,73 @@ TccProcessor::startCommit()
             req.dst = vendorNode;
             post(req);
         }
-        // Overlap the TID round trip with early NSTID probes. Each
-        // group carries one payload, so it fans out as a multicast
-        // (flat mode emits the exact per-directory loop it replaced).
-        for (NodeId d : wDirs) {
-            traceEmit(tracer, TraceCat::Commit,
-                      TraceEventKind::ProbeSend, nodeId, kInvalidTid, d,
-                      1);
-        }
-        if (!wDirs.empty()) {
-            Message p;
-            p.type = MsgType::Probe;
-            p.tid = kInvalidTid;
-            p.wantWrite = true;
-            postMulticast(p, wDirs);
-        }
-        for (NodeId d : sOnlyDirs) {
-            traceEmit(tracer, TraceCat::Commit,
-                      TraceEventKind::ProbeSend, nodeId, kInvalidTid, d,
-                      0);
-        }
-        if (!sOnlyDirs.empty()) {
-            Message p;
-            p.type = MsgType::Probe;
-            p.tid = kInvalidTid;
-            p.wantWrite = false;
-            postMulticast(p, sOnlyDirs);
+        // Overlap the TID round trip with early NSTID probes: one
+        // multicast to the writing directories, one to the others.
+        for (const bool write : {true, false}) {
+            mcastBuf.clear();
+            for (const CommitDir &e : commitDirs) {
+                if (e.write != write)
+                    continue;
+                traceEmit(tracer, TraceCat::Commit,
+                          TraceEventKind::ProbeSend, nodeId, kInvalidTid,
+                          e.node, write ? 1 : 0);
+                mcastBuf.push_back(e.node);
+            }
+            if (!mcastBuf.empty()) {
+                Message p;
+                p.type = MsgType::Probe;
+                p.tid = kInvalidTid;
+                p.wantWrite = write;
+                postMulticast(p, mcastBuf);
+            }
         }
         return; // continue in onTidReply
     }
     proceedAfterTid();
+}
+
+void
+TccProcessor::buildCommitTable()
+{
+    commitDirs.clear();
+    writingVec.forEach([&](NodeId d) {
+        commitDirs.push_back(CommitDir{.node = d, .write = true});
+    });
+    sharingVec.forEach([&](NodeId d) {
+        if (!writingVec.test(d))
+            commitDirs.push_back(CommitDir{.node = d});
+    });
+    std::sort(commitDirs.begin(), commitDirs.end());
+    dirsPending = static_cast<std::uint32_t>(commitDirs.size());
+
+    // Group the write set by home, keeping each home's lines in
+    // write-set order: count per directory, then place.
+    const auto ws = specCache.writeSet();
+    const auto home_entry = [&](Addr line) -> CommitDir & {
+        CommitDir *e = findDir(homeOf(line));
+        if (!e || !e->write)
+            panic("proc %u: write-set line %llx homed outside the "
+                  "Writing vector", nodeId, (unsigned long long)line);
+        return *e;
+    };
+    for (const auto &line : ws)
+        ++home_entry(line.lineAddr).linesEnd;
+    std::uint32_t at = 0;
+    for (CommitDir &e : commitDirs) {
+        e.linesBegin = at;
+        at += std::exchange(e.linesEnd, at);
+    }
+    commitLines.resize(ws.size());
+    for (const auto &line : ws)
+        commitLines[home_entry(line.lineAddr).linesEnd++] = line;
+}
+
+TccProcessor::CommitDir *
+TccProcessor::findDir(NodeId dir)
+{
+    const auto it = std::lower_bound(commitDirs.begin(), commitDirs.end(),
+                                     CommitDir{.node = dir});
+    return it != commitDirs.end() && it->node == dir ? &*it : nullptr;
 }
 
 void
@@ -479,7 +492,7 @@ TccProcessor::proceedAfterTid()
     // Multicast Skip to every directory outside the write-set,
     // including sharing-only directories (they will not see a commit
     // from this TID). This is the broadcast-at-scale hot spot the
-    // combining tree exists for: N - |wDirs| identical messages.
+    // combining tree exists for: N - |writingVec| identical messages.
     mcastBuf.clear();
     for (NodeId d = 0; d < numNodes; ++d) {
         if (writingVec.test(d))
@@ -494,17 +507,17 @@ TccProcessor::proceedAfterTid()
         s.tid = tid;
         postMulticast(s, mcastBuf);
     }
-    for (NodeId d : wDirs) {
-        if (earlyAnswered.test(d) && earlyNstid[d] == tid)
-            sendMarksTo(d);
-        else
-            sendProbe(d, tid, true);
-    }
-    for (NodeId d : sOnlyDirs) {
-        if (earlyAnswered.test(d) && earlyNstid[d] >= tid)
-            sValidated.set(d);
-        else
-            sendProbe(d, tid, false);
+    // Early answers are read like late ones; the other directories
+    // get a probe carrying the TID, writing directories first.
+    for (const bool write : {true, false}) {
+        for (CommitDir &e : commitDirs) {
+            if (e.write != write)
+                continue;
+            if (e.earlyNstid != kInvalidTid)
+                interpretNstid(e, e.earlyNstid);
+            else
+                sendProbe(e.node, tid, write);
+        }
     }
     checkValidationDone();
 }
@@ -528,53 +541,41 @@ TccProcessor::onProbeReply(const Message &msg)
     }
     if (phase != Phase::Commit)
         return; // stale reply for a rolled-back attempt
-    if (msg.tid == kInvalidTid) {
-        // Early probe answer.
-        if (tid != kInvalidTid && skipsSent) {
-            interpretNstid(msg.src, msg.nstid);
-        } else {
-            earlyAnswered.set(msg.src);
-            earlyNstid[msg.src] = msg.nstid;
-        }
+    // A directory outside the table, or a TID other than ours: a
+    // rolled-back attempt's reply. (Inside the table a stale snapshot
+    // only ever under-reports the NSTID, so acting on it is safe.)
+    CommitDir *e = findDir(msg.src);
+    if (!e)
         return;
-    }
-    if (msg.tid != tid)
-        return; // reply to an aborted attempt's probe
-    interpretNstid(msg.src, msg.nstid);
+    if (msg.tid == kInvalidTid && !skipsSent)
+        e->earlyNstid = msg.nstid; // read once the TID arrives
+    else if (msg.tid == kInvalidTid || msg.tid == tid)
+        interpretNstid(*e, msg.nstid);
 }
 
 void
-TccProcessor::interpretNstid(NodeId dir, Tid observed)
+TccProcessor::interpretNstid(CommitDir &dir, Tid observed)
 {
-    if (writingVec.test(dir)) {
-        if (marksDone.test(dir))
-            return;
+    if (dir.done)
+        return;
+    if (dir.write) {
         if (observed == tid) {
             sendMarksTo(dir);
         } else if (observed < tid) {
             // Early snapshot was behind: issue a real (deferred) probe.
-            sendProbe(dir, tid, true);
+            sendProbe(dir.node, tid, true);
         }
         // observed > tid would mean the directory passed our TID
         // without us committing - only possible for stale replies,
         // which were filtered above.
         return;
     }
-    if (!sharingVec.test(dir)) {
-        // Stale early (TID-less) probe reply from a rolled-back
-        // attempt, for a directory this attempt never read: counting
-        // it would corrupt the validation bookkeeping. (For dirs that
-        // ARE in the current read set, a stale snapshot only ever
-        // under-reports the NSTID, so acting on it stays safe.)
-        return;
-    }
-    if (sValidated.test(dir))
-        return;
     if (observed >= tid) {
-        sValidated.set(dir);
+        dir.done = true;
+        --dirsPending;
         checkValidationDone();
     } else {
-        sendProbe(dir, tid, false);
+        sendProbe(dir.node, tid, false);
     }
 }
 
@@ -592,26 +593,31 @@ TccProcessor::sendProbe(NodeId dir, Tid probe_tid, bool want_write)
 }
 
 void
-TccProcessor::sendMarksTo(NodeId dir)
+TccProcessor::sendMarksTo(CommitDir &dir)
 {
-    if (!wsDirs.test(dir))
+    if (dir.lines() == 0)
         panic("proc %u: writing dir %u with empty write set", nodeId,
-              dir);
-    const auto &lines = writeSetByDir[dir];
+              dir.node);
     traceEmit(tracer, TraceCat::Commit, TraceEventKind::MarkSend,
-              nodeId, tid, dir, lines.size());
-    for (const auto &line : lines) {
+              nodeId, tid, dir.node, dir.lines());
+    postMarks(dir);
+    dir.done = true;
+    --dirsPending;
+    checkValidationDone();
+}
+
+void
+TccProcessor::postMarks(const CommitDir &dir)
+{
+    for (std::uint32_t i = dir.linesBegin; i < dir.linesEnd; ++i) {
         Message m;
         m.type = MsgType::Mark;
-        m.dst = dir;
-        m.addr = line.lineAddr;
+        m.dst = dir.node;
+        m.addr = commitLines[i].lineAddr;
         m.tid = tid;
-        m.wordMask = line.smMask;
+        m.wordMask = commitLines[i].smMask;
         post(m);
     }
-    marksCount[dir] = static_cast<std::uint32_t>(lines.size());
-    marksDone.set(dir);
-    checkValidationDone();
 }
 
 void
@@ -619,12 +625,8 @@ TccProcessor::checkValidationDone()
 {
     if (validated || phase != Phase::Commit || !skipsSent)
         return;
-    // Popcount the bitmaps against the dir-list sizes.
-    if (marksDone.count() != wDirs.size())
-        return;
-    if (sValidated.count() != sOnlyDirs.size())
-        return;
-    completeCommit();
+    if (dirsPending == 0)
+        completeCommit();
 }
 
 void
@@ -638,8 +640,7 @@ TccProcessor::completeCommit()
     // Emitted before TxCommit so ledger folds see the fan-out numbers
     // while the transaction record is still open.
     traceEmit(tracer, TraceCat::Commit, TraceEventKind::CommitFanout,
-              nodeId, tid, wDirs.size() + sOnlyDirs.size(),
-              attemptMcastNic);
+              nodeId, tid, commitDirs.size(), attemptMcastNic);
     traceEmit(tracer, TraceCat::Commit, TraceEventKind::TxCommit,
               nodeId, tid, readLog.size(), writeBuf.size());
 
@@ -650,16 +651,18 @@ TccProcessor::completeCommit()
     if (commitHook)
         commitHook(tid, nodeId, readLog, writeLogForHook());
 
-    for (NodeId d : wDirs) {
+    for (const CommitDir &e : commitDirs) {
+        if (!e.write)
+            continue;
         Message c;
         c.type = MsgType::Commit;
-        c.dst = d;
+        c.dst = e.node;
         c.tid = tid;
-        c.numMarks = marksCount[d];
+        c.numMarks = e.lines();
         post(c);
     }
 
-    recordCommitStats(wDirs.size(), wDirs.size() + sOnlyDirs.size());
+    recordCommitStats(writingVec.count(), commitDirs.size());
     specCache.commitSpec(tid, !writeThrough);
     finishTransaction();
 }
@@ -752,36 +755,25 @@ TccProcessor::startDrain()
     for (const auto &[addr, value] : writeBuf)
         globalStore.write(addr, value);
 
-    FlatMap<NodeId, std::vector<SpecCache::WriteSetLine>> by_dir;
-    for (const auto &line : specCache.writeSet())
-        by_dir[homeOf(line.lineAddr)].push_back(line);
-    if (by_dir.empty())
+    // One Mark batch and PartialCommit per home of the write set, in
+    // ascending directory order.
+    buildCommitTable();
+    drainAcksPending = 0;
+    for (const CommitDir &e : commitDirs)
+        drainAcksPending += e.lines() != 0;
+    if (drainAcksPending == 0)
         panic("proc %u: solo overflow with empty write set", nodeId);
-
-    // Emit batches in ascending directory order: message order must be
-    // a function of the write set, never of container iteration order.
-    drainAcksPending = static_cast<std::uint32_t>(by_dir.size());
     traceEmit(tracer, TraceCat::Proc, TraceEventKind::SoloDrain, nodeId,
               tid, drainAcksPending);
-    for (NodeId d = 0; d < numNodes; ++d) {
-        auto it = by_dir.find(d);
-        if (it == by_dir.end())
+    for (const CommitDir &e : commitDirs) {
+        if (e.lines() == 0)
             continue;
-        const auto &lines = it->second;
-        for (const auto &line : lines) {
-            Message m;
-            m.type = MsgType::Mark;
-            m.dst = d;
-            m.addr = line.lineAddr;
-            m.tid = tid;
-            m.wordMask = line.smMask;
-            post(m);
-        }
+        postMarks(e);
         Message pc;
         pc.type = MsgType::PartialCommit;
-        pc.dst = d;
+        pc.dst = e.node;
         pc.tid = tid;
-        pc.numMarks = static_cast<std::uint32_t>(lines.size());
+        pc.numMarks = e.lines();
         post(pc);
     }
     // Locally the drained lines become ordinary committed-dirty data
@@ -813,29 +805,22 @@ TccProcessor::soloCommit()
     // other directory - including ones that only saw partial batches -
     // gets a Skip so the TID retires everywhere. Directories are
     // visited in ascending order for deterministic message emission.
-    for (NodeId d = 0; d < numNodes; ++d) {
-        if (!wsDirs.test(d))
+    std::size_t solo_dirs = 0;
+    for (const CommitDir &e : commitDirs) {
+        if (e.lines() == 0)
             continue;
-        const auto &lines = writeSetByDir[d];
-        for (const auto &line : lines) {
-            Message m;
-            m.type = MsgType::Mark;
-            m.dst = d;
-            m.addr = line.lineAddr;
-            m.tid = tid;
-            m.wordMask = line.smMask;
-            post(m);
-        }
+        ++solo_dirs;
+        postMarks(e);
         Message c;
         c.type = MsgType::Commit;
-        c.dst = d;
+        c.dst = e.node;
         c.tid = tid;
-        c.numMarks = static_cast<std::uint32_t>(lines.size());
+        c.numMarks = e.lines();
         post(c);
     }
     mcastBuf.clear();
     for (NodeId d = 0; d < numNodes; ++d) {
-        if (!wsDirs.test(d))
+        if (const CommitDir *e = findDir(d); !e || e->lines() == 0)
             mcastBuf.push_back(d);
     }
     if (!mcastBuf.empty()) {
@@ -850,7 +835,6 @@ TccProcessor::soloCommit()
     // emission is deferred past the Skip multicast above so the NIC
     // count is final. Same tick, so the projected golden-trace order
     // is unchanged.
-    const std::size_t solo_dirs = wsDirs.count();
     traceEmit(tracer, TraceCat::Commit, TraceEventKind::CommitFanout,
               nodeId, tid, solo_dirs, attemptMcastNic);
     traceEmit(tracer, TraceCat::Commit, TraceEventKind::TxCommit,
@@ -893,10 +877,12 @@ TccProcessor::violate()
     if (announced) {
         // The TID was announced to the world; release it so every
         // directory can retire it, and take a fresh one on retry.
-        for (NodeId d : wDirs) {
+        for (const CommitDir &e : commitDirs) {
+            if (!e.write)
+                continue;
             Message a;
             a.type = MsgType::Abort;
-            a.dst = d;
+            a.dst = e.node;
             a.tid = tid;
             post(a);
         }
@@ -1027,14 +1013,15 @@ TccProcessor::debugDump() const
     std::snprintf(
         buf, sizeof(buf),
         "proc %u: phase=%d opIdx=%zu/%zu tid=%lld tidReq=%d "
-        "skipsSent=%d validated=%d wDirs=%zu marksDone=%u "
-        "sOnly=%zu sValidated=%u mshr={act=%d addr=%llx poison=%d}\n",
+        "skipsSent=%d validated=%d dirs=%zu wDirs=%u pending=%u "
+        "mshr={act=%d addr=%llx poison=%d}\n",
         nodeId, static_cast<int>(phase), opIdx, curOps.size(),
         tid == kInvalidTid ? -1LL : (long long)tid,
         tidReqOutstanding ? 1 : 0, skipsSent ? 1 : 0,
-        validated ? 1 : 0, wDirs.size(), marksDone.count(),
-        sOnlyDirs.size(), sValidated.count(), mshr.active ? 1 : 0,
-        (unsigned long long)mshr.lineAddr, mshr.poisoned ? 1 : 0);
+        validated ? 1 : 0, commitDirs.size(), writingVec.count(),
+        dirsPending,
+        mshr.active ? 1 : 0, (unsigned long long)mshr.lineAddr,
+        mshr.poisoned ? 1 : 0);
     return buf;
 }
 

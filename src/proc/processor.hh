@@ -186,6 +186,22 @@ class TccProcessor
   private:
     enum class Phase { Idle, Exec, Commit, Done };
 
+    /** One directory in writingVec ∪ sharingVec. */
+    struct CommitDir {
+        NodeId node = 0;
+        /** In writingVec: Marks + Commit go here; else share-only. */
+        bool write = false;
+        /** Marks sent (write) or NSTID >= tid seen (share-only). */
+        bool done = false;
+        /** The early (TID-less) probe's answer, until then invalid. */
+        Tid earlyNstid = kInvalidTid;
+        /** This directory's write-set lines: commitLines[begin, end). */
+        std::uint32_t linesBegin = 0;
+        std::uint32_t linesEnd = 0;
+        std::uint32_t lines() const { return linesEnd - linesBegin; }
+        bool operator<(const CommitDir &o) const { return node < o.node; }
+    };
+
     // --- transaction lifecycle -------------------------------------
     void startNextTransaction();
     void beginAttempt();
@@ -204,12 +220,17 @@ class TccProcessor
     /** (addr, value) pairs of the write buffer for the commit hook. */
     std::vector<std::pair<Addr, std::uint64_t>> writeLogForHook() const;
     void startCommit();
+    /** Fill commitDirs/commitLines from the vectors and write set. */
+    void buildCommitTable();
+    /** The table entry for @p dir, or nullptr. */
+    CommitDir *findDir(NodeId dir);
     void recordCommitStats(std::size_t write_dirs,
                            std::size_t dirs_touched);
     void proceedAfterTid();
     /** Post one Probe (all probe emission funnels through here). */
     void sendProbe(NodeId dir, Tid probe_tid, bool want_write);
-    void sendMarksTo(NodeId dir);
+    void sendMarksTo(CommitDir &dir);
+    void postMarks(const CommitDir &dir);
     void checkValidationDone();
     void completeCommit();
     void finishTransaction();
@@ -218,7 +239,7 @@ class TccProcessor
     void onLoadReply(const Message &msg);
     void onTidReply(const Message &msg);
     void onProbeReply(const Message &msg);
-    void interpretNstid(NodeId dir, Tid observed);
+    void interpretNstid(CommitDir &dir, Tid observed);
     void onInv(const Message &msg);
     void onDataReq(const Message &msg);
 
@@ -277,31 +298,21 @@ class TccProcessor
     std::uint64_t gen = 0;
 
     // --- commit-phase state ------------------------------------------
-    // The per-directory bookkeeping is a set of node-indexed bitmaps
-    // and dense arrays (not hash sets): membership is one bit test,
-    // completion checks are popcounts, and clearing between attempts
-    // is a handful of word stores. All arrays are sized numNodes at
-    // construction and arena-backed.
+    // A commit deals only with the directories in writingVec and
+    // sharingVec, so its per-directory state is one table of them,
+    // built as the commit (or a solo drain) starts: it grows with the
+    // largest commit made, not with the node count.
     bool skipsSent = false;
     bool validated = false;
     Tick commitStart = 0;
-    std::vector<NodeId> wDirs;
-    std::vector<NodeId> sOnlyDirs;
-    /** Dirs whose early (TID-less) probe answered; NSTID per dir. */
-    NodeSet earlyAnswered;
-    std::vector<Tid, ArenaAllocator<Tid>> earlyNstid;
-    /** Writing dirs whose Marks have all been sent. */
-    NodeSet marksDone;
-    /** Sharing-only dirs observed at NSTID >= tid. */
-    NodeSet sValidated;
-    /** Marks sent per writing dir (Commit.numMarks). */
-    std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>>
-        marksCount;
-    /** Write-set lines grouped by home dir + membership bitmap. */
-    using LineVec = std::vector<SpecCache::WriteSetLine,
-                                ArenaAllocator<SpecCache::WriteSetLine>>;
-    std::vector<LineVec, ArenaAllocator<LineVec>> writeSetByDir;
-    NodeSet wsDirs;
+    /** One entry per directory the commit touches, ascending. */
+    std::vector<CommitDir, ArenaAllocator<CommitDir>> commitDirs;
+    /** The write set, grouped by home in commitDirs order. */
+    std::vector<SpecCache::WriteSetLine,
+                ArenaAllocator<SpecCache::WriteSetLine>>
+        commitLines;
+    /** Entries not yet done: the commit validates when this hits 0. */
+    std::uint32_t dirsPending = 0;
     /** Scratch destination list for multicast emission (reused). */
     std::vector<NodeId, ArenaAllocator<NodeId>> mcastBuf;
     /** NIC-serialized multicast sends charged to this attempt. */

@@ -31,7 +31,7 @@ class DirectoryTest : public ::testing::Test
 
     DirectoryTest()
         : net(eq, kNodes),
-          dir(kDir, kNodes, eq, net, DirectoryConfig{}, &arena)
+          dir(kDir, kNodes, eq, net, DirectoryConfig{}, 32, &arena)
     {
         for (NodeId n = 0; n < kNodes; ++n) {
             net.connect(n, [this, n](const Message &m) {
