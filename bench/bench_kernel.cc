@@ -4,7 +4,7 @@
  * result (BENCH_kernel.json), giving the repo a perf trajectory
  * across PRs.
  *
- * Two measurements:
+ * Measurements:
  *
  *  1. Raw kernel events/sec on a steady-state event mix modeled on the
  *     simulator's real call sites: mostly small-capture continuation
@@ -14,7 +14,10 @@
  *     replicates the seed implementation (std::priority_queue of
  *     std::function entries, payload captured in the closure), so the
  *     reported speedup is self-contained and reproducible on any
- *     machine.
+ *     machine. A second delay spread, measured on a 1024-node mesh
+ *     with flat multicast, runs on both kernels too
+ *     (far_events_per_sec): ~40% of its delays are 256 cycles or
+ *     longer and ~0.4% exceed the event wheel's 4,096-tick span.
  *
  *  2. End-to-end simulated cycles/sec on a Table 2 configuration
  *     (16 processors, 2D mesh, synthetic SPLASH-2 profile).
@@ -34,6 +37,7 @@
 #include <cstdio>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
@@ -112,6 +116,16 @@ class ReferenceHeapKernel
     std::uint64_t executedEvents = 0;
 };
 
+/** Delay spread of an event mix. */
+enum class Spread {
+    /// [1, 180] plus 1-in-32 in [300, 1000) (memory round trips, mesh
+    /// congestion at 64 nodes).
+    Near,
+    /// A 1024-node flat-multicast mesh: ~60% under 256 cycles, ~25% in
+    /// [256, 1024), ~15% in [1024, 4096), ~0.4% in [4096, 16384).
+    Far,
+};
+
 /**
  * The steady-state event mix, shaped like the simulator's real traffic:
  *  - kChains concurrent self-rescheduling actors (the in-flight event
@@ -120,8 +134,7 @@ class ReferenceHeapKernel
  *    deferred dispatch and ship a Message-sized payload to a consumer,
  *    the other half are small continuations with a generation check
  *    (resumeAfter-style);
- *  - delays drawn from [1, 180] plus an occasional far event past the
- *    256-tick wheel window (memory round trips, mesh congestion).
+ *  - delays drawn from the given Spread.
  * The delay sequence is precomputed so the timed region measures the
  * kernel, not the random-number generator.
  */
@@ -134,17 +147,34 @@ struct MixWorkload {
     std::uint64_t payloadWords = 0;
     std::uint64_t target;
 
-    explicit MixWorkload(std::uint64_t total_events) : target(total_events)
+    MixWorkload(std::uint64_t total_events, Spread spread)
+        : target(total_events)
     {
         Rng rng(12345);
         delays.resize(4096);
-        for (auto &d : delays) {
-            // 1-in-32 events jump past the wheel window (overflow).
-            if (rng.below(32) == 0)
-                d = 300 + rng.below(700);
-            else
-                d = 1 + rng.below(180);
-        }
+        for (auto &d : delays)
+            d = spread == Spread::Near ? nearDelay(rng) : farDelay(rng);
+    }
+
+    static Tick
+    nearDelay(Rng &rng)
+    {
+        if (rng.below(32) == 0)
+            return 300 + rng.below(700);
+        return 1 + rng.below(180);
+    }
+
+    static Tick
+    farDelay(Rng &rng)
+    {
+        const std::uint64_t u = rng.below(1000);
+        if (u < 4)
+            return 4096 + rng.below(12288);
+        if (u < 154)
+            return 1024 + rng.below(3072);
+        if (u < 404)
+            return 256 + rng.below(768);
+        return 1 + rng.below(255);
     }
 
     Tick nextDelay() { return delays[fired & (delays.size() - 1)]; }
@@ -340,14 +370,25 @@ main(int argc, char **argv)
 
     std::printf("== simulation-kernel throughput ==\n");
 
-    MixWorkload<EventQueue, /*UsePool=*/true> wheel(kernelEvents);
-    const double newRate = wheel.run(kChains);
+    // The reference runs first: its per-event std::function
+    // allocations are sensitive to the heap state a previous run
+    // leaves behind, the pooled wheel run is not.
+    const auto rates = [&](Spread spread) {
+        MixWorkload<ReferenceHeapKernel, /*UsePool=*/false> ref(
+            kernelEvents, spread);
+        const double refRate = ref.run(kChains);
+        MixWorkload<EventQueue, /*UsePool=*/true> wheel(kernelEvents,
+                                                         spread);
+        return std::pair{wheel.run(kChains), refRate};
+    };
+    const auto [newRate, refRate] = rates(Spread::Near);
     std::printf("timing-wheel kernel : %12.0f events/sec\n", newRate);
-
-    MixWorkload<ReferenceHeapKernel, /*UsePool=*/false> ref(kernelEvents);
-    const double refRate = ref.run(kChains);
     std::printf("seed heap kernel    : %12.0f events/sec\n", refRate);
     std::printf("speedup             : %12.2fx\n", newRate / refRate);
+    const auto [farRate, farRefRate] = rates(Spread::Far);
+    std::printf("far mix (1024 mesh) : %12.0f events/sec, seed heap "
+                "%.0f (%.2fx)\n",
+                farRate, farRefRate, farRate / farRefRate);
 
     const EndToEndResult e2e = endToEnd(txnsPerPhase);
     std::printf("end-to-end          : %12.0f sim-cycles/sec "
@@ -375,6 +416,8 @@ main(int argc, char **argv)
     r.real("cycles_per_sec", e2e.cyclesPerSec);
     r.real("reference_events_per_sec", refRate);
     r.real("speedup_vs_seed_kernel", newRate / refRate);
+    r.real("far_events_per_sec", farRate);
+    r.real("far_reference_events_per_sec", farRefRate);
     r.real("end_to_end_events_per_sec", e2e.eventsPerSec);
     r.num("arena_peak_bytes", e2e.arenaPeakBytes);
     r.num("arena_chunks", e2e.arenaChunks);

@@ -206,9 +206,8 @@ BusTcc::grantToken()
 
     // Flush the write-set over the ordered bus: addresses + data
     // (write-through commit). The bus is the serialization point.
-    const auto ws = p.cache.writeSet();
     const std::uint64_t bytes =
-        ws.size() *
+        p.cache.writeSetLines() *
         (8ull + config.cache.lineBytes); // addr + data per line
     const Tick wait = busTransfer(bytes);
 
@@ -221,12 +220,12 @@ BusTcc::doCommit(Proc &p)
     // Snoop: every other processor checks the committed words against
     // its speculative read set and violates on overlap (the committer
     // holds the token, so it always wins).
-    const auto ws = p.cache.writeSet();
+    p.cache.writeSet(writeSetBuf);
     for (auto &other : procs) {
         if (other->id == p.id || other->done || other->waitingBarrier)
             continue;
         bool hit = false;
-        for (const auto &line : ws) {
+        for (const auto &line : writeSetBuf) {
             auto out = other->cache.invalidate(line.lineAddr,
                                                line.smMask);
             if (out.srOverlap)

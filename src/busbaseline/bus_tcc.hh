@@ -151,6 +151,8 @@ class BusTcc
     Tick busFree = 0;
     Tick busBusy = 0;
     std::uint64_t commitSeq = 0; ///< serial commit order (checker TID)
+    /** The committer's write set, refilled by each doCommit. */
+    std::vector<SpecCache::WriteSetLine> writeSetBuf;
     std::vector<std::pair<NodeId, std::function<void()>>>
         barrierWaiters;
     std::uint32_t doneProcs = 0;

@@ -295,16 +295,27 @@ SpecCache::fill(Addr addr)
     return out;
 }
 
-std::vector<SpecCache::WriteSetLine>
-SpecCache::writeSet() const
+void
+SpecCache::writeSet(std::vector<WriteSetLine> &out) const
 {
-    std::vector<WriteSetLine> ws;
+    out.clear();
     for (const Line *slot : specSlots) {
         const Line &line = *slot;
         if (line.allocated && line.sm != 0)
-            ws.push_back(WriteSetLine{line.tag, line.sm});
+            out.push_back(WriteSetLine{line.tag, line.sm});
     }
-    return ws;
+}
+
+std::uint32_t
+SpecCache::writeSetLines() const
+{
+    std::uint32_t n = 0;
+    for (const Line *slot : specSlots) {
+        const Line &line = *slot;
+        if (line.allocated && line.sm != 0)
+            ++n;
+    }
+    return n;
 }
 
 std::uint32_t

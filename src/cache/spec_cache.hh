@@ -145,8 +145,12 @@ class SpecCache
         WordMask smMask;
     };
 
-    /** Snapshot of the current write set (for Mark messages). */
-    std::vector<WriteSetLine> writeSet() const;
+    /** Overwrite @p out with the current write set (for Mark
+     *  messages); callers keep @p out to reuse its capacity. */
+    void writeSet(std::vector<WriteSetLine> &out) const;
+
+    /** Number of speculatively written lines (write-set size). */
+    std::uint32_t writeSetLines() const;
 
     /** Number of speculatively read lines (read-set footprint stat). */
     std::uint32_t readSetLines() const;

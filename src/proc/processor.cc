@@ -438,7 +438,7 @@ TccProcessor::buildCommitTable()
 
     // Group the write set by home, keeping each home's lines in
     // write-set order: count per directory, then place.
-    const auto ws = specCache.writeSet();
+    specCache.writeSet(writeSetBuf);
     const auto home_entry = [&](Addr line) -> CommitDir & {
         CommitDir *e = findDir(homeOf(line));
         if (!e || !e->write)
@@ -446,15 +446,15 @@ TccProcessor::buildCommitTable()
                   "Writing vector", nodeId, (unsigned long long)line);
         return *e;
     };
-    for (const auto &line : ws)
+    for (const auto &line : writeSetBuf)
         ++home_entry(line.lineAddr).linesEnd;
     std::uint32_t at = 0;
     for (CommitDir &e : commitDirs) {
         e.linesBegin = at;
         at += std::exchange(e.linesEnd, at);
     }
-    commitLines.resize(ws.size());
-    for (const auto &line : ws)
+    commitLines.resize(writeSetBuf.size());
+    for (const auto &line : writeSetBuf)
         commitLines[home_entry(line.lineAddr).linesEnd++] = line;
 }
 
@@ -672,9 +672,8 @@ TccProcessor::recordCommitStats(std::size_t write_dirs,
                                 std::size_t dirs_touched)
 {
     // Table 3 statistics (before clearing speculative state).
-    const auto ws = specCache.writeSet();
     const double line_kb = specCache.cfg().lineBytes / 1024.0;
-    procStats.txnWriteSetKB.sample(ws.size() * line_kb);
+    procStats.txnWriteSetKB.sample(specCache.writeSetLines() * line_kb);
     procStats.txnReadSetKB.sample(specCache.readSetLines() * line_kb);
     procStats.txnInstructions.sample(
         static_cast<double>(attemptInstr));

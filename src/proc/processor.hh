@@ -311,6 +311,9 @@ class TccProcessor
     std::vector<SpecCache::WriteSetLine,
                 ArenaAllocator<SpecCache::WriteSetLine>>
         commitLines;
+    /** The write set in cache order, read back to build commitLines
+     *  (reused; on the heap, so its growth abandons no arena bytes). */
+    std::vector<SpecCache::WriteSetLine> writeSetBuf;
     /** Entries not yet done: the commit validates when this hits 0. */
     std::uint32_t dirsPending = 0;
     /** Scratch destination list for multicast emission (reused). */

@@ -8,16 +8,22 @@
  * were scheduled (FIFO tie-break via a monotonically increasing sequence
  * number), so a simulation is exactly reproducible for a given seed.
  *
- * Implementation: a two-level calendar queue tuned for the simulator's
- * event-density profile (almost every delay is under a few hundred
- * cycles):
+ * Implementation: a two-level calendar queue. Its near level spans
+ * 4,096 ticks because at scale many delays run past a few hundred
+ * cycles: on a 1024-node mesh, NIC queueing behind flat multicast
+ * fan-out and routes of up to 62 hops put ~40% of scheduled events
+ * 256 or more ticks ahead, but only ~0.35% 4,096 or more (at 256
+ * nodes over 8 PDES domains ~5.5% and ~0.02%; 0-6% and none per
+ * Table-3 app at 64 nodes; ~0.4% and none on 32-node hot-key maps).
  *
- *  - The near level is a timing wheel of kWheelSize per-tick FIFO
+ *  - The near level is a timing wheel of kWindowTicks per-tick FIFO
  *    buckets covering the sliding window [windowStart, windowStart +
- *    kWheelSize). Any delay below kWheelSize lands here. The earliest
- *    bucket is found by scanning a 256-bit occupancy bitmap rotated to
- *    the window cursor - a handful of word operations, no comparisons
- *    against other events.
+ *    kWindowTicks). Any delay below kWindowTicks lands here. A 4,096-bit
+ *    occupancy bitmap marks the non-empty buckets, and one summary
+ *    word marks its non-zero words, so the earliest bucket is found
+ *    with at most two count-trailing-zeros steps past the cursor word
+ *    - no scan, and no comparisons against other events. 4,096 is the
+ *    largest span whose bitmap fits under a single summary word.
  *  - Events beyond the window go to a far-future overflow heap ordered
  *    by (when, seq). Whenever the window slides forward (time advances
  *    to the next event, or past the whole window), newly covered
@@ -60,6 +66,10 @@ namespace tcc {
 class EventQueue
 {
   public:
+    /** Span of the near-level wheel: an event fewer than this many
+     *  ticks past the window start skips the overflow heap. */
+    static constexpr Tick kWindowTicks = Tick{1} << 12;
+
     /** Event callback: inline up to 48 bytes of capture. */
     using Callback = InlineFunction<48>;
 
@@ -113,7 +123,7 @@ class EventQueue
         n->seq = nextSeq++;
         n->next = nullptr;
         n->fn = std::move(fn);
-        if (when - windowStart < kWheelSize)
+        if (when - windowStart < kWindowTicks)
             pushBucket(n);
         else
             overflow.push(n);
@@ -202,11 +212,10 @@ class EventQueue
     }
 
   private:
-    /// Per-tick buckets; covers a sliding kWheelSize-tick window.
-    static constexpr std::size_t kWheelBits = 8;
-    static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
-    static constexpr Tick kWheelMask = kWheelSize - 1;
-    static constexpr std::size_t kWheelWords = kWheelSize / 64;
+    static constexpr Tick kWheelMask = kWindowTicks - 1;
+    static constexpr std::size_t kWheelWords = kWindowTicks / 64;
+    static_assert(kWheelWords <= 64,
+                  "the summary word has one bit per bitmap word");
     static constexpr std::size_t kSlabNodes = 256;
 
     struct Node {
@@ -216,10 +225,13 @@ class EventQueue
         Callback fn;
     };
 
-    /** Per-tick FIFO bucket (intrusive singly-linked list). */
+    /** Per-tick FIFO bucket (intrusive singly-linked list). Left
+     *  uninitialized: a bucket's fields are meaningful only while its
+     *  occupancy bit is set, so a new queue touches none of the 64 KiB
+     *  wheel and its pages fault in as buckets are first used. */
     struct Bucket {
-        Node *head = nullptr;
-        Node *tail = nullptr;
+        Node *head;
+        Node *tail;
     };
 
     /** Overflow heap order: earliest (when, seq) on top. */
@@ -272,12 +284,15 @@ class EventQueue
     {
         const std::size_t idx = n->when & kWheelMask;
         Bucket &b = wheel[idx];
-        if (b.tail)
+        std::uint64_t &word = occupied[idx >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+        if (word & bit)
             b.tail->next = n;
         else
             b.head = n;
         b.tail = n;
-        occupied[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+        word |= bit;
+        summary |= std::uint64_t{1} << (idx >> 6);
         ++wheelCount;
     }
 
@@ -290,7 +305,7 @@ class EventQueue
     migrateOverflow()
     {
         while (!overflow.empty() &&
-               overflow.top()->when - windowStart < kWheelSize) {
+               overflow.top()->when - windowStart < kWindowTicks) {
             Node *n = overflow.top();
             overflow.pop();
             n->next = nullptr;
@@ -300,32 +315,29 @@ class EventQueue
 
     /**
      * Index of the earliest non-empty bucket. Within the window the
-     * rotated index (idx - windowStart) mod kWheelSize is monotonic in
-     * `when`, so this scans the occupancy bitmap starting at the
-     * window cursor and wrapping once. Pre: wheelCount != 0.
+     * rotated index (idx - windowStart) mod kWindowTicks is monotonic in
+     * `when`, so the search starts at the window cursor and wraps
+     * once: the cursor word's bits at or after the cursor, then the
+     * first occupied word above the cursor word, then the first
+     * occupied word at or below it (whose bits lie one revolution
+     * ahead; the cursor word qualifies here only with bits below the
+     * cursor, since its high bits were empty). Pre: wheelCount != 0.
      */
     std::size_t
     earliestBucket() const
     {
         const std::size_t cw = (windowStart & kWheelMask) >> 6;
-        const std::size_t cb = windowStart & 63;
-        // Cursor word, bits at or after the cursor.
-        std::uint64_t w = occupied[cw] & (~std::uint64_t{0} << cb);
+        const std::uint64_t w =
+            occupied[cw] & (~std::uint64_t{0} << (windowStart & 63));
         if (w)
             return cw * 64 + static_cast<std::size_t>(std::countr_zero(w));
-        // Following words, wrapping; the cursor word's low bits come
-        // last (they are one revolution ahead).
-        for (std::size_t i = 1; i <= kWheelWords; ++i) {
-            const std::size_t k = (cw + i) & (kWheelWords - 1);
-            std::uint64_t ww = occupied[k];
-            if (k == cw)
-                ww &= ~(~std::uint64_t{0} << cb);
-            if (ww) {
-                return k * 64 +
-                       static_cast<std::size_t>(std::countr_zero(ww));
-            }
-        }
-        panic("event wheel count/bitmap out of sync");
+        const std::uint64_t above = summary & (~std::uint64_t{1} << cw);
+        const std::size_t k = static_cast<std::size_t>(
+            std::countr_zero(above ? above : summary));
+        if (k >= kWheelWords)
+            panic("event wheel count/bitmap out of sync");
+        return k * 64 +
+               static_cast<std::size_t>(std::countr_zero(occupied[k]));
     }
 
     /** Detach and return the earliest pending event, or nullptr when
@@ -347,20 +359,24 @@ class EventQueue
             return nullptr;
         b.head = n->next;
         if (!b.head) {
-            b.tail = nullptr;
-            occupied[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+            std::uint64_t &word = occupied[idx >> 6];
+            word &= ~(std::uint64_t{1} << (idx & 63));
+            if (word == 0)
+                summary &= ~(std::uint64_t{1} << (idx >> 6));
         }
         --wheelCount;
         return n;
     }
 
-    Bucket wheel[kWheelSize];
+    Bucket wheel[kWindowTicks];
     std::uint64_t occupied[kWheelWords] = {};
+    /// Bit k set iff occupied[k] != 0.
+    std::uint64_t summary = 0;
     std::size_t wheelCount = 0;
     /**
      * Start of the sliding window the wheel covers. Invariants: every
-     * wheel event is in [windowStart, windowStart + kWheelSize); every
-     * overflow event is at or beyond windowStart + kWheelSize;
+     * wheel event is in [windowStart, windowStart + kWindowTicks); every
+     * overflow event is at or beyond windowStart + kWindowTicks;
      * windowStart <= the earliest pending event and never decreases.
      */
     Tick windowStart = 0;

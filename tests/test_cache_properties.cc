@@ -83,8 +83,11 @@ TEST_P(CacheGeometry, WriteSetMatchesStores)
         if (c.store(a).hit)
             stored_lines.insert(c.lineAlign(a));
     }
+    std::vector<SpecCache::WriteSetLine> ws;
+    c.writeSet(ws);
+    EXPECT_EQ(c.writeSetLines(), ws.size());
     std::set<Addr> ws_lines;
-    for (const auto &l : c.writeSet()) {
+    for (const auto &l : ws) {
         EXPECT_NE(l.smMask, 0u);
         ws_lines.insert(l.lineAddr);
     }
@@ -103,7 +106,7 @@ TEST_P(CacheGeometry, CommitEmptiesSpeculativeState)
         }
     }
     c.commitSpec(5);
-    EXPECT_TRUE(c.writeSet().empty());
+    EXPECT_EQ(c.writeSetLines(), 0u);
     EXPECT_EQ(c.readSetLines(), 0u);
 }
 
@@ -120,7 +123,7 @@ TEST_P(CacheGeometry, AbortEmptiesSpeculativeState)
         }
     }
     c.abortSpec();
-    EXPECT_TRUE(c.writeSet().empty());
+    EXPECT_EQ(c.writeSetLines(), 0u);
     EXPECT_EQ(c.readSetLines(), 0u);
 }
 
@@ -182,7 +185,7 @@ TEST_P(CacheGeometry, FuzzAgainstReferenceModel)
         }
     }
     c.abortSpec();
-    EXPECT_TRUE(c.writeSet().empty());
+    EXPECT_EQ(c.writeSetLines(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -20,6 +20,9 @@
 namespace tcc {
 namespace {
 
+/// The wheel span: a delay of kW or more goes to the overflow heap.
+constexpr Tick kW = EventQueue::kWindowTicks;
+
 TEST(EventQueue, StartsAtZero)
 {
     EventQueue eq;
@@ -118,22 +121,104 @@ TEST(EventQueue, RunUntilOnEmptyQueueAdvancesTime)
 }
 
 // Same-tick FIFO must hold when some events reach the tick through the
-// far-future overflow heap and others through the near wheel (the
-// wheel window spans 256 ticks, so tick 1000 is "far" when scheduled
-// at tick 0 and "near" when scheduled at tick 900).
+// far-future overflow heap and others through the near wheel (tick
+// kW + 1000 is "far" when scheduled at tick 0, migrates into the wheel
+// when the window slides to kW - 50, and is "near" when scheduled at
+// tick kW + 900).
 TEST(EventQueue, SameTickFifoAcrossWheelAndOverflowPaths)
 {
     EventQueue eq;
     std::vector<int> order;
+    const Tick t = kW + 1000;
     for (int i = 0; i < 4; ++i)
-        eq.scheduleAt(1000, [&, i] { order.push_back(i); }); // overflow
-    eq.scheduleAt(900, [&] {
-        for (int i = 4; i < 8; ++i)
-            eq.scheduleAt(1000, [&, i] { order.push_back(i); }); // wheel
+        eq.scheduleAt(t, [&, i] { order.push_back(i); }); // overflow
+    eq.scheduleAt(kW - 50, [&] {
+        eq.scheduleAt(t - 100, [&] {
+            for (int i = 4; i < 8; ++i)
+                eq.scheduleAt(t, [&, i] { order.push_back(i); }); // wheel
+        });
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-    EXPECT_EQ(eq.now(), 1000u);
+    EXPECT_EQ(eq.now(), t);
+}
+
+// The cursor sits in the last bitmap word and the next event is in
+// word 0, so the search wraps. An earlier event left word 5 empty
+// behind the cursor: its summary bit must be clear, or the search
+// after the wrap would stop there instead of at word 10.
+TEST(EventQueue, WrapFromLastBitmapWordToWordZero)
+{
+    EventQueue eq;
+    std::vector<Tick> log;
+    const auto rec = [&] { log.push_back(eq.now()); };
+    eq.scheduleAt(5 * 64, [&] {           // word 5
+        rec();
+        eq.scheduleAt(kW - 10, [&] {       // word 63
+            rec();
+            eq.scheduleAt(kW + 700, rec);  // word 10, next revolution
+            eq.scheduleAt(kW + 10, rec);   // word 0, next revolution
+            EXPECT_EQ(eq.nextWhen(), kW + 10);
+        });
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<Tick>{5 * 64, kW - 10, kW + 10, kW + 700}));
+}
+
+// With the cursor at bit 36 of word 1, the only pending event is at
+// bit 6 of word 1: the cursor word's low bits, one revolution ahead.
+TEST(EventQueue, OnlyEventInCursorWordLowBitsIsOneRevolutionAhead)
+{
+    EventQueue eq;
+    std::vector<Tick> log;
+    const auto rec = [&] { log.push_back(eq.now()); };
+    eq.scheduleAt(100, [&] {
+        rec();
+        eq.scheduleAt(kW + 70, rec);
+        EXPECT_EQ(eq.nextWhen(), kW + 70);
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<Tick>{100, kW + 70}));
+}
+
+// From the cursor, words above the cursor word come first, then the
+// wrapped words from 0 up to and including the cursor word itself.
+TEST(EventQueue, WordsAboveCursorRunBeforeWrappedWords)
+{
+    EventQueue eq;
+    std::vector<Tick> log;
+    const auto rec = [&] { log.push_back(eq.now()); };
+    eq.scheduleAt(100, [&] {
+        rec();
+        eq.scheduleAt(kW + 70, rec); // cursor word, low bits
+        eq.scheduleAt(kW + 5, rec);  // word 0, wrapped
+        eq.scheduleAt(400, rec);     // word 6
+        eq.scheduleAt(200, rec);     // word 3
+        eq.scheduleAt(120, rec);     // cursor word, high bits
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<Tick>{100, 120, 200, 400, kW + 5, kW + 70}));
+}
+
+// windowStart + kW - 1 is the wheel's last bucket; windowStart + kW
+// maps to the cursor's own bucket and must go to the overflow heap, to
+// run after it. A same-tick event scheduled once the window covers it
+// queues behind the migrated one.
+TEST(EventQueue, WindowEdgeSplitsWheelFromOverflow)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleAt(100, [&] {
+        eq.schedule(kW, [&] { order.push_back(1); });
+        eq.schedule(kW - 1, [&] {
+            order.push_back(0);
+            eq.schedule(1, [&] { order.push_back(2); });
+        });
+        EXPECT_EQ(eq.nextWhen(), 100 + kW - 1);
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.now(), 100 + kW);
 }
 
 // Property test: under a random mix of near (wheel) and far (overflow)
@@ -157,8 +242,8 @@ TEST(EventQueue, PropertyRandomDelaysExecuteInScheduleOrder)
             const int n = 1 + static_cast<int>(rng.below(3));
             for (int i = 0; i < n; ++i) {
                 const Tick d = rng.below(16) == 0
-                                   ? 200 + rng.below(2000) // far
-                                   : rng.below(120);       // near
+                                   ? kW - 56 + rng.below(2 * kW) // far
+                                   : rng.below(120);             // near
                 const int id2 = nextId++;
                 expected.push_back({eq.now() + d, id2});
                 eq.schedule(d, [&fire, id2] { fire(id2); });
@@ -166,8 +251,8 @@ TEST(EventQueue, PropertyRandomDelaysExecuteInScheduleOrder)
         }
     };
     for (int i = 0; i < 200; ++i) {
-        const Tick d = rng.below(4) == 0 ? 300 + rng.below(3000)
-                                         : rng.below(250);
+        const Tick d = rng.below(4) == 0 ? kW + rng.below(3 * kW)
+                                         : rng.below(kW);
         const int id = nextId++;
         expected.push_back({d, id});
         eq.scheduleAt(d, [&fire, id] { fire(id); });
@@ -210,14 +295,14 @@ TEST(EventQueue, PendingCountsWheelAndOverflow)
 {
     EventQueue eq;
     eq.schedule(1, [] {});    // wheel
-    eq.schedule(10000, [] {}); // overflow
+    eq.schedule(2 * kW, [] {}); // overflow
     EXPECT_EQ(eq.pending(), 2u);
     eq.step();
     EXPECT_EQ(eq.pending(), 1u);
     eq.run();
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.now(), 10000u);
+    EXPECT_EQ(eq.now(), 2 * kW);
 }
 
 TEST(EventQueue, LargeCaptureFallsBackToHeapAndStillRuns)

@@ -287,5 +287,34 @@ TEST(MulticastSystem, GoldenSerialTreeRun)
     EXPECT_EQ(sys.memory().fingerprint(), 4472990100756069682ull);
 }
 
+TEST(MulticastSystem, GoldenSerialFlatRun1024)
+{
+    // Absolute outcome of one serial-engine run at 1024 nodes with
+    // flat multicast. Routes of up to 62 hops and NIC queueing behind
+    // the O(N) skip fan-out put 40% of its events 256 or more cycles
+    // ahead and ~7k past the event wheel's whole span, so this pins
+    // the kernel's far-event paths as well as the protocol at scale.
+    // The values come from a known-good build and are never edited to
+    // follow a code change.
+    SystemConfig cfg;
+    cfg.numProcs = 1024;
+    cfg.homePolicy = HomePolicy::Interleave;
+    cfg.check.serial = true;
+    cfg.check.invariants = true;
+    System sys(cfg);
+    const WorkloadBundle bundle = makeWorkload(
+        "barnes", WorkloadParams::parse("phases=1"), /*seed=*/7,
+        cfg.numProcs);
+    bundle.attach(sys);
+    const RunResult r = sys.run();
+    ASSERT_TRUE(r.completed);
+    ASSERT_TRUE(r.checksPassed()) << r.serial.error << r.invariants.error;
+    EXPECT_EQ(r.cycles, 768737u);
+    EXPECT_EQ(r.committedTxns, 1024u);
+    EXPECT_EQ(r.violations, 11u);
+    EXPECT_EQ(r.events, 2928678u);
+    EXPECT_EQ(sys.memory().fingerprint(), 15617167881492323406ull);
+}
+
 } // namespace
 } // namespace tcc

@@ -61,8 +61,11 @@ TEST(SpecCache, StoreSetsSmAndWriteSet)
     EXPECT_TRUE(out.hit);
     EXPECT_FALSE(out.needsWriteBack);
     EXPECT_EQ(c.smMask(0x2000), WordMask(1) << 2);
-    auto ws = c.writeSet();
+    // The buffer is overwritten, not appended to.
+    std::vector<SpecCache::WriteSetLine> ws(3);
+    c.writeSet(ws);
     ASSERT_EQ(ws.size(), 1u);
+    EXPECT_EQ(c.writeSetLines(), 1u);
     EXPECT_EQ(ws[0].lineAddr, 0x2000u);
     EXPECT_EQ(ws[0].smMask, WordMask(1) << 2);
 }
@@ -99,7 +102,7 @@ TEST(SpecCache, CommitClearsSpecBitsAndMarksDirty)
     EXPECT_EQ(c.srMask(0x1000), 0u);
     EXPECT_EQ(c.smMask(0x1000), 0u);
     EXPECT_TRUE(c.isDirty(0x1000));
-    EXPECT_TRUE(c.writeSet().empty());
+    EXPECT_EQ(c.writeSetLines(), 0u);
     EXPECT_EQ(c.readSetLines(), 0u);
 }
 
