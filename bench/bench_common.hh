@@ -25,7 +25,6 @@
 #include "core/report.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
-#include "obs/metrics.hh"
 #include "obs/stats_tree.hh"
 #include "workload/registry.hh"
 
@@ -141,9 +140,6 @@ struct RunOutcome : Outcome {
     AppCharacterization characterization;
     TrafficRow traffic;
     std::uint64_t dirCacheMisses = 0;
-    /** Epochs the metrics sampler closed (0 when not armed via
-     *  RunOptions::trace). */
-    std::uint64_t metricsEpochs = 0;
 };
 
 /** Tweaks applied on top of the default Table 2 configuration. */
@@ -163,9 +159,6 @@ struct RunOptions {
     std::uint32_t dirCacheEntries = 0;
     /** Write-through commit ablation. */
     bool writeThroughCommit = false;
-    /** Observability (metricsEpoch / contentionTopK arm the epoch
-     *  sampler and conflict profiler; default all-off). */
-    TraceConfig trace;
     /** Workload knob overrides (registry key=value pairs, e.g.
      *  {"txns_per_phase","64"} for smoke clamps). */
     WorkloadParams wl;
@@ -185,7 +178,6 @@ runWorkload(const std::string &name, const RunOptions &opt)
     cfg.check = opt.check;
     cfg.directory.dirCacheEntries = opt.dirCacheEntries;
     cfg.writeThroughCommit = opt.writeThroughCommit;
-    cfg.trace = opt.trace;
 
     System sys(cfg);
     const WorkloadBundle bundle =
@@ -200,8 +192,6 @@ runWorkload(const std::string &name, const RunOptions &opt)
     out.traffic = trafficPerInstr(sys, name);
     for (NodeId p = 0; p < sys.numProcs(); ++p)
         out.dirCacheMisses += sys.directory(p).stats().dirCacheMisses;
-    if (const MetricsSampler *m = sys.metricsSampler())
-        out.metricsEpochs = m->closed();
     return out;
 }
 

@@ -10,7 +10,9 @@
  * The grid runs twice - serially and through SweepRunner with N
  * workers - and the two passes must be bit-identical, proving the
  * chaos stream is a pure function of (seed, config) even under
- * parallel evaluation.
+ * parallel evaluation. The same two timed passes gate SweepRunner
+ * itself: on a full run with N > 1 workers on a multi-core machine,
+ * the parallel pass must not be slower than the serial one.
  *
  * Usage: chaos_sweep [--smoke] [--out PATH] [--jobs=<n>]
  *   --smoke   presets x one application (CI wiring check)
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -132,9 +135,22 @@ main(int argc, char **argv)
                 grid.size());
     std::printf("determinism        : serial vs %u-job sweep %s\n",
                 jobs, deterministic ? "bit-identical" : "MISMATCH");
+    const double speedup = seconds(s0, s1) / seconds(s1, s2);
     std::printf("serial   (1 job)   : %8.3f sec\n", seconds(s0, s1));
     std::printf("parallel (%u jobs) : %8.3f sec\n", jobs,
                 seconds(s1, s2));
+    std::printf("speedup            : %8.2fx\n", speedup);
+
+    // Regression gate: on a machine with real parallelism, a parallel
+    // sweep that loses to the serial loop means the workers are
+    // contending on something (allocator, false sharing). The smoke
+    // grid is too short to time.
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (!args.smoke && jobs > 1 && hw > 1)
+        report.check("parallel_speedup", speedup >= 1.0,
+                     "parallel sweep slower than serial (%.2fx with %u "
+                     "jobs on %u hardware threads)",
+                     speedup, jobs, hw);
 
     StatsNode &r = report.root();
     r.num("chaos_configs_passed", passed);
@@ -143,6 +159,7 @@ main(int argc, char **argv)
     r.num("jobs", jobs);
     r.real("serial_sec", seconds(s0, s1));
     r.real("parallel_sec", seconds(s1, s2));
+    r.real("speedup", speedup);
     StatsNode &cfg = report.config();
     cfg.num("presets", chaosPresetNames().size());
     cfg.num("apps", apps.size());

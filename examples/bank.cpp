@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/report.hh"
 #include "core/system.hh"
+#include "obs/contention.hh"
 #include "sim/random.hh"
 #include "workload/scripted_source.hh"
 
@@ -75,6 +75,9 @@ main()
     SystemConfig cfg;
     cfg.numProcs = kProcs;
     cfg.check.serial = true;
+    // One profiler slot per account: the table never evicts, so its
+    // abort counts are exact.
+    cfg.trace.contentionTopK = kAccounts;
     System sys(cfg);
 
     for (std::uint32_t a = 0; a < kAccounts; ++a)
@@ -109,14 +112,12 @@ main()
                 (unsigned long long)res.violations);
 
     // TAPE-style conflict profiling: which accounts cause the retries?
-    auto hotspots = conflictHotspots(sys, 5);
     std::puts("conflict hotspots (TAPE-style):");
-    for (const auto &h : hotspots) {
-        const auto idx =
-            (h.lineAddr - account(0)) / 4096; // account index
+    for (const auto &h : sys.contentionProfiler()->topAborts(5)) {
+        const auto idx = (h.addr - account(0)) / 4096; // account index
         std::printf("  account %llu: %llu violations%s\n",
                     (unsigned long long)idx,
-                    (unsigned long long)h.violations,
+                    (unsigned long long)h.s.aborts,
                     idx < kHotAccounts ? "  <- hot account" : "");
     }
 

@@ -1,9 +1,6 @@
 #include "core/report.hh"
 
-#include <algorithm>
 #include <cstdio>
-
-#include "common/flat_map.hh"
 
 namespace tcc {
 
@@ -149,31 +146,6 @@ trafficRowText(const TrafficRow &row)
                   row.name.c_str(), row.overhead, row.miss,
                   row.writeBack, row.shared, row.total());
     return buf;
-}
-
-std::vector<ConflictHotspot>
-conflictHotspots(const System &sys, std::size_t top_n)
-{
-    FlatMap<Addr, std::uint64_t> merged;
-    for (NodeId p = 0; p < sys.numProcs(); ++p)
-        for (const auto &[addr, n] :
-             sys.proc(p).stats().violationAddrs)
-            merged[addr] += n;
-    std::vector<ConflictHotspot> all;
-    all.reserve(merged.size());
-    for (const auto &[addr, n] : merged)
-        all.push_back(ConflictHotspot{addr, n});
-    // Tie-break on address so the report is independent of container
-    // iteration order.
-    std::sort(all.begin(), all.end(),
-              [](const ConflictHotspot &a, const ConflictHotspot &b) {
-                  if (a.violations != b.violations)
-                      return a.violations > b.violations;
-                  return a.lineAddr < b.lineAddr;
-              });
-    if (all.size() > top_n)
-        all.resize(top_n);
-    return all;
 }
 
 } // namespace tcc

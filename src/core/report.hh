@@ -59,21 +59,6 @@ TrafficRow trafficPerInstr(const System &sys, const std::string &name);
 std::string trafficHeader();
 std::string trafficRowText(const TrafficRow &row);
 
-/** One entry of the TAPE-style conflict hotspot report. */
-struct ConflictHotspot {
-    Addr lineAddr = 0;
-    std::uint64_t violations = 0;
-};
-
-/**
- * TAPE-style profiling (paper Section 3.3 references TAPE): the lines
- * responsible for the most violations across all processors, sorted by
- * count. Lets a programmer find the contended data that limits
- * scalability.
- */
-std::vector<ConflictHotspot> conflictHotspots(const System &sys,
-                                              std::size_t top_n = 10);
-
 } // namespace tcc
 
 #endif // TCC_CORE_REPORT_HH

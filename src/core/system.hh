@@ -299,9 +299,6 @@ class System
      *  OS page placement a real first-touch run would produce). */
     void bindRegion(Addr base, std::uint64_t bytes, NodeId home);
 
-    /** Legacy spelling: RunResult now lives at namespace scope. */
-    using RunResult = tcc::RunResult;
-
     /** Run to completion (or @p max_ticks) and report the outcome,
      *  including any armed checker verdicts (CheckConfig). A run cut
      *  by @p max_ticks executes every event at or before it, none

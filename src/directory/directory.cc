@@ -169,14 +169,7 @@ Directory::serveLoad(NodeId requester, std::uint32_t seq, Addr lineAddr)
     if (e.owned && e.owner != requester) {
         // The only up-to-date copy is in the owner's cache.
         e.pendingLoads.push_back({requester, seq});
-        if (!e.dataReqOutstanding && !e.awaitingWriteBack) {
-            e.dataReqOutstanding = true;
-            Message req;
-            req.type = MsgType::DataReq;
-            req.dst = e.owner;
-            req.addr = lineAddr;
-            post(req);
-        }
+        requestOwnerData(e, lineAddr);
         return;
     }
     // Not owned - or the owner itself is filling words of a line it
@@ -184,6 +177,22 @@ Directory::serveLoad(NodeId requester, std::uint32_t seq, Addr lineAddr)
     // commit before this line was committed): serve from memory; the
     // owner's per-word valid bits merge the fill with its newer words.
     replyFromMemory(requester, seq, lineAddr);
+}
+
+void
+Directory::requestOwnerData(Entry &e, Addr lineAddr)
+{
+    if (e.dataReqOutstanding || e.awaitingWriteBack)
+        return;
+    e.dataReqOutstanding = true;
+    Message req;
+    req.type = MsgType::DataReq;
+    req.dst = e.owner;
+    req.addr = lineAddr;
+    // The commit whose data the owner is asked for; a no-data reply
+    // echoes it (see handleFlushData).
+    req.tid = e.commitTid;
+    post(req);
 }
 
 void
@@ -233,15 +242,8 @@ Directory::pumpPendingLoads(Addr lineAddr)
                 others.push_back(r);
         }
         e.pendingLoads = std::move(others);
-        if (!e.pendingLoads.empty() && !e.dataReqOutstanding &&
-            !e.awaitingWriteBack) {
-            e.dataReqOutstanding = true;
-            Message req;
-            req.type = MsgType::DataReq;
-            req.dst = e.owner;
-            req.addr = lineAddr;
-            post(req);
-        }
+        if (!e.pendingLoads.empty())
+            requestOwnerData(e, lineAddr);
         return;
     }
     std::vector<Entry::PendingLoad> waiters;
@@ -564,13 +566,18 @@ Directory::retireCurrent()
         advance();
     }
     for (Addr a : lines) {
-        // Replay write-backs that had overtaken this commit.
+        // Replay write-backs and data flushes that had overtaken this
+        // commit.
         Entry &e = entry(a);
         if (!e.deferredWriteBacks.empty()) {
             std::vector<Message> wbs;
             wbs.swap(e.deferredWriteBacks);
-            for (const Message &wb : wbs)
-                handleWriteBack(wb);
+            for (const Message &wb : wbs) {
+                if (wb.type == MsgType::FlushData)
+                    handleFlushData(wb);
+                else
+                    handleWriteBack(wb);
+            }
         }
         pumpPendingLoads(a);
     }
@@ -641,16 +648,30 @@ Directory::handleFlushData(const Message &msg)
         handleInvAck(msg);
         return;
     }
-    // Response to a DataReq.
+    // Response to a DataReq. Like write-backs, flushes carry TID tags
+    // (Section 3.3): a data flush names the commit that produced its
+    // data, a no-data reply the commit its DataReq asked about. On an
+    // unordered network either can be overtaken by a newer commit to
+    // the line, and a data flush can overtake its own commit.
+    if (msg.tid != kInvalidTid && msg.hadData &&
+        (e.commitTid == kInvalidTid || msg.tid > e.commitTid)) {
+        e.deferredWriteBacks.push_back(msg);
+        return;
+    }
     e.dataReqOutstanding = false;
-    if (msg.hadData) {
-        if (e.owned && e.owner == msg.src) {
+    // Only a reply about the line's current commit describes the
+    // owner's copy; an older one was superseded by that commit.
+    const bool current =
+        msg.tid == kInvalidTid || msg.tid == e.commitTid;
+    if (current && e.owned && e.owner == msg.src) {
+        if (msg.hadData) {
             e.owned = false;
             e.owner = kInvalidNode;
+            e.awaitingWriteBack = false;
+        } else {
+            // The owner already evicted; its WriteBack is in flight.
+            e.awaitingWriteBack = true;
         }
-    } else if (e.owned && e.owner == msg.src) {
-        // The owner already evicted; its WriteBack is in flight.
-        e.awaitingWriteBack = true;
     }
     pumpPendingLoads(msg.addr);
 }

@@ -136,8 +136,9 @@ class Directory
         /** TID of the last commit to this line (write-back ordering);
          *  kInvalidTid until the first commit. */
         Tid commitTid = kInvalidTid;
-        /** Write-backs that overtook their own commit on an unordered
-         *  network; replayed once the commit is processed. */
+        /** Write-backs and data flushes that overtook their own
+         *  commit on an unordered network; replayed once the commit
+         *  is processed. */
         std::vector<Message> deferredWriteBacks;
         /** One load waiting for an owner flush / write-back; the seq
          *  is echoed in the eventual LoadReply so the requester can
@@ -206,6 +207,10 @@ class Directory
 
     /** Re-try loads waiting on an owner flush / write-back. */
     void pumpPendingLoads(Addr lineAddr);
+
+    /** Ask the owner of @p e for its data unless a request or a
+     *  write-back is already on its way. */
+    void requestOwnerData(Entry &e, Addr lineAddr);
 
     /** Reply to a load from the home memory slice. */
     void replyFromMemory(NodeId requester, std::uint32_t seq,

@@ -20,14 +20,12 @@ gridSide(std::uint32_t n)
 }
 
 MeshRouter::MeshRouter(std::uint32_t num_nodes, const MeshConfig &cfg,
-                       std::uint64_t jitter_seed, std::uint32_t first_row,
-                       std::uint32_t end_row)
+                       std::uint32_t first_row, std::uint32_t end_row)
     : config(cfg), gridCols(gridSide(num_nodes)),
       gridRows((num_nodes + gridCols - 1) / gridCols),
       ownFirst(first_row * gridCols),
       ownCount((std::min(end_row, gridRows) - first_row) * gridCols),
-      linkFree(static_cast<std::size_t>(gridCols) * gridRows * 4, 0),
-      jitterRng(jitter_seed)
+      linkFree(static_cast<std::size_t>(gridCols) * gridRows * 4, 0)
 {
     if (config.linkBytesPerCycle == 0)
         fatal("mesh linkBytesPerCycle must be nonzero");
@@ -111,7 +109,7 @@ MeshRouter::walk(NodeId from, NodeId to, std::uint32_t bytes, Tick start,
 
 MeshNetwork::MeshNetwork(EventQueue &eq, std::uint32_t num_nodes,
                          const MeshConfig &cfg, Arena *arena)
-    : Network(eq, num_nodes, arena), router(num_nodes, cfg, cfg.seed)
+    : Network(eq, num_nodes, arena), router(num_nodes, cfg)
 {}
 
 void

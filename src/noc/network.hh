@@ -20,7 +20,6 @@
 #include "obs/trace_recorder.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
-#include "sim/random.hh"
 
 namespace tcc {
 
@@ -319,15 +318,6 @@ struct MeshConfig {
     std::uint32_t linkBytesPerCycle = 8;
     /** Fixed router pipeline delay per hop. */
     Tick routerDelay = 1;
-    /**
-     * Optional uniform random extra delay in [0, jitter] applied per
-     * message. Nonzero values create out-of-order delivery, used to
-     * exercise the protocol's unordered-network race handling (paper
-     * Section 3.3 "Race Elimination").
-     */
-    Tick reorderJitter = 0;
-    /** Seed for the jitter stream. */
-    std::uint64_t seed = 12345;
 };
 
 /** Smallest near-square grid side that holds @p n nodes: the mesh's
@@ -355,10 +345,9 @@ std::uint32_t gridSide(std::uint32_t n);
 class MeshRouter
 {
   public:
-    /** Rows [@p first_row, @p end_row) are owned (default: all).
-     *  @p jitter_seed seeds the reorder-jitter stream. */
+    /** Rows [@p first_row, @p end_row) are owned (default: all). */
     MeshRouter(std::uint32_t num_nodes, const MeshConfig &cfg,
-               std::uint64_t jitter_seed, std::uint32_t first_row = 0,
+               std::uint32_t first_row = 0,
                std::uint32_t end_row = ~std::uint32_t(0));
 
     std::uint32_t cols() const { return gridCols; }
@@ -378,13 +367,11 @@ class MeshRouter
     Tick arrival(NodeId from, NodeId to, std::uint32_t bytes, Tick start,
                  unsigned &hops);
 
-    /** Delay of a point-to-point send at @p now, reorder jitter
-     *  included. */
+    /** Delay of a point-to-point send at @p now. */
     Tick
     delay(const Message &msg, Tick now, unsigned &hops)
     {
-        const Tick arrive = arrival(msg.src, msg.dst, msg.bytes, now, hops);
-        return jitter(arrive - now, hops);
+        return arrival(msg.src, msg.dst, msg.bytes, now, hops) - now;
     }
 
     /**
@@ -438,7 +425,7 @@ class MeshRouter
 
             Message copy = proto;
             copy.dst = dsts[i];
-            dispose(std::move(copy), jitter(arrive - now, hops), hops);
+            dispose(std::move(copy), arrive - now, hops);
         }
         return r;
     }
@@ -455,14 +442,6 @@ class MeshRouter
                                      config.linkBytesPerCycle);
     }
 
-    Tick
-    jitter(Tick delay, unsigned hops)
-    {
-        if (hops != 0 && config.reorderJitter > 0)
-            delay += jitterRng.below(config.reorderJitter + 1);
-        return delay;
-    }
-
     MeshConfig config;
     std::uint32_t gridCols;
     std::uint32_t gridRows;
@@ -473,7 +452,6 @@ class MeshRouter
     /** Next-free tick per directed link (4 directions per grid slot;
      *  routes may pass through unpopulated slots of a ragged grid). */
     std::vector<Tick> linkFree;
-    Rng jitterRng;
     /** Tree-multicast scratch (sized on first use, then reused; never
      *  touched on the flat path). mcNicFree slot 0 is the source,
      *  slot i+1 is destination index i. */

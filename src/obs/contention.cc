@@ -117,6 +117,23 @@ ContentionProfiler::hotWords() const
     return out;
 }
 
+std::vector<ContentionProfiler::HotWord>
+ContentionProfiler::topAborts(std::size_t n) const
+{
+    std::vector<HotWord> out;
+    for (const auto &kv : table)
+        if (kv.second.aborts != 0)
+            out.push_back(HotWord{kv.first, kv.second});
+    std::sort(out.begin(), out.end(), [](const HotWord &a, const HotWord &b) {
+        if (a.s.aborts != b.s.aborts)
+            return a.s.aborts > b.s.aborts;
+        return a.addr < b.addr;
+    });
+    if (out.size() > n)
+        out.resize(n);
+    return out;
+}
+
 std::vector<ContentionProfiler::Edge>
 ContentionProfiler::blameEdges() const
 {

@@ -115,6 +115,11 @@ class ContentionProfiler
     /** Hot-word table sorted by weight descending, address ascending. */
     std::vector<HotWord> hotWords() const;
 
+    /** The (at most) @p n words that caused aborts, sorted by aborts
+     *  descending, address ascending: the TAPE-style hotspot list
+     *  (paper Section 3.3), exact while evictions() == 0. */
+    std::vector<HotWord> topAborts(std::size_t n) const;
+
     /** Blame edges with killers resolved through the owner map, sorted
      *  by (killer, victim) ascending; unresolvable writers collapse
      *  into one kInvalidNode killer. */

@@ -12,8 +12,8 @@
  *
  * Sampling is purely observational: it never schedules events and
  * never touches simulated state, so run fingerprints are bit-identical
- * whether the sampler is armed or not (the observability-is-free gate
- * in bench_sweep enforces this). With metrics off
+ * whether the sampler is armed or not (ObsSystem.OffByDefaultAndFree
+ * enforces this). With metrics off
  * (TraceConfig::metricsEpoch == 0) no sampler exists and the run loop
  * is byte-for-byte the legacy loop - zero overhead, like the
  * TraceRecorder's off path.

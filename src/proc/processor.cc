@@ -978,7 +978,6 @@ TccProcessor::onInv(const Message &msg)
     }
 
     if (violating) {
-        ++procStats.violationAddrs[msg.addr];
         // The cause record names the *writer's* TID in the tid field.
         traceEmit(tracer, TraceCat::Proc,
                   TraceEventKind::ViolationCause, nodeId, msg.tid,
@@ -996,10 +995,15 @@ TccProcessor::onDataReq(const Message &msg)
     f.addr = msg.addr;
     f.invResponse = false;
     if (specCache.isDirty(msg.addr)) {
+        // Tagged like a write-back: the commit that produced the data.
+        f.tid = specCache.lineCommitTid(msg.addr);
         specCache.flushLine(msg.addr);
         f.hadData = true;
     } else {
-        // Already evicted; the WriteBack is in flight.
+        // The data already left in a WriteBack (an eviction or a
+        // speculative overwrite). Echo the commit the directory asked
+        // about.
+        f.tid = msg.tid;
         f.hadData = false;
     }
     post(f);

@@ -135,13 +135,6 @@ class TccProcessor
         /** TxProgram value-based validation rollbacks. */
         std::uint64_t valueValidationFailures = 0;
 
-        /**
-         * TAPE-style conflict profiling (the paper points to TAPE for
-         * diagnosing violations/starvation): violation counts keyed by
-         * the conflicting line address.
-         */
-        FlatMap<Addr, std::uint64_t> violationAddrs;
-
         // Table 3 distributions (committed transactions only).
         Distribution txnInstructions;
         Distribution txnWriteSetKB;

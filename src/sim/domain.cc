@@ -75,8 +75,7 @@ DomainNet::DomainNet(EventQueue &eq_, std::uint32_t num_nodes,
         std::uint32_t end = first;
         while (end < plan.gridRows && plan.rowDomain[end] == spec.id)
             ++end;
-        router.emplace(num_nodes, config.mesh,
-                       domainSeed(cfg.mesh.seed, spec.id), first, end);
+        router.emplace(num_nodes, config.mesh, first, end);
     }
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the fault-injection network decorator: deterministic
- * per (seed, config), delay bounded by jitter + reorderWindow, and
- * duplication restricted to idempotent reply types. A system-level
+ * per (seed, config), delay bounded by jitter + reorderWindow, jitter
+ * alone reordering one mesh route, and duplication restricted to
+ * idempotent reply types. A system-level
  * section runs real workloads over every chaos preset with both
  * checkers armed.
  */
@@ -138,6 +139,35 @@ TEST(ChaosNetwork, ExtraDelayBoundedByJitterPlusWindow)
     EXPECT_GT(h.net->chaosStats().reordersHeld, 0u);
     EXPECT_LE(h.net->chaosStats().maxExtraDelay,
               cfg.jitter + cfg.reorderWindow);
+}
+
+TEST(ChaosNetwork, JitterReordersSometimes)
+{
+    // The mesh alone keeps one route FIFO (MeshNetwork.SameRouteIsFifo);
+    // the jitter preset (no reorder holds) must still let a later
+    // message overtake an earlier one.
+    const ChaosConfig cfg = chaosPreset("jitter");
+    ASSERT_EQ(cfg.reorderProb, 0.0);
+    EventQueue eq;
+    ChaosNetwork net(eq, 16, std::make_unique<MeshNetwork>(eq, 16), cfg);
+    std::vector<std::uint32_t> order;
+    net.connect(15, [&](const Message &m) { order.push_back(m.seq); });
+    for (std::uint32_t i = 0; i < 50; ++i) {
+        Message m;
+        m.type = MsgType::Skip;
+        m.src = 0;
+        m.dst = 15;
+        m.seq = i;
+        m.bytes = 16;
+        net.send(m);
+    }
+    eq.run();
+    ASSERT_EQ(order.size(), 50u);
+    bool reordered = false;
+    for (std::size_t i = 1; i < order.size(); ++i)
+        if (order[i] < order[i - 1])
+            reordered = true;
+    EXPECT_TRUE(reordered);
 }
 
 TEST(ChaosNetwork, DuplicatesOnlyIdempotentReplies)

@@ -2,8 +2,9 @@
  * @file
  * Direct unit tests of the Directory controller: NSTID / Skip Vector
  * sequencing (the paper's Figure 5 walk-through), probe deferral,
- * mark/commit/invalidate/ack flow, aborts, stale write-back dropping
- * (Section 3.3 race elimination), and load stalling on marked lines.
+ * mark/commit/invalidate/ack flow, aborts, TID-tagged write-backs and
+ * data flushes overtaken by or overtaking commits (Section 3.3 race
+ * elimination), and load stalling on marked lines.
  *
  * The directory is driven by hand-crafted messages over an
  * IdealNetwork; a test fixture captures everything the directory sends
@@ -81,6 +82,29 @@ class DirectoryTest : public ::testing::Test
             }
         }
         return out;
+    }
+
+    /**
+     * Node 1 commits line 0x100 at TID 0 and node 2's load is
+     * forwarded to it; node 1's write-back of that data (a speculative
+     * overwrite) lands first and serves the load from memory, leaving
+     * node 1's reply to the DataReq in flight.
+     */
+    void
+    ownerWritesBackAfterDataReq()
+    {
+        send(mk(MsgType::LoadReq, 1, kInvalidTid, 0x100));
+        take(1, MsgType::LoadReply);
+        send(mk(MsgType::Mark, 1, 0, 0x100));
+        auto c = mk(MsgType::Commit, 1, 0);
+        c.numMarks = 1;
+        send(c);
+        send(mk(MsgType::LoadReq, 2, kInvalidTid, 0x100));
+        const auto reqs = take(1, MsgType::DataReq);
+        ASSERT_EQ(reqs.size(), 1u);
+        EXPECT_EQ(reqs[0].tid, 0u) << "a DataReq names the owner's commit";
+        send(mk(MsgType::WriteBack, 1, 0, 0x100));
+        EXPECT_EQ(take(2, MsgType::LoadReply).size(), 1u);
     }
 
     /** Arena high-water mark: the directory's alone (the queue and
@@ -345,6 +369,59 @@ TEST_F(DirectoryTest, DataReqHadNoDataWaitsForWriteBack)
     // The write-back lands: the stalled load is finally served.
     send(mk(MsgType::WriteBack, 1, 0, 0x100));
     EXPECT_EQ(take(2, MsgType::LoadReply).size(), 1u);
+    EXPECT_TRUE(dir.quiesced());
+}
+
+TEST_F(DirectoryTest, StaleNoDataFlushDoesNotAwaitWriteBack)
+{
+    ownerWritesBackAfterDataReq();
+
+    // Node 1 commits the line again at TID 1, then its no-data reply
+    // to the TID-0 DataReq arrives: it speaks of superseded ownership
+    // and must not make the directory wait for a write-back.
+    send(mk(MsgType::Mark, 1, 1, 0x100));
+    auto c1 = mk(MsgType::Commit, 1, 1);
+    c1.numMarks = 1;
+    send(c1);
+    take(2, MsgType::Inv);
+    send(mk(MsgType::InvAck, 2, 1, 0x100));
+    auto stale = mk(MsgType::FlushData, 1, 0, 0x100);
+    stale.hadData = false;
+    send(stale);
+
+    // A new load is forwarded to the TID-1 owner and served.
+    send(mk(MsgType::LoadReq, 2, kInvalidTid, 0x100));
+    const auto reqs = take(1, MsgType::DataReq);
+    ASSERT_EQ(reqs.size(), 1u);
+    EXPECT_EQ(reqs[0].tid, 1u);
+    auto f = mk(MsgType::FlushData, 1, 1, 0x100);
+    f.hadData = true;
+    send(f);
+    EXPECT_EQ(take(2, MsgType::LoadReply).size(), 1u);
+    EXPECT_TRUE(dir.quiesced());
+}
+
+TEST_F(DirectoryTest, DataFlushAheadOfItsCommitIsDeferred)
+{
+    ownerWritesBackAfterDataReq();
+
+    // Node 1 commits TID 1 and answers the DataReq with that data; the
+    // flush overtakes the Mark and Commit.
+    auto f = mk(MsgType::FlushData, 1, 1, 0x100);
+    f.hadData = true;
+    send(f);
+    EXPECT_FALSE(dir.quiesced()) << "the flush waits for its commit";
+    send(mk(MsgType::Mark, 1, 1, 0x100));
+    auto c1 = mk(MsgType::Commit, 1, 1);
+    c1.numMarks = 1;
+    send(c1);
+    take(2, MsgType::Inv);
+    send(mk(MsgType::InvAck, 2, 1, 0x100));
+
+    // Memory holds TID 1's data: the next load needs no owner.
+    send(mk(MsgType::LoadReq, 3, kInvalidTid, 0x100));
+    EXPECT_TRUE(take(1, MsgType::DataReq).empty());
+    EXPECT_EQ(take(3, MsgType::LoadReply).size(), 1u);
     EXPECT_TRUE(dir.quiesced());
 }
 

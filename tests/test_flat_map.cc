@@ -166,7 +166,7 @@ struct GoldenFingerprint {
 };
 
 GoldenFingerprint
-fingerprint(System &sys, const System::RunResult &res)
+fingerprint(System &sys, const RunResult &res)
 {
     GoldenFingerprint fp{};
     fp.cycles = res.cycles;

@@ -56,7 +56,7 @@ struct RunFingerprint {
 };
 
 RunFingerprint
-fingerprint(System &sys, const System::RunResult &res)
+fingerprint(System &sys, const RunResult &res)
 {
     RunFingerprint fp;
     fp.cycles = res.cycles;
@@ -118,8 +118,11 @@ runScripted(bool jitter)
     cfg.check.serial = true;
     cfg.check.invariants = true;
     if (jitter) {
-        cfg.network.mesh.reorderJitter = 7; // unordered network
-        cfg.network.mesh.seed = 99;
+        // Unordered network: a jitter-only chaos network.
+        cfg.network.model = NetworkConfig::Model::Chaos;
+        cfg.network.chaos = chaosPreset("jitter");
+        cfg.network.chaos.jitter = 7;
+        cfg.network.chaos.seed = 99;
     }
     System sys(cfg);
     auto srcs = conflictWorkload(cfg.numProcs);

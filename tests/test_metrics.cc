@@ -2,12 +2,12 @@
  * @file
  * Observability layer (obs/metrics.hh, obs/contention.hh): epoch
  * boundary exactness, ring-wrap accounting, top-K eviction
- * determinism, blame-edge resolution - and the three system-level
- * gates: metrics off by default with armed runs bit-identical to off
- * runs (observability is free), PDES per-domain layers merging to
- * the same series and table on every run, and SweepRunner concurrency
- * leaving every
- * armed simulation bit-identical to its serial twin.
+ * determinism, blame-edge resolution, the abort hotspot pin - and the
+ * three system-level gates: metrics off by default with armed runs
+ * bit-identical to off runs (observability is free), PDES per-domain
+ * layers merging to the same series and table on every run, and
+ * SweepRunner concurrency leaving every armed simulation bit-identical
+ * to its serial twin.
  */
 
 #include <gtest/gtest.h>
@@ -15,13 +15,16 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "obs/contention.hh"
 #include "obs/metrics.hh"
+#include "sim/random.hh"
 #include "workload/registry.hh"
+#include "workload/scripted_source.hh"
 
 namespace tcc {
 namespace {
@@ -432,6 +435,55 @@ TEST(ObsSystem, OffByDefaultAndFree)
     // And the armed run itself is reproducible.
     const ObsSnapshot again = runApp("radix", 8, 500, 16);
     EXPECT_TRUE(armed == again);
+}
+
+TEST(ObsSystem, TopAbortsMatchPinnedHotspots)
+{
+    // A hot-key transfer run: 8 procs each make 24 two-line
+    // read-modify-write transactions, 3 of the 16 lines taking 75% of
+    // the picks. The pinned (line, aborts) pairs are the per-line
+    // violation counts the processors recorded before the profiler
+    // became the only conflict attribution; a table with one slot per
+    // line never evicts, so its abort counts must equal them exactly.
+    constexpr std::uint32_t kProcs = 8;
+    constexpr std::uint32_t kLines = 16;
+    constexpr std::uint32_t kHot = 3;
+    const auto line = [](std::uint64_t i) { return 0x40000000ull + i * 4096; };
+    SystemConfig cfg;
+    cfg.numProcs = kProcs;
+    cfg.check.serial = true;
+    cfg.trace.contentionTopK = kLines;
+    System sys(cfg);
+    std::vector<ScriptedSource> srcs(kProcs);
+    for (NodeId p = 0; p < kProcs; ++p) {
+        Rng rng(1000 + p);
+        const auto pick = [&] {
+            return line(rng.chance(0.75) ? rng.below(kHot)
+                                         : rng.below(kLines));
+        };
+        for (int t = 0; t < 24; ++t) {
+            const Addr a = pick();
+            const Addr b = pick();
+            srcs[p].add({TxOp::compute(10), TxOp::load(a), TxOp::load(b),
+                         TxOp::storeAdd(a, 1), TxOp::storeAdd(b, 1)});
+        }
+        sys.setSource(p, &srcs[p]);
+    }
+    const RunResult res = sys.run();
+    ASSERT_TRUE(res.completed);
+    EXPECT_TRUE(res.serial.ok) << res.serial.error;
+    EXPECT_EQ(res.violations, 570u);
+
+    const ContentionProfiler *c = sys.contentionProfiler();
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->evictions(), 0u);
+    std::vector<std::pair<Addr, std::uint64_t>> top;
+    for (const auto &h : c->topAborts(5))
+        top.emplace_back(h.addr, h.s.aborts);
+    const std::vector<std::pair<Addr, std::uint64_t>> pinned = {
+        {line(0), 213}, {line(1), 203}, {line(2), 149},
+        {line(6), 2},   {line(7), 2}};
+    EXPECT_EQ(top, pinned);
 }
 
 TEST(ObsSystem, SerialEpochSeriesSumsToTotals)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the interconnect models: delivery, routing distance,
- * serialization, contention, traffic accounting, and reorder jitter.
+ * serialization, contention, and traffic accounting.
  */
 
 #include <gtest/gtest.h>
@@ -160,7 +160,7 @@ TEST(MeshNetwork, TrafficAccounting)
     EXPECT_EQ(net.stats().totalBytes, 0u);
 }
 
-TEST(MeshNetwork, SameRouteIsFifoWithoutJitter)
+TEST(MeshNetwork, SameRouteIsFifo)
 {
     EventQueue eq;
     MeshNetwork net(eq, 16);
@@ -176,30 +176,6 @@ TEST(MeshNetwork, SameRouteIsFifoWithoutJitter)
     eq.run();
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(order[i], i);
-}
-
-TEST(MeshNetwork, JitterReordersSometimes)
-{
-    EventQueue eq;
-    MeshConfig cfg;
-    cfg.reorderJitter = 50;
-    cfg.seed = 99;
-    MeshNetwork net(eq, 16, cfg);
-    std::vector<int> order;
-    net.connect(15, [&](const Message &m) {
-        order.push_back(static_cast<int>(m.tid));
-    });
-    for (int i = 0; i < 50; ++i) {
-        auto m = mkMsg(0, 15);
-        m.tid = i;
-        net.send(m);
-    }
-    eq.run();
-    bool reordered = false;
-    for (std::size_t i = 1; i < order.size(); ++i)
-        if (order[i] < order[i - 1])
-            reordered = true;
-    EXPECT_TRUE(reordered);
 }
 
 } // namespace

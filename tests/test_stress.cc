@@ -3,8 +3,8 @@
  * Property-based stress tests: randomized transactional workloads are
  * pushed through the full protocol stack across a parameter sweep
  * (seeds x conflict-detection granularity x network model x processor
- * count x reorder jitter), and three invariants are verified after
- * every run:
+ * count x chaos-network jitter), and three invariants are verified
+ * after every run:
  *
  *   1. serializability - every committed transaction's reads match a
  *      serial replay in TID order (SerialChecker);
@@ -36,6 +36,8 @@ struct StressParam {
     std::uint64_t seed;
     std::uint32_t procs;
     Granularity gran;
+    /** Nonzero: the mesh sits under a jitter-only chaos network that
+     *  delays every message by up to this many cycles. */
     Tick jitter;
     bool ideal;
     bool writeThrough = false;
@@ -124,8 +126,12 @@ runStress(const StressParam &p)
     cfg.cache.granularity = p.gran;
     cfg.network.model = p.ideal ? NetworkConfig::Model::Ideal
                                 : NetworkConfig::Model::Mesh;
-    cfg.network.mesh.reorderJitter = p.jitter;
-    cfg.network.mesh.seed = p.seed;
+    if (p.jitter != 0) {
+        cfg.network.model = NetworkConfig::Model::Chaos;
+        cfg.network.chaos = chaosPreset("jitter");
+        cfg.network.chaos.jitter = p.jitter;
+        cfg.network.chaos.seed = p.seed;
+    }
     cfg.writeThroughCommit = p.writeThrough;
     cfg.directory.dirCacheEntries = p.dirCacheEntries;
     System sys(cfg);
@@ -208,7 +214,7 @@ makeParams()
         ps.push_back({seed, 4, Granularity::Line, 0, false});
         ps.push_back({seed, 8, Granularity::Line, 0, false});
     }
-    // Unordered network: reorder jitter stresses the race-elimination
+    // Unordered network: chaos jitter stresses the race-elimination
     // machinery (poisoned fills, stale marks, TID-tagged write-backs).
     for (std::uint64_t seed : {21ull, 22ull, 23ull, 24ull}) {
         ps.push_back({seed, 4, Granularity::Word, 30, false});

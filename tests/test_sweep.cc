@@ -140,8 +140,12 @@ runOne(const SimConfig &c)
     cfg.check.serial = true;
     cfg.check.invariants = true;
     cfg.cache.granularity = c.gran;
-    cfg.network.mesh.reorderJitter = c.jitter;
-    cfg.network.mesh.seed = c.seed;
+    if (c.jitter != 0) {
+        cfg.network.model = NetworkConfig::Model::Chaos;
+        cfg.network.chaos = chaosPreset("jitter");
+        cfg.network.chaos.jitter = c.jitter;
+        cfg.network.chaos.seed = c.seed;
+    }
     System sys(cfg);
 
     std::vector<ScriptedSource> srcs(c.procs);

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the trace-driven transaction source and the full
- * statistics dump.
+ * Tests for the full statistics dump.
  */
 
 #include <gtest/gtest.h>
@@ -11,103 +10,9 @@
 #include "core/stats_dump.hh"
 #include "core/system.hh"
 #include "workload/scripted_source.hh"
-#include "workload/trace_source.hh"
 
 namespace tcc {
 namespace {
-
-// ---------------------------------------------------------------------
-// TraceSource
-// ---------------------------------------------------------------------
-
-TEST(TraceSource, ParsesBasicTrace)
-{
-    TraceSource src;
-    std::string err;
-    ASSERT_TRUE(src.parseString("# a comment\n"
-                                "txn\n"
-                                "c 120\n"
-                                "l 0x1000\n"
-                                "a 0x1000 1\n"
-                                "\n"
-                                "txn barrier\n"
-                                "s 0x2000 42\n",
-                                &err))
-        << err;
-    EXPECT_EQ(src.numTransactions(), 2u);
-
-    auto t1 = src.nextTransaction();
-    ASSERT_TRUE(t1);
-    EXPECT_FALSE(t1->barrierBefore);
-    ASSERT_EQ(t1->ops.size(), 3u);
-    EXPECT_EQ(t1->ops[0].kind, TxOp::Kind::Compute);
-    EXPECT_EQ(t1->ops[0].cycles, 120u);
-    EXPECT_EQ(t1->ops[1].kind, TxOp::Kind::Load);
-    EXPECT_EQ(t1->ops[1].addr, 0x1000u);
-    EXPECT_EQ(t1->ops[2].kind, TxOp::Kind::StoreAdd);
-    EXPECT_EQ(t1->ops[2].value, 1u);
-
-    auto t2 = src.nextTransaction();
-    ASSERT_TRUE(t2);
-    EXPECT_TRUE(t2->barrierBefore);
-    ASSERT_EQ(t2->ops.size(), 1u);
-    EXPECT_EQ(t2->ops[0].kind, TxOp::Kind::Store);
-    EXPECT_EQ(t2->ops[0].value, 42u);
-
-    EXPECT_FALSE(src.nextTransaction().has_value());
-}
-
-TEST(TraceSource, RejectsOpBeforeTxn)
-{
-    TraceSource src;
-    std::string err;
-    EXPECT_FALSE(src.parseString("c 5\n", &err));
-    EXPECT_NE(err.find("before first"), std::string::npos);
-}
-
-TEST(TraceSource, RejectsUnknownDirective)
-{
-    TraceSource src;
-    std::string err;
-    EXPECT_FALSE(src.parseString("txn\nq 1\n", &err));
-    EXPECT_NE(err.find("unknown"), std::string::npos);
-}
-
-TEST(TraceSource, RejectsBadBarrierFlag)
-{
-    TraceSource src;
-    std::string err;
-    EXPECT_FALSE(src.parseString("txn nope\n", &err));
-}
-
-TEST(TraceSource, RunsThroughTheSystem)
-{
-    System sys([] {
-        SystemConfig cfg;
-        cfg.numProcs = 2;
-        cfg.check.serial = true;
-        cfg.check.invariants = true;
-        return cfg;
-    }());
-
-    TraceSource a, b;
-    ASSERT_TRUE(a.parseString("txn\n"
-                              "l 0x1000\n"
-                              "a 0x1000 5\n"
-                              "txn\n"
-                              "l 0x1000\n"
-                              "a 0x1000 5\n"));
-    ASSERT_TRUE(b.parseString("txn\n"
-                              "l 0x1000\n"
-                              "a 0x1000 7\n"));
-    sys.setSource(0, &a);
-    sys.setSource(1, &b);
-    const RunResult res = sys.run();
-    ASSERT_TRUE(res.completed);
-    EXPECT_EQ(sys.memory().read(0x1000), 17u);
-    EXPECT_TRUE(res.serial.ok) << res.serial.error;
-    EXPECT_TRUE(res.invariants.ok) << res.invariants.error;
-}
 
 // ---------------------------------------------------------------------
 // Stats dump
