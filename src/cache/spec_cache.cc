@@ -24,9 +24,9 @@ SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena_)
       ownArena(arena_ ? nullptr
                       : std::make_unique<Arena>(kOwnArenaFirstChunk)),
       arena(arena_ ? arena_ : ownArena.get()),
-      l2Ways(ArenaAllocator<Line *>(arena)),
+      l2Rows(ArenaAllocator<Addr *>(arena)),
       l1Tags(ArenaAllocator<L1Tag>(arena)),
-      specSlots(ArenaAllocator<Line *>(arena))
+      specSlots(ArenaAllocator<Way>(arena))
 {
     if (!isPow2(cfg.lineBytes) || cfg.lineBytes < 4)
         fatal("line size must be a power of two >= 4");
@@ -40,7 +40,7 @@ SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena_)
     l2Sets = l2_lines / cfg.l2Assoc;
     if (!isPow2(l2Sets))
         fatal("L2 set count must be a power of two");
-    l2Ways.assign(l2Sets, nullptr);
+    l2Rows.assign(l2Sets, nullptr);
 
     const std::uint32_t l1_lines = cfg.l1Bytes / cfg.lineBytes;
     if (l1_lines % cfg.l1Assoc != 0)
@@ -69,75 +69,61 @@ SpecCache::setOf(Addr lineAddr) const
         (lineAddr / config.lineBytes) & (l2Sets - 1));
 }
 
-SpecCache::Line *
+Addr *
 SpecCache::allocSet(std::uint32_t set)
 {
-    Line *&ways = l2Ways[set];
-    if (!ways) {
+    Addr *&row = l2Rows[set];
+    if (!row) {
         // Line is trivially destructible, so the arena reclaims the
-        // block wholesale without a destructor pass.
+        // set wholesale without a destructor pass.
         static_assert(std::is_trivially_destructible_v<Line>);
-        ways = static_cast<Line *>(arena->allocate(
-            config.l2Assoc * sizeof(Line), Arena::kAlign));
-        for (std::uint32_t w = 0; w < config.l2Assoc; ++w)
-            ::new (ways + w) Line{};
+        row = static_cast<Addr *>(arena->allocate(
+            config.l2Assoc * (sizeof(Addr) + sizeof(Line)),
+            Arena::kAlign));
+        Line *lines = linesOf(row);
+        for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
+            row[w] = kNoTag;
+            ::new (lines + w) Line{};
+        }
     }
-    return ways;
+    return row;
 }
 
-SpecCache::Line *
-SpecCache::find(Addr lineAddr)
-{
-    Line *base = l2Ways[setOf(lineAddr)];
-    if (!base)
-        return nullptr; // no fill has landed in this set yet
-    for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
-        if (base[w].allocated && base[w].tag == lineAddr)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const SpecCache::Line *
+SpecCache::Way
 SpecCache::find(Addr lineAddr) const
 {
-    return const_cast<SpecCache *>(this)->find(lineAddr);
+    Addr *row = l2Rows[setOf(lineAddr)];
+    if (!row)
+        return {}; // no fill has landed in this set yet
+    for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
+        if (row[w] == lineAddr)
+            return Way{&row[w], &linesOf(row)[w]};
+    }
+    return {};
 }
 
 bool
-SpecCache::l1Hit(Addr lineAddr) const
-{
-    const std::uint32_t set = static_cast<std::uint32_t>(
-        (lineAddr / config.lineBytes) & (l1Sets - 1));
-    const L1Tag *base =
-        &l1Tags[static_cast<std::size_t>(set) * config.l1Assoc];
-    for (std::uint32_t w = 0; w < config.l1Assoc; ++w) {
-        if (base[w].valid && base[w].tag == lineAddr)
-            return true;
-    }
-    return false;
-}
-
-void
-SpecCache::touchL1(Addr lineAddr)
+SpecCache::accessL1(Addr lineAddr)
 {
     const std::uint32_t set = static_cast<std::uint32_t>(
         (lineAddr / config.lineBytes) & (l1Sets - 1));
     L1Tag *base = &l1Tags[static_cast<std::size_t>(set) * config.l1Assoc];
+    // Victim: the last empty way, else the least recently used one.
     std::uint32_t victim = 0;
     for (std::uint32_t w = 0; w < config.l1Assoc; ++w) {
-        if (base[w].valid && base[w].tag == lineAddr) {
+        if (base[w].tag == lineAddr) {
             base[w].lru = ++lruClock;
-            return;
+            return true;
         }
-        if (!base[w].valid) {
+        if (base[w].tag == kNoTag) {
             victim = w;
-        } else if (base[victim].valid &&
+        } else if (base[victim].tag != kNoTag &&
                    base[w].lru < base[victim].lru) {
             victim = w;
         }
     }
-    base[victim] = L1Tag{lineAddr, true, ++lruClock};
+    base[victim] = L1Tag{lineAddr, ++lruClock};
+    return false;
 }
 
 void
@@ -147,17 +133,17 @@ SpecCache::dropL1(Addr lineAddr)
         (lineAddr / config.lineBytes) & (l1Sets - 1));
     L1Tag *base = &l1Tags[static_cast<std::size_t>(set) * config.l1Assoc];
     for (std::uint32_t w = 0; w < config.l1Assoc; ++w) {
-        if (base[w].valid && base[w].tag == lineAddr)
-            base[w].valid = false;
+        if (base[w].tag == lineAddr)
+            base[w].tag = kNoTag;
     }
 }
 
 void
-SpecCache::noteSpec(Line &line)
+SpecCache::noteSpec(const Way &way)
 {
-    if (!line.inSpecList) {
-        line.inSpecList = true;
-        specSlots.push_back(&line);
+    if (!way.line->inSpecList) {
+        way.line->inSpecList = true;
+        specSlots.push_back(way);
     }
 }
 
@@ -168,7 +154,8 @@ SpecCache::load(Addr addr)
     const Addr la = lineAlign(addr);
     const WordMask m = maskFor(addr);
 
-    Line *line = find(la);
+    const Way way = find(la);
+    Line *line = way.line;
     if (!line || (line->valid & m) != m) {
         ++cacheStats.misses;
         return LoadOutcome{false, 0};
@@ -184,17 +171,15 @@ SpecCache::load(Addr addr)
             line->sr |= (m & ~line->sm);
         else
             line->sr |= m;
-        noteSpec(*line);
+        noteSpec(way);
     }
     line->lru = ++lruClock;
 
-    if (l1Hit(la)) {
+    if (accessL1(la)) {
         ++cacheStats.l1Hits;
-        touchL1(la);
         return LoadOutcome{true, config.l1Latency};
     }
     ++cacheStats.l2Hits;
-    touchL1(la);
     return LoadOutcome{true, config.l2Latency};
 }
 
@@ -205,7 +190,8 @@ SpecCache::store(Addr addr)
     const Addr la = lineAlign(addr);
     const WordMask m = maskFor(addr);
 
-    Line *line = find(la);
+    const Way way = find(la);
+    Line *line = way.line;
     if (!line) {
         ++cacheStats.misses;
         return StoreOutcome{false, false, 0};
@@ -224,16 +210,15 @@ SpecCache::store(Addr addr)
     line->sm |= m;
     line->valid |= m;
     line->lru = ++lruClock;
-    noteSpec(*line);
+    noteSpec(way);
 
-    if (l1Hit(la)) {
+    if (accessL1(la)) {
         ++cacheStats.l1Hits;
         out.latency = config.l1Latency;
     } else {
         ++cacheStats.l2Hits;
         out.latency = config.l2Latency;
     }
-    touchL1(la);
     return out;
 }
 
@@ -243,53 +228,52 @@ SpecCache::fill(Addr addr)
     const Addr la = lineAlign(addr);
     FillOutcome out;
 
-    Line *line = find(la);
-    if (line) {
+    if (Line *line = find(la).line) {
         // Ghost or partially valid line: refresh the data words.
         line->valid = fullMask();
         line->lru = ++lruClock;
-        touchL1(la);
+        accessL1(la);
         ++cacheStats.fills;
         out.ok = true;
         return out;
     }
 
-    Line *base = allocSet(setOf(la));
-    Line *victim = nullptr;
+    Addr *row = allocSet(setOf(la));
+    Line *lines = linesOf(row);
+    std::uint32_t victim = config.l2Assoc; // none yet
     for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
-        Line &cand = base[w];
-        if (!cand.allocated) {
-            victim = &cand;
+        if (row[w] == kNoTag) {
+            victim = w;
             break;
         }
+        const Line &cand = lines[w];
         if (cand.sr != 0 || cand.sm != 0)
             continue; // speculative lines are not evictable
-        if (!victim || cand.lru < victim->lru)
-            victim = &cand;
+        if (victim == config.l2Assoc || cand.lru < lines[victim].lru)
+            victim = w;
     }
 
-    if (!victim) {
+    if (victim == config.l2Assoc) {
         ++cacheStats.overflows;
         out.overflow = true;
         return out;
     }
 
-    if (victim->allocated) {
-        if (victim->dirty) {
+    if (row[victim] != kNoTag) {
+        if (lines[victim].dirty) {
             out.evictedDirty = true;
-            out.evictedAddr = victim->tag;
-            out.evictedTid = victim->commitTid;
+            out.evictedAddr = row[victim];
+            out.evictedTid = lines[victim].commitTid;
             ++cacheStats.dirtyEvictions;
         }
-        dropL1(victim->tag);
+        dropL1(row[victim]);
     }
 
-    *victim = Line{};
-    victim->tag = la;
-    victim->allocated = true;
-    victim->valid = fullMask();
-    victim->lru = ++lruClock;
-    touchL1(la);
+    row[victim] = la;
+    lines[victim] = Line{};
+    lines[victim].valid = fullMask();
+    lines[victim].lru = ++lruClock;
+    accessL1(la);
     ++cacheStats.fills;
     out.ok = true;
     return out;
@@ -299,10 +283,9 @@ void
 SpecCache::writeSet(std::vector<WriteSetLine> &out) const
 {
     out.clear();
-    for (const Line *slot : specSlots) {
-        const Line &line = *slot;
-        if (line.allocated && line.sm != 0)
-            out.push_back(WriteSetLine{line.tag, line.sm});
+    for (const Way &way : specSlots) {
+        if (*way.tag != kNoTag && way.line->sm != 0)
+            out.push_back(WriteSetLine{*way.tag, way.line->sm});
     }
 }
 
@@ -310,9 +293,8 @@ std::uint32_t
 SpecCache::writeSetLines() const
 {
     std::uint32_t n = 0;
-    for (const Line *slot : specSlots) {
-        const Line &line = *slot;
-        if (line.allocated && line.sm != 0)
+    for (const Way &way : specSlots) {
+        if (*way.tag != kNoTag && way.line->sm != 0)
             ++n;
     }
     return n;
@@ -322,9 +304,8 @@ std::uint32_t
 SpecCache::readSetLines() const
 {
     std::uint32_t n = 0;
-    for (const Line *slot : specSlots) {
-        const Line &line = *slot;
-        if (line.allocated && line.sr != 0)
+    for (const Way &way : specSlots) {
+        if (*way.tag != kNoTag && way.line->sr != 0)
             ++n;
     }
     return n;
@@ -333,22 +314,20 @@ SpecCache::readSetLines() const
 void
 SpecCache::commitSpec(Tid tid, bool make_dirty)
 {
-    for (Line *slot : specSlots) {
-        Line &line = *slot;
-        if (!line.allocated) {
-            line.inSpecList = false;
+    for (const Way &way : specSlots) {
+        Line &line = *way.line;
+        line.inSpecList = false;
+        if (*way.tag == kNoTag)
             continue;
-        }
         if (line.sm != 0 && make_dirty) {
             line.dirty = true; // now committed data; we are the owner
             line.commitTid = tid;
         }
         line.sr = 0;
         line.sm = 0;
-        line.inSpecList = false;
         // Ghost lines (no valid words) with no remaining role free up.
         if (line.valid == 0 && !line.dirty)
-            line.allocated = false;
+            *way.tag = kNoTag;
     }
     specSlots.clear();
 }
@@ -356,20 +335,18 @@ SpecCache::commitSpec(Tid tid, bool make_dirty)
 void
 SpecCache::abortSpec()
 {
-    for (Line *slot : specSlots) {
-        Line &line = *slot;
-        if (!line.allocated) {
-            line.inSpecList = false;
+    for (const Way &way : specSlots) {
+        Line &line = *way.line;
+        line.inSpecList = false;
+        if (*way.tag == kNoTag)
             continue;
-        }
         // Speculatively written words never became real data.
         line.valid &= ~line.sm;
         line.sr = 0;
         line.sm = 0;
-        line.inSpecList = false;
         if (line.valid == 0 && !line.dirty) {
-            dropL1(line.tag);
-            line.allocated = false;
+            dropL1(*way.tag);
+            *way.tag = kNoTag;
         }
     }
     specSlots.clear();
@@ -379,7 +356,8 @@ SpecCache::InvOutcome
 SpecCache::invalidate(Addr lineAddr, WordMask mask)
 {
     InvOutcome out;
-    Line *line = find(lineAlign(lineAddr));
+    const Way way = find(lineAlign(lineAddr));
+    Line *line = way.line;
     if (!line)
         return out;
 
@@ -392,9 +370,9 @@ SpecCache::invalidate(Addr lineAddr, WordMask mask)
     // set.
     line->valid &= line->sm;
     line->dirty = false;
-    dropL1(line->tag);
+    dropL1(*way.tag);
     if (line->sr == 0 && line->sm == 0) {
-        line->allocated = false;
+        *way.tag = kNoTag;
     } else {
         ++cacheStats.ghostsCreated;
     }
@@ -404,14 +382,15 @@ SpecCache::invalidate(Addr lineAddr, WordMask mask)
 bool
 SpecCache::flushLine(Addr lineAddr)
 {
-    Line *line = find(lineAlign(lineAddr));
+    const Way way = find(lineAlign(lineAddr));
+    Line *line = way.line;
     if (!line || !line->dirty)
         return false;
     line->dirty = false;
     line->valid &= line->sm;
-    dropL1(line->tag);
+    dropL1(*way.tag);
     if (line->sr == 0 && line->sm == 0) {
-        line->allocated = false;
+        *way.tag = kNoTag;
     } else {
         ++cacheStats.ghostsCreated;
     }
@@ -421,34 +400,34 @@ SpecCache::flushLine(Addr lineAddr)
 bool
 SpecCache::isDirty(Addr lineAddr) const
 {
-    const Line *line = find(lineAlign(lineAddr));
+    const Line *line = find(lineAlign(lineAddr)).line;
     return line && line->dirty;
 }
 
 bool
 SpecCache::present(Addr lineAddr) const
 {
-    return find(lineAlign(lineAddr)) != nullptr;
+    return find(lineAlign(lineAddr)).line != nullptr;
 }
 
 WordMask
 SpecCache::srMask(Addr lineAddr) const
 {
-    const Line *line = find(lineAlign(lineAddr));
+    const Line *line = find(lineAlign(lineAddr)).line;
     return line ? line->sr : 0;
 }
 
 WordMask
 SpecCache::smMask(Addr lineAddr) const
 {
-    const Line *line = find(lineAlign(lineAddr));
+    const Line *line = find(lineAlign(lineAddr)).line;
     return line ? line->sm : 0;
 }
 
 Tid
 SpecCache::lineCommitTid(Addr lineAddr) const
 {
-    const Line *line = find(lineAlign(lineAddr));
+    const Line *line = find(lineAlign(lineAddr)).line;
     return line ? line->commitTid : kInvalidTid;
 }
 

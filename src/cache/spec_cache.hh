@@ -242,33 +242,47 @@ class SpecCache
     const CacheConfig &cfg() const { return config; }
 
   private:
+    /** Tag of an empty way, in L2 tag rows and L1 tags alike: a
+     *  line-aligned address never has its low bits set. */
+    static constexpr Addr kNoTag = ~Addr{0};
+
+    /** State of one L2 way; its tag lives in the set's tag row. */
     struct Line {
-        Addr tag = 0;            ///< line-aligned address
-        bool allocated = false;
-        bool dirty = false;      ///< committed modified (owner until WB)
-        Tid commitTid = kInvalidTid; ///< TID that committed the data
         WordMask valid = 0;
         WordMask sr = 0;
         WordMask sm = 0;
         std::uint64_t lru = 0;
+        Tid commitTid = kInvalidTid; ///< TID that committed the data
+        bool dirty = false;      ///< committed modified (owner until WB)
         bool inSpecList = false;
     };
 
+    /** One L2 way: its slot in the tag row and its state. */
+    struct Way {
+        Addr *tag = nullptr;
+        Line *line = nullptr;
+    };
+
     struct L1Tag {
-        Addr tag = 0;
-        bool valid = false;
+        Addr tag = kNoTag;
         std::uint64_t lru = 0;
     };
 
     std::uint32_t setOf(Addr lineAddr) const;
-    /** First way of @p set, allocating its ways on first use. */
-    Line *allocSet(std::uint32_t set);
-    Line *find(Addr lineAddr);
-    const Line *find(Addr lineAddr) const;
-    void touchL1(Addr lineAddr);
-    bool l1Hit(Addr lineAddr) const;
+    /** Tag row of @p set, allocating the set on first use. */
+    Addr *allocSet(std::uint32_t set);
+    /** The ways' state, stored right after a set's tag row. */
+    Line *linesOf(Addr *row) const
+    {
+        return reinterpret_cast<Line *>(row + config.l2Assoc);
+    }
+    /** The way holding @p lineAddr (line == nullptr on a miss). */
+    Way find(Addr lineAddr) const;
+    /** L1 lookup: on a hit refresh the way's LRU and return true; on a
+     *  miss install the line over the set's victim and return false. */
+    bool accessL1(Addr lineAddr);
     void dropL1(Addr lineAddr);
-    void noteSpec(Line &line);
+    void noteSpec(const Way &way);
 
     CacheConfig config;
     std::uint32_t lineWords;
@@ -278,14 +292,16 @@ class SpecCache
     std::unique_ptr<Arena> ownArena;
     /// Every allocation below comes from here (never null).
     Arena *arena;
-    /** First way of each L2 set; null until a fill lands in the set,
-     *  so host memory follows the sets a run touches, not the
-     *  configured capacity. Ways never move once allocated. */
-    std::vector<Line *, ArenaAllocator<Line *>> l2Ways;
+    /** Tag row of each L2 set (l2Assoc tags, kNoTag = empty way, one
+     *  64-byte row at the Table-2 associativity), followed by the ways'
+     *  Line state; null until a fill lands in the set, so host memory
+     *  follows the sets a run touches, not the configured capacity.
+     *  Ways never move once allocated. */
+    std::vector<Addr *, ArenaAllocator<Addr *>> l2Rows;
     /// l1Sets x l1Assoc
     std::vector<L1Tag, ArenaAllocator<L1Tag>> l1Tags;
-    /** Lines holding speculative state, for O(txn) cleanup. */
-    std::vector<Line *, ArenaAllocator<Line *>> specSlots;
+    /** Ways holding speculative state, for O(txn) cleanup. */
+    std::vector<Way, ArenaAllocator<Way>> specSlots;
     std::uint64_t lruClock = 0;
     bool srTracking = true;
     Stats cacheStats;

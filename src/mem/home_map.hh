@@ -84,10 +84,16 @@ class HomeMap
         if (homePolicy == HomePolicy::Interleave)
             return;
         firstTouch[addr / pageBytes] = home % numNodes;
+        ++bindCount;
     }
 
     HomePolicy policy() const { return homePolicy; }
     std::uint32_t pageSize() const { return pageBytes; }
+
+    /** Number of FirstTouch bind() calls so far. A caller memoizing
+     *  homeOf() answers keeps them only while this is unchanged:
+     *  bind() is the one way a page's home moves. */
+    std::uint64_t epoch() const { return bindCount; }
 
   private:
     std::uint32_t numNodes;
@@ -95,6 +101,7 @@ class HomeMap
     std::uint32_t pageBytes;
     /** homeOf() runs once per simulated access: keep it flat. */
     FlatMap<Addr, NodeId> firstTouch;
+    std::uint64_t bindCount = 0;
 };
 
 } // namespace tcc

@@ -53,7 +53,15 @@ TccProcessor::postMulticast(Message msg, std::span<const NodeId> dsts)
 NodeId
 TccProcessor::homeOf(Addr addr)
 {
-    return homeMap.homeOf(addr, nodeId);
+    // Accesses come in runs within a page; a re-bind() bumps the
+    // map's epoch and so drops the memo.
+    const Addr page = addr & ~Addr{homeMap.pageSize() - 1};
+    if (page != homeMemoPage || homeMap.epoch() != homeMemoEpoch) {
+        homeMemoNode = homeMap.homeOf(addr, nodeId);
+        homeMemoPage = page;
+        homeMemoEpoch = homeMap.epoch();
+    }
+    return homeMemoNode;
 }
 
 void

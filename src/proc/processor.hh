@@ -94,11 +94,12 @@ class TccProcessor
         std::function<void(NodeId, std::function<void()>)>;
     void setBarrier(BarrierFn fn) { barrier = std::move(fn); }
 
-    /** Hook invoked at every commit (serializability checker). */
+    /** Hook invoked at every commit (serializability checker). The
+     *  write log is built for the hook, which may keep it. */
     using CommitHook = std::function<void(
         Tid, NodeId,
         const std::vector<std::pair<Addr, std::uint64_t>> &reads,
-        const std::vector<std::pair<Addr, std::uint64_t>> &writes)>;
+        std::vector<std::pair<Addr, std::uint64_t>> writes)>;
     void setCommitHook(CommitHook hook) { commitHook = std::move(hook); }
 
     /** Hook invoked when the source is exhausted (barrier accounting). */
@@ -276,6 +277,11 @@ class TccProcessor
     std::vector<TxOp> curOps;
     std::size_t opIdx = 0;
     std::uint64_t lastLoaded = 0;
+    /** homeOf()'s memo: the last page (page-aligned address) asked
+     *  about and its home, valid while homeMap.epoch() is unchanged. */
+    Addr homeMemoPage = ~Addr{0};
+    NodeId homeMemoNode = kInvalidNode;
+    std::uint64_t homeMemoEpoch = 0;
     /** Speculative write buffer: word address -> value. Probed on
      *  every load and store; cleared (not deallocated) per attempt. */
     FlatMap<Addr, std::uint64_t> writeBuf;

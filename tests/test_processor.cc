@@ -301,5 +301,49 @@ TEST_F(ProcessorTest, CommitWaitsForTheLastShareOnlyDirectory)
     EXPECT_EQ(proc.stats().txnsCommitted, 1u);
 }
 
+TEST(ProcessorHomes, MemoFollowsARebind)
+{
+    // First-touch homes with page 0x7000 placed at node 1. The
+    // processor loads one line of the page, the page moves to node 2,
+    // and a second line of the same page must be requested there.
+    constexpr std::uint32_t kNodes = 4;
+    constexpr NodeId kProc = 3;
+    Arena arena;
+    EventQueue eq;
+    IdealNetwork net(eq, kNodes);
+    HomeMap homes(kNodes, HomePolicy::FirstTouch);
+    GlobalStore store;
+    TccProcessor proc(kProc, kNodes, eq, net, homes, store, CacheConfig{},
+                      ProcessorConfig{}, /*vendor_node=*/0, &arena);
+    std::vector<Message> loads;
+    for (NodeId n = 0; n < kNodes; ++n) {
+        net.connect(n, [&loads](const Message &m) {
+            if (m.type == MsgType::LoadReq)
+                loads.push_back(m);
+        });
+    }
+    homes.bind(0x7000, 1);
+    ScriptedSource src;
+    src.add({TxOp::load(0x7000), TxOp::load(0x7040)});
+    proc.setSource(&src);
+    proc.start();
+    eq.run();
+    ASSERT_EQ(loads.size(), 1u);
+    EXPECT_EQ(loads[0].dst, 1u);
+
+    homes.bind(0x7000, 2);
+    Message r;
+    r.type = MsgType::LoadReply;
+    r.src = 1;
+    r.dst = kProc;
+    r.addr = loads[0].addr;
+    r.seq = loads[0].seq;
+    proc.receive(r);
+    eq.run();
+    ASSERT_EQ(loads.size(), 2u);
+    EXPECT_EQ(loads[1].addr, 0x7040u);
+    EXPECT_EQ(loads[1].dst, 2u);
+}
+
 } // namespace
 } // namespace tcc

@@ -291,6 +291,80 @@ TEST(SpecCache, StatsCountAccesses)
     EXPECT_EQ(c.stats().fills, 1u);
 }
 
+TEST(SpecCache, WayIsReusedAfterInvalidate)
+{
+    auto cfg = tinyConfig();
+    SpecCache c(cfg);
+    const Addr stride = 128; // one L2 set
+    // Way 0: committed dirty data, later invalidated; ways 1-7 hold
+    // speculative writes, so only the freed way can take a new line.
+    c.fill(0x10000);
+    c.store(0x10000);
+    c.commitSpec(0);
+    for (unsigned i = 1; i < cfg.l2Assoc; ++i) {
+        ASSERT_TRUE(c.fill(0x10000 + i * stride).ok);
+        c.store(0x10000 + i * stride);
+    }
+    c.invalidate(0x10000, c.fullMask());
+    EXPECT_FALSE(c.present(0x10000));
+
+    auto out = c.fill(0x10000 + cfg.l2Assoc * stride);
+    ASSERT_TRUE(out.ok);
+    EXPECT_FALSE(out.evictedDirty); // invalidate dropped the dirty data
+    EXPECT_TRUE(c.present(0x10000 + cfg.l2Assoc * stride));
+    for (unsigned i = 1; i < cfg.l2Assoc; ++i)
+        EXPECT_TRUE(c.present(0x10000 + i * stride)) << "way " << i;
+    EXPECT_EQ(c.writeSetLines(), cfg.l2Assoc - 1);
+}
+
+TEST(SpecCache, WayIsReusedAfterAbort)
+{
+    auto cfg = tinyConfig();
+    cfg.granularity = Granularity::Line; // a store covers the line
+    SpecCache c(cfg);
+    const Addr stride = 128;
+    for (unsigned i = 0; i < cfg.l2Assoc; ++i)
+        ASSERT_TRUE(c.fill(0x10000 + i * stride).ok);
+    for (unsigned i = 1; i < cfg.l2Assoc; ++i)
+        c.load(0x10000 + i * stride);
+    // Way 0 is the most recently used line, and written only
+    // speculatively: the abort leaves it no valid word and frees it.
+    c.store(0x10000);
+    c.abortSpec();
+    EXPECT_FALSE(c.present(0x10000));
+    EXPECT_FALSE(c.load(0x10000).hit);
+
+    // The refill takes the free way; evicting would take way 1 (LRU).
+    ASSERT_TRUE(c.fill(0x10000 + cfg.l2Assoc * stride).ok);
+    for (unsigned i = 1; i <= cfg.l2Assoc; ++i)
+        EXPECT_TRUE(c.present(0x10000 + i * stride)) << "line " << i;
+}
+
+TEST(SpecCache, L1DropThenRefillUsesTheFreedWay)
+{
+    // L1: 2 sets x 4 ways; lines 64 bytes apart share an L1 set.
+    SpecCache c(tinyConfig());
+    for (Addr a : {0x0, 0x40, 0x80, 0xC0})
+        ASSERT_TRUE(c.fill(a).ok);
+    for (Addr a : {0x0, 0x40, 0x80, 0xC0})
+        EXPECT_EQ(c.load(a).latency, 1u) << a;
+
+    // Invalidating 0x80 drops its L1 tag; refilling it must land in
+    // that empty way rather than evict the LRU line (0x0).
+    c.commitSpec(0);
+    c.invalidate(0x80, c.fullMask());
+    EXPECT_FALSE(c.load(0x80).hit);
+    ASSERT_TRUE(c.fill(0x80).ok);
+    for (Addr a : {0x0, 0x40, 0x80, 0xC0})
+        EXPECT_EQ(c.load(a).latency, 1u) << a;
+
+    // A fifth line evicts the LRU one (0x0) from the L1 only: the next
+    // access is an L2 hit that reinstalls it, then L1 hits again.
+    ASSERT_TRUE(c.fill(0x100).ok);
+    EXPECT_EQ(c.load(0x0).latency, 16u);
+    EXPECT_EQ(c.load(0x0).latency, 1u);
+}
+
 TEST(SpecCache, L2SetsAreAllocatedOnFirstFill)
 {
     // Table 2: 512 KB, 8-way, 32-byte lines = 2048 sets. Host memory

@@ -158,7 +158,7 @@ TEST(SystemSmoke, IdleThousandNodeSystemHoldsLittleArena)
     // its first fill, a directory entry on its first message, a commit
     // table entry per directory a commit touches. What a machine holds
     // before running anything is the L1 tags, the L2 set table and
-    // the write buffer (~49 KiB a node), the same at 64 nodes as at
+    // the write buffer (~41 KiB a node), the same at 64 nodes as at
     // 1024: only the Sharing/Writing vectors grow with node count.
     const auto per_node = [](std::uint32_t procs) {
         System sys(smallConfig(procs));
