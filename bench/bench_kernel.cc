@@ -46,7 +46,6 @@
 #include "noc/message.hh"
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
-#include "sim/pool.hh"
 #include "sim/random.hh"
 #include "workload/scripted_source.hh"
 
@@ -138,10 +137,9 @@ enum class Spread {
  * The delay sequence is precomputed so the timed region measures the
  * kernel, not the random-number generator.
  */
-template <typename Kernel, bool UsePool>
+template <typename Kernel>
 struct MixWorkload {
     Kernel kernel;
-    ObjectPool<Message> pool;
     std::vector<Tick> delays;
     std::uint64_t fired = 0;
     std::uint64_t payloadWords = 0;
@@ -192,28 +190,19 @@ struct MixWorkload {
             return;
         ++fired;
         if (fired % 2 == 0) {
-            // Message-delivery event. The pooled variant parks the
-            // payload in a slab and captures {this, slot}; the
-            // reference variant captures the Message in the closure,
-            // exactly like the seed Network::deliver.
+            // Message-delivery event: the closure captures the
+            // Message, exactly like Network::deliver. The wheel kernel
+            // stores it inline; the reference kernel's std::function
+            // allocates, as the seed did.
             Message m;
             m.type = MsgType::LoadReply;
             m.addr = fired;
             m.tid = fired >> 1;
             m.bytes = 48;
-            if constexpr (UsePool) {
-                Message *slot = pool.alloc(m);
-                kernel.schedule(nextDelay(), [this, slot]() {
-                    consume(*slot);
-                    pool.free(slot);
-                    post();
-                });
-            } else {
-                kernel.schedule(nextDelay(), [this, m]() {
-                    consume(m);
-                    post();
-                });
-            }
+            kernel.schedule(nextDelay(), [this, m]() {
+                consume(m);
+                post();
+            });
         } else {
             // Continuation event with a generation check.
             const std::uint64_t my_gen = fired;
@@ -372,13 +361,11 @@ main(int argc, char **argv)
 
     // The reference runs first: its per-event std::function
     // allocations are sensitive to the heap state a previous run
-    // leaves behind, the pooled wheel run is not.
+    // leaves behind, the allocation-free wheel run is not.
     const auto rates = [&](Spread spread) {
-        MixWorkload<ReferenceHeapKernel, /*UsePool=*/false> ref(
-            kernelEvents, spread);
+        MixWorkload<ReferenceHeapKernel> ref(kernelEvents, spread);
         const double refRate = ref.run(kChains);
-        MixWorkload<EventQueue, /*UsePool=*/true> wheel(kernelEvents,
-                                                         spread);
+        MixWorkload<EventQueue> wheel(kernelEvents, spread);
         return std::pair{wheel.run(kChains), refRate};
     };
     const auto [newRate, refRate] = rates(Spread::Near);

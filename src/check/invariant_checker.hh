@@ -51,7 +51,7 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_map.hh"
+#include "common/skip_vector.hh"
 #include "common/types.hh"
 #include "obs/trace_recorder.hh"
 
@@ -137,9 +137,11 @@ class InvariantChecker
 
   private:
     struct DirState {
+        /** The checker's own view of the directory's NSTID. */
         Tid nstid = 0;
-        /** TIDs retired but not yet passed by the NSTID. */
-        FlatSet<Tid> retired;
+        /** TIDs retired but not yet passed by the NSTID: bit i stands
+         *  for TID nstid + i (the directory's Skip Vector layout). */
+        SkipVector retired;
         std::uint64_t retireCount = 0;
         /** TID of the last full commit applied here. */
         Tid lastCommitTid = kInvalidTid;

@@ -2,7 +2,7 @@
  * @file
  * Per-System bump-pointer arena. Every allocation a simulation run
  * performs after construction - hash-table backing stores, event-queue
- * node slabs, message pools, cache arrays, commit bookkeeping - comes
+ * node slabs, cache arrays, commit bookkeeping - comes
  * out of one monotonic arena owned by that System.
  *
  * Why: the sweep engine (core/sweep.hh) runs many independent Systems

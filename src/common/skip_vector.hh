@@ -10,7 +10,10 @@
  *  - membership (double-retire detection) is one bit test;
  *  - recording a retirement is one bit set;
  *  - advancing the NSTID consumes the leading run of set bits with
- *    count-trailing-ones word operations instead of a per-TID loop.
+ *    count-trailing-ones word operations instead of a per-TID loop;
+ *  - the invariant checker keeps its own window of the same shape and
+ *    consumes a known span at once (consume()), learning from one
+ *    word operation per 64 TIDs whether any of them was never retired.
  *
  * The window only needs to span the TIDs in flight at one directory
  * (bounded by the processor count plus network skew), so the ring
@@ -95,6 +98,43 @@ class SkipVector
                 break; // the run ended inside this word
         }
         return n;
+    }
+
+    /**
+     * Consume offsets [0, @p k) whether or not they are set: clear
+     * them and slide the window forward by @p k, one word at a time.
+     * Offsets past the window count as clear. @return the number of
+     * set bits consumed; @p first_clear receives the lowest clear
+     * offset below @p k, or @p k when every one was set.
+     */
+    std::size_t
+    consume(std::size_t k, std::size_t &first_clear)
+    {
+        first_clear = k;
+        const std::size_t span = k < capBits ? k : capBits;
+        std::size_t hit = 0;
+        for (std::size_t done = 0; done < span;) {
+            const std::size_t wi = head >> 6;
+            const unsigned b = static_cast<unsigned>(head & 63);
+            const std::size_t room = 64 - b;
+            const std::size_t take =
+                room < span - done ? room : span - done;
+            const std::uint64_t mask =
+                (take == 64 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << take) - 1)
+                << b;
+            const std::uint64_t w = words[wi] & mask;
+            if (w != mask && first_clear == k)
+                first_clear = done + std::countr_one(w >> b);
+            hit += static_cast<std::size_t>(std::popcount(w));
+            words[wi] &= ~mask;
+            head = (head + take) & (capBits - 1);
+            done += take;
+        }
+        if (span < k && first_clear == k)
+            first_clear = span;
+        population -= hit;
+        return hit;
     }
 
     /** Number of retired bits currently recorded. */

@@ -80,21 +80,21 @@ SystemConfig::validate() const
 }
 
 static std::unique_ptr<Network>
-buildNetwork(const SystemConfig &cfg, EventQueue &eventq, Arena *arena)
+buildNetwork(const SystemConfig &cfg, EventQueue &eventq)
 {
     const NetworkConfig &nc = cfg.network;
     std::unique_ptr<Network> base;
     if (nc.meshBased()) {
         base = std::make_unique<MeshNetwork>(eventq, cfg.numProcs,
-                                             nc.mesh, arena);
+                                             nc.mesh);
     } else {
         base = std::make_unique<IdealNetwork>(eventq, cfg.numProcs,
-                                              nc.idealLatency, arena);
+                                              nc.idealLatency);
     }
     if (nc.model != NetworkConfig::Model::Chaos)
         return base;
     return std::make_unique<ChaosNetwork>(eventq, cfg.numProcs,
-                                          std::move(base), nc.chaos, arena);
+                                          std::move(base), nc.chaos);
 }
 
 System::System(const SystemConfig &cfg)
@@ -106,7 +106,7 @@ System::System(const SystemConfig &cfg)
     if (const std::string err = cfg.validate(); !err.empty())
         fatal("invalid SystemConfig: %s", err.c_str());
 
-    net = buildNetwork(cfg, eventq, &arena);
+    net = buildNetwork(cfg, eventq);
     net->setMulticast(cfg.network.multicast);
 
     // Only the outermost network traces: a chaos wrapper's base would
@@ -306,7 +306,7 @@ System::buildPdes()
         auto d = std::make_unique<PdesDomain>(spec,
                                               config.trace.capacity);
         d->net = std::make_unique<DomainNet>(
-            d->eq, config.numProcs, spec, st.plan, dnc, &d->arena);
+            d->eq, config.numProcs, spec, st.plan, dnc);
         d->net->setMulticast(nc.multicast);
         d->net->setTraceRecorder(&d->tracer);
         st.domains.push_back(std::move(d));

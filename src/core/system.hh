@@ -425,7 +425,7 @@ class System
     /**
      * Run-private memory for every component below. Declared FIRST
      * so it outlives them all (members destroy in reverse order):
-     * event-queue slabs, message pools, hash tables, and cache arrays
+     * event-queue slabs, hash tables, and cache arrays
      * all point into it.
      */
     Arena arena;

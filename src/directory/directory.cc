@@ -18,8 +18,7 @@ Directory::Directory(NodeId node, std::uint32_t num_nodes,
       deferredProbes(ArenaAllocator<Message>(&arena_)),
       stalledLoads(ArenaAllocator<Message>(&arena_)),
       loadScratch(ArenaAllocator<Message>(&arena_)),
-      mcastBuf(ArenaAllocator<NodeId>(&arena_)), lruIndex(&arena_),
-      msgPool(&arena_)
+      mcastBuf(ArenaAllocator<NodeId>(&arena_)), lruIndex(&arena_)
 {
     // The entry map starts empty and grows with the lines this
     // directory homes; a directory cache's LRU bounds the hot set, so
@@ -130,28 +129,27 @@ Directory::receive(const Message &msg)
     if (pending.active)
         pending.serviceCycles += cost;
 
-    // Park the message in the pool for the occupancy delay; capturing
-    // {this, slot} keeps the event inside the queue's inline storage.
-    Message *slot = msgPool.alloc(msg);
-    eventq.scheduleAt(busyUntil, [this, slot]() {
-        const Message &m = *slot;
-        switch (m.type) {
-          case MsgType::LoadReq: handleLoad(m); break;
-          case MsgType::Skip: handleSkip(m); break;
-          case MsgType::Probe: handleProbe(m); break;
-          case MsgType::Mark: handleMark(m); break;
-          case MsgType::Commit: handleCommit(m); break;
-          case MsgType::PartialCommit: handlePartialCommit(m); break;
-          case MsgType::Abort: handleAbort(m); break;
-          case MsgType::WriteBack: handleWriteBack(m); break;
-          case MsgType::FlushData: handleFlushData(m); break;
-          case MsgType::InvAck: handleInvAck(m); break;
+    // The message rides inside the event for the occupancy delay.
+    auto serve = [this, msg]() {
+        switch (msg.type) {
+          case MsgType::LoadReq: handleLoad(msg); break;
+          case MsgType::Skip: handleSkip(msg); break;
+          case MsgType::Probe: handleProbe(msg); break;
+          case MsgType::Mark: handleMark(msg); break;
+          case MsgType::Commit: handleCommit(msg); break;
+          case MsgType::PartialCommit: handlePartialCommit(msg); break;
+          case MsgType::Abort: handleAbort(msg); break;
+          case MsgType::WriteBack: handleWriteBack(msg); break;
+          case MsgType::FlushData: handleFlushData(msg); break;
+          case MsgType::InvAck: handleInvAck(msg); break;
           default:
             panic("directory %u got unexpected %s", nodeId,
-                  msgTypeName(m.type));
+                  msgTypeName(msg.type));
         }
-        msgPool.free(slot);
-    });
+    };
+    static_assert(EventQueue::Callback::fitsInline<decltype(serve)>,
+                  "a directory event must carry its Message inline");
+    eventq.scheduleAt(busyUntil, std::move(serve));
 }
 
 void

@@ -37,7 +37,6 @@
 #include "mem/home_map.hh"
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
-#include "sim/pool.hh"
 #include "sim/stats.hh"
 
 namespace tcc {
@@ -248,7 +247,7 @@ class Directory
     DirectoryConfig config;
     std::uint32_t lineBytes;
     bool writeThrough = false;
-    /** Run-private memory for every map/pool below (never null). */
+    /** Run-private memory for every map below (never null). */
     Arena *arena;
 
     Tid nowServing = 0;
@@ -280,10 +279,6 @@ class Directory
 
     /** Single-server occupancy model. */
     Tick busyUntil = 0;
-
-    /** Slab for messages parked during the occupancy delay, keeping
-     *  the deferred-dispatch event capture inline (no allocation). */
-    ObjectPool<Message> msgPool;
 
     /** Entries that currently have a remote sharer (working set). */
     std::uint64_t remoteSharerEntries = 0;

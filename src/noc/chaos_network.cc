@@ -65,9 +65,9 @@ chaosPresetNames()
 
 ChaosNetwork::ChaosNetwork(EventQueue &eq, std::uint32_t num_nodes,
                            std::unique_ptr<Network> base_net,
-                           const ChaosConfig &cfg, Arena *arena)
-    : Network(eq, num_nodes, arena), inner(std::move(base_net)),
-      config(cfg), rng(cfg.seed), dupPool(arena)
+                           const ChaosConfig &cfg)
+    : Network(eq, num_nodes), inner(std::move(base_net)), config(cfg),
+      rng(cfg.seed)
 {
     if (!inner)
         fatal("ChaosNetwork needs a base transport");
@@ -90,13 +90,12 @@ ChaosNetwork::send(Message msg)
         ++faultStats.duplicates;
         // The copy enters the base transport duplicateLag cycles
         // later, so it and the original contend and jitter
-        // independently. Parked in a pool slab to keep the event
-        // capture inline.
-        Message *slot = dupPool.alloc(msg);
-        eventq.schedule(config.duplicateLag, [this, slot]() {
-            inner->send(*slot);
-            dupPool.free(slot);
-        });
+        // independently. The copy rides inside the event.
+        auto resend = [this, msg]() { inner->send(msg); };
+        static_assert(
+            EventQueue::Callback::fitsInline<decltype(resend)>,
+            "a duplicate must ride inline in its event");
+        eventq.schedule(config.duplicateLag, std::move(resend));
     }
     inner->send(std::move(msg));
 }

@@ -91,7 +91,7 @@ class ChaosNetwork : public Network
 
     ChaosNetwork(EventQueue &eq, std::uint32_t num_nodes,
                  std::unique_ptr<Network> base_net,
-                 const ChaosConfig &cfg, Arena *arena = nullptr);
+                 const ChaosConfig &cfg);
 
     void send(Message msg) override;
 
@@ -108,8 +108,6 @@ class ChaosNetwork : public Network
     std::unique_ptr<Network> inner;
     ChaosConfig config;
     Rng rng;
-    /** Parking slab for the lagged duplicate copies. */
-    ObjectPool<Message> dupPool;
     ChaosStats faultStats;
 };
 

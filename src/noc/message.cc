@@ -32,12 +32,34 @@ msgTypeName(MsgType t)
 std::string
 Message::toString() const
 {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "%s %u->%u addr=%llx tid=%lld",
-                  msgTypeName(type), src, dst,
-                  (unsigned long long)addr,
-                  tid == kInvalidTid ? -1LL : (long long)tid);
+    char buf[160];
+    int n = std::snprintf(buf, sizeof(buf),
+                          "%s %u->%u addr=%llx tid=%lld",
+                          msgTypeName(type), src, dst,
+                          (unsigned long long)addr,
+                          tid == kInvalidTid ? -1LL : (long long)tid);
+    const std::size_t room = sizeof(buf) - static_cast<std::size_t>(n);
+    switch (type) {
+      case MsgType::LoadReq:
+      case MsgType::LoadReply:
+        std::snprintf(buf + n, room, " seq=%u", seq);
+        break;
+      case MsgType::Commit:
+      case MsgType::PartialCommit:
+        std::snprintf(buf + n, room, " marks=%u", numMarks);
+        break;
+      case MsgType::Mark:
+      case MsgType::Inv:
+        std::snprintf(buf + n, room, " words=%llx",
+                      (unsigned long long)wordMask);
+        break;
+      case MsgType::ProbeReply:
+        std::snprintf(buf + n, room, " nstid=%lld",
+                      nstid == kInvalidTid ? -1LL : (long long)nstid);
+        break;
+      default:
+        break;
+    }
     return buf;
 }
 

@@ -68,41 +68,31 @@ const char *msgTypeName(MsgType t);
  * One protocol message. A single POD struct (rather than a class
  * hierarchy) keeps the hot path allocation-free; unused fields are
  * simply ignored by each opcode.
+ *
+ * The struct is packed to 40 bytes so that a delivery event can carry
+ * the message by value: {this, Message} fills the event queue's
+ * 48-byte inline callback exactly (see Network::deliver). The flags are
+ * one-bit fields, and two pairs of fields that no opcode uses together
+ * share storage: wordMask (Mark/Inv) with nstid (ProbeReply), and seq
+ * (LoadReq/LoadReply) with numMarks (Commit/PartialCommit). A handler
+ * reads only the member its opcode sets.
  */
 struct Message {
     MsgType type = MsgType::LoadReq;
-    NodeId src = kInvalidNode;
-    NodeId dst = kInvalidNode;
-
-    /** Line-aligned address (Load/Mark/Inv/WriteBack/...). */
-    Addr addr = 0;
-
-    /** Transaction ID this message belongs to or reports. */
-    Tid tid = kInvalidTid;
-
-    /**
-     * Per-word flags within the line. For Mark: the speculatively
-     * written words; for Inv: the committed words (used for word-level
-     * conflict detection). All-ones under line granularity.
-     */
-    std::uint64_t wordMask = 0;
 
     /** Probe: true when the prober intends to commit (write) here. */
-    bool wantWrite = false;
-
-    /** ProbeReply: the directory's Now-Serving TID at reply time. */
-    Tid nstid = kInvalidTid;
+    bool wantWrite : 1 = false;
 
     /**
      * FlushData: true when this flush answers an invalidation of a
      * dirty line during a commit (it doubles as the InvAck); false when
      * it answers a DataReq.
      */
-    bool invResponse = false;
+    bool invResponse : 1 = false;
 
     /** FlushData: false when the owner no longer had the dirty data
      *  (its WriteBack is already in flight). */
-    bool hadData = true;
+    bool hadData : 1 = true;
 
     /**
      * InvAck / FlushData(invResponse): the acking processor still
@@ -111,28 +101,60 @@ struct Message {
      * non-overlapping word-level invalidation would silently stop
      * receiving invalidations for the words it *did* read.
      */
-    bool keepSharer = false;
-
-    /** Commit: number of Mark messages the directory should have. */
-    std::uint32_t numMarks = 0;
-
-    /**
-     * LoadReq / LoadReply: per-requester sequence number echoed by the
-     * directory in the reply. On a network that can duplicate or
-     * reorder replies, the miss handler matches replies against the
-     * outstanding request's sequence; without the tag, a duplicated
-     * reply from an earlier request could satisfy a *later* miss to
-     * the same line before the directory re-registers the requester as
-     * a sharer - a silently missed conflict window.
-     */
-    std::uint32_t seq = 0;
+    bool keepSharer : 1 = false;
 
     /** Payload size in bytes (for traffic accounting), set by sender. */
-    std::uint32_t bytes = 0;
+    std::uint16_t bytes = 0;
 
-    /** Short rendering for traces. */
+    NodeId src = kInvalidNode;
+    NodeId dst = kInvalidNode;
+
+    union {
+        /**
+         * LoadReq / LoadReply: per-requester sequence number echoed by
+         * the directory in the reply. On a network that can duplicate
+         * or reorder replies, the miss handler matches replies against
+         * the outstanding request's sequence; without the tag, a
+         * duplicated reply from an earlier request could satisfy a
+         * *later* miss to the same line before the directory
+         * re-registers the requester as a sharer - a silently missed
+         * conflict window.
+         */
+        std::uint32_t seq = 0;
+
+        /** Commit / PartialCommit: number of Mark messages the
+         *  directory should have. */
+        std::uint32_t numMarks;
+    };
+
+    /** Line-aligned address (Load/Mark/Inv/WriteBack/...). */
+    Addr addr = 0;
+
+    /** Transaction ID this message belongs to or reports. */
+    Tid tid = kInvalidTid;
+
+    union {
+        /**
+         * Per-word flags within the line. For Mark: the speculatively
+         * written words; for Inv: the committed words (used for
+         * word-level conflict detection). All-ones under line
+         * granularity.
+         */
+        std::uint64_t wordMask = 0;
+
+        /** ProbeReply: the directory's Now-Serving TID at reply time. */
+        Tid nstid;
+    };
+
+    /** Short rendering for traces: the common header plus whichever
+     *  overlaid field the opcode uses. */
     std::string toString() const;
 };
+
+// Network::deliver and Directory::receive capture {this, Message} in
+// an event callback; keep that inside the callback's inline buffer.
+static_assert(sizeof(Message) <= 40,
+              "Message must stay small enough to ride inside an event");
 
 /** Traffic classes for the Figure 9 bandwidth breakdown. */
 enum class TrafficClass : std::uint8_t {

@@ -108,8 +108,8 @@ MeshRouter::walk(NodeId from, NodeId to, std::uint32_t bytes, Tick start,
 }
 
 MeshNetwork::MeshNetwork(EventQueue &eq, std::uint32_t num_nodes,
-                         const MeshConfig &cfg, Arena *arena)
-    : Network(eq, num_nodes, arena), router(num_nodes, cfg)
+                         const MeshConfig &cfg)
+    : Network(eq, num_nodes), router(num_nodes, cfg)
 {}
 
 void
@@ -119,7 +119,7 @@ MeshNetwork::send(Message msg)
         panic("mesh send with bad endpoint %u->%u", msg.src, msg.dst);
     unsigned hops = 0;
     const Tick delay = router.delay(msg, eventq.now(), hops);
-    deliver(std::move(msg), delay, hops);
+    deliver(msg, delay, hops);
 }
 
 MulticastReceipt
@@ -131,7 +131,7 @@ MeshNetwork::doMulticast(const Message &proto,
     return router.multicast(
         proto, dsts, mcastCfg.fanout, eventq.now(),
         [this](Message &&copy, Tick delay, unsigned hops) {
-            deliver(std::move(copy), delay, hops);
+            deliver(copy, delay, hops);
         });
 }
 

@@ -19,7 +19,6 @@
 #include "noc/message.hh"
 #include "obs/trace_recorder.hh"
 #include "sim/event_queue.hh"
-#include "sim/pool.hh"
 
 namespace tcc {
 
@@ -116,9 +115,8 @@ class Network
   public:
     using Handler = std::function<void(const Message &)>;
 
-    Network(EventQueue &eq, std::uint32_t num_nodes,
-            Arena *arena = nullptr)
-        : eventq(eq), handlers(num_nodes), msgPool(arena)
+    Network(EventQueue &eq, std::uint32_t num_nodes)
+        : eventq(eq), handlers(num_nodes)
     {
         netStats.nodeBytes.assign(num_nodes, 0);
     }
@@ -176,9 +174,6 @@ class Network
         netStats.nodeBytes.assign(handlers.size(), 0);
     }
 
-    /** In-flight messages currently owned by the pool (diagnostics). */
-    std::size_t messagesInFlight() const { return msgPool.live(); }
-
     /** Attach the System's protocol event ring (may be null). */
     void setTraceRecorder(TraceRecorder *rec) { tracer = rec; }
 
@@ -190,10 +185,12 @@ class Network
      * (sim/domain.hh); NetDeliver is still emitted at dispatch.
      */
     void
-    deliverAt(Message msg, Tick when)
+    deliverAt(const Message &msg, Tick when)
     {
-        Message *slot = msgPool.alloc(std::move(msg));
-        eventq.scheduleAt(when, [this, slot]() { dispatch(slot); });
+        auto fire = [this, msg]() { dispatch(msg); };
+        static_assert(EventQueue::Callback::fitsInline<decltype(fire)>,
+                      "a delivery event must carry its Message inline");
+        eventq.scheduleAt(when, std::move(fire));
     }
 
     /** PDES plumbing: fold a domain shim's traffic counters into this
@@ -248,18 +245,20 @@ class Network
 
     /**
      * Deliver @p msg at now + @p delay and account @p hops. The message
-     * is parked in a pooled slab for the flight; the deliver event only
-     * captures {this, slot}, so it always fits the event queue's inline
-     * callback storage - no per-hop heap allocation or Message copy
-     * inside a closure. The slot is released right after the handler
-     * returns, so handlers must not retain the reference.
+     * rides inside the deliver event: {this, Message} fills the event
+     * queue's inline callback storage exactly, so a hop costs no
+     * allocation and no side table. The handler gets a reference into
+     * the event, valid only until it returns, so handlers must not
+     * retain it.
      */
     void
-    deliver(Message msg, Tick delay, unsigned hops)
+    deliver(const Message &msg, Tick delay, unsigned hops)
     {
         accountSend(msg, hops);
-        Message *slot = msgPool.alloc(std::move(msg));
-        eventq.schedule(delay, [this, slot]() { dispatch(slot); });
+        auto fire = [this, msg]() { dispatch(msg); };
+        static_assert(EventQueue::Callback::fitsInline<decltype(fire)>,
+                      "a delivery event must carry its Message inline");
+        eventq.schedule(delay, std::move(fire));
     }
 
     EventQueue &eventq;
@@ -267,27 +266,25 @@ class Network
 
   private:
     void
-    dispatch(Message *slot)
+    dispatch(const Message &msg)
     {
-        const NodeId dst = slot->dst;
+        const NodeId dst = msg.dst;
         if (!handlers[dst])
             panic("message to unconnected node %u", dst);
         // NetDeliver packs the *source* in the route-info word, so the
         // pair of events for one message reads as src->dst twice.
         traceEmit(tracer, TraceCat::Net, TraceEventKind::NetDeliver,
-                  dst, slot->tid, slot->addr,
-                  packNetInfo(slot->src,
-                              static_cast<std::uint8_t>(slot->type),
+                  dst, msg.tid, msg.addr,
+                  packNetInfo(msg.src,
+                              static_cast<std::uint8_t>(msg.type),
                               static_cast<std::uint8_t>(
-                                  trafficClassOf(slot->type)),
-                              slot->bytes));
-        handlers[dst](*slot);
-        msgPool.free(slot);
+                                  trafficClassOf(msg.type)),
+                              msg.bytes));
+        handlers[dst](msg);
     }
 
     std::vector<Handler> handlers;
     NetworkStats netStats;
-    ObjectPool<Message> msgPool;
     TraceRecorder *tracer = nullptr;
 };
 
@@ -296,14 +293,14 @@ class IdealNetwork : public Network
 {
   public:
     IdealNetwork(EventQueue &eq, std::uint32_t num_nodes,
-                 Tick latency = 1, Arena *arena = nullptr)
-        : Network(eq, num_nodes, arena), fixedLatency(latency)
+                 Tick latency = 1)
+        : Network(eq, num_nodes), fixedLatency(latency)
     {}
 
     void
     send(Message msg) override
     {
-        deliver(std::move(msg), fixedLatency, 1);
+        deliver(msg, fixedLatency, 1);
     }
 
   private:
@@ -466,8 +463,7 @@ class MeshNetwork : public Network
 {
   public:
     MeshNetwork(EventQueue &eq, std::uint32_t num_nodes,
-                const MeshConfig &cfg = MeshConfig{},
-                Arena *arena = nullptr);
+                const MeshConfig &cfg = MeshConfig{});
 
     void send(Message msg) override;
 

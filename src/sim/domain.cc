@@ -64,10 +64,10 @@ computePdesPlan(std::uint32_t num_procs, std::uint32_t requested_domains,
 
 DomainNet::DomainNet(EventQueue &eq_, std::uint32_t num_nodes,
                      const DomainSpec &spec_, const PdesPlan &plan_,
-                     const DomainNetConfig &cfg, Arena *arena)
-    : Network(eq_, num_nodes, arena), outbox(plan_.domains.size()),
+                     const DomainNetConfig &cfg)
+    : Network(eq_, num_nodes), outbox(plan_.domains.size()),
       spec(spec_), plan(plan_), config(cfg),
-      chaosRng(domainSeed(cfg.chaosCfg.seed, spec_.id)), dupPool(arena)
+      chaosRng(domainSeed(cfg.chaosCfg.seed, spec_.id))
 {
     if (config.meshBased) {
         // Domains are whole-row blocks: own the rows mapped to us.
@@ -89,12 +89,13 @@ DomainNet::send(Message msg)
         chaosRng.chance(config.chaosCfg.duplicateProb)) {
         // The copy re-routes duplicateLag cycles later with fresh
         // draws, so it and the original contend and jitter
-        // independently (mirrors ChaosNetwork::send).
-        Message *slot = dupPool.alloc(msg);
-        eventq.schedule(config.chaosCfg.duplicateLag, [this, slot]() {
-            route(*slot);
-            dupPool.free(slot);
-        });
+        // independently (mirrors ChaosNetwork::send). The copy rides
+        // inside the event.
+        auto resend = [this, msg]() { route(msg); };
+        static_assert(
+            EventQueue::Callback::fitsInline<decltype(resend)>,
+            "a duplicate must ride inline in its event");
+        eventq.schedule(config.chaosCfg.duplicateLag, std::move(resend));
     }
     route(std::move(msg));
 }
@@ -116,7 +117,7 @@ DomainNet::dispose(Message msg, Tick delay, unsigned hops)
 {
     const std::uint32_t dst_dom = plan.nodeDomain[msg.dst];
     if (dst_dom == spec.id) {
-        deliver(std::move(msg), delay, hops);
+        deliver(msg, delay, hops);
         return;
     }
     accountSend(msg, hops);
@@ -203,7 +204,7 @@ PdesState::flushMailboxes(Tick window_end)
                           (unsigned long long)window_end);
                 }
                 first = std::min(first, p.when);
-                dst.deliverAt(std::move(p.msg), p.when);
+                dst.deliverAt(p.msg, p.when);
                 ++moved;
             }
             box.clear();

@@ -55,7 +55,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace_recorder.hh"
 #include "sim/event_queue.hh"
-#include "sim/pool.hh"
 #include "sim/random.hh"
 
 namespace tcc {
@@ -156,7 +155,7 @@ class DomainNet : public Network
 
     DomainNet(EventQueue &eq, std::uint32_t num_nodes,
               const DomainSpec &spec, const PdesPlan &plan,
-              const DomainNetConfig &cfg, Arena *arena = nullptr);
+              const DomainNetConfig &cfg);
 
     void send(Message msg) override;
 
@@ -171,7 +170,7 @@ class DomainNet : public Network
     /** Per-destination-domain mailboxes, drained by the coordinator
      *  (PdesState::flushMailboxes) between windows. The vectors keep
      *  their capacity across flushes, so steady-state parking does no
-     *  allocation (the parcel-node pool). */
+     *  allocation. */
     std::vector<std::vector<Parcel>> outbox;
 
     /** Destination domains whose mailbox gained parcels since the last
@@ -205,14 +204,12 @@ class DomainNet : public Network
     /** Mesh timing, owning this domain's rows (empty when ideal). */
     std::optional<MeshRouter> router;
     Rng chaosRng;
-    /** Parking slab for lagged chaos duplicates. */
-    ObjectPool<Message> dupPool;
     std::uint64_t crossCount = 0;
 };
 
 /**
  * Everything one domain owns. Arena is declared first so every other
- * member (event-queue slabs, store tables, trace ring, net pools) may
+ * member (event-queue slabs, store tables, trace ring) may
  * point into it; members destroy in reverse order.
  */
 struct PdesDomain {

@@ -47,6 +47,7 @@
 #include <new>
 #include <queue>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hh"
@@ -105,15 +106,22 @@ class EventQueue
     const Tick *nowRef() const { return &curTick; }
 
     /** Schedule @p fn to run @p delay cycles from now. */
+    template <typename F>
     void
-    schedule(Tick delay, Callback fn)
+    schedule(Tick delay, F &&fn)
     {
-        scheduleAt(curTick + delay, std::move(fn));
+        scheduleAt(curTick + delay, std::forward<F>(fn));
     }
 
-    /** Schedule @p fn to run at absolute tick @p when. */
+    /**
+     * Schedule @p fn (any void() callable, or a Callback) to run at
+     * absolute tick @p when. A callable is constructed straight into
+     * its event node: the capture is copied once, with no intermediate
+     * Callback to relocate.
+     */
+    template <typename F>
     void
-    scheduleAt(Tick when, Callback fn)
+    scheduleAt(Tick when, F &&fn)
     {
         if (when < curTick)
             panic("event scheduled in the past (%llu < %llu)",
@@ -122,7 +130,7 @@ class EventQueue
         n->when = when;
         n->seq = nextSeq++;
         n->next = nullptr;
-        n->fn = std::move(fn);
+        n->fn = std::forward<F>(fn);
         if (when - windowStart < kWindowTicks)
             pushBucket(n);
         else

@@ -101,6 +101,15 @@ class InlineFunction
 
     static constexpr std::size_t capacity() { return Capacity; }
 
+    /** True iff a callable of type @p Fn is stored in place. Hot-path
+     *  schedule sites static_assert it, so a capture that outgrows the
+     *  buffer fails to compile instead of silently allocating. */
+    template <typename Fn>
+    static constexpr bool fitsInline =
+        sizeof(Fn) <= Capacity &&
+        alignof(Fn) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<Fn>;
+
   private:
     struct Ops {
         void (*invoke)(void *);
@@ -110,12 +119,6 @@ class InlineFunction
         void (*relocate)(void *dst, void *src) noexcept;
         bool inlineStored;
     };
-
-    template <typename Fn>
-    static constexpr bool fitsInline =
-        sizeof(Fn) <= Capacity &&
-        alignof(Fn) <= alignof(std::max_align_t) &&
-        std::is_nothrow_move_constructible_v<Fn>;
 
     template <typename Fn>
     static const Ops *

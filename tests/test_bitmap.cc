@@ -53,6 +53,24 @@ struct DequeModel {
         return n;
     }
 
+    /** Pop @p k offsets one at a time (the invariant checker's old
+     *  per-TID loop). */
+    std::size_t
+    consume(std::size_t k, std::size_t &first_clear)
+    {
+        first_clear = k;
+        std::size_t hit = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+            const bool b = !window.empty() && window.front();
+            if (!window.empty())
+                window.pop_front();
+            hit += b;
+            if (!b && first_clear == k)
+                first_clear = i;
+        }
+        return hit;
+    }
+
     std::size_t
     count() const
     {
@@ -148,6 +166,54 @@ TEST(SkipVector, MatchesDequeModelRandomized)
             sv.set(0);
             model.set(0);
         }
+    }
+}
+
+TEST(SkipVector, ConsumeReportsFirstClearOffset)
+{
+    SkipVector sv;
+    std::size_t first = 0;
+    EXPECT_EQ(sv.consume(5, first), 0u); // empty window: all clear
+    EXPECT_EQ(first, 0u);
+    for (std::size_t i = 0; i < 150; ++i) {
+        if (i != 97)
+            sv.set(i);
+    }
+    EXPECT_EQ(sv.consume(90, first), 90u);
+    EXPECT_EQ(first, 90u) << "no clear offset: reports k";
+    // Offset 7 is old offset 97; the span crosses a word boundary.
+    EXPECT_EQ(sv.consume(60, first), 59u);
+    EXPECT_EQ(first, 7u);
+    EXPECT_TRUE(sv.empty());
+}
+
+TEST(SkipVector, ConsumeMatchesDequeModelRandomized)
+{
+    Rng rng(2007);
+    SkipVector sv;
+    DequeModel model;
+    for (int step = 0; step < 4000; ++step) {
+        // Retire a span ahead of the window - every TID in it, or all
+        // but about one in 2..256 - then consume a span that may stop
+        // inside it, match it, or overrun it and the window.
+        const bool every = rng.below(4) == 0;
+        const std::uint64_t miss_one_in = std::uint64_t{2} << rng.below(8);
+        const std::size_t fill = static_cast<std::size_t>(rng.below(300));
+        for (std::size_t i = 0; i < fill; ++i) {
+            if (every || rng.below(miss_one_in) != 0) {
+                sv.set(i);
+                model.set(i);
+            }
+        }
+        const std::size_t k = static_cast<std::size_t>(
+            rng.below(8) == 0 ? rng.below(1000) : rng.below(320));
+        std::size_t first = 0, model_first = 0;
+        ASSERT_EQ(sv.consume(k, first), model.consume(k, model_first))
+            << "step " << step;
+        ASSERT_EQ(first, model_first) << "step " << step;
+        ASSERT_EQ(sv.count(), model.count()) << "step " << step;
+        for (std::size_t idx = 0; idx < 320; ++idx)
+            ASSERT_EQ(sv.test(idx), model.test(idx)) << "idx " << idx;
     }
 }
 

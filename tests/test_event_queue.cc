@@ -13,7 +13,6 @@
 
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
-#include "sim/pool.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -352,24 +351,6 @@ TEST(InlineFunction, MoveTransfersAndResetDestroys)
     b.reset();
     EXPECT_FALSE(static_cast<bool>(b));
     EXPECT_EQ(counter.use_count(), 1); // capture destroyed
-}
-
-TEST(ObjectPool, RecyclesSlots)
-{
-    ObjectPool<int, 4> pool;
-    int *a = pool.alloc(1);
-    int *b = pool.alloc(2);
-    EXPECT_EQ(pool.live(), 2u);
-    EXPECT_EQ(*a, 1);
-    pool.free(a);
-    int *c = pool.alloc(3);
-    EXPECT_EQ(c, a); // LIFO reuse of the freed slot
-    EXPECT_EQ(*c, 3);
-    EXPECT_EQ(*b, 2);
-    pool.free(b);
-    pool.free(c);
-    EXPECT_EQ(pool.live(), 0u);
-    EXPECT_EQ(pool.capacity(), 4u); // no second slab needed
 }
 
 TEST(EventQueue, ZeroDelayRunsAtCurrentTick)

@@ -172,6 +172,105 @@ TEST(InvariantChecker, NstidGapDetected)
               std::string::npos);
 }
 
+// The retired set is a bit window over TIDs nstid, nstid+1, ...; these
+// exercise its growth, its ring wrap and the word-level advance.
+
+TEST(InvariantChecker, RetireFarAheadGrowsWindow)
+{
+    constexpr auto kSkip = InvariantChecker::Retire::Skip;
+    InvariantChecker chk(1, nullptr);
+    // Past the first word, then past the second (the window regrows
+    // twice and must keep every bit it had).
+    EXPECT_TRUE(chk.onRetire(0, 70, kSkip));
+    EXPECT_TRUE(chk.onRetire(0, 130, kSkip));
+    EXPECT_TRUE(chk.onRetire(0, 300, kSkip));
+    EXPECT_FALSE(chk.failed());
+    EXPECT_FALSE(chk.onRetire(0, 70, kSkip)) << "bit lost in regrowth";
+    EXPECT_TRUE(chk.failed());
+}
+
+TEST(InvariantChecker, RetireFarAheadThenAdvanceIsClean)
+{
+    constexpr auto kCommit = InvariantChecker::Retire::Commit;
+    InvariantChecker chk(1, nullptr);
+    for (Tid t = 0; t < 10; ++t)
+        EXPECT_TRUE(chk.onRetire(0, t, kCommit));
+    chk.onNstidAdvance(0, 0, 10); // the window's head is now mid-word
+    for (Tid t = 209; t >= 10; --t) // descending: every retire grows
+        EXPECT_TRUE(chk.onRetire(0, t, kCommit));
+    chk.onNstidAdvance(0, 10, 210);
+    EXPECT_FALSE(chk.failed()) << chk.result().error;
+    EXPECT_FALSE(chk.onRetire(0, 150, kCommit)) << "below the NSTID";
+    EXPECT_NE(chk.result().error.find("already passed by NSTID 210"),
+              std::string::npos)
+        << chk.result().error;
+}
+
+TEST(InvariantChecker, DoubleRetireAcrossRingWrap)
+{
+    constexpr auto kAbort = InvariantChecker::Retire::Abort;
+    InvariantChecker chk(1, nullptr);
+    // Walk the head most of the way round a one-word ring, so the
+    // next retirements wrap into its low bits.
+    for (Tid t = 0; t < 60; ++t)
+        EXPECT_TRUE(chk.onRetire(0, t, kAbort));
+    chk.onNstidAdvance(0, 0, 60);
+    EXPECT_TRUE(chk.onRetire(0, 62, kAbort));
+    EXPECT_TRUE(chk.onRetire(0, 100, kAbort)); // offset 40: wraps
+    EXPECT_FALSE(chk.failed());
+    EXPECT_FALSE(chk.onRetire(0, 100, kAbort));
+    EXPECT_NE(chk.result().error.find("TID 100 retired twice"),
+              std::string::npos)
+        << chk.result().error;
+}
+
+TEST(InvariantChecker, AdvanceOverGapNamesFirstUnretiredTid)
+{
+    constexpr auto kSkip = InvariantChecker::Retire::Skip;
+    InvariantChecker chk(1, nullptr);
+    for (Tid t : {0, 1, 2, 4, 6})
+        EXPECT_TRUE(chk.onRetire(0, t, kSkip));
+    chk.onNstidAdvance(0, 0, 7); // TIDs 3 and 5 never retired
+    ASSERT_TRUE(chk.failed());
+    EXPECT_NE(chk.result().error.find("past TID 3,"), std::string::npos)
+        << chk.result().error;
+    EXPECT_EQ(chk.result().failures, 2u) << "each missing TID counts";
+}
+
+TEST(InvariantChecker, MultiWordAdvance)
+{
+    constexpr auto kSkip = InvariantChecker::Retire::Skip;
+    InvariantChecker chk(1, nullptr);
+    for (Tid t = 0; t < 200; ++t)
+        EXPECT_TRUE(chk.onRetire(0, t, kSkip));
+    chk.onNstidAdvance(0, 0, 200); // four words in one step
+    EXPECT_FALSE(chk.failed()) << chk.result().error;
+
+    // A gap deep in the third word of the next span.
+    for (Tid t = 200; t < 400; ++t) {
+        if (t != 333) {
+            EXPECT_TRUE(chk.onRetire(0, t, kSkip));
+        }
+    }
+    chk.onNstidAdvance(0, 200, 400);
+    ASSERT_TRUE(chk.failed());
+    EXPECT_NE(chk.result().error.find("past TID 333,"),
+              std::string::npos)
+        << chk.result().error;
+    EXPECT_EQ(chk.result().failures, 1u);
+}
+
+TEST(InvariantChecker, AdvancePastWindowCountsEveryMissingTid)
+{
+    InvariantChecker chk(1, nullptr);
+    EXPECT_TRUE(chk.onRetire(0, 0, InvariantChecker::Retire::Skip));
+    chk.onNstidAdvance(0, 0, 1000); // far beyond the one-word window
+    ASSERT_TRUE(chk.failed());
+    EXPECT_NE(chk.result().error.find("past TID 1,"), std::string::npos)
+        << chk.result().error;
+    EXPECT_EQ(chk.result().failures, 999u);
+}
+
 TEST(InvariantChecker, CommitOrderEnforcedPerDirectory)
 {
     InvariantChecker chk(2, nullptr);

@@ -136,8 +136,7 @@ struct MailboxHarness {
             auto d = std::make_unique<PdesDomain>(
                 spec, TraceRecorder::kDefaultCapacity);
             d->net = std::make_unique<DomainNet>(d->eq, 4, spec,
-                                                 st.plan, ncfg,
-                                                 &d->arena);
+                                                 st.plan, ncfg);
             for (NodeId n = spec.firstNode;
                  n < spec.firstNode + spec.numNodes; ++n)
                 d->net->connect(n, [this, n](const Message &m) {
@@ -200,7 +199,7 @@ TEST(PdesMailbox, MeshParcelsRespectTheLookahead)
         auto d = std::make_unique<PdesDomain>(
             spec, TraceRecorder::kDefaultCapacity);
         d->net = std::make_unique<DomainNet>(d->eq, 16, spec, st.plan,
-                                             ncfg, &d->arena);
+                                             ncfg);
         st.domains.push_back(std::move(d));
     }
     // Saturate: every node sends to every foreign-domain node.
