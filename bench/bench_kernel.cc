@@ -42,7 +42,6 @@
 
 #include "bench_common.hh"
 #include "cache/spec_cache.hh"
-#include "common/log.hh"
 #include "noc/message.hh"
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
@@ -312,35 +311,28 @@ meshSendNs(std::uint64_t calls)
 
 /**
  * Observability wiring check: run the 2-processor scripted-conflict
- * scenario with every trace category enabled (text output off) and
- * report how many structured events the recorder captured. A zero
- * here means the instrumentation went dark.
+ * scenario with tracing armed and report how many structured events
+ * the recorder captured. A zero here means the instrumentation went
+ * dark.
  */
 std::uint64_t
 tracedEventCount()
 {
-    Trace::setTextOutput(false);
-    Trace::enableAll(true);
-    std::uint64_t captured = 0;
-    {
-        SystemConfig cfg;
-        cfg.numProcs = 2;
-        cfg.homePolicy = HomePolicy::Interleave;
-        System sys(cfg);
-        const Addr x = 0x100000;
-        ScriptedSource p0;
-        p0.add({TxOp::compute(100), TxOp::store(x, 42)});
-        ScriptedSource p1;
-        p1.add({TxOp::load(x), TxOp::compute(4000),
-                TxOp::storeAdd(x + 4096, 0)});
-        sys.setSource(0, &p0);
-        sys.setSource(1, &p1);
-        sys.run();
-        captured = sys.traceRecorder().captured();
-    }
-    Trace::enableAll(false);
-    Trace::setTextOutput(true);
-    return captured;
+    SystemConfig cfg;
+    cfg.numProcs = 2;
+    cfg.homePolicy = HomePolicy::Interleave;
+    cfg.trace.capacity = TraceRecorder::kDefaultCapacity;
+    System sys(cfg);
+    const Addr x = 0x100000;
+    ScriptedSource p0;
+    p0.add({TxOp::compute(100), TxOp::store(x, 42)});
+    ScriptedSource p1;
+    p1.add({TxOp::load(x), TxOp::compute(4000),
+            TxOp::storeAdd(x + 4096, 0)});
+    sys.setSource(0, &p0);
+    sys.setSource(1, &p1);
+    sys.run();
+    return sys.traceRecorder().captured();
 }
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * Protocol walk-through example: re-creates the paper's Figure 2
  * scenario (two processors, one successful commit, one violation) with
- * full protocol tracing enabled so every message and state change is
- * visible. Useful for understanding - or teaching - the two-phase
- * parallel commit.
+ * protocol tracing armed, and prints every recorded message and state
+ * change after the run. Useful for understanding - or teaching - the
+ * two-phase parallel commit.
  *
  * Run:  ./build/examples/protocol_trace 2> trace.log
  *
@@ -13,8 +13,8 @@
  *                      Chrome/Perfetto trace JSON
  *   --stats-json FILE  write the full stats tree (including the
  *                      tx_ledger) as JSON
- *   --quiet            suppress the stderr text trace (recording for
- *                      the two files above still happens)
+ *   --quiet            do not print the trace to stderr (recording
+ *                      for the two files above still happens)
  */
 
 #include <cstdio>
@@ -22,7 +22,6 @@
 #include <fstream>
 #include <string>
 
-#include "common/log.hh"
 #include "core/stats_dump.hh"
 #include "core/system.hh"
 #include "obs/chrome_trace.hh"
@@ -54,12 +53,9 @@ main(int argc, char **argv)
         }
     }
 
-    // Record every protocol event; print to stderr unless --quiet.
-    Trace::enableAll(true);
-    Trace::setTextOutput(!quiet);
-
     SystemConfig cfg;
     cfg.numProcs = 2;
+    cfg.trace.capacity = TraceRecorder::kDefaultCapacity;
     cfg.check.serial = true;
     cfg.homePolicy = HomePolicy::Interleave; // deterministic homes
     System sys(cfg);
@@ -86,6 +82,11 @@ main(int argc, char **argv)
                   "(see stderr for the message trace)...");
     }
     const RunResult res = sys.run();
+    if (!quiet) {
+        sys.traceRecorder().forEach([](const TraceEvent &e) {
+            std::fprintf(stderr, "%s\n", formatTraceEvent(e).c_str());
+        });
+    }
 
     std::printf("\ncompleted in %llu cycles\n",
                 (unsigned long long)res.cycles);
@@ -96,8 +97,8 @@ main(int argc, char **argv)
                 (unsigned long long)sys.memory().read(x),
                 (unsigned long long)sys.memory().read(x + 4096));
 
-    // The structured trace tells the same story as the text log: show
-    // the ledger's view of each transaction's lifecycle.
+    // The ledger folds the same ring into each transaction's
+    // lifecycle.
     std::printf("trace: %llu events captured\n",
                 (unsigned long long)sys.traceRecorder().captured());
     for (const auto &e : buildTxLedger(sys.traceRecorder()).entries) {

@@ -30,7 +30,10 @@
  *     --seed N          workload + chaos seed (default 1)
  *     --check LIST      comma list of checkers: serial, invariants
  *                       (bare --check arms the serial checker)
- *     --trace           dump the full protocol trace to stderr
+ *     --trace           record the protocol trace and print it to
+ *                       stderr after the run, one event per line
+ *                       (the newest 65,536 events; 262,144 with
+ *                       --trace-out)
  *     --trace-out FILE  record the structured protocol trace and write
  *                       it as Chrome/Perfetto trace JSON to FILE (open
  *                       in ui.perfetto.dev or chrome://tracing)
@@ -278,15 +281,12 @@ main(int argc, char **argv)
     // chaos run is reproduced by its (preset, seed) pair alone.
     cfg.network.chaos.seed = seed;
 
-    if (trace_text || !trace_out_path.empty()) {
-        Trace::enableAll(true);
-        // Recording to a file does not imply flooding stderr.
-        Trace::setTextOutput(trace_text);
-    }
     if (!trace_out_path.empty()) {
         // A full application run overflows the default ring fast; give
         // the exporter more history to slice.
         cfg.trace.capacity = std::size_t{1} << 18;
+    } else if (trace_text) {
+        cfg.trace.capacity = TraceRecorder::kDefaultCapacity;
     }
 
     if (app_name == "list") {
@@ -336,6 +336,11 @@ main(int argc, char **argv)
                 (unsigned long long)bundle.footprint.expectedTxns,
                 bundle.layout() ? " (data-structure engine)" : "");
     const RunResult res = sys.run();
+    if (trace_text) {
+        sys.traceRecorder().forEach([](const TraceEvent &e) {
+            std::fprintf(stderr, "%s\n", formatTraceEvent(e).c_str());
+        });
+    }
     if (res.invariants.checked && !res.invariants.ok) {
         std::printf("INVARIANT VIOLATION\n%s\n",
                     res.invariants.error.c_str());

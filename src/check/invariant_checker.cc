@@ -48,19 +48,8 @@ InvariantChecker::traceTail() const
     std::string out = "\n  last protocol events:";
     const std::size_t n = tracer->size();
     const std::size_t first = n > historyLen ? n - historyLen : 0;
-    char buf[160];
-    for (std::size_t i = first; i < n; ++i) {
-        const TraceEvent &e = tracer->at(i);
-        std::snprintf(buf, sizeof(buf),
-                      "\n    [%llu] %s node=%u tid=%lld a0=%llx a1=%llx",
-                      (unsigned long long)e.tick,
-                      traceEventKindName(e.kind), e.node,
-                      e.tid == kInvalidTid ? -1LL
-                                           : (long long)e.tid,
-                      (unsigned long long)e.arg0,
-                      (unsigned long long)e.arg1);
-        out += buf;
-    }
+    for (std::size_t i = first; i < n; ++i)
+        out += "\n    " + formatTraceEvent(tracer->at(i));
     return out;
 }
 

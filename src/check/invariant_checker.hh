@@ -76,7 +76,7 @@ class InvariantChecker
     /**
      * @param num_nodes  directories/processors in the system
      * @param tracer     protocol event ring for failure context
-     *                   (may be null)
+     *                   (null when tracing is off)
      * @param history    trace events quoted in a failure report
      */
     InvariantChecker(std::uint32_t num_nodes,

@@ -413,55 +413,6 @@ class FlatMap
     std::size_t used = 0;
 };
 
-/**
- * Open-addressing hash set over FlatMap with an empty payload. Covers
- * the simulator's membership-only uses (the commit engine's
- * marks-done / validated-directory tracking).
- */
-template <typename K, typename Hash = detail::FlatHash<K>>
-class FlatSet
-{
-    struct Empty {
-    };
-    using Map = FlatMap<K, Empty, Hash>;
-
-  public:
-    FlatSet() = default;
-    explicit FlatSet(std::size_t expected) : map(expected) {}
-    explicit FlatSet(Arena *arena) : map(arena) {}
-    FlatSet(Arena *arena, std::size_t expected) : map(arena, expected)
-    {}
-
-    std::size_t size() const { return map.size(); }
-    bool empty() const { return map.empty(); }
-    void clear() { map.clear(); }
-    void reserve(std::size_t expected) { map.reserve(expected); }
-
-    bool contains(const K &key) const { return map.contains(key); }
-    std::size_t count(const K &key) const { return map.count(key); }
-
-    /** @return true iff the key was newly inserted. */
-    bool
-    insert(const K &key)
-    {
-        return map.emplace(key).second;
-    }
-
-    std::size_t erase(const K &key) { return map.erase(key); }
-
-    /** Visit every element (slot order). */
-    template <typename Fn>
-    void
-    forEach(Fn fn) const
-    {
-        for (const auto &slot : map)
-            fn(slot.first);
-    }
-
-  private:
-    Map map;
-};
-
 } // namespace tcc
 
 #endif // TCC_COMMON_FLAT_MAP_HH

@@ -1,42 +1,10 @@
 #include "common/log.hh"
 
 #include <cstdarg>
-#include <cstring>
-#include <mutex>
-#include <vector>
+#include <cstdio>
+#include <cstdlib>
 
 namespace tcc {
-
-namespace {
-
-/**
- * Guards the stderr trace sink. Parallel sweep workers (core/sweep.hh)
- * may trace concurrently; each tracef() formats its whole line into a
- * private buffer first and then performs one locked fwrite, so lines
- * interleave but never shear mid-write.
- */
-std::mutex &
-traceSinkMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-const char *
-catName(TraceCat cat)
-{
-    switch (cat) {
-      case TraceCat::Proc: return "proc";
-      case TraceCat::Dir: return "dir";
-      case TraceCat::Net: return "net";
-      case TraceCat::Cache: return "cache";
-      case TraceCat::Commit: return "commit";
-      case TraceCat::Workload: return "workload";
-      default: return "?";
-    }
-}
-
-} // namespace
 
 void
 panic(const char *fmt, ...)
@@ -71,47 +39,6 @@ warn(const char *fmt, ...)
     std::vfprintf(stderr, fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "\n");
-}
-
-void
-tracef(TraceCat cat, const char *fmt, ...)
-{
-    if (!Trace::on(cat) || !Trace::textOn())
-        return;
-
-    // Format "[cat] <line>\n" into a private buffer before touching
-    // the shared sink. 512 bytes covers every line the simulator
-    // emits; the heap path is for pathological user format strings.
-    char stack[512];
-    int n = std::snprintf(stack, sizeof(stack), "[%s] ", catName(cat));
-
-    va_list ap;
-    va_start(ap, fmt);
-    va_list ap2;
-    va_copy(ap2, ap);
-    const int body = std::vsnprintf(stack + n, sizeof(stack) - n - 1,
-                                    fmt, ap);
-    va_end(ap);
-
-    if (body >= 0 &&
-        static_cast<std::size_t>(n + body) < sizeof(stack) - 1) {
-        va_end(ap2);
-        n += body;
-        stack[n++] = '\n';
-        std::lock_guard<std::mutex> lock(traceSinkMutex());
-        std::fwrite(stack, 1, static_cast<std::size_t>(n), stderr);
-        return;
-    }
-
-    // Line longer than the stack buffer: re-format into an exactly
-    // sized heap buffer (+1 NUL, +1 newline).
-    std::vector<char> big(static_cast<std::size_t>(n + body) + 2);
-    std::memcpy(big.data(), stack, static_cast<std::size_t>(n));
-    std::vsnprintf(big.data() + n, big.size() - n - 1, fmt, ap2);
-    va_end(ap2);
-    big[big.size() - 2] = '\n';
-    std::lock_guard<std::mutex> lock(traceSinkMutex());
-    std::fwrite(big.data(), 1, big.size() - 1, stderr);
 }
 
 } // namespace tcc

@@ -1,108 +1,14 @@
 /**
  * @file
  * Minimal leveled logging / fatal-error helpers, in the spirit of gem5's
- * logging.hh: panic() for simulator bugs, fatal() for user errors, and a
- * per-category debug trace that is cheap when disabled.
+ * logging.hh: panic() for simulator bugs, fatal() for user errors.
+ * Protocol tracing is per System (obs/trace_recorder.hh).
  */
 
 #ifndef TCC_COMMON_LOG_HH
 #define TCC_COMMON_LOG_HH
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-
 namespace tcc {
-
-/** Trace categories that can be toggled at run time. */
-enum class TraceCat : unsigned {
-    Proc = 0,
-    Dir,
-    Net,
-    Cache,
-    Commit,
-    Workload,
-    NumCats,
-};
-
-/**
- * Global trace switchboard. All categories default to off.
- *
- * The flags are process-global (they configure *logging*, not any
- * simulated machine), so they are the one piece of state every
- * concurrently running System shares. Storage is atomic: readers on
- * the simulation hot path use relaxed loads (free on x86, a plain
- * load on ARM), writers use release stores. The intended discipline
- * under SweepRunner is nevertheless configure-before-spawn: set trace
- * flags once on the main thread, then launch the sweep (DESIGN.md
- * section 7, "Thread confinement").
- */
-class Trace
-{
-  public:
-    /** Enable or disable one category. */
-    static void
-    enable(TraceCat cat, bool on = true)
-    {
-        flags()[static_cast<unsigned>(cat)].store(
-            on, std::memory_order_release);
-    }
-
-    /** Enable every category (verbose protocol dumps). */
-    static void
-    enableAll(bool on = true)
-    {
-        for (unsigned i = 0;
-             i < static_cast<unsigned>(TraceCat::NumCats); ++i) {
-            flags()[i].store(on, std::memory_order_release);
-        }
-    }
-
-    /** @return true iff @p cat is currently traced. */
-    static bool
-    on(TraceCat cat)
-    {
-        return flags()[static_cast<unsigned>(cat)].load(
-            std::memory_order_relaxed);
-    }
-
-    /**
-     * Toggle the human-readable stderr sink. Structured recording
-     * (obs/trace_recorder.hh) is controlled by the per-category flags
-     * alone; turning text off lets a run record events for the
-     * Perfetto/ledger exporters without printf-ing every one of them
-     * to stderr (tccsim --trace-out, the obs-smoke fixture).
-     */
-    static void
-    setTextOutput(bool on)
-    {
-        textFlag().store(on, std::memory_order_release);
-    }
-
-    /** @return true iff tracef() lines go to stderr. */
-    static bool
-    textOn()
-    {
-        return textFlag().load(std::memory_order_relaxed);
-    }
-
-  private:
-    static std::atomic<bool> *
-    flags()
-    {
-        static std::atomic<bool>
-            f[static_cast<unsigned>(TraceCat::NumCats)] = {};
-        return f;
-    }
-
-    static std::atomic<bool> &
-    textFlag()
-    {
-        static std::atomic<bool> f{true};
-        return f;
-    }
-};
 
 /**
  * Abort the simulation due to an internal simulator bug.
@@ -121,28 +27,6 @@ class Trace
 /** Print a warning to stderr without stopping the simulation. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/**
- * Print a trace line if @p cat is enabled (prefixed with the
- * category). The line is formatted into a private buffer and written
- * to stderr in a single locked write, so lines from concurrent sweep
- * workers never shear mid-write. Prefer TCC_TRACEF on hot paths: it
- * skips argument evaluation entirely when the category is off.
- */
-void tracef(TraceCat cat, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
 } // namespace tcc
-
-/**
- * Trace with zero cost when the category is disabled: the category
- * check happens *before* the argument list is evaluated, so hot-path
- * call sites never pay for formatting work (integer widening, string
- * construction, accessor calls) that tracef() would then discard.
- */
-#define TCC_TRACEF(cat, ...)                                          \
-    do {                                                              \
-        if (::tcc::Trace::on(cat))                                    \
-            ::tcc::tracef(cat, __VA_ARGS__);                          \
-    } while (0)
 
 #endif // TCC_COMMON_LOG_HH

@@ -27,7 +27,7 @@ namespace tcc {
  *   procs[]             per-processor breakdown, transactions, cache
  *   dirs[]              per-directory protocol counters
  *   tx_ledger[]         per-transaction lifecycle, empty unless the
- *                       Proc + Commit trace categories were on
+ *                       run was traced (TraceConfig::capacity)
  *   tx_ledger_summary   ledger-wide fan-out and violation causes
  */
 StatsNode buildStatsTree(const System &sys);

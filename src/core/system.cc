@@ -97,9 +97,17 @@ buildNetwork(const SystemConfig &cfg, EventQueue &eventq)
                                           std::move(base), nc.chaos);
 }
 
+/** The recorder components emit into: null when tracing is off, so
+ *  every emit site's gate is one pointer test. */
+static TraceRecorder *
+armedOrNull(TraceRecorder &rec)
+{
+    return rec.armed() ? &rec : nullptr;
+}
+
 System::System(const SystemConfig &cfg)
     : config(cfg), eventq(&arena),
-      tracer(eventq, &arena, cfg.trace.capacity),
+      tracer(eventq, arena, cfg.trace.capacity),
       homes(cfg.numProcs, cfg.homePolicy, cfg.pageBytes, &arena),
       store(&arena)
 {
@@ -111,7 +119,7 @@ System::System(const SystemConfig &cfg)
 
     // Only the outermost network traces: a chaos wrapper's base would
     // otherwise emit every NetDeliver twice.
-    net->setTraceRecorder(&tracer);
+    net->setTraceRecorder(armedOrNull(tracer));
 
     if (cfg.pdes.domains > 1)
         buildPdes(); // leaves pdesState null if the partition collapses
@@ -123,15 +131,17 @@ System::parts()
 {
     if (!pdesState) {
         return {Part{0, config.numProcs, &eventq, net.get(), &arena,
-                     &store, &tracer, &invariants, &serialChecker,
-                     &metricsSamp, &contentionProf, nullptr}};
+                     &store, armedOrNull(tracer), &invariants,
+                     &serialChecker, &metricsSamp, &contentionProf,
+                     nullptr}};
     }
     std::vector<Part> out;
     for (auto &d : pdesState->domains) {
         out.push_back(Part{d->spec.firstNode, d->spec.numNodes, &d->eq,
                            d->net.get(), &d->arena, &d->store,
-                           &d->tracer, &d->checker, &d->commitLog,
-                           &d->metrics, &d->contention, d.get()});
+                           armedOrNull(d->tracer), &d->checker,
+                           &d->commitLog, &d->metrics, &d->contention,
+                           d.get()});
     }
     return out;
 }
@@ -308,7 +318,7 @@ System::buildPdes()
         d->net = std::make_unique<DomainNet>(
             d->eq, config.numProcs, spec, st.plan, dnc);
         d->net->setMulticast(nc.multicast);
-        d->net->setTraceRecorder(&d->tracer);
+        d->net->setTraceRecorder(armedOrNull(d->tracer));
         st.domains.push_back(std::move(d));
     }
 }

@@ -92,9 +92,13 @@ struct CheckConfig {
 
 /** Protocol event-ring sizing and observability layers. */
 struct TraceConfig {
-    /** Ring size in events (storage is claimed lazily, so runs with
-     *  tracing off pay nothing). */
-    std::size_t capacity = TraceRecorder::kDefaultCapacity;
+    /** Ring size in events; 0 (default) = off. The one switch for
+     *  protocol tracing: a nonzero value claims the ring from the
+     *  System's arena (each PDES domain's, under PDES) at
+     *  construction, and every component records every event kind
+     *  into it. Recording is purely observational: results are
+     *  bit-identical armed or not. */
+    std::size_t capacity = 0;
     /** Epoch sampler cadence in cycles; 0 (default) = off. When armed
      *  the run loop closes one metrics row per epoch (see
      *  obs/metrics.hh). Sampling is purely observational: results are
@@ -322,8 +326,8 @@ class System
     const SerialChecker &commitLog() const { return serialChecker; }
     const TidVendor &vendor() const { return *tidVendor; }
     const SystemConfig &cfg() const { return config; }
-    /** The protocol event ring (populated when Trace categories are
-     *  enabled during the run; see obs/trace_recorder.hh). */
+    /** The protocol event ring (empty unless TraceConfig::capacity
+     *  armed it; see obs/trace_recorder.hh). */
     const TraceRecorder &traceRecorder() const { return tracer; }
     TraceRecorder &traceRecorder() { return tracer; }
 

@@ -147,8 +147,6 @@ Directory::receive(const Message &msg)
                   msgTypeName(msg.type));
         }
     };
-    static_assert(EventQueue::Callback::fitsInline<decltype(serve)>,
-                  "a directory event must carry its Message inline");
     eventq.scheduleAt(busyUntil, std::move(serve));
 }
 
@@ -208,10 +206,6 @@ Directory::replyFromMemory(Entry &e, NodeId requester,
     e.sharers.set(requester);
     noteSharerChange(e, before);
     ++dirStats.loadsServed;
-    TCC_TRACEF(TraceCat::Dir, "%llu: dir %u serve load %llx to proc %u",
-           (unsigned long long)eventq.now(), nodeId,
-           (unsigned long long)lineAddr, requester);
-
     // Main-memory access latency before the data leaves the node. The
     // reply is built inside the event so the capture stays inline; it
     // echoes the request's sequence tag so the requester can filter
@@ -263,8 +257,7 @@ Directory::handleSkip(const Message &msg)
     if (mutate::is(mutate::Kind::DropSkip))
         return; // deliberately lose the skip (checker-efficacy test)
     ++dirStats.skipsReceived;
-    traceEmit(tracer, TraceCat::Dir, TraceEventKind::DirSkip, nodeId,
-              msg.tid, msg.src);
+    traceEmit(tracer, TraceEventKind::DirSkip, nodeId, msg.tid, msg.src);
     recordSkip(msg.tid, InvariantChecker::Retire::Skip);
     advance();
 }
@@ -301,8 +294,8 @@ Directory::advance()
         nowServing = previous - 1; // step the NSTID backwards
     if (invariants)
         invariants->onNstidAdvance(nodeId, previous, nowServing);
-    traceEmit(tracer, TraceCat::Dir, TraceEventKind::DirNstidAdvance,
-              nodeId, kInvalidTid, nowServing, moved);
+    traceEmit(tracer, TraceEventKind::DirNstidAdvance, nodeId,
+              kInvalidTid, nowServing, moved);
 
     // Release deferred probes whose condition now holds, compacting
     // the rest in place (replies go out in deferral order).
@@ -363,8 +356,7 @@ Directory::handleProbe(const Message &msg)
             reply_now();
         } else {
             ++dirStats.probesDeferred;
-            traceEmit(tracer, TraceCat::Dir,
-                      TraceEventKind::DirProbeDefer, nodeId, msg.tid,
+            traceEmit(tracer, TraceEventKind::DirProbeDefer, nodeId, msg.tid,
                       msg.src, 1);
             deferredProbes.push_back(msg);
         }
@@ -374,8 +366,8 @@ Directory::handleProbe(const Message &msg)
         reply_now();
     } else {
         ++dirStats.probesDeferred;
-        traceEmit(tracer, TraceCat::Dir, TraceEventKind::DirProbeDefer,
-                  nodeId, msg.tid, msg.src, 0);
+        traceEmit(tracer, TraceEventKind::DirProbeDefer, nodeId, msg.tid,
+                  msg.src, 0);
         deferredProbes.push_back(msg);
     }
 }
@@ -510,13 +502,8 @@ Directory::finishCommit()
         const std::uint32_t n_inv =
             e.sharers.count() -
             (e.sharers.test(pending.committer) ? 1 : 0);
-        TCC_TRACEF(TraceCat::Dir,
-                   "%llu: dir %u commit tid=%llu line=%llx invs=%u",
-                   (unsigned long long)eventq.now(), nodeId,
-                   (unsigned long long)pending.tid,
-                   (unsigned long long)a, n_inv);
-        traceEmit(tracer, TraceCat::Dir, TraceEventKind::DirInvalidate,
-                  nodeId, pending.tid, a, n_inv);
+        traceEmit(tracer, TraceEventKind::DirInvalidate, nodeId,
+                  pending.tid, a, n_inv);
         // forEach visits in ascending node order, so the collected
         // destination list matches the old per-sharer emission order
         // exactly; the single payload then fans out as a multicast.

@@ -91,11 +91,8 @@ ChaosNetwork::send(Message msg)
         // The copy enters the base transport duplicateLag cycles
         // later, so it and the original contend and jitter
         // independently. The copy rides inside the event.
-        auto resend = [this, msg]() { inner->send(msg); };
-        static_assert(
-            EventQueue::Callback::fitsInline<decltype(resend)>,
-            "a duplicate must ride inline in its event");
-        eventq.schedule(config.duplicateLag, std::move(resend));
+        eventq.schedule(config.duplicateLag,
+                        [this, msg]() { inner->send(msg); });
     }
     inner->send(std::move(msg));
 }

@@ -187,10 +187,7 @@ class Network
     void
     deliverAt(const Message &msg, Tick when)
     {
-        auto fire = [this, msg]() { dispatch(msg); };
-        static_assert(EventQueue::Callback::fitsInline<decltype(fire)>,
-                      "a delivery event must carry its Message inline");
-        eventq.scheduleAt(when, std::move(fire));
+        eventq.scheduleAt(when, [this, msg]() { dispatch(msg); });
     }
 
     /** PDES plumbing: fold a domain shim's traffic counters into this
@@ -234,7 +231,7 @@ class Network
     accountSend(const Message &msg, unsigned hops)
     {
         netStats.account(msg, hops);
-        traceEmit(tracer, TraceCat::Net, TraceEventKind::NetSend,
+        traceEmit(tracer, TraceEventKind::NetSend,
                   msg.src, msg.tid, msg.addr,
                   packNetInfo(msg.dst,
                               static_cast<std::uint8_t>(msg.type),
@@ -255,10 +252,7 @@ class Network
     deliver(const Message &msg, Tick delay, unsigned hops)
     {
         accountSend(msg, hops);
-        auto fire = [this, msg]() { dispatch(msg); };
-        static_assert(EventQueue::Callback::fitsInline<decltype(fire)>,
-                      "a delivery event must carry its Message inline");
-        eventq.schedule(delay, std::move(fire));
+        eventq.schedule(delay, [this, msg]() { dispatch(msg); });
     }
 
     EventQueue &eventq;
@@ -273,7 +267,7 @@ class Network
             panic("message to unconnected node %u", dst);
         // NetDeliver packs the *source* in the route-info word, so the
         // pair of events for one message reads as src->dst twice.
-        traceEmit(tracer, TraceCat::Net, TraceEventKind::NetDeliver,
+        traceEmit(tracer, TraceEventKind::NetDeliver,
                   dst, msg.tid, msg.addr,
                   packNetInfo(msg.src,
                               static_cast<std::uint8_t>(msg.type),

@@ -1,6 +1,8 @@
 #include "obs/trace_recorder.hh"
 
-#include <new>
+#include <cstdio>
+
+#include "noc/message.hh"
 
 namespace tcc {
 
@@ -30,35 +32,36 @@ traceEventKindName(TraceEventKind k)
     }
 }
 
-TraceRecorder::TraceRecorder(const EventQueue &eq, Arena *arena_,
-                             std::size_t capacity)
-    : eventq(eq), arena(arena_), cap(capacity ? capacity : 1)
-{}
-
-TraceRecorder::~TraceRecorder()
+std::string
+formatTraceEvent(const TraceEvent &e)
 {
-    // Arena storage dies with the arena; only heap fallback is ours.
-    if (heapStorage)
-        ::operator delete(buf, std::align_val_t{alignof(TraceEvent)});
+    char buf[160];
+    int n = std::snprintf(
+        buf, sizeof(buf), "[%llu] %s node=%u tid=%lld a0=%llx a1=%llx",
+        (unsigned long long)e.tick, traceEventKindName(e.kind), e.node,
+        e.tid == kInvalidTid ? -1LL : (long long)e.tid,
+        (unsigned long long)e.arg0, (unsigned long long)e.arg1);
+    if (e.kind == TraceEventKind::NetSend ||
+        e.kind == TraceEventKind::NetDeliver) {
+        std::snprintf(buf + n, sizeof(buf) - n, " %s",
+                      msgTypeName(static_cast<MsgType>(netInfoType(e.arg1))));
+    }
+    return buf;
 }
+
+TraceRecorder::TraceRecorder(const EventQueue &eq, Arena &arena,
+                             std::size_t capacity)
+    : eventq(eq), cap(capacity),
+      buf(capacity == 0 ? nullptr
+                        : static_cast<TraceEvent *>(arena.allocate(
+                              capacity * sizeof(TraceEvent),
+                              alignof(TraceEvent))))
+{}
 
 void
 TraceRecorder::push(TraceEventKind kind, NodeId node, Tid tid,
                     std::uint64_t arg0, std::uint64_t arg1)
 {
-    if (buf == nullptr) {
-        // First event of the run: claim the ring storage now, so
-        // runs that never trace cost no memory at all.
-        if (arena != nullptr) {
-            buf = static_cast<TraceEvent *>(arena->allocate(
-                cap * sizeof(TraceEvent), alignof(TraceEvent)));
-        } else {
-            buf = static_cast<TraceEvent *>(::operator new(
-                cap * sizeof(TraceEvent),
-                std::align_val_t{alignof(TraceEvent)}));
-            heapStorage = true;
-        }
-    }
     TraceEvent &e = buf[static_cast<std::size_t>(total % cap)];
     e.tick = eventq.now();
     e.arg0 = arg0;
@@ -73,17 +76,6 @@ TraceRecorder::push(TraceEventKind kind, NodeId node, Tid tid,
 void
 TraceRecorder::pushRaw(const TraceEvent &src)
 {
-    if (buf == nullptr) {
-        if (arena != nullptr) {
-            buf = static_cast<TraceEvent *>(arena->allocate(
-                cap * sizeof(TraceEvent), alignof(TraceEvent)));
-        } else {
-            buf = static_cast<TraceEvent *>(::operator new(
-                cap * sizeof(TraceEvent),
-                std::align_val_t{alignof(TraceEvent)}));
-            heapStorage = true;
-        }
-    }
     buf[static_cast<std::size_t>(total % cap)] = src;
     ++total;
 }

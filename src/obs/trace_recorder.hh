@@ -6,23 +6,24 @@
  * records: simulated tick, node, TID, event kind, and two payload
  * words. Emit sites are threaded through the processor's transaction
  * lifecycle and commit engine, the directory's NSTID machinery, and
- * the network's send/deliver path; every site is gated by the
- * existing Trace category flags (common/log.hh), so with tracing off
- * the total cost per site is one relaxed atomic load and one
- * predictably-not-taken branch - golden run fingerprints are
- * bit-identical whether the recorder exists or not, because
- * recording is purely observational (it never schedules events or
- * touches simulated state).
+ * the network's send/deliver path. Tracing is armed per System by
+ * TraceConfig::capacity (core/system.hh): 0 hands every component a
+ * null recorder, so with tracing off the total cost per site is one
+ * predictably-not-taken null-pointer branch - golden run fingerprints
+ * are bit-identical armed or not, because recording is purely
+ * observational (it never schedules events or touches simulated
+ * state).
  *
- * On top of the raw ring sit three consumers:
+ * On top of the raw ring sit four consumers:
+ *   - formatTraceEvent() below: the one text rendering (tccsim
+ *     --trace, protocol_trace, the invariant checker's failure tail);
  *   - obs/chrome_trace.hh: Perfetto/Chrome trace_event JSON export;
  *   - obs/tx_ledger.hh: per-transaction lifecycle ledger;
  *   - core/stats_dump.cc: tx_ledger sections in the stats dump.
  *
  * Thread confinement: a recorder belongs to one System and inherits
  * its confinement invariant (DESIGN.md section 7) - concurrent sweep
- * workers each append to their own ring, sharing only the global
- * Trace flags (atomics).
+ * workers each append to their own ring and share nothing.
  */
 
 #ifndef TCC_OBS_TRACE_RECORDER_HH
@@ -30,9 +31,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "common/arena.hh"
-#include "common/log.hh"
 #include "common/types.hh"
 #include "sim/event_queue.hh"
 
@@ -43,7 +44,7 @@ namespace tcc {
  * inline); unused words are zero.
  */
 enum class TraceEventKind : std::uint16_t {
-    // --- processor: transaction lifecycle (TraceCat::Proc) ----------
+    // --- processor: transaction lifecycle ---------------------------
     TxBegin = 0,   ///< attempt starts; a0 = consecutive prior
                    ///< violations, a1 = ops in the transaction
     TxViolation,   ///< rollback; a0 = consecutive violations (incl.
@@ -52,7 +53,7 @@ enum class TraceEventKind : std::uint16_t {
                    ///< tid = the *writer's* TID
     SoloDrain,     ///< solo-mode write-set drain; a0 = batches sent
 
-    // --- processor: commit engine (TraceCat::Commit) ----------------
+    // --- processor: commit engine -----------------------------------
     TidAcquire,    ///< TID granted; tid = the acquired TID
     ProbeSend,     ///< a0 = target directory, a1 = wantWrite
     ProbeReplyRecv,///< a0 = replying directory, a1 = observed NSTID
@@ -63,7 +64,7 @@ enum class TraceEventKind : std::uint16_t {
     TxCommit,      ///< validated + published; a0 = words read,
                    ///< a1 = words written
 
-    // --- directory (TraceCat::Dir) -----------------------------------
+    // --- directory ---------------------------------------------------
     DirSkip,        ///< skip received; tid = skipped TID, a0 = sender
     DirProbeDefer,  ///< probe deferred; tid = prober's TID,
                     ///< a0 = prober, a1 = wantWrite
@@ -72,7 +73,7 @@ enum class TraceEventKind : std::uint16_t {
     DirInvalidate,  ///< a0 = line address, a1 = invalidations sent,
                     ///< tid = committing TID
 
-    // --- network (TraceCat::Net) -------------------------------------
+    // --- network -----------------------------------------------------
     NetSend,    ///< node = src; a0 = address; a1 = packed route info
     NetDeliver, ///< node = dst; a0 = address; a1 = packed route info
 
@@ -133,35 +134,41 @@ struct TraceEvent {
 static_assert(sizeof(TraceEvent) == 40,
               "TraceEvent must stay a fixed-size binary record");
 
+/** One line of text for @p e: "[tick] kind node=N tid=T a0=.. a1=..". */
+std::string formatTraceEvent(const TraceEvent &e);
+
 /**
- * The per-System ring. Capacity is fixed at construction; when the
- * ring is full the oldest record is overwritten (captured() keeps
- * counting, so dropped() reports how much history was lost). Storage
- * is allocated from the System's arena lazily on the first emit, so
- * runs that never trace pay nothing.
+ * The per-System ring. Capacity is fixed at construction, which
+ * claims the storage from the owner's arena; when the ring is full the
+ * oldest record is overwritten (captured() keeps counting, so
+ * dropped() reports how much history was lost). A zero-capacity
+ * recorder holds no storage and is never handed to an emit site.
  */
 class TraceRecorder
 {
   public:
+    /** A ring size that holds a short run whole (protocol_trace, tests,
+     *  tccsim --trace). */
     static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
 
     /**
      * @param eq       timestamps come from this queue's now()
-     * @param arena    ring storage (nullptr = heap)
-     * @param capacity ring size in events (clamped to >= 1)
+     * @param arena    ring storage
+     * @param capacity ring size in events; 0 = tracing off
      */
-    TraceRecorder(const EventQueue &eq, Arena *arena,
-                  std::size_t capacity = kDefaultCapacity);
+    TraceRecorder(const EventQueue &eq, Arena &arena,
+                  std::size_t capacity);
 
     TraceRecorder(const TraceRecorder &) = delete;
     TraceRecorder &operator=(const TraceRecorder &) = delete;
 
-    ~TraceRecorder();
+    /** True iff the ring has storage (capacity != 0). */
+    bool armed() const { return cap != 0; }
 
     /**
      * Unconditionally append one record (the gate lives in
      * traceEmit() below). Out-of-line: the hot path only ever inlines
-     * the category check.
+     * the null-pointer check.
      */
     void push(TraceEventKind kind, NodeId node, Tid tid,
               std::uint64_t arg0, std::uint64_t arg1);
@@ -227,27 +234,22 @@ class TraceRecorder
 
   private:
     const EventQueue &eventq;
-    Arena *arena;
-    TraceEvent *buf = nullptr; ///< lazily allocated ring storage
     std::size_t cap;
-    std::uint64_t total = 0;   ///< events ever pushed
-    std::uint64_t lost = 0;    ///< see noteDropped()
-    bool heapStorage = false;  ///< buf came from ::operator new
+    TraceEvent *buf;         ///< ring storage (nullptr when unarmed)
+    std::uint64_t total = 0; ///< events ever pushed
+    std::uint64_t lost = 0;  ///< see noteDropped()
 };
 
 /**
- * The one emit gate every instrumentation site goes through. With the
- * category off this is a single relaxed load and a predictable branch
- * - the null recorder check is only reached when tracing is on.
+ * The one emit gate every instrumentation site goes through. With
+ * tracing off every component holds a null recorder, so this is a
+ * single predictable branch.
  */
 inline void
-traceEmit(TraceRecorder *rec, TraceCat cat, TraceEventKind kind,
-          NodeId node, Tid tid, std::uint64_t arg0 = 0,
-          std::uint64_t arg1 = 0)
+traceEmit(TraceRecorder *rec, TraceEventKind kind, NodeId node, Tid tid,
+          std::uint64_t arg0 = 0, std::uint64_t arg1 = 0)
 {
-    if (!Trace::on(cat)) [[likely]]
-        return;
-    if (rec != nullptr)
+    if (rec != nullptr) [[unlikely]]
         rec->push(kind, node, tid, arg0, arg1);
 }
 

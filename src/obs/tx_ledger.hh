@@ -14,8 +14,8 @@
  * golden-testable. Every entry is complete: a commit whose history
  * may have fallen off the ring is counted, not reported.
  *
- * Building a ledger requires the Proc and Commit trace categories to
- * have been enabled during the run (tccsim --trace-out enables all).
+ * Building a ledger requires a traced run (TraceConfig::capacity != 0;
+ * tccsim --trace-out arms it).
  */
 
 #ifndef TCC_OBS_TX_LEDGER_HH

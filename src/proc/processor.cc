@@ -119,8 +119,8 @@ TccProcessor::beginAttempt()
         if (auto fresh = source->regenerateOps())
             curOps = std::move(*fresh);
     }
-    traceEmit(tracer, TraceCat::Proc, TraceEventKind::TxBegin, nodeId,
-              tid, consecViolations, curOps.size());
+    traceEmit(tracer, TraceEventKind::TxBegin, nodeId, tid,
+              consecViolations, curOps.size());
     opIdx = 0;
     lastLoaded = 0;
     writeBuf.clear();
@@ -387,9 +387,8 @@ TccProcessor::startCommit()
     commitStart = eventq.now();
 
     buildCommitTable();
-    traceEmit(tracer, TraceCat::Commit, TraceEventKind::CommitStart,
-              nodeId, tid, writingVec.count(),
-              commitDirs.size() - writingVec.count());
+    traceEmit(tracer, TraceEventKind::CommitStart, nodeId, tid,
+              writingVec.count(), commitDirs.size() - writingVec.count());
 
     if (solo) {
         soloCommit();
@@ -412,9 +411,8 @@ TccProcessor::startCommit()
             for (const CommitDir &e : commitDirs) {
                 if (e.write != write)
                     continue;
-                traceEmit(tracer, TraceCat::Commit,
-                          TraceEventKind::ProbeSend, nodeId, kInvalidTid,
-                          e.node, write ? 1 : 0);
+                traceEmit(tracer, TraceEventKind::ProbeSend, nodeId,
+                          kInvalidTid, e.node, write ? 1 : 0);
                 mcastBuf.push_back(e.node);
             }
             if (!mcastBuf.empty()) {
@@ -480,8 +478,7 @@ TccProcessor::onTidReply(const Message &msg)
     tidReqOutstanding = false;
     tid = msg.tid;
     lastTidAcquired = msg.tid;
-    traceEmit(tracer, TraceCat::Commit, TraceEventKind::TidAcquire,
-              nodeId, msg.tid);
+    traceEmit(tracer, TraceEventKind::TidAcquire, nodeId, msg.tid);
     if (contention)
         contention->recordTidOwner(msg.tid, nodeId);
     if (phase == Phase::Commit && !skipsSent) {
@@ -505,8 +502,7 @@ TccProcessor::proceedAfterTid()
     for (NodeId d = 0; d < numNodes; ++d) {
         if (writingVec.test(d))
             continue;
-        traceEmit(tracer, TraceCat::Commit, TraceEventKind::SkipSend,
-                  nodeId, tid, d);
+        traceEmit(tracer, TraceEventKind::SkipSend, nodeId, tid, d);
         mcastBuf.push_back(d);
     }
     if (!mcastBuf.empty()) {
@@ -533,8 +529,8 @@ TccProcessor::proceedAfterTid()
 void
 TccProcessor::onProbeReply(const Message &msg)
 {
-    traceEmit(tracer, TraceCat::Commit, TraceEventKind::ProbeReplyRecv,
-              nodeId, msg.tid, msg.src, msg.nstid);
+    traceEmit(tracer, TraceEventKind::ProbeReplyRecv, nodeId, msg.tid,
+              msg.src, msg.nstid);
     if (phase == Phase::Exec && soloRequested && !solo &&
         msg.tid == tid && msg.tid != kInvalidTid) {
         // Solo acquisition: this directory now serves our TID.
@@ -590,8 +586,8 @@ TccProcessor::interpretNstid(CommitDir &dir, Tid observed)
 void
 TccProcessor::sendProbe(NodeId dir, Tid probe_tid, bool want_write)
 {
-    traceEmit(tracer, TraceCat::Commit, TraceEventKind::ProbeSend,
-              nodeId, probe_tid, dir, want_write ? 1 : 0);
+    traceEmit(tracer, TraceEventKind::ProbeSend, nodeId, probe_tid, dir,
+              want_write ? 1 : 0);
     Message p;
     p.type = MsgType::Probe;
     p.dst = dir;
@@ -606,8 +602,8 @@ TccProcessor::sendMarksTo(CommitDir &dir)
     if (dir.lines() == 0)
         panic("proc %u: writing dir %u with empty write set", nodeId,
               dir.node);
-    traceEmit(tracer, TraceCat::Commit, TraceEventKind::MarkSend,
-              nodeId, tid, dir.node, dir.lines());
+    traceEmit(tracer, TraceEventKind::MarkSend, nodeId, tid, dir.node,
+              dir.lines());
     postMarks(dir);
     dir.done = true;
     --dirsPending;
@@ -641,16 +637,12 @@ void
 TccProcessor::completeCommit()
 {
     validated = true;
-    TCC_TRACEF(TraceCat::Commit,
-               "%llu: proc %u commits tid=%llu reads=%zu writes=%zu",
-               (unsigned long long)eventq.now(), nodeId,
-               (unsigned long long)tid, readLog.size(), writeBuf.size());
     // Emitted before TxCommit so ledger folds see the fan-out numbers
     // while the transaction record is still open.
-    traceEmit(tracer, TraceCat::Commit, TraceEventKind::CommitFanout,
-              nodeId, tid, commitDirs.size(), attemptMcastNic);
-    traceEmit(tracer, TraceCat::Commit, TraceEventKind::TxCommit,
-              nodeId, tid, readLog.size(), writeBuf.size());
+    traceEmit(tracer, TraceEventKind::CommitFanout, nodeId, tid,
+              commitDirs.size(), attemptMcastNic);
+    traceEmit(tracer, TraceEventKind::TxCommit, nodeId, tid,
+              readLog.size(), writeBuf.size());
 
     // Publish the write buffer: this is the transaction's global
     // serialization point in the functional model.
@@ -731,8 +723,7 @@ TccProcessor::startSoloAcquisition()
     soloProbesPending = numNodes;
     mcastBuf.clear();
     for (NodeId d = 0; d < numNodes; ++d) {
-        traceEmit(tracer, TraceCat::Commit, TraceEventKind::ProbeSend,
-                  nodeId, tid, d, 1);
+        traceEmit(tracer, TraceEventKind::ProbeSend, nodeId, tid, d, 1);
         mcastBuf.push_back(d);
     }
     Message p;
@@ -770,8 +761,8 @@ TccProcessor::startDrain()
         drainAcksPending += e.lines() != 0;
     if (drainAcksPending == 0)
         panic("proc %u: solo overflow with empty write set", nodeId);
-    traceEmit(tracer, TraceCat::Proc, TraceEventKind::SoloDrain, nodeId,
-              tid, drainAcksPending);
+    traceEmit(tracer, TraceEventKind::SoloDrain, nodeId, tid,
+              drainAcksPending);
     for (const CommitDir &e : commitDirs) {
         if (e.lines() == 0)
             continue;
@@ -842,10 +833,10 @@ TccProcessor::soloCommit()
     // emission is deferred past the Skip multicast above so the NIC
     // count is final. Same tick, so the projected golden-trace order
     // is unchanged.
-    traceEmit(tracer, TraceCat::Commit, TraceEventKind::CommitFanout,
-              nodeId, tid, solo_dirs, attemptMcastNic);
-    traceEmit(tracer, TraceCat::Commit, TraceEventKind::TxCommit,
-              nodeId, tid, readLog.size(), writeBuf.size());
+    traceEmit(tracer, TraceEventKind::CommitFanout, nodeId, tid,
+              solo_dirs, attemptMcastNic);
+    traceEmit(tracer, TraceEventKind::TxCommit, nodeId, tid,
+              readLog.size(), writeBuf.size());
     recordCommitStats(solo_dirs, solo_dirs);
     ++procStats.soloCommits;
     specCache.commitSpec(tid);
@@ -863,15 +854,10 @@ TccProcessor::soloCommit()
 void
 TccProcessor::violate()
 {
-    TCC_TRACEF(TraceCat::Proc,
-               "%llu: proc %u VIOLATES tid=%lld phase=%d skipsSent=%d",
-               (unsigned long long)eventq.now(), nodeId,
-               tid == kInvalidTid ? -1LL : (long long)tid,
-               static_cast<int>(phase), skipsSent ? 1 : 0);
     ++procStats.violations;
     ++consecViolations;
-    traceEmit(tracer, TraceCat::Proc, TraceEventKind::TxViolation,
-              nodeId, tid, consecViolations);
+    traceEmit(tracer, TraceEventKind::TxViolation, nodeId, tid,
+              consecViolations);
     procStats.violationCycles +=
         eventq.now() - attemptStart + config.violationRestartPenalty;
 
@@ -961,16 +947,6 @@ TccProcessor::onInv(const Message &msg)
         post(a);
     }
 
-    TCC_TRACEF(TraceCat::Proc,
-               "%llu: proc %u inv addr=%llx from tid=%lld sr=%d "
-               "myTid=%lld phase=%d validated=%d keep=%d",
-               (unsigned long long)eventq.now(), nodeId,
-               (unsigned long long)msg.addr, (long long)msg.tid,
-               out.srOverlap ? 1 : 0,
-               tid == kInvalidTid ? -1LL : (long long)tid,
-               static_cast<int>(phase), validated ? 1 : 0,
-               keep_sharer ? 1 : 0);
-
     // Conflict attribution: every overlapping invalidation is a
     // conflict on this word; only a violating one is an abort, and the
     // wasted work charged to it is the same quantity violate() is
@@ -987,8 +963,7 @@ TccProcessor::onInv(const Message &msg)
 
     if (violating) {
         // The cause record names the *writer's* TID in the tid field.
-        traceEmit(tracer, TraceCat::Proc,
-                  TraceEventKind::ViolationCause, nodeId, msg.tid,
+        traceEmit(tracer, TraceEventKind::ViolationCause, nodeId, msg.tid,
                   msg.addr);
         violate();
     }

@@ -91,11 +91,8 @@ DomainNet::send(Message msg)
         // draws, so it and the original contend and jitter
         // independently (mirrors ChaosNetwork::send). The copy rides
         // inside the event.
-        auto resend = [this, msg]() { route(msg); };
-        static_assert(
-            EventQueue::Callback::fitsInline<decltype(resend)>,
-            "a duplicate must ride inline in its event");
-        eventq.schedule(config.chaosCfg.duplicateLag, std::move(resend));
+        eventq.schedule(config.chaosCfg.duplicateLag,
+                        [this, msg]() { route(msg); });
     }
     route(std::move(msg));
 }

@@ -215,7 +215,7 @@ class DomainNet : public Network
 struct PdesDomain {
     PdesDomain(const DomainSpec &spec_, std::size_t trace_capacity)
         : spec(spec_), eq(&arena), store(&arena),
-          tracer(eq, &arena, trace_capacity)
+          tracer(eq, arena, trace_capacity)
     {
         store.setWriteLog(&storeLog);
         // Tag log records with the commit tick: the barrier merge

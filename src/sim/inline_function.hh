@@ -4,7 +4,7 @@
  * std::function<void()> for the simulation hot path. Callables whose
  * captures fit the inline buffer (and are nothrow-move-constructible)
  * are stored in place, so scheduling an event performs no heap
- * allocation; larger callables transparently fall back to the heap.
+ * allocation; a callable that does not fit fails to compile.
  *
  * libstdc++'s std::function inlines only ~16 bytes of capture, which
  * means almost every simulator callback ([this, msg], [this, gen], ...)
@@ -30,9 +30,6 @@ namespace tcc {
 template <std::size_t Capacity = 48>
 class InlineFunction
 {
-    static_assert(Capacity >= sizeof(void *),
-                  "buffer must at least hold a heap pointer");
-
   public:
     InlineFunction() noexcept = default;
 
@@ -91,19 +88,11 @@ class InlineFunction
         }
     }
 
-    /** True iff the held callable lives in the inline buffer (tests /
-     *  allocation-freedom assertions). */
-    bool
-    isInline() const noexcept
-    {
-        return ops != nullptr && ops->inlineStored;
-    }
-
     static constexpr std::size_t capacity() { return Capacity; }
 
-    /** True iff a callable of type @p Fn is stored in place. Hot-path
-     *  schedule sites static_assert it, so a capture that outgrows the
-     *  buffer fails to compile instead of silently allocating. */
+    /** True iff a callable of type @p Fn fits the buffer. emplace()
+     *  static_asserts it, so a capture that outgrows the buffer fails
+     *  to compile instead of silently allocating. */
     template <typename Fn>
     static constexpr bool fitsInline =
         sizeof(Fn) <= Capacity &&
@@ -115,9 +104,8 @@ class InlineFunction
         void (*invoke)(void *);
         void (*destroy)(void *) noexcept;
         /** Move the callable from @p src storage into @p dst storage
-         *  and destroy the source (trivial pointer copy when heap). */
+         *  and destroy the source. */
         void (*relocate)(void *dst, void *src) noexcept;
-        bool inlineStored;
     };
 
     template <typename Fn>
@@ -134,22 +122,6 @@ class InlineFunction
                 ::new (dst) Fn(std::move(*from));
                 from->~Fn();
             },
-            true,
-        };
-        return &ops;
-    }
-
-    template <typename Fn>
-    static const Ops *
-    heapOps()
-    {
-        static constexpr Ops ops = {
-            [](void *s) { (**static_cast<Fn **>(s))(); },
-            [](void *s) noexcept { delete *static_cast<Fn **>(s); },
-            [](void *dst, void *src) noexcept {
-                *static_cast<Fn **>(dst) = *static_cast<Fn **>(src);
-            },
-            false,
         };
         return &ops;
     }
@@ -159,13 +131,11 @@ class InlineFunction
     emplace(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>) {
-            ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
-            ops = inlineOps<Fn>();
-        } else {
-            *reinterpret_cast<Fn **>(storage) = new Fn(std::forward<F>(f));
-            ops = heapOps<Fn>();
-        }
+        static_assert(fitsInline<Fn>,
+                      "callable too large (or not nothrow-movable) for "
+                      "the inline buffer");
+        ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
+        ops = inlineOps<Fn>();
     }
 
     void

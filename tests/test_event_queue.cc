@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -304,35 +304,17 @@ TEST(EventQueue, PendingCountsWheelAndOverflow)
     EXPECT_EQ(eq.now(), 2 * kW);
 }
 
-TEST(EventQueue, LargeCaptureFallsBackToHeapAndStillRuns)
-{
-    EventQueue eq;
-    char big[200];
-    std::memset(big, 7, sizeof(big));
-    int sum = 0;
-    eq.schedule(3, [&sum, big] { sum = big[0] + big[199]; });
-    eq.run();
-    EXPECT_EQ(sum, 14);
-}
-
 TEST(InlineFunction, SmallCapturesStayInline)
 {
     int x = 0;
-    InlineFunction<48> f([&x] { x = 5; });
-    EXPECT_TRUE(f.isInline());
+    auto small = [&x] { x = 5; };
+    // A capture past the buffer is rejected at compile time.
+    auto big = [x, pad = std::array<char, 64>{}] { (void)x, (void)pad; };
+    static_assert(InlineFunction<48>::fitsInline<decltype(small)>);
+    static_assert(!InlineFunction<48>::fitsInline<decltype(big)>);
+    InlineFunction<48> f(small);
     f();
     EXPECT_EQ(x, 5);
-}
-
-TEST(InlineFunction, LargeCapturesUseHeap)
-{
-    char big[64] = {};
-    big[63] = 9;
-    int out = 0;
-    InlineFunction<48> f([&out, big] { out = big[63]; });
-    EXPECT_FALSE(f.isInline());
-    f();
-    EXPECT_EQ(out, 9);
 }
 
 TEST(InlineFunction, MoveTransfersAndResetDestroys)

@@ -1,7 +1,7 @@
 /**
  * @file
- * FlatMap / FlatSet correctness: a randomized property test against
- * the std::unordered_map / std::unordered_set reference for every
+ * FlatMap correctness: a randomized property test against the
+ * std::unordered_map reference for every
  * operation the simulator uses, plus golden end-to-end runs proving
  * the container swap left the protocol's observable behavior
  * bit-identical to the seed implementation.
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -87,36 +86,6 @@ TEST_P(FlatMapProperty, MatchesUnorderedMap)
         ASSERT_NE(it, seen.end()) << "missing key " << k;
         ASSERT_EQ(it->second, v) << "wrong value for key " << k;
     }
-}
-
-TEST_P(FlatMapProperty, SetMatchesUnorderedSet)
-{
-    Rng rng(GetParam() + 977);
-    FlatSet<std::uint32_t> fs;
-    std::unordered_set<std::uint32_t> ref;
-
-    for (int step = 0; step < 20000; ++step) {
-        const std::uint32_t key =
-            static_cast<std::uint32_t>(rng.below(256));
-        const double roll = rng.uniform();
-        if (roll < 0.5) {
-            ASSERT_EQ(fs.insert(key), ref.insert(key).second);
-        } else if (roll < 0.75) {
-            ASSERT_EQ(fs.erase(key), ref.erase(key));
-        } else if (roll < 0.95) {
-            ASSERT_EQ(fs.contains(key), ref.count(key) == 1);
-        } else {
-            fs.clear();
-            ref.clear();
-        }
-        ASSERT_EQ(fs.size(), ref.size());
-    }
-    std::size_t visited = 0;
-    fs.forEach([&](std::uint32_t k) {
-        ++visited;
-        EXPECT_EQ(ref.count(k), 1u) << "stray key " << k;
-    });
-    EXPECT_EQ(visited, ref.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatMapProperty,

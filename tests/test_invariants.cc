@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -32,10 +33,14 @@ homedAt(NodeId dir, std::uint32_t procs, std::uint32_t word = 0)
  * A contended multi-directory workload: every processor increments
  * hot counters homed at two directories and fills its own private
  * page, so commits mark several directories and skips fan out to the
- * rest - exercising every protocol path the mutations break.
+ * rest - exercising every protocol path the mutations break. With
+ * @p trace_capacity != 0 the run is traced, and @p ring (if given)
+ * receives every recorded event, rendered, oldest first.
  */
 RunResult
-runContended(std::uint32_t aging_threshold = 3)
+runContended(std::uint32_t aging_threshold = 3,
+             std::size_t trace_capacity = 0,
+             std::vector<std::string> *ring = nullptr)
 {
     constexpr std::uint32_t kProcs = 4;
     SystemConfig cfg;
@@ -44,6 +49,7 @@ runContended(std::uint32_t aging_threshold = 3)
     cfg.processor.agingThreshold = aging_threshold;
     cfg.check.serial = true;
     cfg.check.invariants = true;
+    cfg.trace.capacity = trace_capacity;
     System sys(cfg);
 
     std::vector<ScriptedSource> srcs(kProcs);
@@ -59,7 +65,13 @@ runContended(std::uint32_t aging_threshold = 3)
         }
         sys.setSource(p, &srcs[p]);
     }
-    return sys.run(500'000'000ull);
+    const RunResult res = sys.run(500'000'000ull);
+    if (ring != nullptr) {
+        sys.traceRecorder().forEach([ring](const TraceEvent &e) {
+            ring->push_back(formatTraceEvent(e));
+        });
+    }
+    return res;
 }
 
 /** Assert the verdict blames @p invariant_name with full context. */
@@ -148,6 +160,52 @@ TEST(InvariantMutations, HaltsAtFirstFailure)
     // knock-on errors; the report carries exactly one diagnostic.
     EXPECT_FALSE(res.completed);
     EXPECT_FALSE(res.invariants.error.empty());
+}
+
+TEST(InvariantMutations, FailureQuotesTheTraceTail)
+{
+    if (!mutate::compiledIn())
+        GTEST_SKIP() << "built without TCC_MUTATE";
+    mutate::Scoped arm(mutate::Kind::NstidRewind);
+    const std::string kHead = "\n  last protocol events:";
+
+    // Tracing off: the diagnostic carries no tail.
+    const RunResult off = runContended();
+    ASSERT_FALSE(off.invariants.ok);
+    EXPECT_EQ(off.invariants.error.find(kHead), std::string::npos)
+        << off.invariants.error;
+
+    // Tracing armed: exactly invariantHistory lines, each the rendering
+    // of one recorded event, and together the ring's newest events at
+    // the failure (the failing event may record more before the run
+    // halts at its end).
+    std::vector<std::string> ring;
+    const RunResult on = runContended(3, TraceRecorder::kDefaultCapacity,
+                                      &ring);
+    ASSERT_FALSE(on.invariants.ok);
+    EXPECT_EQ(on.invariants.error.substr(0, off.invariants.error.size()),
+              off.invariants.error)
+        << "tracing must not change what is reported";
+    const std::size_t at = on.invariants.error.find(kHead);
+    ASSERT_NE(at, std::string::npos) << on.invariants.error;
+    std::vector<std::string> tail;
+    const std::string kSep = "\n    ";
+    std::string rest = on.invariants.error.substr(at + kHead.size());
+    while (rest.rfind(kSep, 0) == 0) {
+        const std::size_t next = rest.find(kSep, kSep.size());
+        tail.push_back(rest.substr(kSep.size(), next - kSep.size()));
+        rest = next == std::string::npos ? "" : rest.substr(next);
+    }
+    EXPECT_TRUE(rest.empty()) << "unexpected text after the tail";
+    ASSERT_EQ(tail.size(), CheckConfig{}.invariantHistory);
+    auto it = std::search(ring.begin(), ring.end(), tail.begin(),
+                          tail.end());
+    ASSERT_NE(it, ring.end()) << "tail is not a run of recorded events";
+    auto tickOf = [](const std::string &line) {
+        return line.substr(0, line.find(']'));
+    };
+    for (auto later = it + tail.size(); later != ring.end(); ++later)
+        EXPECT_EQ(tickOf(*later), tickOf(tail.back())) << *later;
 }
 
 // --- direct unit tests of the checker itself ------------------------

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <string>
 
-#include "common/log.hh"
 #include "core/stats_dump.hh"
 #include "core/system.hh"
 #include "obs/metrics.hh"
@@ -147,10 +146,9 @@ TEST(StatsTree, SchemaMatchesGolden)
 {
     // Arm every optional section: PDES, the epoch sampler, the
     // contention profiler and the transaction ledger (all tracing).
-    Trace::enableAll(true);
-    Trace::setTextOutput(false);
     SystemConfig cfg;
     cfg.numProcs = 8;
+    cfg.trace.capacity = TraceRecorder::kDefaultCapacity;
     cfg.homePolicy = HomePolicy::Interleave;
     cfg.pdes.domains = 2;
     cfg.trace.metricsEpoch = 1000;
@@ -163,8 +161,6 @@ TEST(StatsTree, SchemaMatchesGolden)
         1, cfg.numProcs);
     wl.attach(sys);
     const RunResult res = sys.run();
-    Trace::enableAll(false);
-    Trace::setTextOutput(true);
     ASSERT_TRUE(res.completed);
     ASSERT_GT(res.violations, 0u) << "the ledger needs a violation";
 

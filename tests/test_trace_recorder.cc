@@ -1,13 +1,10 @@
 /**
  * @file
- * Structured protocol tracing: TraceRecorder ring semantics,
- * category gating, the golden event sequence of the Figure 2
- * two-processor conflict, the transaction ledger folded from it, and
- * the determinism of the Chrome-trace / stats-JSON exporters.
- *
- * The trace flags are process-global, so every test that enables them
- * uses the RAII guard below to restore the default (all off, text on)
- * - other tests in this binary must keep seeing a quiet switchboard.
+ * Structured protocol tracing: TraceRecorder ring semantics, the one
+ * switch (TraceConfig::capacity), the golden event sequence of the
+ * Figure 2 two-processor conflict, the transaction ledger folded from
+ * it, and the determinism of the text / Chrome-trace / stats-JSON
+ * renderings.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
 #include "core/stats_dump.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
+#include "noc/message.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/trace_recorder.hh"
 #include "obs/tx_ledger.hh"
@@ -30,21 +27,8 @@
 namespace tcc {
 namespace {
 
-/** Restore the global trace switchboard on scope exit. */
-struct TraceFlagsGuard {
-    TraceFlagsGuard()
-    {
-        Trace::enableAll(false);
-        Trace::setTextOutput(false); // tests never spam stderr
-    }
-    ~TraceFlagsGuard()
-    {
-        Trace::enableAll(false);
-        Trace::setTextOutput(true);
-    }
-};
-
-/** The Figure 2 scenario: P0 commits, P1 reads early and violates. */
+/** The Figure 2 scenario: P0 commits, P1 reads early and violates.
+ *  Traced into a ring of @p capacity events (0 = tracing off). */
 struct ConflictScenario {
     static constexpr Addr kX = 0x100000;
 
@@ -52,7 +36,9 @@ struct ConflictScenario {
     System sys;
     ScriptedSource p0, p1;
 
-    ConflictScenario() : cfg(makeCfg()), sys(cfg)
+    explicit ConflictScenario(
+        std::size_t capacity = TraceRecorder::kDefaultCapacity)
+        : cfg(makeCfg(capacity)), sys(cfg)
     {
         p0.add({TxOp::compute(100), TxOp::store(kX, 42)});
         p1.add({TxOp::load(kX), TxOp::compute(4000),
@@ -62,11 +48,12 @@ struct ConflictScenario {
     }
 
     static SystemConfig
-    makeCfg()
+    makeCfg(std::size_t capacity)
     {
         SystemConfig cfg;
         cfg.numProcs = 2;
         cfg.homePolicy = HomePolicy::Interleave;
+        cfg.trace.capacity = capacity;
         return cfg;
     }
 };
@@ -78,7 +65,8 @@ struct ConflictScenario {
 TEST(TraceRecorder, RingWrapKeepsNewestEvents)
 {
     EventQueue eq;
-    TraceRecorder rec(eq, /*arena=*/nullptr, /*capacity=*/8);
+    Arena arena;
+    TraceRecorder rec(eq, arena, /*capacity=*/8);
     EXPECT_EQ(rec.capacity(), 8u);
     EXPECT_EQ(rec.size(), 0u);
 
@@ -107,7 +95,8 @@ TEST(TraceRecorder, RingWrapKeepsNewestEvents)
 TEST(TraceRecorder, EventsCarryTheQueueTimestamp)
 {
     EventQueue eq;
-    TraceRecorder rec(eq, nullptr, 16);
+    Arena arena;
+    TraceRecorder rec(eq, arena, 16);
     rec.push(TraceEventKind::TxBegin, 1, 7, 0, 0);
     eq.schedule(25, [&]() {
         rec.push(TraceEventKind::TxCommit, 1, 7, 0, 0);
@@ -119,35 +108,62 @@ TEST(TraceRecorder, EventsCarryTheQueueTimestamp)
     EXPECT_EQ(rec.at(1).kind, TraceEventKind::TxCommit);
 }
 
+TEST(TraceRecorder, FormatIsOneLinePerEvent)
+{
+    TraceEvent e;
+    e.tick = 120;
+    e.kind = TraceEventKind::TxCommit;
+    e.node = 1;
+    e.tid = 3;
+    e.arg0 = 0x10;
+    e.arg1 = 2;
+    EXPECT_EQ(formatTraceEvent(e),
+              "[120] tx_commit node=1 tid=3 a0=10 a1=2");
+    e.kind = TraceEventKind::NetSend;
+    e.tid = kInvalidTid;
+    e.arg1 = packNetInfo(0, static_cast<std::uint8_t>(MsgType::LoadReply),
+                         0, 72);
+    // Network events also name the message they carry.
+    const std::string line = formatTraceEvent(e);
+    EXPECT_EQ(line.rfind("[120] net_send node=1 tid=-1 a0=10 a1=", 0), 0u);
+    EXPECT_EQ(line.substr(line.size() - 10), " LoadReply");
+}
+
 // ---------------------------------------------------------------------
-// Gating: off by default, per-category when on
+// The one switch: capacity 0 is off, any other value records everything
 // ---------------------------------------------------------------------
 
 TEST(TraceRecorder, DisabledTracingRecordsNothing)
 {
-    TraceFlagsGuard guard;
-    // All categories off (the default): a full run must not record a
-    // single event - the recorder should not even allocate its ring.
-    ConflictScenario s;
+    // Capacity 0 (the default): a full run must not record a single
+    // event, and the recorder holds no ring.
+    ConflictScenario s(0);
     ASSERT_TRUE(s.sys.run().completed);
+    EXPECT_FALSE(s.sys.traceRecorder().armed());
     EXPECT_EQ(s.sys.traceRecorder().captured(), 0u);
 }
 
-TEST(TraceRecorder, CategoryGatingIsSelective)
+TEST(TraceRecorder, ArmedRunRecordsEveryComponent)
 {
-    TraceFlagsGuard guard;
-    Trace::enable(TraceCat::Dir, true);
-
+    // One switch arms the processors, the directories and the network
+    // alike: the Figure 2 run records each of their event families.
     ConflictScenario s;
     ASSERT_TRUE(s.sys.run().completed);
-    const TraceRecorder &rec = s.sys.traceRecorder();
-    EXPECT_GT(rec.captured(), 0u);
-    rec.forEach([](const TraceEvent &e) {
-        EXPECT_GE(static_cast<unsigned>(e.kind),
-                  static_cast<unsigned>(TraceEventKind::DirSkip));
-        EXPECT_LE(static_cast<unsigned>(e.kind),
-                  static_cast<unsigned>(TraceEventKind::DirInvalidate));
+    std::vector<bool> seen(
+        static_cast<std::size_t>(TraceEventKind::NumKinds), false);
+    s.sys.traceRecorder().forEach([&](const TraceEvent &e) {
+        seen[static_cast<std::size_t>(e.kind)] = true;
     });
+    for (TraceEventKind k :
+         {TraceEventKind::TxBegin, TraceEventKind::TxViolation,
+          TraceEventKind::ViolationCause, TraceEventKind::TidAcquire,
+          TraceEventKind::ProbeSend, TraceEventKind::CommitStart,
+          TraceEventKind::TxCommit, TraceEventKind::DirNstidAdvance,
+          TraceEventKind::DirInvalidate, TraceEventKind::NetSend,
+          TraceEventKind::NetDeliver}) {
+        EXPECT_TRUE(seen[static_cast<std::size_t>(k)])
+            << traceEventKindName(k);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -156,9 +172,6 @@ TEST(TraceRecorder, CategoryGatingIsSelective)
 
 TEST(TraceRecorder, GoldenConflictSequence)
 {
-    TraceFlagsGuard guard;
-    Trace::enableAll(true);
-
     ConflictScenario s;
     ASSERT_TRUE(s.sys.run().completed);
     const TraceRecorder &rec = s.sys.traceRecorder();
@@ -219,9 +232,6 @@ TEST(TraceRecorder, GoldenConflictSequence)
 
 TEST(TxLedger, NamesTheConflictAddressAndWriter)
 {
-    TraceFlagsGuard guard;
-    Trace::enableAll(true);
-
     ConflictScenario s;
     ASSERT_TRUE(s.sys.run().completed);
     const auto ledger = buildTxLedger(s.sys.traceRecorder()).entries;
@@ -273,14 +283,13 @@ TEST(TxLedger, WrappedRingReportsOnlyCompleteCommits)
     // entry the wrapped ledger still reports must equal the same
     // transaction's entry in a ledger of the whole run: no begin tick
     // moved up to the commit start, no retries lost.
-    TraceFlagsGuard guard;
-    Trace::enable(TraceCat::Proc, true);
-    Trace::enable(TraceCat::Commit, true);
     for (std::uint32_t domains : {0u, 2u}) {
         SCOPED_TRACE("domains=" + std::to_string(domains));
         const TxLedger full = contendedLedger(std::size_t{1} << 20, domains);
         ASSERT_EQ(full.truncated, 0u);
-        const TxLedger cut = contendedLedger(64, domains);
+        // 256 events (~4% of the run, ~57 of them lifecycle events):
+        // the ring wraps yet still holds whole transactions.
+        const TxLedger cut = contendedLedger(256, domains);
         EXPECT_GT(cut.truncated, 0u);
         EXPECT_FALSE(cut.entries.empty());
         for (const TxLedgerEntry &e : cut.entries) {
@@ -321,9 +330,6 @@ runAndExportChrome()
 
 TEST(ChromeTrace, ExportIsDeterministicAndStructured)
 {
-    TraceFlagsGuard guard;
-    Trace::enableAll(true);
-
     const std::string a = runAndExportChrome();
     const std::string b = runAndExportChrome();
     ASSERT_FALSE(a.empty());
@@ -343,8 +349,7 @@ TEST(ChromeTrace, ExportIsDeterministicAndStructured)
 
 TEST(ChromeTrace, QuietWhenNothingRecorded)
 {
-    TraceFlagsGuard guard; // everything off
-    ConflictScenario s;
+    ConflictScenario s(0);
     ASSERT_TRUE(s.sys.run().completed);
     std::ostringstream os;
     exportChromeTrace(s.sys.traceRecorder(), s.cfg.numProcs, os);
@@ -355,9 +360,6 @@ TEST(ChromeTrace, QuietWhenNothingRecorded)
 
 TEST(StatsJson, SchemaAndDeterminism)
 {
-    TraceFlagsGuard guard;
-    Trace::enableAll(true);
-
     auto run = []() {
         ConflictScenario s;
         EXPECT_TRUE(s.sys.run().completed);
@@ -384,9 +386,6 @@ TEST(StatsJson, SchemaAndDeterminism)
 
 TEST(StatsText, LedgerSectionAppearsWhenTraced)
 {
-    TraceFlagsGuard guard;
-    Trace::enableAll(true);
-
     ConflictScenario s;
     ASSERT_TRUE(s.sys.run().completed);
     std::ostringstream os;
@@ -418,9 +417,9 @@ struct RunFp {
 };
 
 RunFp
-runConflict()
+runConflict(std::size_t capacity)
 {
-    ConflictScenario s;
+    ConflictScenario s(capacity);
     auto res = s.sys.run();
     EXPECT_TRUE(res.completed);
     return RunFp{res.cycles, res.events,
@@ -429,26 +428,27 @@ runConflict()
 
 TEST(TraceRecorder, TracingDoesNotChangeTheRun)
 {
-    TraceFlagsGuard guard;
-    const RunFp off = runConflict();
-    Trace::enableAll(true);
-    const RunFp on = runConflict();
+    const RunFp off = runConflict(0);
+    const RunFp on = runConflict(TraceRecorder::kDefaultCapacity);
     EXPECT_EQ(off, on)
         << "recording is observational; fingerprints must match";
 }
 
 // ---------------------------------------------------------------------
-// Sweep concurrency: one ring per System, shared flags only
+// Sweep concurrency: each System arms its own ring
 // ---------------------------------------------------------------------
 
 TEST(TraceRecorder, ParallelSweepRecordsPerSystem)
 {
-    TraceFlagsGuard guard;
-    Trace::enableAll(true);
-
+    // Armed and unarmed Systems share one parallel pass: each armed
+    // run captures what its serial twin captures, an unarmed run
+    // captures nothing, and no run's outcome depends on either.
     constexpr std::size_t kRuns = 8;
-    auto one = [](std::size_t) {
-        ConflictScenario s;
+    auto capacityOf = [](std::size_t i) {
+        return i % 2 == 0 ? TraceRecorder::kDefaultCapacity : 0;
+    };
+    auto one = [&capacityOf](std::size_t i) {
+        ConflictScenario s(capacityOf(i));
         auto res = s.sys.run();
         std::uint64_t captured = s.sys.traceRecorder().captured();
         return std::make_pair(RunFp{res.cycles, res.events,
@@ -466,8 +466,12 @@ TEST(TraceRecorder, ParallelSweepRecordsPerSystem)
     ASSERT_EQ(got.size(), kRuns);
     for (std::size_t i = 0; i < kRuns; ++i) {
         EXPECT_TRUE(want[i].first == got[i].first) << "run " << i;
+        EXPECT_TRUE(got[0].first == got[i].first) << "run " << i;
         EXPECT_EQ(want[i].second, got[i].second) << "run " << i;
-        EXPECT_GT(got[i].second, 0u);
+        if (capacityOf(i) != 0)
+            EXPECT_GT(got[i].second, 0u) << "run " << i;
+        else
+            EXPECT_EQ(got[i].second, 0u) << "run " << i;
     }
 }
 
