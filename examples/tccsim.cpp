@@ -237,10 +237,15 @@ main(int argc, char **argv)
             seed = static_cast<std::uint64_t>(
                 std::atoll(next().c_str()));
         } else if (arg == "--check") {
-            // Bare --check arms the serial checker (legacy); the
-            // value form picks the set: --check=serial,invariants.
+            // --check=LIST and --check LIST pick the set; a bare
+            // --check (last, or before another flag) arms the serial
+            // checker. tccsim takes no positional arguments, so a
+            // following word that is not a flag is the list.
             if (has_inline)
                 parseCheck(inline_val, cfg.check, argv[0]);
+            else if (i + 1 < argc &&
+                     std::string(argv[i + 1]).rfind("--", 0) != 0)
+                parseCheck(argv[++i], cfg.check, argv[0]);
             else
                 cfg.check.serial = true;
         } else if (arg == "--trace") {

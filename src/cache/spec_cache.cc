@@ -1,5 +1,7 @@
 #include "cache/spec_cache.hh"
 
+#include <algorithm>
+#include <bit>
 #include <new>
 #include <type_traits>
 
@@ -69,23 +71,61 @@ SpecCache::setOf(Addr lineAddr) const
         (lineAddr / config.lineBytes) & (l2Sets - 1));
 }
 
-Addr *
-SpecCache::allocSet(std::uint32_t set)
+std::size_t
+SpecCache::blockBytes(std::uint32_t ways) const
 {
-    Addr *&row = l2Rows[set];
-    if (!row) {
-        // Line is trivially destructible, so the arena reclaims the
-        // set wholesale without a destructor pass.
-        static_assert(std::is_trivially_destructible_v<Line>);
-        row = static_cast<Addr *>(arena->allocate(
-            config.l2Assoc * (sizeof(Addr) + sizeof(Line)),
-            Arena::kAlign));
-        Line *lines = linesOf(row);
-        for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
-            row[w] = kNoTag;
-            ::new (lines + w) Line{};
+    // One 64-byte host line per tag row at 8 ways, then the records,
+    // padded to the arena's alignment: 128 B for a one-line set.
+    const std::size_t bytes =
+        config.l2Assoc * sizeof(Addr) + ways * sizeof(Line);
+    return (bytes + Arena::kAlign - 1) & ~(Arena::kAlign - 1);
+}
+
+std::uint32_t
+SpecCache::capClass(std::uint32_t ways)
+{
+    return static_cast<std::uint32_t>(std::bit_width(ways - 1));
+}
+
+Addr *
+SpecCache::newSet(std::uint32_t ways)
+{
+    // Line is trivially destructible, so outgrown blocks are reused
+    // and the arena reclaims the rest wholesale without a destructor
+    // pass.
+    static_assert(std::is_trivially_destructible_v<Line>);
+    Addr *&head = freeSets[capClass(ways)];
+    Addr *row = head;
+    if (row)
+        head = reinterpret_cast<Addr *>(row[0]);
+    else
+        row = static_cast<Addr *>(
+            arena->allocate(blockBytes(ways), Arena::kAlign));
+    Line *lines = linesOf(row);
+    for (std::uint32_t w = 0; w < config.l2Assoc; ++w)
+        row[w] = w < ways ? kNoTag : kUnbacked;
+    for (std::uint32_t w = 0; w < ways; ++w)
+        ::new (lines + w) Line{};
+    return row;
+}
+
+Addr *
+SpecCache::growSet(std::uint32_t set, std::uint32_t ways)
+{
+    Addr *old = l2Rows[set];
+    Addr *row = newSet(std::min(2 * ways, config.l2Assoc));
+    std::copy(old, old + ways, row);
+    std::copy(linesOf(old), linesOf(old) + ways, linesOf(row));
+    for (Way &way : specSlots) {
+        if (way.tag >= old && way.tag < old + ways) {
+            const std::ptrdiff_t w = way.tag - old;
+            way = Way{row + w, linesOf(row) + w};
         }
     }
+    Addr *&head = freeSets[capClass(ways)];
+    old[0] = reinterpret_cast<Addr>(head);
+    head = old;
+    l2Rows[set] = row;
     return row;
 }
 
@@ -238,11 +278,22 @@ SpecCache::fill(Addr addr)
         return out;
     }
 
-    Addr *row = allocSet(setOf(la));
+    const std::uint32_t set = setOf(la);
+    Addr *row = l2Rows[set];
+    if (!row)
+        row = l2Rows[set] = newSet(1);
     Line *lines = linesOf(row);
     std::uint32_t victim = config.l2Assoc; // none yet
     for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
         if (row[w] == kNoTag) {
+            victim = w;
+            break;
+        }
+        if (row[w] == kUnbacked) {
+            // The first way the set never used: the victim, as it
+            // would be in a set allocated at full associativity.
+            row = growSet(set, w);
+            lines = linesOf(row);
             victim = w;
             break;
         }
@@ -289,26 +340,29 @@ SpecCache::writeSet(std::vector<WriteSetLine> &out) const
     }
 }
 
-std::uint32_t
-SpecCache::writeSetLines() const
+SpecCache::SetSizes
+SpecCache::setSizes() const
 {
-    std::uint32_t n = 0;
+    SetSizes n;
     for (const Way &way : specSlots) {
-        if (*way.tag != kNoTag && way.line->sm != 0)
-            ++n;
+        if (*way.tag == kNoTag)
+            continue;
+        n.writeLines += way.line->sm != 0;
+        n.readLines += way.line->sr != 0;
     }
     return n;
 }
 
 std::uint32_t
+SpecCache::writeSetLines() const
+{
+    return setSizes().writeLines;
+}
+
+std::uint32_t
 SpecCache::readSetLines() const
 {
-    std::uint32_t n = 0;
-    for (const Way &way : specSlots) {
-        if (*way.tag != kNoTag && way.line->sr != 0)
-            ++n;
-    }
-    return n;
+    return setSizes().readLines;
 }
 
 void

@@ -24,6 +24,7 @@
 #ifndef TCC_CACHE_SPEC_CACHE_HH
 #define TCC_CACHE_SPEC_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -155,6 +156,13 @@ class SpecCache
     /** Number of speculatively read lines (read-set footprint stat). */
     std::uint32_t readSetLines() const;
 
+    /** Write- and read-set sizes in lines, counted in one walk. */
+    struct SetSizes {
+        std::uint32_t writeLines = 0;
+        std::uint32_t readLines = 0;
+    };
+    SetSizes setSizes() const;
+
     /**
      * Commit the current transaction's speculative state: SM words
      * become committed dirty data (this processor is now the owner
@@ -245,6 +253,9 @@ class SpecCache
     /** Tag of an empty way, in L2 tag rows and L1 tags alike: a
      *  line-aligned address never has its low bits set. */
     static constexpr Addr kNoTag = ~Addr{0};
+    /** Tag of an L2 way past its set's capacity (no Line record yet);
+     *  like kNoTag it never matches a line address. */
+    static constexpr Addr kUnbacked = ~Addr{1};
 
     /** State of one L2 way; its tag lives in the set's tag row. */
     struct Line {
@@ -269,8 +280,17 @@ class SpecCache
     };
 
     std::uint32_t setOf(Addr lineAddr) const;
-    /** Tag row of @p set, allocating the set on first use. */
-    Addr *allocSet(std::uint32_t set);
+    /** Bytes of a set block holding @p ways Line records. */
+    std::size_t blockBytes(std::uint32_t ways) const;
+    /** Free-list slot of blocks holding @p ways records. */
+    static std::uint32_t capClass(std::uint32_t ways);
+    /** A set block with @p ways empty ways, recycled when one of that
+     *  capacity is free; the tag row's later ways are kUnbacked. */
+    Addr *newSet(std::uint32_t ways);
+    /** Move @p set, whose first kUnbacked way is @p ways, into a block
+     *  with twice the records (at most l2Assoc): rebase the specSlots
+     *  that point into it and free the old block. */
+    Addr *growSet(std::uint32_t set, std::uint32_t ways);
     /** The ways' state, stored right after a set's tag row. */
     Line *linesOf(Addr *row) const
     {
@@ -292,12 +312,18 @@ class SpecCache
     std::unique_ptr<Arena> ownArena;
     /// Every allocation below comes from here (never null).
     Arena *arena;
-    /** Tag row of each L2 set (l2Assoc tags, kNoTag = empty way, one
-     *  64-byte row at the Table-2 associativity), followed by the ways'
-     *  Line state; null until a fill lands in the set, so host memory
-     *  follows the sets a run touches, not the configured capacity.
-     *  Ways never move once allocated. */
+    /** Tag row of each L2 set (l2Assoc tags, one 64-byte row at the
+     *  Table-2 associativity), followed by Line records for the ways
+     *  the set has used so far: 1, 2, 4, ... up to l2Assoc. Ways past
+     *  that capacity hold kUnbacked, empty ways within it kNoTag. A
+     *  row is null until a fill lands in its set and grows when the
+     *  victim rule picks its first kUnbacked way, so host memory
+     *  follows the lines a run touches, not the configured capacity.
+     *  Growing moves the set's ways to a new block. */
     std::vector<Addr *, ArenaAllocator<Addr *>> l2Rows;
+    /** Outgrown set blocks, one intrusive list (linked through the
+     *  row's first word) per capacity class. */
+    std::array<Addr *, 32> freeSets{};
     /// l1Sets x l1Assoc
     std::vector<L1Tag, ArenaAllocator<L1Tag>> l1Tags;
     /** Ways holding speculative state, for O(txn) cleanup. */

@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -131,11 +132,16 @@ class FlatMap
     {
         if (used == 0)
             return;
+        // Reset occupied slots of heavy V (vectors) so their memory is
+        // released now rather than held until overwrite. Trivial slots
+        // stay as they are: insertion overwrites a slot before its
+        // metadata marks it occupied.
+        if constexpr (!std::is_trivially_destructible_v<Slot>) {
+            for (std::size_t i = 0; i < meta.size(); ++i)
+                if (meta[i] != 0)
+                    slots[i] = Slot{};
+        }
         std::fill(meta.begin(), meta.end(), std::uint8_t{0});
-        // Reset slots so element destructors of heavy V (vectors) run
-        // now rather than holding memory until overwrite.
-        for (auto &s : slots)
-            s = Slot{};
         used = 0;
     }
 

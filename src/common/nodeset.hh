@@ -1,10 +1,11 @@
 /**
  * @file
- * NodeSet: a size-generic bit set over node IDs. Used for directory
- * sharers lists and for the per-processor Sharing and Writing vectors
- * (Figure 1b / Figure 4 of the paper), and - since the bitmap
- * set-algebra work - for the commit engine's per-directory bookkeeping
- * (marks-done, validated, early-answer membership).
+ * NodeSet: a size-generic bit set over node IDs. Used for the
+ * per-processor Sharing and Writing vectors (Figure 1b of the paper),
+ * and - since the bitmap set-algebra work - for the commit engine's
+ * per-directory bookkeeping (marks-done, validated, early-answer
+ * membership). Directory sharers lists (Figure 4) are NodeSpans over
+ * words stored after each directory entry, with the same operations.
  *
  * Storage is hybrid: systems of up to kInlineNodes (256) nodes - every
  * configuration the paper evaluates, and then some - live in an inline
@@ -37,12 +38,140 @@
 namespace tcc {
 
 /**
+ * Set algebra over a node bitmap: the members NodeSet owns and NodeSpan
+ * views share one implementation. @p D supplies capacity() and
+ * words() (the active word array).
+ */
+template <typename D>
+class NodeBits
+{
+  public:
+    /** Add @p n to the set. */
+    void
+    set(NodeId n)
+    {
+        assert(n < derived().capacity());
+        derived().words()[n >> 6] |= (std::uint64_t{1} << (n & 63));
+    }
+
+    /** Remove @p n from the set. */
+    void
+    clear(NodeId n)
+    {
+        assert(n < derived().capacity());
+        derived().words()[n >> 6] &= ~(std::uint64_t{1} << (n & 63));
+    }
+
+    /** Remove every node from the set. */
+    void
+    clearAll()
+    {
+        std::uint64_t *w = derived().words();
+        for (std::size_t i = 0; i < wordCount(); ++i)
+            w[i] = 0;
+    }
+
+    /** @return true iff @p n is in the set. */
+    bool
+    test(NodeId n) const
+    {
+        assert(n < derived().capacity());
+        return (derived().words()[n >> 6] >> (n & 63)) & 1;
+    }
+
+    /** @return true iff the set is empty. */
+    bool
+    empty() const
+    {
+        const std::uint64_t *w = derived().words();
+        for (std::size_t i = 0; i < wordCount(); ++i)
+            if (w[i])
+                return false;
+        return true;
+    }
+
+    /** Number of nodes in the set. */
+    std::uint32_t
+    count() const
+    {
+        const std::uint64_t *w = derived().words();
+        std::uint32_t c = 0;
+        for (std::size_t i = 0; i < wordCount(); ++i)
+            c += static_cast<std::uint32_t>(
+                __builtin_popcountll(w[i]));
+        return c;
+    }
+
+    /**
+     * @return true iff the set contains any member other than @p self.
+     * Word algebra for the directory's remote-sharer test: mask out
+     * self's bit and OR the words - no per-member iteration.
+     */
+    bool
+    anyBesides(NodeId self) const
+    {
+        const std::uint64_t *w = derived().words();
+        std::uint64_t acc = 0;
+        const std::size_t sw = self >> 6;
+        for (std::size_t i = 0; i < wordCount(); ++i) {
+            std::uint64_t word = w[i];
+            if (i == sw)
+                word &= ~(std::uint64_t{1} << (self & 63));
+            acc |= word;
+        }
+        return acc != 0;
+    }
+
+    /** Invoke @p fn for every member, in increasing node order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        const std::uint64_t *w = derived().words();
+        for (std::size_t wi = 0; wi < wordCount(); ++wi) {
+            std::uint64_t word = w[wi];
+            while (word) {
+                const int bit = __builtin_ctzll(word);
+                fn(static_cast<NodeId>(wi * 64 + bit));
+                word &= word - 1;
+            }
+        }
+    }
+
+    /** Collect the members into a vector (mostly for tests). */
+    std::vector<NodeId>
+    toVector() const
+    {
+        std::vector<NodeId> v;
+        forEach([&](NodeId n) { v.push_back(n); });
+        return v;
+    }
+
+  protected:
+    static std::size_t
+    wordCountFor(std::uint32_t nodes)
+    {
+        return (nodes + std::uint32_t{63}) >> 6;
+    }
+
+    std::size_t
+    wordCount() const
+    {
+        return wordCountFor(derived().capacity());
+    }
+
+  private:
+    D &derived() { return static_cast<D &>(*this); }
+    const D &derived() const { return static_cast<const D &>(*this); }
+};
+
+/**
  * A fixed-capacity bit set over node IDs with iteration support.
  *
  * The capacity is set at construction (the number of nodes in the
  * system) and never changes, mirroring a hardware bit vector.
  */
-class NodeSet
+class NodeSet : public NodeBits<NodeSet>
 {
   public:
     /** Largest system the inline (allocation-free) storage holds. */
@@ -66,82 +195,6 @@ class NodeSet
 
     /** Number of node IDs this set can hold. */
     std::uint32_t capacity() const { return numNodes; }
-
-    /** Add @p n to the set. */
-    void
-    set(NodeId n)
-    {
-        assert(n < numNodes);
-        words()[n >> 6] |= (std::uint64_t{1} << (n & 63));
-    }
-
-    /** Remove @p n from the set. */
-    void
-    clear(NodeId n)
-    {
-        assert(n < numNodes);
-        words()[n >> 6] &= ~(std::uint64_t{1} << (n & 63));
-    }
-
-    /** Remove every node from the set. */
-    void
-    clearAll()
-    {
-        std::uint64_t *w = words();
-        for (std::size_t i = 0; i < wordCount(); ++i)
-            w[i] = 0;
-    }
-
-    /** @return true iff @p n is in the set. */
-    bool
-    test(NodeId n) const
-    {
-        assert(n < numNodes);
-        return (words()[n >> 6] >> (n & 63)) & 1;
-    }
-
-    /** @return true iff the set is empty. */
-    bool
-    empty() const
-    {
-        const std::uint64_t *w = words();
-        for (std::size_t i = 0; i < wordCount(); ++i)
-            if (w[i])
-                return false;
-        return true;
-    }
-
-    /** Number of nodes in the set. */
-    std::uint32_t
-    count() const
-    {
-        const std::uint64_t *w = words();
-        std::uint32_t c = 0;
-        for (std::size_t i = 0; i < wordCount(); ++i)
-            c += static_cast<std::uint32_t>(
-                __builtin_popcountll(w[i]));
-        return c;
-    }
-
-    /**
-     * @return true iff the set contains any member other than @p self.
-     * Word algebra for the directory's remote-sharer test: mask out
-     * self's bit and OR the words - no per-member iteration.
-     */
-    bool
-    anyBesides(NodeId self) const
-    {
-        const std::uint64_t *w = words();
-        std::uint64_t acc = 0;
-        const std::size_t sw = self >> 6;
-        for (std::size_t i = 0; i < wordCount(); ++i) {
-            std::uint64_t word = w[i];
-            if (i == sw)
-                word &= ~(std::uint64_t{1} << (self & 63));
-            acc |= word;
-        }
-        return acc != 0;
-    }
 
     /** @return true iff this set and @p o share a member (AND test). */
     bool
@@ -171,31 +224,6 @@ class NodeSet
             a[i] |= b[i];
     }
 
-    /** Invoke @p fn for every member, in increasing node order. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        const std::uint64_t *w = words();
-        for (std::size_t wi = 0; wi < wordCount(); ++wi) {
-            std::uint64_t word = w[wi];
-            while (word) {
-                const int bit = __builtin_ctzll(word);
-                fn(static_cast<NodeId>(wi * 64 + bit));
-                word &= word - 1;
-            }
-        }
-    }
-
-    /** Collect the members into a vector (mostly for tests). */
-    std::vector<NodeId>
-    toVector() const
-    {
-        std::vector<NodeId> v;
-        forEach([&](NodeId n) { v.push_back(n); });
-        return v;
-    }
-
     bool
     operator==(const NodeSet &o) const
     {
@@ -210,13 +238,7 @@ class NodeSet
     }
 
   private:
-    static std::size_t
-    wordCountFor(std::uint32_t nodes)
-    {
-        return (nodes + std::uint32_t{63}) >> 6;
-    }
-
-    std::size_t wordCount() const { return wordCountFor(numNodes); }
+    friend class NodeBits<NodeSet>;
 
     /** Active word array: inline for <= kInlineNodes, else wide. */
     std::uint64_t *
@@ -234,8 +256,38 @@ class NodeSet
     std::uint64_t inlineWords[kInlineWords] = {};
     /// Engaged only beyond kInlineNodes; arena-backed, sized once at
     /// construction (ArenaAllocator propagates on copy/move assign, so
-    /// re-assigning an entry's set keeps its arena).
+    /// re-assigning a set keeps its arena).
     std::vector<std::uint64_t, ArenaAllocator<std::uint64_t>> wide;
+};
+
+/**
+ * A node bitmap stored elsewhere: the directory keeps each line's
+ * sharers list right after its entry, so an entry owns no container.
+ * A span aliases its words; copying it copies the view, not the set.
+ */
+class NodeSpan : public NodeBits<NodeSpan>
+{
+  public:
+    NodeSpan(std::uint64_t *words, std::uint32_t num_nodes)
+        : bits(words), numNodes(num_nodes)
+    {}
+
+    /** Number of 64-bit words a bitmap of @p num_nodes bits takes. */
+    static std::size_t
+    wordsFor(std::uint32_t num_nodes)
+    {
+        return wordCountFor(num_nodes);
+    }
+
+    std::uint32_t capacity() const { return numNodes; }
+
+  private:
+    friend class NodeBits<NodeSpan>;
+
+    std::uint64_t *words() const { return bits; }
+
+    std::uint64_t *bits;
+    std::uint32_t numNodes;
 };
 
 } // namespace tcc

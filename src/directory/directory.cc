@@ -14,7 +14,8 @@ Directory::Directory(NodeId node, std::uint32_t num_nodes,
                      std::uint32_t line_bytes, Arena &arena_)
     : nodeId(node), numNodes(num_nodes), eventq(eq), network(net),
       config(cfg), lineBytes(line_bytes), arena(&arena_),
-      skipWindow(&arena_), entries(&arena_),
+      skipWindow(&arena_), entries(&arena_), pendingLoads(&arena_),
+      deferredWriteBacks(&arena_),
       deferredProbes(ArenaAllocator<Message>(&arena_)),
       stalledLoads(ArenaAllocator<Message>(&arena_)),
       loadScratch(ArenaAllocator<Message>(&arena_)),
@@ -27,28 +28,25 @@ Directory::Directory(NodeId node, std::uint32_t num_nodes,
         entries.reserve(config.dirCacheEntries);
 }
 
-Directory::~Directory()
-{
-    // Entries hold heap vectors; the arena reclaims only their bytes.
-    for (auto &kv : entries)
-        kv.second->~Entry();
-}
-
 Directory::Entry &
 Directory::entry(Addr lineAddr)
 {
     Entry *&e = entries[lineAddr];
-    if (!e)
-        e = ::new (arena->allocate(sizeof(Entry), alignof(Entry)))
-            Entry(NodeSet(numNodes, arena));
+    if (!e) {
+        const std::size_t words = NodeSpan::wordsFor(numNodes);
+        e = ::new (arena->allocate(
+            sizeof(Entry) + words * sizeof(std::uint64_t), alignof(Entry)))
+            Entry{};
+        sharersOf(*e).clearAll();
+    }
     return *e;
 }
 
 bool
-Directory::hasRemoteSharer(const Entry &e) const
+Directory::hasRemoteSharer(Entry &e) const
 {
     // Word-level bitmap test: any sharer bit besides our own.
-    return e.sharers.anyBesides(nodeId);
+    return sharersOf(e).anyBesides(nodeId);
 }
 
 void
@@ -171,7 +169,7 @@ Directory::serveLoad(Entry &e, NodeId requester, std::uint32_t seq,
 {
     if (e.owned && e.owner != requester) {
         // The only up-to-date copy is in the owner's cache.
-        e.pendingLoads.push_back({requester, seq});
+        pendingLoads[lineAddr].push_back({requester, seq});
         requestOwnerData(e, lineAddr);
         return;
     }
@@ -203,7 +201,7 @@ Directory::replyFromMemory(Entry &e, NodeId requester,
                            std::uint32_t seq, Addr lineAddr)
 {
     const bool before = hasRemoteSharer(e);
-    e.sharers.set(requester);
+    sharersOf(e).set(requester);
     noteSharerChange(e, before);
     ++dirStats.loadsServed;
     // Main-memory access latency before the data leaves the node. The
@@ -226,25 +224,29 @@ Directory::replyFromMemory(Entry &e, NodeId requester,
 void
 Directory::pumpPendingLoads(Entry &e, Addr lineAddr)
 {
-    if (e.marked || e.pendingLoads.empty())
+    if (e.marked)
         return;
+    auto it = pendingLoads.find(lineAddr);
+    if (it == pendingLoads.end())
+        return;
+    std::vector<PendingLoad> waiters = std::move(it->second);
+    pendingLoads.erase(it);
     if (e.owned) {
         // The owner's own loads are partial-line fills served from
         // memory (see serveLoad); everyone else needs the owner's data.
-        std::vector<Entry::PendingLoad> others;
-        for (const auto &r : e.pendingLoads) {
+        std::vector<PendingLoad> others;
+        for (const auto &r : waiters) {
             if (r.node == e.owner)
                 replyFromMemory(e, r.node, r.seq, lineAddr);
             else
                 others.push_back(r);
         }
-        e.pendingLoads = std::move(others);
-        if (!e.pendingLoads.empty())
+        if (!others.empty()) {
+            pendingLoads[lineAddr] = std::move(others);
             requestOwnerData(e, lineAddr);
+        }
         return;
     }
-    std::vector<Entry::PendingLoad> waiters;
-    waiters.swap(e.pendingLoads);
     for (const auto &r : waiters) {
         ++dirStats.loadsForwarded;
         replyFromMemory(e, r.node, r.seq, lineAddr);
@@ -402,7 +404,7 @@ Directory::handleMark(const Message &msg)
     // be defensive in case the line's sharer bit was cleared by an
     // earlier invalidation that raced with this commit.
     const bool before = hasRemoteSharer(e);
-    e.sharers.set(msg.src);
+    sharersOf(e).set(msg.src);
     noteSharerChange(e, before);
 
     if (mutate::is(mutate::Kind::CommitBeforeMarks) &&
@@ -499,22 +501,22 @@ Directory::finishCommit()
         // invalidation is sent to it.
         const WordMaskT inv_mask = e.markedWords;
         e.markedWords = 0;
+        NodeSpan sharers = sharersOf(e);
         const std::uint32_t n_inv =
-            e.sharers.count() -
-            (e.sharers.test(pending.committer) ? 1 : 0);
+            sharers.count() - (sharers.test(pending.committer) ? 1 : 0);
         traceEmit(tracer, TraceEventKind::DirInvalidate, nodeId,
                   pending.tid, a, n_inv);
         // forEach visits in ascending node order, so the collected
         // destination list matches the old per-sharer emission order
         // exactly; the single payload then fans out as a multicast.
         mcastBuf.clear();
-        e.sharers.forEach([&](NodeId n) {
+        sharers.forEach([&](NodeId n) {
             if (n == pending.committer)
                 return;
             mcastBuf.push_back(n);
         });
         for (NodeId n : mcastBuf)
-            e.sharers.clear(n);
+            sharers.clear(n);
         if (!mcastBuf.empty()) {
             Message inv;
             inv.type = MsgType::Inv;
@@ -559,9 +561,10 @@ Directory::retireCurrent()
         // Replay write-backs and data flushes that had overtaken this
         // commit.
         Entry &e = entry(a);
-        if (!e.deferredWriteBacks.empty()) {
-            std::vector<Message> wbs;
-            wbs.swap(e.deferredWriteBacks);
+        if (auto it = deferredWriteBacks.find(a);
+            it != deferredWriteBacks.end()) {
+            std::vector<Message> wbs = std::move(it->second);
+            deferredWriteBacks.erase(it);
             for (const Message &wb : wbs) {
                 if (wb.type == MsgType::FlushData)
                     handleFlushData(wb);
@@ -615,7 +618,7 @@ Directory::handleWriteBack(const Message &msg)
             return;
         }
         if (e.commitTid == kInvalidTid || msg.tid > e.commitTid) {
-            e.deferredWriteBacks.push_back(msg);
+            deferredWriteBacks[msg.addr].push_back(msg);
             return;
         }
     }
@@ -645,7 +648,7 @@ Directory::handleFlushData(const Message &msg)
     // the line, and a data flush can overtake its own commit.
     if (msg.tid != kInvalidTid && msg.hadData &&
         (e.commitTid == kInvalidTid || msg.tid > e.commitTid)) {
-        e.deferredWriteBacks.push_back(msg);
+        deferredWriteBacks[msg.addr].push_back(msg);
         return;
     }
     e.dataReqOutstanding = false;
@@ -678,7 +681,7 @@ Directory::handleInvAck(const Message &msg)
         // other words of this line: keep sending it invalidations.
         Entry &e = entry(msg.addr);
         const bool before = hasRemoteSharer(e);
-        e.sharers.set(msg.src);
+        sharersOf(e).set(msg.src);
         noteSharerChange(e, before);
     }
     if (--pending.pendingAcks == 0)
@@ -696,11 +699,11 @@ bool
 Directory::quiesced() const
 {
     if (pending.active || !deferredProbes.empty() ||
-        !stalledLoads.empty())
+        !stalledLoads.empty() || !pendingLoads.empty() ||
+        !deferredWriteBacks.empty())
         return false;
     for (const auto &[addr, e] : entries)
-        if (!e->pendingLoads.empty() || e->dataReqOutstanding ||
-            e->awaitingWriteBack || !e->deferredWriteBacks.empty())
+        if (e->dataReqOutstanding || e->awaitingWriteBack)
             return false;
     return true;
 }
@@ -719,7 +722,10 @@ Directory::debugDump() const
     out += buf;
     for (const auto &[addr, entry_ptr] : entries) {
         const Entry &e = *entry_ptr;
-        if (e.pendingLoads.empty() && !e.dataReqOutstanding &&
+        const auto waiting = pendingLoads.find(addr);
+        const std::size_t n_waiting =
+            waiting == pendingLoads.end() ? 0 : waiting->second.size();
+        if (n_waiting == 0 && !e.dataReqOutstanding &&
             !e.awaitingWriteBack && !e.marked)
             continue;
         std::snprintf(buf, sizeof(buf),
@@ -728,8 +734,7 @@ Directory::debugDump() const
                       (unsigned long long)addr, e.owned ? 1 : 0,
                       e.owner, e.marked ? 1 : 0,
                       e.dataReqOutstanding ? 1 : 0,
-                      e.awaitingWriteBack ? 1 : 0,
-                      e.pendingLoads.size());
+                      e.awaitingWriteBack ? 1 : 0, n_waiting);
         out += buf;
     }
     return out;

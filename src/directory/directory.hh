@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <list>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -67,7 +68,6 @@ class Directory
     Directory(NodeId node, std::uint32_t num_nodes, EventQueue &eq,
               Network &net, const DirectoryConfig &cfg,
               std::uint32_t line_bytes, Arena &arena);
-    ~Directory();
 
     Directory(const Directory &) = delete;
     Directory &operator=(const Directory &) = delete;
@@ -130,33 +130,31 @@ class Directory
   private:
     using WordMaskT = std::uint64_t;
 
+    /** Per-line protocol state. The line's sharers list (numNodes
+     *  bits) is stored right after the entry in the same arena block;
+     *  the rare per-line queues live in side tables keyed by line, so
+     *  an entry owns nothing and needs no destructor. */
     struct Entry {
-        explicit Entry(NodeSet s) : sharers(std::move(s)) {}
-
-        NodeSet sharers;
-        bool owned = false;
         NodeId owner = kInvalidNode;
+        bool owned = false;
         bool marked = false;
-        WordMaskT markedWords = 0;
-        /** TID of the last commit to this line (write-back ordering);
-         *  kInvalidTid until the first commit. */
-        Tid commitTid = kInvalidTid;
-        /** Write-backs and data flushes that overtook their own
-         *  commit on an unordered network; replayed once the commit
-         *  is processed. */
-        std::vector<Message> deferredWriteBacks;
-        /** One load waiting for an owner flush / write-back; the seq
-         *  is echoed in the eventual LoadReply so the requester can
-         *  match it against its outstanding miss. */
-        struct PendingLoad {
-            NodeId node;
-            std::uint32_t seq;
-        };
-        std::vector<PendingLoad> pendingLoads;
         bool dataReqOutstanding = false;
         /** Set when the owner answered a DataReq with "already
          *  evicted"; its WriteBack is in flight. */
         bool awaitingWriteBack = false;
+        WordMaskT markedWords = 0;
+        /** TID of the last commit to this line (write-back ordering);
+         *  kInvalidTid until the first commit. */
+        Tid commitTid = kInvalidTid;
+    };
+    static_assert(std::is_trivially_destructible_v<Entry>);
+
+    /** One load waiting for an owner flush / write-back; the seq is
+     *  echoed in the eventual LoadReply so the requester can match it
+     *  against its outstanding miss. */
+    struct PendingLoad {
+        NodeId node;
+        std::uint32_t seq;
     };
 
     /** In-flight commit bookkeeping for the currently served TID. */
@@ -236,9 +234,16 @@ class Directory
     /** Message byte size by opcode (traffic accounting). */
     std::uint32_t sizeOf(MsgType t) const;
 
+    /** The sharers list stored after @p e. */
+    NodeSpan sharersOf(Entry &e) const
+    {
+        return NodeSpan(reinterpret_cast<std::uint64_t *>(&e + 1),
+                        numNodes);
+    }
+
     void sampleWorkingSet();
     void noteSharerChange(Entry &e, bool had_remote_before);
-    bool hasRemoteSharer(const Entry &e) const;
+    bool hasRemoteSharer(Entry &e) const;
 
     NodeId nodeId;
     std::uint32_t numNodes;
@@ -258,6 +263,13 @@ class Directory
      *  Entries sit out of line in the arena, so growing the table
      *  moves 16-byte slots, not entries. */
     FlatMap<Addr, Entry *> entries;
+    /** Loads waiting for an owner flush / write-back, by line; a line
+     *  with none has no slot. */
+    FlatMap<Addr, std::vector<PendingLoad>> pendingLoads;
+    /** Write-backs and data flushes that overtook their own commit on
+     *  an unordered network, by line; replayed once the commit is
+     *  processed. */
+    FlatMap<Addr, std::vector<Message>> deferredWriteBacks;
     PendingCommit pending;
 
     using MsgVec = std::vector<Message, ArenaAllocator<Message>>;

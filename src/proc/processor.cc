@@ -22,11 +22,7 @@ TccProcessor::TccProcessor(NodeId node, std::uint32_t num_nodes,
       commitDirs(ArenaAllocator<CommitDir>(arena)),
       commitLines(ArenaAllocator<SpecCache::WriteSetLine>(arena)),
       mcastBuf(ArenaAllocator<NodeId>(arena))
-{
-    // Pre-size the write buffer once: clear() keeps the bucket array,
-    // so steady-state attempts never rehash.
-    writeBuf.reserve(256);
-}
+{}
 
 void
 TccProcessor::post(Message msg)
@@ -673,8 +669,9 @@ TccProcessor::recordCommitStats(std::size_t write_dirs,
 {
     // Table 3 statistics (before clearing speculative state).
     const double line_kb = specCache.cfg().lineBytes / 1024.0;
-    procStats.txnWriteSetKB.sample(specCache.writeSetLines() * line_kb);
-    procStats.txnReadSetKB.sample(specCache.readSetLines() * line_kb);
+    const SpecCache::SetSizes sizes = specCache.setSizes();
+    procStats.txnWriteSetKB.sample(sizes.writeLines * line_kb);
+    procStats.txnReadSetKB.sample(sizes.readLines * line_kb);
     procStats.txnInstructions.sample(
         static_cast<double>(attemptInstr));
     if (!writeBuf.empty()) {

@@ -283,7 +283,9 @@ class TccProcessor
     NodeId homeMemoNode = kInvalidNode;
     std::uint64_t homeMemoEpoch = 0;
     /** Speculative write buffer: word address -> value. Probed on
-     *  every load and store; cleared (not deallocated) per attempt. */
+     *  every load and store; starts empty, grows to the largest
+     *  attempt's write set and is cleared (not deallocated) per
+     *  attempt. */
     FlatMap<Addr, std::uint64_t> writeBuf;
     /** (addr, value) pairs read from committed state (checker log). */
     std::vector<std::pair<Addr, std::uint64_t>> readLog;

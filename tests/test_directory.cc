@@ -534,5 +534,48 @@ TEST_F(DirectoryTest, SkipForRetiredTidPanics)
     EXPECT_DEATH(send(mk(MsgType::Skip, 1, 0)), "retired");
 }
 
+/** Arena bytes a directory of @p nodes nodes adds per line it tracks,
+ *  over @p lines loads from distinct lines. */
+double
+entryBytes(std::uint32_t nodes, std::uint32_t lines)
+{
+    Arena arena;
+    EventQueue eq;
+    IdealNetwork net(eq, nodes);
+    Directory dir(0, nodes, eq, net, DirectoryConfig{}, 32, arena);
+    net.connect(0, [&](const Message &m) { dir.receive(m); });
+    net.connect(1, [](const Message &) {});
+    const std::size_t before = arena.stats().peakBytes;
+    for (std::uint32_t i = 0; i < lines; ++i) {
+        Message m;
+        m.type = MsgType::LoadReq;
+        m.src = 1;
+        m.dst = 0;
+        m.addr = Addr(i) * 32;
+        m.bytes = 16;
+        net.send(m);
+    }
+    eq.run();
+    EXPECT_EQ(dir.numEntries(), lines);
+    EXPECT_TRUE(dir.quiesced());
+    return static_cast<double>(arena.stats().peakBytes - before) / lines;
+}
+
+TEST(DirectoryMemory, EntryBytesAtThousandNodes)
+{
+    // An entry is its protocol fields (24 B) followed by the full-map
+    // sharers list (1024 bits = 128 B); the entry table adds 16-byte
+    // slots plus a metadata byte at a load of at most 7/8, and keeps
+    // its outgrown arrays in the arena. 7,000 lines sit just under
+    // the 8,192-slot table's limit, so the table share is ~40 B.
+    constexpr std::uint32_t kLines = 7000;
+    const double at1024 = entryBytes(1024, kLines);
+    const double at64 = entryBytes(64, kLines);
+    EXPECT_DOUBLE_EQ(at1024 - at64, 120.0) << "1024 - 64 sharer bits";
+    // 152 B of entry and sharers, plus the table's 16,368 slots of
+    // 17 B (16 to 8,192, every size it passed through) over 7,000.
+    EXPECT_NEAR(at1024, 152.0 + 278256.0 / kLines, 0.01);
+}
+
 } // namespace
 } // namespace tcc

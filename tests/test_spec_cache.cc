@@ -395,5 +395,102 @@ TEST(SpecCache, L2SetsAreAllocatedOnFirstFill)
     EXPECT_TRUE(c.present(Addr(2 * cfg.l2Assoc - 1) * setStride));
 }
 
+/**
+ * Run one script over 11 lines: lines 0-7 (by @p addr) are filled and
+ * made speculative in turn, so a set that holds all eight grows
+ * 1 -> 2 -> 4 -> 8 ways while its earlier ways carry SR/SM bits; lines
+ * 8-10 are filled afterwards. Lines 0-3 are committed dirty first, so
+ * flushLine and the first speculative write see committed data.
+ */
+template <typename AddrOf>
+void
+runGrowthScript(SpecCache &c, AddrOf addr, bool commit)
+{
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_TRUE(c.fill(addr(i)).ok);
+        EXPECT_TRUE(c.store(addr(i) + 4).hit);
+    }
+    c.commitSpec(5);
+    EXPECT_TRUE(c.load(addr(0) + 8).hit);
+    EXPECT_TRUE(c.store(addr(1) + 12).needsWriteBack);
+    for (int i = 4; i < 8; ++i) {
+        ASSERT_TRUE(c.fill(addr(i)).ok);
+        if (i % 2 == 0)
+            EXPECT_TRUE(c.load(addr(i) + 4 * i).hit);
+        else
+            EXPECT_TRUE(c.store(addr(i)).hit);
+        EXPECT_TRUE(c.load(addr(i - 4) + 16).hit);
+    }
+    for (int i = 8; i < 11; ++i) {
+        ASSERT_TRUE(c.fill(addr(i)).ok);
+        EXPECT_TRUE(c.store(addr(i) + 8).hit);
+    }
+    c.invalidate(addr(4), ~WordMask(0)); // read-set line: a ghost
+    c.invalidate(addr(9), WordMask(1) << 2);
+    EXPECT_TRUE(c.flushLine(addr(2)));
+    EXPECT_TRUE(c.flushLine(addr(3)));
+    if (commit)
+        c.commitSpec(9);
+    else
+        c.abortSpec();
+}
+
+class SetGrowth : public ::testing::TestWithParam<bool>
+{};
+
+TEST_P(SetGrowth, GrownSetMatchesOneLineSets)
+{
+    // 32 sets of 8 ways. Lines 0-7 of `grown` share set 0; its
+    // outgrown blocks are then reused by lines 8-10 (sets 1-3). Every
+    // line of `flat` has a set of its own, which never grows.
+    CacheConfig cfg = tinyConfig();
+    cfg.l2Bytes = 8192;
+    const Addr stride = Addr(cfg.l2Bytes / cfg.l2Assoc);
+    const auto grown_addr = [&](int i) {
+        return i < 8 ? i * stride : Addr(i - 7) * cfg.lineBytes;
+    };
+    const auto flat_addr = [&](int i) { return Addr(i) * cfg.lineBytes; };
+    SpecCache grown(cfg), flat(cfg);
+    runGrowthScript(grown, grown_addr, GetParam());
+    runGrowthScript(flat, flat_addr, GetParam());
+
+    for (int i = 0; i < 11; ++i) {
+        SCOPED_TRACE(i);
+        const Addr g = grown_addr(i), f = flat_addr(i);
+        EXPECT_EQ(grown.present(g), flat.present(f));
+        EXPECT_EQ(grown.isDirty(g), flat.isDirty(f));
+        EXPECT_EQ(grown.lineCommitTid(g), flat.lineCommitTid(f));
+        EXPECT_EQ(grown.srMask(g), flat.srMask(f));
+        EXPECT_EQ(grown.smMask(g), flat.smMask(f));
+        EXPECT_EQ(grown.load(g + 4).hit, flat.load(f + 4).hit);
+    }
+    EXPECT_EQ(grown.stats().fills, flat.stats().fills);
+    EXPECT_EQ(grown.stats().ghostsCreated, flat.stats().ghostsCreated);
+    EXPECT_EQ(grown.stats().overflows, 0u);
+    EXPECT_EQ(flat.stats().overflows, 0u);
+    // Committed lines stay dirty under the last commit's TID.
+    EXPECT_EQ(flat.lineCommitTid(flat_addr(0)), 5u);
+    EXPECT_EQ(flat.isDirty(flat_addr(1)), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(CommitOrAbort, SetGrowth, ::testing::Bool(),
+                         [](const auto &info) {
+                             return info.param ? "Commit" : "Abort";
+                         });
+
+TEST(SpecCache, OneLineSetsTakeOneHostLinePair)
+{
+    // A set holding one line stores its 64-byte tag row and a single
+    // Line record: 128 bytes, not the 448 of all eight ways.
+    const CacheConfig cfg;
+    Arena arena;
+    SpecCache c(cfg, &arena);
+    const std::size_t empty = arena.stats().peakBytes;
+    constexpr std::uint32_t kSets = 40;
+    for (std::uint32_t s = 0; s < kSets; ++s)
+        ASSERT_TRUE(c.fill(Addr(s) * cfg.lineBytes).ok);
+    EXPECT_LE(arena.stats().peakBytes - empty, std::size_t{kSets} * 128);
+}
+
 } // namespace
 } // namespace tcc

@@ -155,11 +155,13 @@ TEST(SystemSmoke, UsefulCyclesDominateUncontendedRun)
 TEST(SystemSmoke, IdleThousandNodeSystemHoldsLittleArena)
 {
     // Per-node state is allocated as a run touches it: an L2 set on
-    // its first fill, a directory entry on its first message, a commit
-    // table entry per directory a commit touches. What a machine holds
-    // before running anything is the L1 tags, the L2 set table and
-    // the write buffer (~41 KiB a node), the same at 64 nodes as at
-    // 1024: only the Sharing/Writing vectors grow with node count.
+    // its first fill (and a larger block as it fills more ways), a
+    // directory entry on its first message, write-buffer slots on the
+    // first stores, a commit table entry per directory a commit
+    // touches. What a machine holds before running anything is the L1
+    // tags and the L2 set table (16 KiB each at Table 2: 32 KiB a node
+    // at 64 nodes, 32.25 KiB at 1024): only the Sharing/Writing
+    // vectors grow with node count.
     const auto per_node = [](std::uint32_t procs) {
         System sys(smallConfig(procs));
         return static_cast<double>(sys.arenaStats().peakBytes) / procs;
