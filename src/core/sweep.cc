@@ -25,23 +25,20 @@ SweepRunner::SweepRunner(unsigned jobs)
 {
     if (numJobs <= 1) {
         numJobs = 1;
-        return; // inline mode: no queues, no threads
+        return; // inline mode: no queue, no threads
     }
-    workers.reserve(numJobs);
-    for (unsigned i = 0; i < numJobs; ++i)
-        workers.push_back(std::make_unique<Worker>());
     threads.reserve(numJobs);
     for (unsigned i = 0; i < numJobs; ++i)
-        threads.emplace_back([this, i]() { workerLoop(i); });
+        threads.emplace_back([this]() { workerLoop(); });
 }
 
 SweepRunner::~SweepRunner()
 {
     {
-        std::lock_guard<std::mutex> lk(stateMtx);
+        std::lock_guard<std::mutex> lk(mtx);
         shuttingDown = true;
     }
-    stateCv.notify_all();
+    cv.notify_all();
     for (auto &t : threads)
         t.join();
 }
@@ -56,135 +53,73 @@ SweepRunner::submit(std::function<void()> fn)
         try {
             fn();
         } catch (...) {
-            std::lock_guard<std::mutex> lk(stateMtx);
+            std::lock_guard<std::mutex> lk(mtx);
             if (!firstError)
                 firstError = std::current_exception();
         }
         return;
     }
-    unsigned target;
     {
-        std::lock_guard<std::mutex> lk(stateMtx);
+        std::lock_guard<std::mutex> lk(mtx);
         ++pending;
-        ++queued;
-        target = nextWorker;
-        nextWorker = (nextWorker + 1) % numJobs;
+        queue.push_back(std::move(fn));
     }
-    {
-        std::lock_guard<std::mutex> lk(workers[target]->mtx);
-        workers[target]->queue.push_back(std::move(fn));
-    }
-    stateCv.notify_all();
+    cv.notify_one();
 }
 
 void
 SweepRunner::wait()
 {
-    if (numJobs > 1) {
-        // The submitting thread is an extra worker while it waits: it
-        // steals from the back of the per-worker deques (slot index
-        // numJobs has no deque of its own).
-        for (;;) {
-            if (runOneJob(numJobs))
-                continue;
-            std::unique_lock<std::mutex> lk(stateMtx);
-            if (pending == 0)
-                break;
-            if (queued > 0)
-                continue; // a job appeared between pop and lock
-            stateCv.wait(lk, [this]() {
-                return pending == 0 || queued > 0;
-            });
-            if (pending == 0)
-                break;
-        }
+    std::unique_lock<std::mutex> lk(mtx);
+    // The submitting thread is one more consumer while it waits: it
+    // takes jobs from the same front as the workers.
+    while (pending > 0) {
+        if (!queue.empty())
+            runFront(lk);
+        else
+            cv.wait(lk);
     }
-    std::exception_ptr err;
-    {
-        std::lock_guard<std::mutex> lk(stateMtx);
-        err = firstError;
-        firstError = nullptr;
-    }
+    const std::exception_ptr err = firstError;
+    firstError = nullptr;
+    lk.unlock();
     if (err)
         std::rethrow_exception(err);
 }
 
 void
-SweepRunner::workerLoop(unsigned self)
+SweepRunner::workerLoop()
 {
+    std::unique_lock<std::mutex> lk(mtx);
     for (;;) {
-        if (runOneJob(self))
-            continue;
-        std::unique_lock<std::mutex> lk(stateMtx);
-        if (shuttingDown && queued == 0)
+        if (!queue.empty())
+            runFront(lk);
+        else if (shuttingDown)
             return;
-        stateCv.wait(lk, [this]() {
-            return shuttingDown || queued > 0;
-        });
-        if (shuttingDown && queued == 0)
-            return;
+        else
+            cv.wait(lk);
     }
 }
 
-bool
-SweepRunner::runOneJob(unsigned self)
+void
+SweepRunner::runFront(std::unique_lock<std::mutex> &lk)
 {
-    std::function<void()> job;
-    if (!popJob(self, job))
-        return false;
+    std::function<void()> job = std::move(queue.front());
+    queue.pop_front();
+    lk.unlock();
     std::exception_ptr err;
     try {
         job();
     } catch (...) {
         err = std::current_exception();
     }
-    finishJob(err);
-    return true;
-}
-
-bool
-SweepRunner::popJob(unsigned self, std::function<void()> &out)
-{
-    // Own queue first, front-out: a worker consumes its round-robin
-    // share in submission order.
-    if (self < workers.size()) {
-        std::lock_guard<std::mutex> lk(workers[self]->mtx);
-        if (!workers[self]->queue.empty()) {
-            out = std::move(workers[self]->queue.front());
-            workers[self]->queue.pop_front();
-            std::lock_guard<std::mutex> slk(stateMtx);
-            --queued;
-            return true;
-        }
-    }
-    // Then steal from the back of everyone else's, so a drained
-    // worker picks up the jobs its victim would reach last.
-    for (unsigned off = 1; off <= numJobs; ++off) {
-        const unsigned victim = (self + off) % numJobs;
-        if (victim == self)
-            continue;
-        std::lock_guard<std::mutex> lk(workers[victim]->mtx);
-        if (workers[victim]->queue.empty())
-            continue;
-        out = std::move(workers[victim]->queue.back());
-        workers[victim]->queue.pop_back();
-        std::lock_guard<std::mutex> slk(stateMtx);
-        --queued;
-        return true;
-    }
-    return false;
-}
-
-void
-SweepRunner::finishJob(std::exception_ptr err)
-{
-    {
-        std::lock_guard<std::mutex> lk(stateMtx);
-        if (err && !firstError)
-            firstError = err;
-        --pending;
-    }
-    stateCv.notify_all();
+    // Destroy the closure (and whatever it captured) before the batch
+    // can be seen as finished.
+    job = nullptr;
+    lk.lock();
+    if (err && !firstError)
+        firstError = err;
+    if (--pending == 0)
+        cv.notify_all();
 }
 
 } // namespace tcc

@@ -1,19 +1,20 @@
 /**
  * @file
- * SweepRunner: a work-stealing thread pool for running many
- * *independent* simulations concurrently.
+ * SweepRunner: a thread pool for running many *independent*
+ * simulations concurrently.
  *
  * The simulator's evaluation methodology (Figures 6-9 of the paper,
  * our bench_* drivers and stress sweeps) is embarrassingly parallel:
  * dozens of System instances that share nothing, each fully
  * deterministic on its own event queue. SweepRunner exploits that
- * shape. Every job is a closure; workers pop from the front of their
- * own deque and steal from the back of others', so a worker that
- * drains its share of short runs migrates to help with the long ones
- * (the 64-processor points dominate a sweep's critical path).
+ * shape. Every job is a closure in one FIFO queue; the workers and
+ * the thread waiting in wait() all take jobs from its front, so jobs
+ * start in submission order. The pool does not guess job costs: a
+ * caller that knows them submits the longest first, and the sweep's
+ * makespan then approaches max(longest job, total work / consumers).
  *
  * Determinism contract: a sweep's *results* are a pure function of
- * its configs. Each System is thread-confined to whichever worker
+ * its configs. Each System is thread-confined to whichever thread
  * runs it (see DESIGN.md section 7), so running jobs concurrently
  * cannot perturb their event ordering, and sweepIndex() returns
  * results in submission order regardless of completion order. A
@@ -32,7 +33,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -73,7 +73,7 @@ class SweepRunner
 
     /**
      * Block until every submitted job has finished; the calling
-     * thread steals and executes queued jobs while it waits. If any
+     * thread runs queued jobs, front first, while it waits. If any
      * job threw, rethrows the first exception (in submission order of
      * capture) after the queue drains. The runner is reusable after
      * wait() returns.
@@ -81,33 +81,19 @@ class SweepRunner
     void wait();
 
   private:
-    /**
-     * Cache-line aligned so two workers' mutexes and deque headers
-     * never share a line: each worker's hot pop path touches only its
-     * own line, and steals pay one coherence miss instead of
-     * ping-ponging a shared one.
-     */
-    struct alignas(64) Worker {
-        std::mutex mtx;
-        std::deque<std::function<void()>> queue;
-    };
-
-    void workerLoop(unsigned self);
-    bool runOneJob(unsigned self);
-    bool popJob(unsigned self, std::function<void()> &out);
-    void finishJob(std::exception_ptr err);
+    void workerLoop();
+    /** Pop the front job and run it with @p lk released. */
+    void runFront(std::unique_lock<std::mutex> &lk);
 
     unsigned numJobs;
-    std::vector<std::unique_ptr<Worker>> workers;
     std::vector<std::thread> threads;
 
-    std::mutex stateMtx;
-    std::condition_variable stateCv;
-    std::size_t pending = 0;   ///< submitted but not yet finished
-    std::size_t queued = 0;    ///< submitted but not yet popped
+    std::mutex mtx;
+    std::condition_variable cv;
+    std::deque<std::function<void()>> queue; ///< not yet started
+    std::size_t pending = 0; ///< submitted but not yet finished
     std::exception_ptr firstError;
     bool shuttingDown = false;
-    unsigned nextWorker = 0;   ///< round-robin submission cursor
 };
 
 /**

@@ -311,12 +311,17 @@ SyntheticSource::nextTransaction()
     const std::uint32_t chunk = static_cast<std::uint32_t>(
         compute_budget / (total_runs + 1));
 
+    // At most one compute chunk per run, plus the hot read-modify-write
+    // pair and the trailing compute.
+    txn.ops.reserve(mem_ops + total_runs + 3);
+
     // --- choose this transaction's write-spread slice set ------------
     std::vector<NodeId> write_slices;
     std::uint32_t spread = prof.writeSpreadDirs == 0
                                ? numProcs
                                : std::min(prof.writeSpreadDirs,
                                           numProcs);
+    write_slices.reserve(spread);
     write_slices.push_back(nodeId);
     for (std::uint32_t i = 1; i < spread; ++i)
         write_slices.push_back(

@@ -1,15 +1,18 @@
 /**
  * @file
- * SweepRunner: scheduling semantics (completion, ordering, errors,
- * reuse, TCC_JOBS) and the determinism contract - a batch of
- * simulations run through the pool must be bit-identical to the same
- * batch run serially, because every System is thread-confined.
+ * SweepRunner: scheduling semantics (completion, start and result
+ * order, errors, reuse, TCC_JOBS) and the determinism contract - a
+ * batch of simulations run through the pool must be bit-identical to
+ * the same batch run serially, because every System is
+ * thread-confined.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -86,6 +89,34 @@ TEST(SweepRunner, SweepIndexReturnsSubmissionOrder)
     ASSERT_EQ(out.size(), 200u);
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i * i);
+}
+
+TEST(SweepRunner, JobsStartInSubmissionOrder)
+{
+    // Two workers plus the caller inside wait() make three consumers.
+    // Jobs 0 and 1 hold two of them until job 7 runs, so jobs 2-7 all
+    // go through the one consumer left and start in the order they
+    // were submitted.
+    SweepRunner runner(2);
+    std::latch gate(1);
+    std::mutex orderMtx;
+    std::vector<int> order;
+    for (int i = 0; i < 8; ++i) {
+        runner.submit([&, i]() {
+            if (i < 2) {
+                gate.wait();
+                return;
+            }
+            {
+                std::lock_guard<std::mutex> lk(orderMtx);
+                order.push_back(i);
+            }
+            if (i == 7)
+                gate.count_down();
+        });
+    }
+    runner.wait();
+    EXPECT_EQ(order, (std::vector<int>{2, 3, 4, 5, 6, 7}));
 }
 
 TEST(SweepRunner, DefaultJobsHonorsEnv)
