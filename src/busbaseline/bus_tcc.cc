@@ -241,12 +241,14 @@ BusTcc::doCommit(Proc &p)
     for (const auto &[addr, value] : p.writeBuf)
         store.write(addr, value);
     if (config.enableChecker) {
-        std::vector<std::pair<Addr, std::uint64_t>> writes;
-        writes.reserve(p.writeBuf.size());
+        // Commits are recorded in TID order, so each replays at once
+        // and hands its logs' buffers back.
+        SerialChecker::Log writes = serialChecker.recycledLog();
         for (const auto &[addr, value] : p.writeBuf)
             writes.emplace_back(addr, value);
-        serialChecker.record(commitSeq, p.id, p.readLog,
+        serialChecker.record(commitSeq, p.id, std::move(p.readLog),
                              std::move(writes));
+        p.readLog = serialChecker.recycledLog();
     }
     ++commitSeq;
     p.cache.commitSpec(commitSeq);

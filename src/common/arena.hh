@@ -21,6 +21,12 @@
  *  - reset() rewinds the cursor to the first chunk and keeps the
  *    memory for reuse; under AddressSanitizer the reclaimed bytes are
  *    poisoned so use-after-reset faults immediately.
+ *  - a destroyed arena hands its small leading chunks (up to
+ *    kPoolChunkBytes each, kPoolBytes in all) to a process-wide pool
+ *    behind one mutex, and the next arena that needs a chunk of the
+ *    same size takes one back. The next System's construction then
+ *    writes to pages that are already mapped, whatever the previous
+ *    run freed to the heap. Pooled chunks stay poisoned under ASan.
  *  - ArenaAllocator<T> adapts the arena to the standard allocator
  *    interface. A default-constructed (nullptr) allocator falls back
  *    to ::operator new, so containers in contexts without a System
@@ -29,6 +35,8 @@
  * Thread confinement: an Arena is NOT thread-safe. It inherits the
  * System confinement invariant (DESIGN.md section 8): one sweep worker
  * owns the System - and therefore its arena - for the run's lifetime.
+ * Only the chunk pool is shared between threads, under its lock, and
+ * only when a chunk is created or an arena destroyed.
  */
 
 #ifndef TCC_COMMON_ARENA_HH
@@ -74,15 +82,29 @@ class Arena
     Arena(const Arena &) = delete;
     Arena &operator=(const Arena &) = delete;
 
+    /** Chunks up to this size go to the process-wide pool when their
+     *  arena is destroyed ... */
+    static constexpr std::size_t kPoolChunkBytes = std::size_t{1} << 20;
+    /** ... as long as the pool holds at most this many bytes. */
+    static constexpr std::size_t kPoolBytes = std::size_t{8} << 20;
+
     ~Arena()
     {
         for (Chunk &c : chunks) {
+#ifdef TCC_ARENA_ASAN
+            __asan_poison_memory_region(c.base, c.bytes);
+#endif
+            if (c.bytes <= kPoolChunkBytes && givePooled(c.base, c.bytes))
+                continue;
 #ifdef TCC_ARENA_ASAN
             __asan_unpoison_memory_region(c.base, c.bytes);
 #endif
             ::operator delete(c.base, std::align_val_t{kAlign});
         }
     }
+
+    /** Bytes of chunk payload the process-wide pool holds now. */
+    static std::size_t pooledBytes();
 
     /**
      * Allocate @p bytes with the given alignment (a power of two).
@@ -192,18 +214,27 @@ class Arena
             nextChunkBytes = nextChunkBytes * 2 < kMaxChunkBytes
                                  ? nextChunkBytes * 2
                                  : kMaxChunkBytes;
-        std::byte *base = static_cast<std::byte *>(
-            ::operator new(size, std::align_val_t{kAlign}));
+        std::byte *base = size <= kPoolChunkBytes ? takePooled(size)
+                                                  : nullptr;
+        if (!base)
+            base = static_cast<std::byte *>(
+                ::operator new(size, std::align_val_t{kAlign}));
         chunks.push_back(Chunk{base, size});
         curChunk = chunks.size() - 1;
         cur = base;
         end = base + size;
 #ifdef TCC_ARENA_ASAN
-        // Fresh chunk memory starts poisoned; allocate() unpoisons
-        // exactly the bytes handed out.
+        // Fresh chunk memory starts poisoned (a pooled one already
+        // is); allocate() unpoisons exactly the bytes handed out.
         __asan_poison_memory_region(base, size);
 #endif
     }
+
+    /** A pooled chunk of exactly @p bytes (the most recently pooled
+     *  one), or nullptr. */
+    static std::byte *takePooled(std::size_t bytes);
+    /** Pool a chunk unless that would exceed kPoolBytes. */
+    static bool givePooled(std::byte *base, std::size_t bytes);
 
     /// Chunk list in allocation order (reused in order after reset).
     std::vector<Chunk> chunks;

@@ -132,16 +132,14 @@ System::parts()
     if (!pdesState) {
         return {Part{0, config.numProcs, &eventq, net.get(), &arena,
                      &store, armedOrNull(tracer), &invariants,
-                     &serialChecker, &metricsSamp, &contentionProf,
-                     nullptr}};
+                     &metricsSamp, &contentionProf, nullptr}};
     }
     std::vector<Part> out;
     for (auto &d : pdesState->domains) {
         out.push_back(Part{d->spec.firstNode, d->spec.numNodes, &d->eq,
                            d->net.get(), &d->arena, &d->store,
                            armedOrNull(d->tracer), &d->checker,
-                           &d->commitLog, &d->metrics, &d->contention,
-                           d.get()});
+                           &d->metrics, &d->contention, d.get()});
     }
     return out;
 }
@@ -180,11 +178,17 @@ System::wireNodes()
             dir.setInvariantChecker(checker);
             proc.setInvariantChecker(checker);
             if (config.check.serial) {
-                proc.setCommitHook([log = part.commitLog](
-                                       Tid tid, NodeId p,
-                                       const auto &reads, auto writes) {
-                    log->record(tid, p, reads, std::move(writes));
-                });
+                // Every part feeds the one checker: PDES domains run on
+                // the calling thread.
+                SerialChecker *log = &serialChecker;
+                proc.setCommitHook(
+                    [log](Tid tid, NodeId p, auto &reads, auto &writes) {
+                        log->record(tid, p, std::move(reads),
+                                    std::move(writes));
+                        reads = log->recycledLog();
+                        writes = log->recycledLog();
+                    });
+                proc.setReleaseHook([log](Tid tid) { log->release(tid); });
             }
             if (PdesDomain *d = part.domain) {
                 // Cross-domain effects defer to the window barrier:
@@ -680,8 +684,6 @@ System::runPdes(Tick max_ticks)
         for (auto &d : st.domains)
             contentionProf->mergeFrom(*d->contention);
     }
-    for (auto &d : st.domains)
-        serialChecker.absorb(d->commitLog);
 
     finishRun(res, hit_tick_limit ? max_ticks : phase_start, halted,
               hit_tick_limit);

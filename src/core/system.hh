@@ -321,8 +321,9 @@ class System
     const Network &network() const { return *net; }
     Network &network() { return *net; }
     GlobalStore &memory() { return store; }
-    /** The serializability checker's commit log (structural access,
-     *  e.g. replayFinalState(); the verdict is in RunResult::serial). */
+    /** The serializability checker (structural access, e.g.
+     *  replayFinalState(), pendingHighWater(); the verdict is in
+     *  RunResult::serial). */
     const SerialChecker &commitLog() const { return serialChecker; }
     const TidVendor &vendor() const { return *tidVendor; }
     const SystemConfig &cfg() const { return config; }
@@ -390,7 +391,6 @@ class System
         GlobalStore *store;
         TraceRecorder *tracer;
         std::unique_ptr<InvariantChecker> *checker;
-        SerialChecker *commitLog;
         std::unique_ptr<MetricsSampler> *metrics;
         std::unique_ptr<ContentionProfiler> *contention;
         PdesDomain *domain; ///< null in serial mode

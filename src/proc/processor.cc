@@ -644,8 +644,7 @@ TccProcessor::completeCommit()
     // serialization point in the functional model.
     for (const auto &[addr, value] : writeBuf)
         globalStore.write(addr, value);
-    if (commitHook)
-        commitHook(tid, nodeId, readLog, writeLogForHook());
+    runCommitHook();
 
     for (const CommitDir &e : commitDirs) {
         if (!e.write)
@@ -730,14 +729,15 @@ TccProcessor::startSoloAcquisition()
     postMulticast(p, mcastBuf);
 }
 
-std::vector<std::pair<Addr, std::uint64_t>>
-TccProcessor::writeLogForHook() const
+void
+TccProcessor::runCommitHook()
 {
-    std::vector<std::pair<Addr, std::uint64_t>> writes;
-    writes.reserve(writeBuf.size());
+    if (!commitHook)
+        return;
+    writeLog.clear();
     for (const auto &[addr, value] : writeBuf)
-        writes.emplace_back(addr, value);
-    return writes;
+        writeLog.emplace_back(addr, value);
+    commitHook(tid, nodeId, readLog, writeLog);
 }
 
 void
@@ -791,10 +791,10 @@ void
 TccProcessor::soloCommit()
 {
     validated = true;
+    const std::size_t reads = readLog.size(); // the hook may take the log
     for (const auto &[addr, value] : writeBuf)
         globalStore.write(addr, value);
-    if (commitHook)
-        commitHook(tid, nodeId, readLog, writeLogForHook());
+    runCommitHook();
 
     // Remaining (undrained) write-set lines commit normally; every
     // other directory - including ones that only saw partial batches -
@@ -832,8 +832,8 @@ TccProcessor::soloCommit()
     // is unchanged.
     traceEmit(tracer, TraceEventKind::CommitFanout, nodeId, tid,
               solo_dirs, attemptMcastNic);
-    traceEmit(tracer, TraceEventKind::TxCommit, nodeId, tid,
-              readLog.size(), writeBuf.size());
+    traceEmit(tracer, TraceEventKind::TxCommit, nodeId, tid, reads,
+              writeBuf.size());
     recordCommitStats(solo_dirs, solo_dirs);
     ++procStats.soloCommits;
     specCache.commitSpec(tid);
@@ -876,6 +876,8 @@ TccProcessor::violate()
             a.tid = tid;
             post(a);
         }
+        if (releaseHook)
+            releaseHook(tid);
         tid = kInvalidTid;
     }
     // If a TID request is still outstanding, the eventual reply is

@@ -94,13 +94,20 @@ class TccProcessor
         std::function<void(NodeId, std::function<void()>)>;
     void setBarrier(BarrierFn fn) { barrier = std::move(fn); }
 
-    /** Hook invoked at every commit (serializability checker). The
-     *  write log is built for the hook, which may keep it. */
-    using CommitHook = std::function<void(
-        Tid, NodeId,
-        const std::vector<std::pair<Addr, std::uint64_t>> &reads,
-        std::vector<std::pair<Addr, std::uint64_t>> writes)>;
+    /** (addr, value) pairs a transaction read or wrote. */
+    using CommitLog = std::vector<std::pair<Addr, std::uint64_t>>;
+    /** Hook invoked at every commit (serializability checker) with the
+     *  read and write logs. It may take either buffer, leaving an empty
+     *  log in its place (ideally one with capacity, recycled). */
+    using CommitHook =
+        std::function<void(Tid, NodeId, CommitLog &reads,
+                           CommitLog &writes)>;
     void setCommitHook(CommitHook hook) { commitHook = std::move(hook); }
+
+    /** Hook invoked when an attempt that announced its TID aborts: the
+     *  TID will never commit. */
+    using ReleaseHook = std::function<void(Tid)>;
+    void setReleaseHook(ReleaseHook hook) { releaseHook = std::move(hook); }
 
     /** Hook invoked when the source is exhausted (barrier accounting). */
     void setDoneHook(std::function<void()> hook)
@@ -211,8 +218,8 @@ class TccProcessor
     NodeId homeOf(Addr addr);
 
     // --- commit engine ----------------------------------------------
-    /** (addr, value) pairs of the write buffer for the commit hook. */
-    std::vector<std::pair<Addr, std::uint64_t>> writeLogForHook() const;
+    /** Pass the read log and the write buffer to the commit hook. */
+    void runCommitHook();
     void startCommit();
     /** Fill commitDirs/commitLines from the vectors and write set. */
     void buildCommitTable();
@@ -263,6 +270,7 @@ class TccProcessor
     TransactionSource *source = nullptr;
     BarrierFn barrier;
     CommitHook commitHook;
+    ReleaseHook releaseHook;
     std::function<void()> doneHook;
     /** Protocol event ring (owned by the System; may be null). */
     TraceRecorder *tracer = nullptr;
@@ -288,7 +296,9 @@ class TccProcessor
      *  attempt. */
     FlatMap<Addr, std::uint64_t> writeBuf;
     /** (addr, value) pairs read from committed state (checker log). */
-    std::vector<std::pair<Addr, std::uint64_t>> readLog;
+    CommitLog readLog;
+    /** The write buffer as pairs, built at commit for the hook. */
+    CommitLog writeLog;
     NodeSet sharingVec;
     NodeSet writingVec;
     Tid tid = kInvalidTid;

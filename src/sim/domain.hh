@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "check/invariant_checker.hh"
-#include "check/serial_checker.hh"
 #include "common/arena.hh"
 #include "common/types.hh"
 #include "mem/global_store.hh"
@@ -255,9 +254,6 @@ struct PdesDomain {
         barrierArrivals;
     /** Processors that drained their source since the last barrier. */
     std::uint32_t newlyDone = 0;
-    /** This domain's serializability-checker commit records,
-     *  absorbed into the System's checker at finalize. */
-    SerialChecker commitLog;
 };
 
 /**

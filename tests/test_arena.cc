@@ -3,13 +3,17 @@
  * Unit tests for the per-System arena (common/arena.hh): alignment
  * guarantees, chunk growth, reset-and-reuse, the stats surface, and
  * the ArenaAllocator adapter (including its nullptr fallback and the
- * propagation traits the container conversions rely on).
+ * propagation traits the container conversions rely on), and the
+ * process-wide pool that hands a destroyed arena's leading chunks to
+ * the next arena.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/arena.hh"
@@ -164,6 +168,76 @@ TEST(ArenaAllocator, FlatMapOnArenaMatchesDefault)
     }
     EXPECT_GT(a.stats().liveBytes, 0u);
 }
+
+TEST(ArenaPool, NextArenaGetsTheLeadingChunkBack)
+{
+    void *first = nullptr;
+    {
+        Arena a;
+        first = a.allocate(64, Arena::kAlign); // the chunk's base
+    }
+    Arena b;
+    EXPECT_EQ(b.allocate(64, Arena::kAlign), first);
+}
+
+TEST(ArenaPool, HoldsAtMostItsBound)
+{
+    {
+        // Each arena grows a 256 KiB, a 512 KiB and a 1 MiB chunk
+        // (1.75 MiB), so eight of them offer more than the pool keeps.
+        std::vector<std::unique_ptr<Arena>> arenas;
+        for (int i = 0; i < 8; ++i) {
+            arenas.push_back(std::make_unique<Arena>());
+            for (std::size_t kib : {200, 400, 900})
+                arenas.back()->allocate(kib << 10, 64);
+            ASSERT_EQ(arenas.back()->stats().chunks, 3u);
+        }
+    }
+    EXPECT_LE(Arena::pooledBytes(), Arena::kPoolBytes);
+    // Full up to the last chunk that did not fit.
+    EXPECT_GT(Arena::pooledBytes(),
+              Arena::kPoolBytes - Arena::kPoolChunkBytes);
+}
+
+TEST(ArenaPool, ThreadsShareThePool)
+{
+    // Sweep workers build and destroy Systems concurrently; the pool's
+    // lock is the only shared state (run under TSan in the sanitizer
+    // gate).
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([t] {
+            for (int i = 0; i < 50; ++i) {
+                Arena a;
+                std::memset(a.allocate(1000, 64), t + i, 1000);
+                a.allocate(300 << 10, 64);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_LE(Arena::pooledBytes(), Arena::kPoolBytes);
+}
+
+#ifdef TCC_ARENA_ASAN
+TEST(ArenaPool, PooledChunkStaysPoisoned)
+{
+    char *p = nullptr;
+    {
+        Arena a;
+        p = static_cast<char *>(a.allocate(64, 64));
+        p[0] = 1;
+    }
+    // Pooled, not freed: the read is a use-after-poison report, not a
+    // heap-use-after-free one.
+    EXPECT_DEATH(
+        {
+            volatile char c = p[0];
+            (void)c;
+        },
+        "use-after-poison");
+}
+#endif
 
 } // namespace
 } // namespace tcc

@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <random>
+#include <set>
+
 #include "check/serial_checker.hh"
 #include "common/arena.hh"
 #include "core/report.hh"
@@ -263,6 +268,204 @@ TEST(SerialChecker, GapsInTidsAreFine)
     c.record(0, 0, {}, {{0x100, 1}});
     c.record(7, 1, {{0x100, 1}}, {{0x100, 2}});
     EXPECT_TRUE(c.verify().ok);
+}
+
+TEST(SerialChecker, ReleasedTidLetsTheReplayPass)
+{
+    // Records wait for every lower TID to settle; a release settles
+    // one that will never commit.
+    SerialChecker c;
+    c.record(1, 0, {}, {{0x100, 1}});
+    c.record(2, 1, {{0x100, 1}}, {});
+    c.record(3, 0, {}, {});
+    EXPECT_EQ(c.pendingHighWater(), 3u);
+    c.release(0);
+    c.record(4, 1, {}, {});
+    EXPECT_EQ(c.pendingHighWater(), 3u); // 1-3 replayed on the release
+    const auto r = c.verify();
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.txnsChecked, 4u);
+}
+
+TEST(SerialChecker, RecordAfterReleaseDetected)
+{
+    SerialChecker c;
+    c.release(0);
+    c.record(0, 2, {}, {{0x100, 1}});
+    const auto r = c.verify();
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("released"), std::string::npos) << r.error;
+}
+
+/** One event of a commit stream: a record or a release. */
+struct StreamEvent {
+    bool release = false;
+    Tid tid = 0;
+    NodeId proc = 0;
+    SerialChecker::Log reads;
+    SerialChecker::Log writes;
+};
+
+/** The verdict by sorting: settle each TID by its first event (later
+ *  records are a duplicate or a record after the release, later
+ *  releases are ignored), then replay in TID order and stop at the
+ *  first failure. */
+SerialChecker::Result
+sortAndReplay(const std::map<Addr, std::uint64_t> &initial,
+              const std::vector<StreamEvent> &events)
+{
+    std::map<Tid, const StreamEvent *> first;
+    std::set<Tid> duplicates;
+    std::set<Tid> afterRelease;
+    for (const StreamEvent &e : events) {
+        const auto [it, fresh] = first.emplace(e.tid, &e);
+        if (fresh || e.release)
+            continue;
+        (it->second->release ? afterRelease : duplicates).insert(e.tid);
+    }
+    std::map<Addr, std::uint64_t> model = initial;
+    SerialChecker::Result res;
+    char buf[160];
+    const auto failed = [&] {
+        res.ok = false;
+        res.error = buf;
+        return res;
+    };
+    for (const auto &[tid, e] : first) {
+        if (afterRelease.count(tid)) {
+            std::snprintf(buf, sizeof(buf),
+                          "TID %llu committed after it was released",
+                          (unsigned long long)tid);
+            return failed();
+        }
+        if (e->release)
+            continue;
+        for (const auto &[addr, seen] : e->reads) {
+            if (seen != model[addr]) {
+                std::snprintf(buf, sizeof(buf),
+                              "TID %llu (proc %u) read %llx=%llu but "
+                              "serial replay expects %llu",
+                              (unsigned long long)tid, e->proc,
+                              (unsigned long long)addr,
+                              (unsigned long long)seen,
+                              (unsigned long long)model[addr]);
+                return failed();
+            }
+        }
+        for (const auto &[addr, value] : e->writes)
+            model[addr] = value;
+        if (duplicates.count(tid)) {
+            std::snprintf(buf, sizeof(buf),
+                          "duplicate TID %llu committed twice",
+                          (unsigned long long)tid);
+            return failed();
+        }
+        ++res.txnsChecked;
+    }
+    return res;
+}
+
+TEST(SerialChecker, StreamMatchesSortAndReplay)
+{
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE(seed);
+        std::mt19937_64 rng(seed);
+        const auto pick = [&](std::uint64_t n) { return rng() % n; };
+        const auto word = [&] { return Addr{0x100} + 4 * pick(12); };
+
+        std::map<Addr, std::uint64_t> initial;
+        for (int i = 0; i < 4; ++i)
+            initial[word()] = pick(100);
+
+        // A serial execution in TID order; most TIDs commit, some
+        // abort (released) and a few are never settled (gaps).
+        const Tid num_tids = 20 + pick(60);
+        std::map<Addr, std::uint64_t> state = initial;
+        std::vector<StreamEvent> events;
+        std::vector<std::size_t> commits;
+        for (Tid t = 0; t < num_tids; ++t) {
+            StreamEvent e;
+            e.tid = t;
+            e.proc = static_cast<NodeId>(pick(8));
+            const std::uint64_t kind = pick(100);
+            if (kind < 3)
+                continue; // gap
+            if (kind < 28) {
+                e.release = true;
+            } else {
+                for (std::uint64_t i = pick(4); i > 0; --i) {
+                    const Addr a = word();
+                    e.reads.emplace_back(a, state[a]);
+                }
+                for (std::uint64_t i = 1 + pick(2); i > 0; --i) {
+                    const Addr a = word();
+                    e.writes.emplace_back(a, pick(1000));
+                    state[a] = e.writes.back().second;
+                }
+                commits.push_back(events.size());
+            }
+            events.push_back(std::move(e));
+        }
+        ASSERT_FALSE(commits.empty());
+
+        // Plant one stale read.
+        StreamEvent &victim = events[commits[pick(commits.size())]];
+        if (victim.reads.empty())
+            victim.reads.emplace_back(word(), 0);
+        victim.reads[pick(victim.reads.size())].second += 1 + pick(5);
+
+        // Arrival order: each event moves a bounded random distance.
+        for (std::size_t i = 0; i + 1 < events.size(); ++i)
+            std::swap(events[i], events[i + pick(std::min<std::size_t>(
+                                         6, events.size() - i))]);
+
+        // One duplicate record and, in half the logs, a record for a
+        // released TID, each arriving after the TID's first event.
+        const auto arriveLater = [&](StreamEvent e) {
+            std::size_t at = 0;
+            while (events[at].tid != e.tid)
+                ++at;
+            events.insert(events.begin() + at + 1 +
+                              pick(events.size() - at),
+                          std::move(e));
+        };
+        for (std::size_t at = pick(events.size());; at = pick(events.size())) {
+            if (!events[at].release) {
+                StreamEvent dup = events[at];
+                dup.proc = 99;
+                arriveLater(std::move(dup));
+                break;
+            }
+        }
+        if (pick(2)) {
+            for (const StreamEvent &e : events) {
+                if (e.release) {
+                    StreamEvent late = e;
+                    late.release = false;
+                    late.writes.emplace_back(word(), 5);
+                    arriveLater(std::move(late));
+                    break;
+                }
+            }
+        }
+
+        const SerialChecker::Result expect = sortAndReplay(initial, events);
+        SerialChecker c;
+        for (const auto &[addr, value] : initial)
+            c.setInitial(addr, value);
+        for (const StreamEvent &e : events) {
+            if (e.release)
+                c.release(e.tid);
+            else
+                c.record(e.tid, e.proc, e.reads, e.writes);
+        }
+        for (int pass = 0; pass < 2; ++pass) { // verify() is repeatable
+            const SerialChecker::Result got = c.verify();
+            EXPECT_EQ(got.ok, expect.ok);
+            EXPECT_EQ(got.error, expect.error);
+            EXPECT_EQ(got.txnsChecked, expect.txnsChecked);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
