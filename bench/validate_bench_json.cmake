@@ -146,13 +146,17 @@ endif()
 
 if(UNIQUE_POINT_KEYS)
   string(REPLACE "," ";" unique_key_list "${UNIQUE_POINT_KEYS}")
-  string(JSON npts LENGTH "${doc}" points)
+  # Parse the document once for `points` and each point once for its
+  # keys; GET on the whole document per key re-parses all of it.
+  string(JSON points GET "${doc}" points)
+  string(JSON npts LENGTH "${points}")
   set(seen_tuples "")
   math(EXPR last "${npts} - 1")
   foreach(i RANGE ${last})
+    string(JSON point GET "${points}" ${i})
     set(tuple "")
     foreach(key IN LISTS unique_key_list)
-      string(JSON val GET "${doc}" points ${i} ${key})
+      string(JSON val GET "${point}" ${key})
       string(APPEND tuple "${key}=${val}/")
     endforeach()
     list(FIND seen_tuples "${tuple}" dup_idx)

@@ -97,11 +97,11 @@ main(int argc, char **argv)
                 (unsigned long long)sys.memory().read(x),
                 (unsigned long long)sys.memory().read(x + 4096));
 
-    // The ledger folds the same ring into each transaction's
+    // The ledger folds the recorded events into each transaction's
     // lifecycle.
     std::printf("trace: %llu events captured\n",
                 (unsigned long long)sys.traceRecorder().captured());
-    for (const auto &e : buildTxLedger(sys.traceRecorder()).entries) {
+    for (const auto &e : sys.traceRecorder().ledger().entries) {
         std::printf("  tx %llu @ proc %u: exec=%llu commit=%llu "
                     "retries=%u",
                     (unsigned long long)e.tid, e.node,

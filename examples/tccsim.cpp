@@ -36,7 +36,10 @@
  *                       --trace-out)
  *     --trace-out FILE  record the structured protocol trace and write
  *                       it as Chrome/Perfetto trace JSON to FILE (open
- *                       in ui.perfetto.dev or chrome://tracing)
+ *                       in ui.perfetto.dev or chrome://tracing).
+ *                       Either flag also arms the tx ledger in
+ *                       --stats / --stats-json, which holds every
+ *                       commit however far the trace ring wraps
  *     --stats FILE      write a full gem5-style stats dump to FILE
  *     --stats-json FILE write the stats tree as JSON to FILE (includes
  *                       the resolved configuration)
@@ -47,11 +50,12 @@
  *     --metrics-out FILE write the epoch time series as CSV to FILE
  *                       (arms the sampler with a 1000-cycle epoch if
  *                       --metrics-epoch was not given)
- *     --contention K    size of the conflict profiler's top-K
- *                       hot-word table (default 32; 0 disarms it).
- *                       The table and abort blame graph land in
- *                       --stats / --stats-json, and the 5 lines with
- *                       the most aborts are printed
+ *     --contention K    hot words the conflict profiler reports
+ *                       (default 32; 0 disarms it). The profiler
+ *                       counts every conflicting word; the K hottest
+ *                       and the abort blame graph land in --stats /
+ *                       --stats-json, and the 5 lines with the most
+ *                       aborts are printed
  *     --contention-dot FILE
  *                       write the abort blame graph as GraphViz DOT to
  *                       FILE
@@ -496,11 +500,10 @@ main(int argc, char **argv)
         }
         writeMetricsCsv(*m, f);
         std::printf("\nmetrics CSV written to %s (%llu epochs of %llu "
-                    "cycles, %llu dropped)\n",
+                    "cycles)\n",
                     metrics_out_path.c_str(),
                     (unsigned long long)m->closed(),
-                    (unsigned long long)m->epochLength(),
-                    (unsigned long long)m->dropped());
+                    (unsigned long long)m->epochLength());
     }
 
     if (!contention_dot_path.empty()) {
@@ -518,13 +521,14 @@ main(int argc, char **argv)
     }
 
     // The ring silently overwrites its oldest records when full; make
-    // the loss loud so a truncated ledger/trace is never mistaken for
-    // a complete one.
+    // the loss loud so a cut trace is never mistaken for a complete
+    // one. The ledger was folded before the overwrite and is whole.
     if (sys.traceRecorder().dropped() != 0) {
         std::fprintf(stderr,
                      "warning: protocol trace ring dropped %llu of "
-                     "%llu events (oldest overwritten); raise the "
-                     "ring capacity to keep the full history\n",
+                     "%llu events (oldest overwritten): the text and "
+                     "Perfetto history is cut, the tx ledger keeps "
+                     "every commit\n",
                      (unsigned long long)sys.traceRecorder().dropped(),
                      (unsigned long long)sys.traceRecorder().captured());
     }

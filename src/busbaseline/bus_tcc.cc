@@ -207,7 +207,7 @@ BusTcc::grantToken()
     // Flush the write-set over the ordered bus: addresses + data
     // (write-through commit). The bus is the serialization point.
     const std::uint64_t bytes =
-        p.cache.writeSetLines() *
+        p.cache.setSizes().writeLines *
         (8ull + config.cache.lineBytes); // addr + data per line
     const Tick wait = busTransfer(bytes);
 

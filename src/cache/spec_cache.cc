@@ -353,18 +353,6 @@ SpecCache::setSizes() const
     return n;
 }
 
-std::uint32_t
-SpecCache::writeSetLines() const
-{
-    return setSizes().writeLines;
-}
-
-std::uint32_t
-SpecCache::readSetLines() const
-{
-    return setSizes().readLines;
-}
-
 void
 SpecCache::commitSpec(Tid tid, bool make_dirty)
 {

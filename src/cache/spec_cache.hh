@@ -150,12 +150,6 @@ class SpecCache
      *  messages); callers keep @p out to reuse its capacity. */
     void writeSet(std::vector<WriteSetLine> &out) const;
 
-    /** Number of speculatively written lines (write-set size). */
-    std::uint32_t writeSetLines() const;
-
-    /** Number of speculatively read lines (read-set footprint stat). */
-    std::uint32_t readSetLines() const;
-
     /** Write- and read-set sizes in lines, counted in one walk. */
     struct SetSizes {
         std::uint32_t writeLines = 0;

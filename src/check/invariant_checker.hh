@@ -35,7 +35,8 @@
  * A failure is recorded (first failure wins) rather than panicking:
  * System::run() halts the simulation at the next event boundary and
  * reports the verdict in RunResult::invariants, so sweeps and the
- * TCC_MUTATE efficacy tests can assert on the diagnostic. The report
+ * mutation efficacy tests (check/mutate.hh) can assert on the
+ * diagnostic. The report
  * names the invariant, the offending TID and directory/processor, and
  * appends the last N protocol trace events when tracing is enabled.
  *

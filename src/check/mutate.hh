@@ -2,15 +2,13 @@
  * @file
  * Deliberate protocol mutations for checker efficacy tests.
  *
- * A checker that has never caught a bug proves nothing. When the
- * library is built with -DTCC_MUTATE (the default), tests can arm
+ * A checker that has never caught a bug proves nothing. Tests can arm
  * exactly one runtime-selected mutation that breaks a protocol rule
  * the invariant checker is supposed to enforce, then assert the
  * checker reports it with a diagnostic naming the invariant and TID
  * (tests/test_invariants.cc). With no mutation armed - the only state
  * any normal run is ever in - every hook site reduces to one load and
- * a predictably-false compare, and simulated behaviour is bit-identical
- * to a build without TCC_MUTATE.
+ * a predictably-false compare.
  *
  * The hooks are deliberately NOT thread-safe to arm: tests arm a
  * mutation before constructing Systems and disarm after; concurrent
@@ -55,14 +53,9 @@ name(Kind k)
     }
 }
 
-#ifdef TCC_MUTATE
-
 namespace detail {
 inline Kind gActive = Kind::None;
 } // namespace detail
-
-/** True when mutation support is compiled in. */
-constexpr bool compiledIn() { return true; }
 
 /** The armed mutation (Kind::None outside mutation tests). */
 inline Kind active() { return detail::gActive; }
@@ -82,21 +75,6 @@ class Scoped
     Scoped(const Scoped &) = delete;
     Scoped &operator=(const Scoped &) = delete;
 };
-
-#else // !TCC_MUTATE
-
-constexpr bool compiledIn() { return false; }
-constexpr Kind active() { return Kind::None; }
-inline void set(Kind) {}
-constexpr bool is(Kind) { return false; }
-
-class Scoped
-{
-  public:
-    explicit Scoped(Kind) {}
-};
-
-#endif // TCC_MUTATE
 
 } // namespace tcc::mutate
 

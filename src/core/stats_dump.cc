@@ -98,8 +98,6 @@ addMetrics(StatsNode &g, const MetricsSampler &m)
 {
     g.num("epoch", m.epochLength());
     g.num("epochs_closed", m.closed());
-    g.num("epochs_dropped", m.dropped());
-    g.num("first_epoch", m.firstEpoch());
     addMetricsSeries(m, g.group("series"));
 }
 
@@ -108,7 +106,6 @@ addContention(StatsNode &g, const ContentionProfiler &c)
 {
     g.num("top_k", c.topK());
     g.num("conflicts", c.conflictsRecorded());
-    g.num("evictions", c.evictions());
     StatsNode &words = g.list("hot_words");
     for (const auto &w : c.hotWords()) {
         StatsNode &it = words.item();
@@ -217,24 +214,17 @@ addLedgerEntry(StatsNode &g, const TxLedgerEntry &e)
     }
 }
 
-/** The count of commits left out of the ledger, ledger-wide fan-out
- *  distributions, and the violation-cause histogram: which addresses
- *  caused retries, not just each transaction's last cause (count
- *  descending, address ascending). */
+/** The violation-cause histogram: which addresses caused retries,
+ *  not just each transaction's last cause (count descending, address
+ *  ascending). The ledger-wide fan-out distributions are the per-proc
+ *  dirs_touched_per_commit and multicast_nic_per_commit. */
 void
 addLedgerSummary(StatsNode &g, const TxLedger &ledger)
 {
-    g.num("truncated", ledger.truncated);
-    Distribution dirs, mcast;
     FlatMap<Addr, std::uint64_t> agg;
-    for (const TxLedgerEntry &e : ledger.entries) {
-        dirs.sample(static_cast<double>(e.directoriesTouched));
-        mcast.sample(static_cast<double>(e.multicastEvents));
+    for (const TxLedgerEntry &e : ledger.entries)
         for (const auto &[addr, n] : e.causes)
             agg[addr] += n;
-    }
-    g.dist("directories_touched", dirs);
-    g.dist("multicast_events", mcast);
 
     std::vector<std::pair<Addr, std::uint64_t>> causes;
     causes.reserve(agg.size());
@@ -277,7 +267,7 @@ buildStatsTree(const System &sys)
     for (NodeId d = 0; d < sys.numProcs(); ++d)
         addDirectory(dirs.item(), d, sys.directory(d));
 
-    const TxLedger ledger = buildTxLedger(sys.traceRecorder());
+    const TxLedger &ledger = sys.traceRecorder().ledger();
     StatsNode &entries = root.list("tx_ledger");
     for (const TxLedgerEntry &e : ledger.entries)
         addLedgerEntry(entries.item(), e);

@@ -220,15 +220,14 @@ System::wireNodes()
         // Observability layers: one private instance per part, fed
         // only by that part's nodes; PDES merges them at finalize.
         if (config.trace.metricsEpoch != 0) {
-            *part.metrics = std::make_unique<MetricsSampler>(
-                config.trace.metricsEpoch, config.trace.metricsCapacity,
-                part.arena);
+            *part.metrics =
+                std::make_unique<MetricsSampler>(config.trace.metricsEpoch);
             registerMetricProbes(**part.metrics, part.first, part.count,
                                  *part.net);
         }
         if (config.trace.contentionTopK != 0) {
             *part.contention = std::make_unique<ContentionProfiler>(
-                config.trace.contentionTopK, part.arena);
+                config.trace.contentionTopK);
             for (NodeId n = part.first; n < end; ++n)
                 procs[n]->setContentionProfiler(part.contention->get());
         }
@@ -668,9 +667,8 @@ System::runPdes(Tick max_ticks)
     if (config.trace.metricsEpoch != 0) {
         for (auto &d : st.domains)
             d->metrics->finish(metrics_end);
-        metricsSamp = std::make_unique<MetricsSampler>(
-            config.trace.metricsEpoch, config.trace.metricsCapacity,
-            &arena);
+        metricsSamp =
+            std::make_unique<MetricsSampler>(config.trace.metricsEpoch);
         registerMetricProbes(*metricsSamp, 0, config.numProcs, *net);
         std::vector<const MetricsSampler *> series;
         series.reserve(st.domains.size());
@@ -679,8 +677,8 @@ System::runPdes(Tick max_ticks)
         metricsSamp->adoptMerged(series);
     }
     if (config.trace.contentionTopK != 0) {
-        contentionProf = std::make_unique<ContentionProfiler>(
-            config.trace.contentionTopK, &arena);
+        contentionProf =
+            std::make_unique<ContentionProfiler>(config.trace.contentionTopK);
         for (auto &d : st.domains)
             contentionProf->mergeFrom(*d->contention);
     }

@@ -96,19 +96,18 @@ struct TraceConfig {
      *  protocol tracing: a nonzero value claims the ring from the
      *  System's arena (each PDES domain's, under PDES) at
      *  construction, and every component records every event kind
-     *  into it. Recording is purely observational: results are
-     *  bit-identical armed or not. */
+     *  into it. The tx ledger folds every recorded commit whatever
+     *  this size; only the ring's history wraps. Recording is purely
+     *  observational: results are bit-identical armed or not. */
     std::size_t capacity = 0;
     /** Epoch sampler cadence in cycles; 0 (default) = off. When armed
-     *  the run loop closes one metrics row per epoch (see
-     *  obs/metrics.hh). Sampling is purely observational: results are
-     *  bit-identical armed or not. */
+     *  the run loop closes one metrics row per epoch and keeps every
+     *  row (see obs/metrics.hh). Sampling is purely observational:
+     *  results are bit-identical armed or not. */
     Tick metricsEpoch = 0;
-    /** Epoch ring size in rows (oldest rows are overwritten and
-     *  counted as dropped when a run outlives the ring). */
-    std::size_t metricsCapacity = 4096;
-    /** Contention profiler hot-word table bound; 0 (default) = off
-     *  (see obs/contention.hh). */
+    /** Hot words the contention profiler reports; 0 (default) = off.
+     *  The table itself keeps every conflicting word (see
+     *  obs/contention.hh). */
     std::size_t contentionTopK = 0;
 };
 

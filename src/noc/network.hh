@@ -166,14 +166,6 @@ class Network
     /** Cumulative traffic statistics. */
     const NetworkStats &stats() const { return netStats; }
 
-    /** Reset traffic statistics (e.g., after warmup). */
-    void
-    resetStats()
-    {
-        netStats = NetworkStats{};
-        netStats.nodeBytes.assign(handlers.size(), 0);
-    }
-
     /** Attach the System's protocol event ring (may be null). */
     void setTraceRecorder(TraceRecorder *rec) { tracer = rec; }
 

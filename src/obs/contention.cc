@@ -17,48 +17,9 @@ edgeKey(Tid writer, NodeId victim)
 
 } // namespace
 
-ContentionProfiler::ContentionProfiler(std::size_t top_k, Arena *arena)
-    : topK_(top_k < 1 ? 1 : top_k),
-      table(arena),
-      tidOwners(arena),
-      rawEdges(arena)
+ContentionProfiler::ContentionProfiler(std::size_t top_k)
+    : topK_(top_k < 1 ? 1 : top_k)
 {
-    table.reserve(topK_);
-}
-
-void
-ContentionProfiler::noteWord(Addr addr, const WordStats &delta)
-{
-    auto it = table.find(addr);
-    if (it != table.end()) {
-        WordStats &s = it->second;
-        s.srConflicts += delta.srConflicts;
-        s.smConflicts += delta.smConflicts;
-        s.aborts += delta.aborts;
-        s.wasted += delta.wasted;
-        return;
-    }
-    if (table.size() >= topK_) {
-        // Space-saving eviction: drop the minimum-weight entry; ties
-        // evict the larger address so lower addresses win. Scanning
-        // the table is O(K) but only runs when a *new* address arrives
-        // with the table full - steady-state hot words hit the
-        // accumulate path above.
-        Addr victim = 0;
-        bool have = false;
-        std::uint64_t min_w = 0;
-        for (const auto &kv : table) {
-            const std::uint64_t w = kv.second.weight();
-            if (!have || w < min_w || (w == min_w && kv.first > victim)) {
-                victim = kv.first;
-                min_w = w;
-                have = true;
-            }
-        }
-        table.erase(victim);
-        ++evictions_;
-    }
-    table[addr] = delta;
 }
 
 void
@@ -67,39 +28,31 @@ ContentionProfiler::recordConflict(NodeId victim, Tid writer_tid, Addr addr,
                                    std::uint64_t wasted_cycles)
 {
     ++conflicts_;
-    WordStats d;
-    d.srConflicts = sr ? 1 : 0;
-    d.smConflicts = sm ? 1 : 0;
+    WordStats &s = table[addr];
+    s.srConflicts += sr ? 1 : 0;
+    s.smConflicts += sm ? 1 : 0;
     if (aborted) {
-        d.aborts = 1;
-        d.wasted = wasted_cycles;
+        ++s.aborts;
+        s.wasted += wasted_cycles;
         ++rawEdges[edgeKey(writer_tid, victim)];
     }
-    noteWord(addr, d);
 }
 
 void
 ContentionProfiler::mergeFrom(const ContentionProfiler &other)
 {
-    // Replay the other table in ascending-address order so the merged
-    // result is independent of FlatMap slot order (and of the worker
-    // count that produced it).
-    std::vector<HotWord> words;
-    words.reserve(other.table.size());
-    for (const auto &kv : other.table)
-        words.push_back(HotWord{kv.first, kv.second});
-    std::sort(words.begin(), words.end(),
-              [](const HotWord &a, const HotWord &b) {
-                  return a.addr < b.addr;
-              });
-    for (const HotWord &w : words)
-        noteWord(w.addr, w.s);
+    for (const auto &[addr, o] : other.table) {
+        WordStats &s = table[addr];
+        s.srConflicts += o.srConflicts;
+        s.smConflicts += o.smConflicts;
+        s.aborts += o.aborts;
+        s.wasted += o.wasted;
+    }
     for (const auto &kv : other.tidOwners)
         tidOwners[kv.first] = kv.second;
     for (const auto &kv : other.rawEdges)
         rawEdges[kv.first] += kv.second;
     conflicts_ += other.conflicts_;
-    evictions_ += other.evictions_;
 }
 
 std::vector<ContentionProfiler::HotWord>
@@ -114,6 +67,8 @@ ContentionProfiler::hotWords() const
             return a.s.weight() > b.s.weight();
         return a.addr < b.addr;
     });
+    if (out.size() > topK_)
+        out.resize(topK_);
     return out;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Conflict attribution: a top-K hot-word table and an abort blame
+ * Conflict attribution: an exact hot-word table and an abort blame
  * graph, fed by the processor's invalidation path.
  *
  * A violation today tells you *that* a transaction died; this profiler
@@ -10,11 +10,10 @@
  *
  * Two structures:
  *  - Hot words: address -> {SR conflicts, SM conflicts, aborts caused,
- *    wasted cycles attributed}. Bounded at top-K entries with a
- *    deterministic space-saving policy: when full, the minimum-weight
- *    entry is evicted (weight = SR + SM conflicts; ties evict the
- *    larger address, so lower addresses win) and the newcomer starts
- *    fresh. Eviction count is reported so saturation is visible.
+ *    wasted cycles attributed}, one entry for every conflicting word,
+ *    so the table is exact: its aborts sum to the run's violations.
+ *    K bounds only what hotWords() reports (the top K by weight =
+ *    SR + SM conflicts, ties broken by ascending address).
  *  - Blame edges: killer proc -> victim proc abort counts. The
  *    invalidation carries only the writer's TID (the ViolationCause
  *    plumbing), so edges are keyed by (writer TID, victim) at record
@@ -28,10 +27,9 @@
  * invalidation - same discipline as TraceRecorder.
  *
  * Under PDES each domain owns a private instance touched only by its
- * own processors (TSan-clean); at finalize they merge into a
- * system-level instance in deterministic (domain id, ascending
- * address) order through the same bounded-insert path, so jobs=1 and
- * jobs=N produce identical tables.
+ * own processors; at finalize they sum into a system-level instance.
+ * Sums do not depend on order, so the merged table is the same
+ * whatever order the domains merge in.
  */
 
 #ifndef TCC_OBS_CONTENTION_HH
@@ -41,7 +39,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/flat_map.hh"
 #include "common/types.hh"
 
@@ -66,16 +63,15 @@ class ContentionProfiler
 
     struct Edge {
         NodeId killer; ///< kInvalidNode when the writer TID was never
-                       ///< seen granted (e.g. truncated trace)
+                       ///< seen granted
         NodeId victim;
         std::uint64_t count;
     };
 
     static constexpr std::size_t kDefaultTopK = 32;
 
-    /** @param top_k  hot-word table bound (clamped to >= 1)
-     *  @param arena  backing store for the maps (nullptr = heap) */
-    explicit ContentionProfiler(std::size_t top_k, Arena *arena = nullptr);
+    /** @param top_k  words hotWords() reports (clamped to >= 1) */
+    explicit ContentionProfiler(std::size_t top_k);
 
     ContentionProfiler(const ContentionProfiler &) = delete;
     ContentionProfiler &operator=(const ContentionProfiler &) = delete;
@@ -101,23 +97,21 @@ class ContentionProfiler
                         bool sm, bool aborted, std::uint64_t wasted_cycles);
 
     // --- PDES finalize merge -----------------------------------------
-    /** Fold @p other into this profiler: hot words replayed in
-     *  ascending-address order through the bounded-insert path, owner
-     *  map and raw edges unioned. Call once per domain in domain-id
-     *  order for a deterministic merged table. */
+    /** Fold @p other into this profiler: word stats and raw edges
+     *  summed, owner maps unioned. */
     void mergeFrom(const ContentionProfiler &other);
 
     // --- results ------------------------------------------------------
     std::size_t topK() const { return topK_; }
     std::uint64_t conflictsRecorded() const { return conflicts_; }
-    std::uint64_t evictions() const { return evictions_; }
 
-    /** Hot-word table sorted by weight descending, address ascending. */
+    /** The (at most) topK() hottest words, sorted by weight
+     *  descending, address ascending. */
     std::vector<HotWord> hotWords() const;
 
     /** The (at most) @p n words that caused aborts, sorted by aborts
      *  descending, address ascending: the TAPE-style hotspot list
-     *  (paper Section 3.3), exact while evictions() == 0. */
+     *  (paper Section 3.3). */
     std::vector<HotWord> topAborts(std::size_t n) const;
 
     /** Blame edges with killers resolved through the owner map, sorted
@@ -131,8 +125,6 @@ class ContentionProfiler
     void writeDot(std::ostream &os) const;
 
   private:
-    void noteWord(Addr addr, const WordStats &delta);
-
     std::size_t topK_;
     FlatMap<Addr, WordStats> table;
     FlatMap<Tid, NodeId> tidOwners;
@@ -140,7 +132,6 @@ class ContentionProfiler
      *  in 12 bits (SystemConfig caps procs at 4096). */
     FlatMap<std::uint64_t, std::uint64_t> rawEdges;
     std::uint64_t conflicts_ = 0;
-    std::uint64_t evictions_ = 0;
 };
 
 } // namespace tcc

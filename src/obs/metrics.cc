@@ -20,12 +20,8 @@ saturatingAdd(Tick a, Tick b)
 
 } // namespace
 
-MetricsSampler::MetricsSampler(Tick epoch_len, std::size_t capacity,
-                               Arena *arena)
-    : ring(ArenaAllocator<std::uint64_t>(arena)),
-      epochLen(epoch_len < 1 ? 1 : epoch_len),
-      epochEnd(epochLen),
-      cap(capacity < 1 ? 1 : capacity)
+MetricsSampler::MetricsSampler(Tick epoch_len)
+    : epochLen(epoch_len < 1 ? 1 : epoch_len), epochEnd(epochLen)
 {
 }
 
@@ -50,14 +46,9 @@ MetricsSampler::probeIndex(const char *name) const
 void
 MetricsSampler::closeEpoch()
 {
-    if (ring.empty())
-        ring.resize(cap * probes.size(), 0);
-    std::uint64_t *row =
-        &ring[static_cast<std::size_t>(total % cap) * probes.size()];
-    for (std::size_t p = 0; p < probes.size(); ++p) {
-        Probe &pr = probes[p];
+    for (Probe &pr : probes) {
         const std::uint64_t cur = pr.fn();
-        row[p] = pr.kind == Kind::Delta ? cur - pr.last : cur;
+        series.push_back(pr.kind == Kind::Delta ? cur - pr.last : cur);
         pr.last = cur;
     }
     ++total;
@@ -101,18 +92,8 @@ MetricsSampler::adoptMerged(const std::vector<const MetricsSampler *> &parts)
         assert(part->total == total && "unequal epoch counts");
         (void)part;
     }
-    const std::size_t nrows =
-        total < cap ? static_cast<std::size_t>(total) : cap;
-    ring.assign(cap * np, 0);
-    // Write each merged row at the ring index at() will read it from
-    // (rotated when the per-domain rings wrapped).
-    const std::size_t base =
-        total > cap ? static_cast<std::size_t>(total % cap) : 0;
-    for (std::size_t r = 0; r < nrows; ++r) {
-        std::size_t dst = base + r;
-        if (dst >= cap)
-            dst -= cap;
-        std::uint64_t *row = &ring[dst * np];
+    series.clear();
+    for (std::size_t r = 0; r < total; ++r) {
         for (std::size_t p = 0; p < np; ++p) {
             std::uint64_t acc = parts[0]->at(r, p);
             for (std::size_t d = 1; d < parts.size(); ++d) {
@@ -129,7 +110,7 @@ MetricsSampler::adoptMerged(const std::vector<const MetricsSampler *> &parts)
                     break;
                 }
             }
-            row[p] = acc;
+            series.push_back(acc);
         }
     }
 }
@@ -137,13 +118,12 @@ MetricsSampler::adoptMerged(const std::vector<const MetricsSampler *> &parts)
 void
 addMetricsSeries(const MetricsSampler &m, StatsNode &series)
 {
-    const std::uint64_t first = m.firstEpoch();
     StatsNode &epoch = series.vector("epoch");
     for (std::size_t r = 0; r < m.rows(); ++r)
-        epoch.push(first + r);
+        epoch.push(r);
     StatsNode &start = series.vector("start_tick");
     for (std::size_t r = 0; r < m.rows(); ++r)
-        start.push((first + r) * m.epochLength());
+        start.push(r * m.epochLength());
     for (std::size_t p = 0; p < m.probeCount(); ++p) {
         StatsNode &col = series.vector(m.probeName(p));
         for (std::size_t r = 0; r < m.rows(); ++r)

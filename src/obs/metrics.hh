@@ -1,7 +1,9 @@
 /**
  * @file
  * Time-resolved metrics: an epoch sampler that snapshots a registry of
- * counter probes every N simulated cycles into an arena-backed ring.
+ * counter probes every N simulated cycles, keeping every closed epoch
+ * (8 B per probe and epoch: 4M cycles of 1,000-cycle epochs with the
+ * ten system probes take 320 kB).
  *
  * Every end-of-run aggregate (RunResult::Breakdown, the stats dump)
  * collapses phase behavior - flash crowds, NSTID stalls, commit-storm
@@ -21,7 +23,7 @@
  * Two probe kinds cover the registry:
  *  - Delta: the probe reads a cumulative counter (commits, network
  *    bytes); the closed epoch stores the increment since the previous
- *    close. Robust to ring wrap: each row is self-contained.
+ *    close.
  *  - Gauge: the probe reads a point-in-time value (NSTID, TIDs
  *    issued); the closed epoch stores the value at the boundary.
  *
@@ -48,7 +50,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/types.hh"
 
 namespace tcc {
@@ -58,8 +59,6 @@ class StatsNode;
 class MetricsSampler
 {
   public:
-    static constexpr std::size_t kDefaultCapacity = 4096;
-
     /** How a probe's raw reading becomes a per-epoch value. */
     enum class Kind : std::uint8_t {
         Delta, ///< cumulative counter: store the increment per epoch
@@ -69,14 +68,8 @@ class MetricsSampler
     /** How per-domain rows fold at the PDES finalize merge. */
     enum class Merge : std::uint8_t { Sum, Min, Max };
 
-    /**
-     * @param epoch_len epoch width in cycles (>= 1)
-     * @param capacity  ring size in epochs (clamped to >= 1); when it
-     *                  fills the oldest row is overwritten and
-     *                  dropped() counts the loss, like TraceRecorder
-     * @param arena     ring storage (nullptr = heap)
-     */
-    MetricsSampler(Tick epoch_len, std::size_t capacity, Arena *arena);
+    /** @param epoch_len epoch width in cycles (clamped to >= 1) */
+    explicit MetricsSampler(Tick epoch_len);
 
     MetricsSampler(const MetricsSampler &) = delete;
     MetricsSampler &operator=(const MetricsSampler &) = delete;
@@ -129,37 +122,18 @@ class MetricsSampler
     /** Column index of @p name, or -1 when absent. */
     int probeIndex(const char *name) const;
 
-    /** Epochs ever closed (including any lost to ring wrap). */
+    /** Epochs closed. */
     std::uint64_t closed() const { return total; }
 
-    /** Epochs lost to ring wrap. */
-    std::uint64_t
-    dropped() const
-    {
-        return total > cap ? total - cap : 0;
-    }
+    /** Rows held: one per closed epoch; row i covers ticks
+     *  [i * epochLength(), (i + 1) * epochLength()). */
+    std::size_t rows() const { return total; }
 
-    /** Rows currently held (min(closed, capacity)). */
-    std::size_t
-    rows() const
-    {
-        return total < cap ? static_cast<std::size_t>(total) : cap;
-    }
-
-    /** Absolute epoch number of kept row 0 (row i covers ticks
-     *  [(firstEpoch()+i) * epochLength(), ... + epochLength())). */
-    std::uint64_t firstEpoch() const { return total - rows(); }
-
-    /** Value of probe @p p in kept row @p row (oldest first). */
+    /** Value of probe @p p in epoch @p row. */
     std::uint64_t
     at(std::size_t row, std::size_t p) const
     {
-        const std::size_t base =
-            total > cap ? static_cast<std::size_t>(total % cap) : 0;
-        std::size_t idx = base + row;
-        if (idx >= cap)
-            idx -= cap;
-        return ring[idx * probes.size() + p];
+        return series[row * probes.size() + p];
     }
 
   private:
@@ -175,20 +149,18 @@ class MetricsSampler
     };
 
     std::vector<Probe> probes;
-    /** Row-major ring: cap rows of probeCount() values; allocated
-     *  lazily on the first close, so armed-but-idle costs nothing. */
-    std::vector<std::uint64_t, ArenaAllocator<std::uint64_t>> ring;
+    /** Row-major: closed() rows of probeCount() values. */
+    std::vector<std::uint64_t> series;
     Tick epochLen;
     /** End boundary of the next epoch to close (saturates at
      *  kTickMax near the end of time). */
     Tick epochEnd;
-    std::size_t cap;
-    std::uint64_t total = 0; ///< epochs ever closed
+    std::size_t total = 0; ///< epochs closed
     bool finished = false;
 };
 
 /**
- * Append the sampler's kept rows to @p series (a Group) as equal-length
+ * Append the sampler's rows to @p series (a Group) as equal-length
  * Vectors: epoch, start_tick, one column per probe, plus a derived
  * nstid_lag column (tids_issued - nstid_min) when both probes exist -
  * the paper's commit-pipeline depth over time. The single definition
@@ -197,7 +169,7 @@ class MetricsSampler
  */
 void addMetricsSeries(const MetricsSampler &m, StatsNode &series);
 
-/** Write the series above as CSV: one row per kept epoch. */
+/** Write the series above as CSV: one row per epoch. */
 void writeMetricsCsv(const MetricsSampler &m, std::ostream &os);
 
 } // namespace tcc

@@ -71,6 +71,7 @@ TraceRecorder::push(TraceEventKind kind, NodeId node, Tid tid,
     e.kind = kind;
     e.pad = 0;
     ++total;
+    txLedger.record(e);
 }
 
 void

@@ -14,12 +14,12 @@
  * observational (it never schedules events or touches simulated
  * state).
  *
- * On top of the raw ring sit four consumers:
- *   - formatTraceEvent() below: the one text rendering (tccsim
- *     --trace, protocol_trace, the invariant checker's failure tail);
- *   - obs/chrome_trace.hh: Perfetto/Chrome trace_event JSON export;
- *   - obs/tx_ledger.hh: per-transaction lifecycle ledger;
- *   - core/stats_dump.cc: tx_ledger sections in the stats dump.
+ * push() also folds each record into the per-transaction ledger
+ * (obs/tx_ledger.hh) as it stores it, so the ledger holds every commit
+ * however far the ring wraps. The ring itself feeds the history
+ * consumers only: formatTraceEvent() below (tccsim --trace,
+ * protocol_trace, the invariant checker's failure tail) and the
+ * Perfetto/Chrome trace_event JSON export (obs/chrome_trace.hh).
  *
  * Thread confinement: a recorder belongs to one System and inherits
  * its confinement invariant (DESIGN.md section 7) - concurrent sweep
@@ -35,6 +35,7 @@
 
 #include "common/arena.hh"
 #include "common/types.hh"
+#include "obs/tx_ledger.hh"
 #include "sim/event_queue.hh"
 
 namespace tcc {
@@ -138,11 +139,13 @@ static_assert(sizeof(TraceEvent) == 40,
 std::string formatTraceEvent(const TraceEvent &e);
 
 /**
- * The per-System ring. Capacity is fixed at construction, which
- * claims the storage from the owner's arena; when the ring is full the
- * oldest record is overwritten (captured() keeps counting, so
- * dropped() reports how much history was lost). A zero-capacity
- * recorder holds no storage and is never handed to an emit site.
+ * The per-System ring and the ledger folded from it. Capacity is fixed
+ * at construction, which claims the storage from the owner's arena;
+ * when the ring is full the oldest record is overwritten (captured()
+ * keeps counting, so dropped() reports how much history was lost) -
+ * the ledger, folded before the overwrite, loses nothing. A
+ * zero-capacity recorder holds no storage and is never handed to an
+ * emit site.
  */
 class TraceRecorder
 {
@@ -166,16 +169,17 @@ class TraceRecorder
     bool armed() const { return cap != 0; }
 
     /**
-     * Unconditionally append one record (the gate lives in
-     * traceEmit() below). Out-of-line: the hot path only ever inlines
-     * the null-pointer check.
+     * Unconditionally append one record and fold it into the ledger
+     * (the gate lives in traceEmit() below). Out-of-line: the hot path
+     * only ever inlines the null-pointer check.
      */
     void push(TraceEventKind kind, NodeId node, Tid tid,
               std::uint64_t arg0, std::uint64_t arg1);
 
-    /** Append a pre-built record verbatim, keeping its original tick
-     *  (PDES merges per-domain rings into the System ring at finalize
-     *  in canonical (tick, domain) order; see sim/domain.hh). */
+    /** Append a pre-built record verbatim, keeping its original tick,
+     *  without folding it (PDES merges per-domain rings into the
+     *  System ring at finalize in canonical (tick, domain) order, and
+     *  the domain ledgers separately; see sim/domain.hh). */
     void pushRaw(const TraceEvent &src);
 
     /** Count @p n events lost before they reached this ring (a PDES
@@ -224,12 +228,19 @@ class TraceRecorder
             fn(at(i));
     }
 
-    /** Forget everything recorded so far (storage is retained). */
+    /** Every committed transaction recorded so far, in commit
+     *  order. */
+    const TxLedger &ledger() const { return txLedger; }
+    TxLedger &ledger() { return txLedger; }
+
+    /** Forget everything recorded so far, ledger included (ring
+     *  storage is retained). */
     void
     clear()
     {
         total = 0;
         lost = 0;
+        txLedger.clear();
     }
 
   private:
@@ -238,6 +249,7 @@ class TraceRecorder
     TraceEvent *buf;         ///< ring storage (nullptr when unarmed)
     std::uint64_t total = 0; ///< events ever pushed
     std::uint64_t lost = 0;  ///< see noteDropped()
+    TxLedger txLedger;
 };
 
 /**

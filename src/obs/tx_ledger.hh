@@ -1,33 +1,37 @@
 /**
  * @file
- * Per-transaction lifecycle ledger: folds the TraceRecorder ring into
- * one record per *committed* TID - where its cycles went (execution
- * vs commit phase), how its commit-protocol round trips behaved
- * (probe send -> reply, first skip / first mark -> validation), how
- * many attempts it took, and what violated it (conflicting line
- * address + the writer's TID).
+ * Per-transaction lifecycle ledger: one record per *committed* TID -
+ * where its cycles went (execution vs commit phase), how its
+ * commit-protocol round trips behaved (probe send -> reply, first
+ * skip / first mark -> validation), how many attempts it took, and
+ * what violated it (conflicting line address + the writer's TID).
  *
  * This is the machine-readable companion to the paper's Figures 6-7
  * breakdown and Table 3 latencies: instead of aggregate counters it
- * answers "why did *this* transaction take that long". Entries are
+ * answers "why did *this* transaction take that long". The ledger is
+ * folded as events are recorded (TraceRecorder::push feeds record()),
+ * so it holds every commit of the run whatever the ring size; a
+ * wrapped ring cuts only the text and Perfetto history. Entries are
  * produced in commit order, which is deterministic, so ledgers are
- * golden-testable. Every entry is complete: a commit whose history
- * may have fallen off the ring is counted, not reported.
+ * golden-testable.
  *
- * Building a ledger requires a traced run (TraceConfig::capacity != 0;
- * tccsim --trace-out arms it).
+ * A ledger requires a traced run (TraceConfig::capacity != 0; tccsim
+ * --trace-out arms it).
  */
 
 #ifndef TCC_OBS_TX_LEDGER_HH
 #define TCC_OBS_TX_LEDGER_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
-#include "obs/trace_recorder.hh"
 
 namespace tcc {
+
+struct TraceEvent; // obs/trace_recorder.hh
 
 /** One committed transaction's lifecycle. */
 struct TxLedgerEntry {
@@ -66,6 +70,8 @@ struct TxLedgerEntry {
     /** NIC-serialized multicast injections the committing attempt
      *  charged (probe / skip fan-out; O(N) flat, O(k log N) tree). */
     std::uint64_t multicastEvents = 0;
+
+    bool operator==(const TxLedgerEntry &) const = default;
 
     Tick
     execCycles() const
@@ -110,21 +116,55 @@ struct TxLedgerEntry {
     }
 };
 
-/** The committed transactions a trace ring fully describes. */
-struct TxLedger {
-    /** One record per fully recorded committed TID, in commit
-     *  order. */
+/** The committed transactions of a traced run. */
+class TxLedger
+{
+  public:
+    /** One record per committed TID, in commit order. */
     std::vector<TxLedgerEntry> entries;
-    /** Commits left out because the ring dropped events. A node's
-     *  retained events are a suffix of its own stream, so only its
-     *  first retained commit can be missing its begin or earlier
-     *  attempts; once anything was dropped, that commit is omitted
-     *  for every node. 0 when the ring holds the whole run. */
-    std::uint64_t truncated = 0;
-};
 
-/** Fold the recorder's stored events into per-TID records. */
-TxLedger buildTxLedger(const TraceRecorder &rec);
+    /** Fold one recorded event; a TxCommit appends its entry. */
+    void record(const TraceEvent &e);
+
+    /** Forget every entry and every in-flight transaction. */
+    void
+    clear()
+    {
+        entries.clear();
+        folds.clear();
+    }
+
+  private:
+    /** Folding state for one processor's in-flight transaction. */
+    struct NodeFold {
+        bool open = false;
+        Tick begin = 0;
+        Tick commitStart = 0;
+        std::uint32_t retries = 0;
+        bool hasViolation = false;
+        Addr violationAddr = 0;
+        Tid violationWriter = kInvalidTid;
+        std::uint64_t probeCount = 0;
+        Tick probeRttTotal = 0;
+        Tick probeRttMax = 0;
+        Tick firstSkip = 0;
+        Tick firstMark = 0;
+        std::uint64_t dirsTouched = 0;
+        std::uint64_t mcastEvents = 0;
+        /** Outstanding probe send tick per target directory. */
+        FlatMap<NodeId, Tick> probeSent;
+        /** Violation causes across all attempts: address -> count.
+         *  Cleared only when the transaction commits, not per
+         *  attempt - retries keep accumulating their causes. */
+        FlatMap<Addr, std::uint32_t> causeCounts;
+
+        void resetAttempt();
+        void resetTxn();
+    };
+
+    /** Node-indexed fold state; nodes appear as they emit. */
+    std::vector<NodeFold> folds;
+};
 
 } // namespace tcc
 

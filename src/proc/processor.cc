@@ -138,35 +138,34 @@ TccProcessor::beginAttempt()
     // start of re-execution and retains it, so it ages into the oldest
     // transaction in the system and cannot lose another conflict race.
     if (config.agingThreshold != 0 &&
-        consecViolations >= config.agingThreshold &&
-        tid == kInvalidTid && !tidReqOutstanding) {
-        tidReqOutstanding = true;
-        ++procStats.tidRequests;
-        Message req;
-        req.type = MsgType::TidReq;
-        req.dst = vendorNode;
-        post(req);
-    }
+        consecViolations >= config.agingThreshold && tid == kInvalidTid)
+        requestTid();
 
     // Solo-mode fallback for overflowing transactions: acquire the
     // TID, then wait (in startSoloAcquisition) until every directory
     // serves it before executing.
     if (soloRequested && !solo) {
         if (tid == kInvalidTid) {
-            if (!tidReqOutstanding) {
-                tidReqOutstanding = true;
-                ++procStats.tidRequests;
-                Message req;
-                req.type = MsgType::TidReq;
-                req.dst = vendorNode;
-                post(req);
-            }
+            requestTid();
             return; // continue in onTidReply
         }
         startSoloAcquisition();
         return;
     }
     step();
+}
+
+void
+TccProcessor::requestTid()
+{
+    if (tidReqOutstanding)
+        return;
+    tidReqOutstanding = true;
+    ++procStats.tidRequests;
+    Message req;
+    req.type = MsgType::TidReq;
+    req.dst = vendorNode;
+    post(req);
 }
 
 void
@@ -392,14 +391,7 @@ TccProcessor::startCommit()
     }
 
     if (tid == kInvalidTid) {
-        if (!tidReqOutstanding) {
-            tidReqOutstanding = true;
-            ++procStats.tidRequests;
-            Message req;
-            req.type = MsgType::TidReq;
-            req.dst = vendorNode;
-            post(req);
-        }
+        requestTid();
         // Overlap the TID round trip with early NSTID probes: one
         // multicast to the writing directories, one to the others.
         for (const bool write : {true, false}) {

@@ -206,6 +206,8 @@ class TccProcessor
     // --- transaction lifecycle -------------------------------------
     void startNextTransaction();
     void beginAttempt();
+    /** Ask the vendor for a TID unless a request is already out. */
+    void requestTid();
     void step();
     void resumeAfter(Tick delay);
     void violate();

@@ -274,28 +274,61 @@ PdesState::applyStoreLogs()
     }
 }
 
+namespace {
+
+/** Drain @p n tick-sorted sequences in (tick, sequence) order:
+ *  size(s) is sequence s's length, tick_of(s, i) the tick of its i-th
+ *  item and take(s, i) consumes that item. Within a sequence, order is
+ *  kept. */
+template <typename Size, typename TickOf, typename Take>
 void
-PdesState::mergeTraces(TraceRecorder &into) const
+mergeByTick(std::size_t n, Size size, TickOf tick_of, Take take)
 {
-    std::vector<std::size_t> idx(domains.size(), 0);
+    std::vector<std::size_t> idx(n, 0);
     for (;;) {
-        std::size_t pick = domains.size();
+        std::size_t pick = n;
         Tick best = kTickMax;
-        for (std::size_t d = 0; d < domains.size(); ++d) {
-            const TraceRecorder &ring = domains[d]->tracer;
-            if (idx[d] >= ring.size())
+        for (std::size_t d = 0; d < n; ++d) {
+            if (idx[d] >= size(d))
                 continue;
-            const Tick tick = ring.at(idx[d]).tick;
-            // Strict < keeps equal ticks in domain-id order.
-            if (pick == domains.size() || tick < best) {
+            const Tick tick = tick_of(d, idx[d]);
+            // Strict < keeps equal ticks in sequence order.
+            if (pick == n || tick < best) {
                 pick = d;
                 best = tick;
             }
         }
-        if (pick == domains.size())
-            break;
-        into.pushRaw(domains[pick]->tracer.at(idx[pick]++));
+        if (pick == n)
+            return;
+        take(pick, idx[pick]++);
     }
+}
+
+} // namespace
+
+void
+PdesState::mergeTraces(TraceRecorder &into) const
+{
+    const auto ring = [this](std::size_t d) -> const TraceRecorder & {
+        return domains[d]->tracer;
+    };
+    mergeByTick(
+        domains.size(), [&](std::size_t d) { return ring(d).size(); },
+        [&](std::size_t d, std::size_t i) { return ring(d).at(i).tick; },
+        [&](std::size_t d, std::size_t i) { into.pushRaw(ring(d).at(i)); });
+    // Each domain ledger folded its own nodes' commits in commit order.
+    const auto ledger = [&](std::size_t d) -> const auto & {
+        return ring(d).ledger().entries;
+    };
+    std::vector<TxLedgerEntry> &merged = into.ledger().entries;
+    mergeByTick(
+        domains.size(), [&](std::size_t d) { return ledger(d).size(); },
+        [&](std::size_t d, std::size_t i) {
+            return ledger(d)[i].commitEndTick;
+        },
+        [&](std::size_t d, std::size_t i) {
+            merged.push_back(ledger(d)[i]);
+        });
     for (const auto &d : domains)
         into.noteDropped(d->tracer.dropped());
 }

@@ -338,8 +338,10 @@ struct PdesState {
     void applyStoreLogs();
 
     /** Merge the per-domain trace rings into @p into, ordered by
-     *  (tick, domain id); within a domain, ring order is kept. Events
-     *  the domain rings dropped count as dropped in @p into. */
+     *  (tick, domain id), and the per-domain ledgers into its ledger,
+     *  ordered by (commit tick, domain id); within a domain, its own
+     *  order is kept. Events the domain rings dropped count as dropped
+     *  in @p into. */
     void mergeTraces(TraceRecorder &into) const;
 
   private:

@@ -85,7 +85,7 @@ TEST_P(CacheGeometry, WriteSetMatchesStores)
     }
     std::vector<SpecCache::WriteSetLine> ws;
     c.writeSet(ws);
-    EXPECT_EQ(c.writeSetLines(), ws.size());
+    EXPECT_EQ(c.setSizes().writeLines, ws.size());
     std::set<Addr> ws_lines;
     for (const auto &l : ws) {
         EXPECT_NE(l.smMask, 0u);
@@ -106,8 +106,8 @@ TEST_P(CacheGeometry, CommitEmptiesSpeculativeState)
         }
     }
     c.commitSpec(5);
-    EXPECT_EQ(c.writeSetLines(), 0u);
-    EXPECT_EQ(c.readSetLines(), 0u);
+    EXPECT_EQ(c.setSizes().writeLines, 0u);
+    EXPECT_EQ(c.setSizes().readLines, 0u);
 }
 
 TEST_P(CacheGeometry, AbortEmptiesSpeculativeState)
@@ -123,8 +123,8 @@ TEST_P(CacheGeometry, AbortEmptiesSpeculativeState)
         }
     }
     c.abortSpec();
-    EXPECT_EQ(c.writeSetLines(), 0u);
-    EXPECT_EQ(c.readSetLines(), 0u);
+    EXPECT_EQ(c.setSizes().writeLines, 0u);
+    EXPECT_EQ(c.setSizes().readLines, 0u);
 }
 
 TEST_P(CacheGeometry, SpeculativeLinesSurviveCapacityPressure)
@@ -185,7 +185,7 @@ TEST_P(CacheGeometry, FuzzAgainstReferenceModel)
         }
     }
     c.abortSpec();
-    EXPECT_EQ(c.writeSetLines(), 0u);
+    EXPECT_EQ(c.setSizes().writeLines, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,6 @@
 /**
  * @file
- * Checker-efficacy tests: each TCC_MUTATE protocol mutation must be
+ * Checker-efficacy tests: each protocol mutation (check/mutate.hh) must be
  * caught by the online invariant checker with a diagnostic naming the
  * broken invariant and the offending TID/node. A checker that has
  * never caught a bug proves nothing - these tests are the proof.
@@ -102,32 +102,24 @@ TEST(InvariantMutations, CleanRunPassesAndActuallyChecks)
 
 TEST(InvariantMutations, SkipVectorOverConsumeCaught)
 {
-    if (!mutate::compiledIn())
-        GTEST_SKIP() << "built without TCC_MUTATE";
     mutate::Scoped arm(mutate::Kind::SkipVectorOverConsume);
     expectCaught(runContended(), invariant::kSkipOrService);
 }
 
 TEST(InvariantMutations, NstidRewindCaught)
 {
-    if (!mutate::compiledIn())
-        GTEST_SKIP() << "built without TCC_MUTATE";
     mutate::Scoped arm(mutate::Kind::NstidRewind);
     expectCaught(runContended(), invariant::kNstidMonotonic);
 }
 
 TEST(InvariantMutations, CommitBeforeMarksCaught)
 {
-    if (!mutate::compiledIn())
-        GTEST_SKIP() << "built without TCC_MUTATE";
     mutate::Scoped arm(mutate::Kind::CommitBeforeMarks);
     expectCaught(runContended(), invariant::kCommitBeforeMarks);
 }
 
 TEST(InvariantMutations, DropSkipCaughtAsStall)
 {
-    if (!mutate::compiledIn())
-        GTEST_SKIP() << "built without TCC_MUTATE";
     mutate::Scoped arm(mutate::Kind::DropSkip);
     const RunResult res = runContended();
     // Lost skips wedge every directory waiting on the skipped TID;
@@ -139,8 +131,6 @@ TEST(InvariantMutations, DropSkipCaughtAsStall)
 
 TEST(InvariantMutations, TidDropOnViolationCaught)
 {
-    if (!mutate::compiledIn())
-        GTEST_SKIP() << "built without TCC_MUTATE";
     mutate::Scoped arm(mutate::Kind::TidDropOnViolation);
     // agingThreshold=1 makes repeat victims hold their TID while
     // still executing - the window in which an unannounced violation
@@ -151,8 +141,6 @@ TEST(InvariantMutations, TidDropOnViolationCaught)
 
 TEST(InvariantMutations, HaltsAtFirstFailure)
 {
-    if (!mutate::compiledIn())
-        GTEST_SKIP() << "built without TCC_MUTATE";
     mutate::Scoped arm(mutate::Kind::NstidRewind);
     const RunResult res = runContended();
     ASSERT_FALSE(res.invariants.ok);
@@ -164,8 +152,6 @@ TEST(InvariantMutations, HaltsAtFirstFailure)
 
 TEST(InvariantMutations, FailureQuotesTheTraceTail)
 {
-    if (!mutate::compiledIn())
-        GTEST_SKIP() << "built without TCC_MUTATE";
     mutate::Scoped arm(mutate::Kind::NstidRewind);
     const std::string kHead = "\n  last protocol events:";
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Observability layer (obs/metrics.hh, obs/contention.hh): epoch
- * boundary exactness, ring-wrap accounting, top-K eviction
- * determinism, blame-edge resolution, the abort hotspot pin - and the
+ * boundary exactness, a series that keeps every epoch, an exact
+ * conflict table, blame-edge resolution, the abort hotspot pin - and the
  * three system-level gates: metrics off by default with armed runs
  * bit-identical to off runs (observability is free), PDES per-domain
  * layers merging to the same series and table on every run, and
@@ -37,8 +37,7 @@ struct Probed {
     std::uint64_t gauge = 0;
     MetricsSampler m;
 
-    Probed(Tick epoch_len, std::size_t cap)
-        : m(epoch_len, cap, nullptr)
+    explicit Probed(Tick epoch_len) : m(epoch_len)
     {
         m.addProbe("delta", MetricsSampler::Kind::Delta,
                    MetricsSampler::Merge::Sum,
@@ -64,7 +63,7 @@ TEST(MetricsSampler, EpochBoundaryExactness)
     // Epoch k must hold exactly the events with tick in
     // [k*10, (k+1)*10) - an event at tick 10 lands in epoch 1, never
     // epoch 0, because advanceTo(10) closes epoch 0 first.
-    Probed p(10, 64);
+    Probed p(10);
     p.event(0, 1);   // epoch 0
     p.event(9, 2);   // epoch 0 (last interior tick)
     p.event(10, 4);  // epoch 1 (exactly on the boundary)
@@ -73,8 +72,6 @@ TEST(MetricsSampler, EpochBoundaryExactness)
     p.m.finish(25);
 
     ASSERT_EQ(p.m.closed(), 3u);
-    EXPECT_EQ(p.m.dropped(), 0u);
-    EXPECT_EQ(p.m.firstEpoch(), 0u);
     const int d = p.m.probeIndex("delta");
     const int g = p.m.probeIndex("gauge");
     ASSERT_GE(d, 0);
@@ -92,7 +89,7 @@ TEST(MetricsSampler, QuietEpochsCloseEmpty)
 {
     // A long gap closes every intervening epoch with a zero delta;
     // gauges carry the standing value forward.
-    Probed p(10, 64);
+    Probed p(10);
     p.event(5, 7);
     p.event(47, 1); // closes epochs 0..3 on the way
     p.m.finish(47);
@@ -109,23 +106,26 @@ TEST(MetricsSampler, QuietEpochsCloseEmpty)
     EXPECT_EQ(p.m.at(4, g), 8u);
 }
 
-TEST(MetricsSampler, RingWrapKeepsNewestRows)
+TEST(MetricsSampler, KeepsEveryEpoch)
 {
-    Probed p(10, 3); // capacity 3 epochs
-    for (Tick t = 0; t < 70; t += 10)
-        p.event(t, 1); // one event per epoch, epochs 0..6
-    p.m.finish(69);
+    // More epochs than any ring the sampler ever had (4,096 rows):
+    // every row is kept, oldest first, each with its own epoch's
+    // activity.
+    constexpr Tick kEpochs = 5000;
+    Probed p(10);
+    for (Tick k = 0; k < kEpochs; ++k)
+        p.event(10 * k, k % 7);
+    p.m.finish(10 * kEpochs - 1);
 
-    EXPECT_EQ(p.m.closed(), 7u);
-    EXPECT_EQ(p.m.rows(), 3u);
-    EXPECT_EQ(p.m.dropped(), 4u);
-    EXPECT_EQ(p.m.firstEpoch(), 4u);
+    ASSERT_EQ(p.m.closed(), kEpochs);
+    ASSERT_EQ(p.m.rows(), kEpochs);
     const int d = p.m.probeIndex("delta");
     const int g = p.m.probeIndex("gauge");
-    // Kept rows are the newest three, oldest first.
-    for (std::size_t r = 0; r < 3; ++r) {
-        EXPECT_EQ(p.m.at(r, d), 1u);
-        EXPECT_EQ(p.m.at(r, g), 5u + r); // gauge after epoch 4+r
+    std::uint64_t sum = 0;
+    for (Tick k = 0; k < kEpochs; ++k) {
+        sum += k % 7;
+        ASSERT_EQ(p.m.at(k, d), k % 7) << "epoch " << k;
+        ASSERT_EQ(p.m.at(k, g), sum) << "epoch " << k;
     }
 }
 
@@ -133,7 +133,7 @@ TEST(MetricsSampler, EmptyQueuePeekIsNoOp)
 {
     // The run loop passes kTickMax when the queue drains; that must
     // not close the tail (finish() owns the final partial epoch).
-    Probed p(10, 8);
+    Probed p(10);
     p.event(3, 5);
     p.m.advanceTo(kTickMax);
     EXPECT_EQ(p.m.closed(), 0u);
@@ -147,7 +147,7 @@ TEST(MetricsSampler, AdoptMergedFoldsPerProbeOp)
     // Two "domains" with identical schema and epoch counts; Sum, Min,
     // and Max probes fold element-wise.
     auto mk = [](std::uint64_t *v) {
-        auto m = std::make_unique<MetricsSampler>(10, 8, nullptr);
+        auto m = std::make_unique<MetricsSampler>(10);
         m->addProbe("sum", MetricsSampler::Kind::Delta,
                     MetricsSampler::Merge::Sum, [v]() { return v[0]; });
         m->addProbe("min", MetricsSampler::Kind::Gauge,
@@ -170,7 +170,7 @@ TEST(MetricsSampler, AdoptMergedFoldsPerProbeOp)
     b->finish(15);
     ASSERT_EQ(a->closed(), b->closed());
 
-    MetricsSampler merged(10, 8, nullptr);
+    MetricsSampler merged(10);
     std::uint64_t zero[1] = {0};
     merged.addProbe("sum", MetricsSampler::Kind::Delta,
                     MetricsSampler::Merge::Sum, [&]() { return zero[0]; });
@@ -191,43 +191,9 @@ TEST(MetricsSampler, AdoptMergedFoldsPerProbeOp)
 
 // --- contention profiler unit tests ---------------------------------
 
-TEST(ContentionProfiler, TopKEvictionIsDeterministic)
-{
-    // K = 2. Fill with two addresses, then admit a third: the
-    // minimum-weight entry goes; on a weight tie the larger address is
-    // evicted (lower addresses win).
-    ContentionProfiler prof(2, nullptr);
-    // addr 0x100: weight 3. addr 0x200: weight 1.
-    for (int i = 0; i < 3; ++i)
-        prof.recordConflict(0, 1, 0x100, true, false, false, 0);
-    prof.recordConflict(0, 1, 0x200, true, false, false, 0);
-    // Newcomer 0x300 evicts 0x200 (min weight).
-    prof.recordConflict(0, 1, 0x300, false, true, false, 0);
-    EXPECT_EQ(prof.evictions(), 1u);
-
-    auto hot = prof.hotWords();
-    ASSERT_EQ(hot.size(), 2u);
-    EXPECT_EQ(hot[0].addr, 0x100u);
-    EXPECT_EQ(hot[0].s.srConflicts, 3u);
-    EXPECT_EQ(hot[1].addr, 0x300u);
-    EXPECT_EQ(hot[1].s.smConflicts, 1u);
-
-    // Tie case: bump 0x300 to weight 3 so both entries tie; the
-    // newcomer then evicts the LARGER address (0x300, not 0x100).
-    prof.recordConflict(0, 1, 0x300, true, true, false, 0); // w=3
-    prof.recordConflict(0, 1, 0x400, true, false, false, 0);
-    EXPECT_EQ(prof.evictions(), 2u);
-    hot = prof.hotWords();
-    ASSERT_EQ(hot.size(), 2u);
-    // 0x100 survived the tie; 0x300 was evicted; 0x400 admitted fresh.
-    EXPECT_EQ(hot[0].addr, 0x100u);
-    EXPECT_EQ(hot[1].addr, 0x400u);
-    EXPECT_EQ(prof.conflictsRecorded(), 7u);
-}
-
 TEST(ContentionProfiler, BlameEdgesResolveThroughOwnerMap)
 {
-    ContentionProfiler prof(8, nullptr);
+    ContentionProfiler prof(8);
     prof.recordTidOwner(100, 3); // proc 3 owns TID 100
     prof.recordTidOwner(101, 5);
     // Two aborts of victim 1 by TID 100, one of victim 2 by TID 101,
@@ -271,8 +237,8 @@ TEST(ContentionProfiler, MergeIsOrderDeterministic)
                              100 * static_cast<std::uint64_t>(i));
         }
     };
-    ContentionProfiler a0(4, nullptr), a1(4, nullptr);
-    ContentionProfiler b0(4, nullptr), b1(4, nullptr);
+    ContentionProfiler a0(4), a1(4);
+    ContentionProfiler b0(4), b1(4);
     feed(a0, 0, false);
     feed(a1, 1, false);
     feed(b0, 0, true);
@@ -282,7 +248,7 @@ TEST(ContentionProfiler, MergeIsOrderDeterministic)
     a1.recordTidOwner(51, 1);
     b1.recordTidOwner(51, 1);
 
-    ContentionProfiler ma(4, nullptr), mb(4, nullptr);
+    ContentionProfiler ma(4), mb(4);
     ma.mergeFrom(a0);
     ma.mergeFrom(a1);
     mb.mergeFrom(b0);
@@ -307,7 +273,43 @@ TEST(ContentionProfiler, MergeIsOrderDeterministic)
         EXPECT_EQ(ea[i].count, eb[i].count);
     }
     EXPECT_EQ(ma.conflictsRecorded(), mb.conflictsRecorded());
-    EXPECT_EQ(ma.evictions(), mb.evictions());
+}
+
+TEST(ContentionProfiler, ExactTableAccountsForEveryAbort)
+{
+    // bench_datastruct's theta=0 write-heavy map at 8 procs: 132
+    // words conflict, far more than the 16 reported. Every abort still
+    // lands in the table, so its aborts sum to the run's violations.
+    SystemConfig cfg;
+    cfg.numProcs = 8;
+    cfg.check.invariants = true;
+    cfg.trace.contentionTopK = 16;
+    System sys(cfg);
+    const WorkloadBundle bundle = makeWorkload(
+        "ds_map", WorkloadParams::parse("theta=0.00,mix=write_heavy"),
+        /*seed=*/1, cfg.numProcs);
+    bundle.attach(sys);
+    const RunResult res = sys.run();
+    ASSERT_TRUE(res.completed);
+    EXPECT_TRUE(res.invariants.ok) << res.invariants.error;
+    // Every violation is a conflicting invalidation, not an overflow
+    // or a failed value validation.
+    EXPECT_EQ(res.overflows, 0u);
+    std::uint64_t value_failures = 0;
+    for (NodeId p = 0; p < sys.numProcs(); ++p)
+        value_failures += sys.proc(p).stats().valueValidationFailures;
+    EXPECT_EQ(value_failures, 0u);
+
+    const ContentionProfiler *c = sys.contentionProfiler();
+    ASSERT_NE(c, nullptr);
+    std::uint64_t aborts = 0;
+    const auto words = c->topAborts(~std::size_t{0});
+    for (const auto &h : words)
+        aborts += h.s.aborts;
+    EXPECT_EQ(res.violations, 134u);
+    EXPECT_EQ(aborts, res.violations);
+    EXPECT_EQ(words.size(), 132u);
+    EXPECT_EQ(c->hotWords().size(), 16u);
 }
 
 // --- system-level gates ---------------------------------------------
@@ -329,14 +331,12 @@ struct ObsSnapshot {
     // Metrics series.
     bool hasMetrics = false;
     std::uint64_t epochsClosed = 0;
-    std::uint64_t firstEpoch = 0;
     std::vector<std::string> probeNames;
     std::vector<std::uint64_t> seriesRows;
 
     // Contention table.
     bool hasContention = false;
     std::uint64_t conflicts = 0;
-    std::uint64_t evictions = 0;
     std::vector<std::tuple<Addr, std::uint64_t, std::uint64_t,
                            std::uint64_t, std::uint64_t>>
         hotWords;
@@ -372,7 +372,6 @@ snapshot(System &sys, const RunResult &res)
     if (const MetricsSampler *m = sys.metricsSampler()) {
         s.hasMetrics = true;
         s.epochsClosed = m->closed();
-        s.firstEpoch = m->firstEpoch();
         for (std::size_t p = 0; p < m->probeCount(); ++p)
             s.probeNames.emplace_back(m->probeName(p));
         s.seriesRows.reserve(m->rows() * m->probeCount());
@@ -383,7 +382,6 @@ snapshot(System &sys, const RunResult &res)
     if (const ContentionProfiler *c = sys.contentionProfiler()) {
         s.hasContention = true;
         s.conflicts = c->conflictsRecorded();
-        s.evictions = c->evictions();
         for (const auto &h : c->hotWords())
             s.hotWords.emplace_back(h.addr, h.s.srConflicts,
                                     h.s.smConflicts, h.s.aborts,
@@ -444,7 +442,7 @@ TEST(ObsSystem, TopAbortsMatchPinnedHotspots)
     // the picks. The pinned (line, aborts) pairs are the per-line
     // violation counts the processors recorded before the profiler
     // became the only conflict attribution; a table with one slot per
-    // line never evicts, so its abort counts must equal them exactly.
+    // line holds them all, so its abort counts must equal them exactly.
     constexpr std::uint32_t kProcs = 8;
     constexpr std::uint32_t kLines = 16;
     constexpr std::uint32_t kHot = 3;
@@ -476,7 +474,6 @@ TEST(ObsSystem, TopAbortsMatchPinnedHotspots)
 
     const ContentionProfiler *c = sys.contentionProfiler();
     ASSERT_NE(c, nullptr);
-    EXPECT_EQ(c->evictions(), 0u);
     std::vector<std::pair<Addr, std::uint64_t>> top;
     for (const auto &h : c->topAborts(5))
         top.emplace_back(h.addr, h.s.aborts);
@@ -488,14 +485,13 @@ TEST(ObsSystem, TopAbortsMatchPinnedHotspots)
 
 TEST(ObsSystem, SerialEpochSeriesSumsToTotals)
 {
-    // With a ring big enough to keep every epoch, the Delta columns
-    // must sum to the end-of-run aggregates - boundary exactness at
-    // system scale (no event double-counted or lost at epoch edges).
+    // The Delta columns must sum to the end-of-run aggregates -
+    // boundary exactness at system scale (no event double-counted or
+    // lost at epoch edges).
     SystemConfig cfg;
     cfg.numProcs = 8;
     cfg.homePolicy = HomePolicy::Interleave;
     cfg.trace.metricsEpoch = 300;
-    cfg.trace.metricsCapacity = 1 << 20;
     cfg.trace.contentionTopK = 8;
     System sys(cfg);
     const WorkloadBundle bundle =
@@ -506,7 +502,6 @@ TEST(ObsSystem, SerialEpochSeriesSumsToTotals)
 
     const MetricsSampler *m = sys.metricsSampler();
     ASSERT_NE(m, nullptr);
-    ASSERT_EQ(m->dropped(), 0u);
     auto colSum = [&](const char *name) {
         const int p = m->probeIndex(name);
         EXPECT_GE(p, 0) << name;

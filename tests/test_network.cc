@@ -156,8 +156,6 @@ TEST(MeshNetwork, TrafficAccounting)
     EXPECT_EQ(s.classBytes[(int)TrafficClass::Miss], 24u);
     EXPECT_EQ(s.classBytes[(int)TrafficClass::WriteBack], 48u);
     EXPECT_EQ(s.nodeBytes[1], 72u);
-    net.resetStats();
-    EXPECT_EQ(net.stats().totalBytes, 0u);
 }
 
 TEST(MeshNetwork, SameRouteIsFifo)

@@ -41,7 +41,7 @@ TEST(SpecCache, FillThenLoadHitsAndSetsSr)
     auto out = c.load(0x1004);
     EXPECT_TRUE(out.hit);
     EXPECT_EQ(c.srMask(0x1000), WordMask(1) << 1);
-    EXPECT_EQ(c.readSetLines(), 1u);
+    EXPECT_EQ(c.setSizes().readLines, 1u);
 }
 
 TEST(SpecCache, FirstAccessIsL2HitThenL1Hit)
@@ -65,7 +65,7 @@ TEST(SpecCache, StoreSetsSmAndWriteSet)
     std::vector<SpecCache::WriteSetLine> ws(3);
     c.writeSet(ws);
     ASSERT_EQ(ws.size(), 1u);
-    EXPECT_EQ(c.writeSetLines(), 1u);
+    EXPECT_EQ(c.setSizes().writeLines, 1u);
     EXPECT_EQ(ws[0].lineAddr, 0x2000u);
     EXPECT_EQ(ws[0].smMask, WordMask(1) << 2);
 }
@@ -102,8 +102,8 @@ TEST(SpecCache, CommitClearsSpecBitsAndMarksDirty)
     EXPECT_EQ(c.srMask(0x1000), 0u);
     EXPECT_EQ(c.smMask(0x1000), 0u);
     EXPECT_TRUE(c.isDirty(0x1000));
-    EXPECT_EQ(c.writeSetLines(), 0u);
-    EXPECT_EQ(c.readSetLines(), 0u);
+    EXPECT_EQ(c.setSizes().writeLines, 0u);
+    EXPECT_EQ(c.setSizes().readLines, 0u);
 }
 
 TEST(SpecCache, AbortDropsSpeculativeWords)
@@ -314,7 +314,7 @@ TEST(SpecCache, WayIsReusedAfterInvalidate)
     EXPECT_TRUE(c.present(0x10000 + cfg.l2Assoc * stride));
     for (unsigned i = 1; i < cfg.l2Assoc; ++i)
         EXPECT_TRUE(c.present(0x10000 + i * stride)) << "way " << i;
-    EXPECT_EQ(c.writeSetLines(), cfg.l2Assoc - 1);
+    EXPECT_EQ(c.setSizes().writeLines, cfg.l2Assoc - 1);
 }
 
 TEST(SpecCache, WayIsReusedAfterAbort)
