@@ -97,17 +97,17 @@ main(int argc, char **argv)
                 (unsigned long long)sys.memory().read(x),
                 (unsigned long long)sys.memory().read(x + 4096));
 
-    // The ledger folds the recorded events into each transaction's
-    // lifecycle.
+    // The ledger holds each committed transaction's lifecycle, as the
+    // processors recorded it.
     std::printf("trace: %llu events captured\n",
                 (unsigned long long)sys.traceRecorder().captured());
-    for (const auto &e : sys.traceRecorder().ledger().entries) {
+    for (const auto &e : sys.ledger()) {
         std::printf("  tx %llu @ proc %u: exec=%llu commit=%llu "
                     "retries=%u",
                     (unsigned long long)e.tid, e.node,
                     (unsigned long long)e.execCycles(),
                     (unsigned long long)e.commitCycles(), e.retries);
-        if (e.hasViolation) {
+        if (e.hasViolation()) {
             std::printf(" (violated at %llx by tid %llu)",
                         (unsigned long long)e.violationAddr,
                         (unsigned long long)e.violationWriter);

@@ -37,9 +37,10 @@
  *     --trace-out FILE  record the structured protocol trace and write
  *                       it as Chrome/Perfetto trace JSON to FILE (open
  *                       in ui.perfetto.dev or chrome://tracing).
- *                       Either flag also arms the tx ledger in
- *                       --stats / --stats-json, which holds every
- *                       commit however far the trace ring wraps
+ *                       Either flag also lists the tx ledger's
+ *                       per-commit records in --stats / --stats-json
+ *                       (the ledger keeps every commit in every run;
+ *                       its violation-cause summary is always there)
  *     --stats FILE      write a full gem5-style stats dump to FILE
  *     --stats-json FILE write the stats tree as JSON to FILE (includes
  *                       the resolved configuration)
@@ -522,7 +523,7 @@ main(int argc, char **argv)
 
     // The ring silently overwrites its oldest records when full; make
     // the loss loud so a cut trace is never mistaken for a complete
-    // one. The ledger was folded before the overwrite and is whole.
+    // one. The ledger does not come from the ring and is whole.
     if (sys.traceRecorder().dropped() != 0) {
         std::fprintf(stderr,
                      "warning: protocol trace ring dropped %llu of "

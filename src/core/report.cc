@@ -25,25 +25,20 @@ characterize(const System &sys, const std::string &name)
     AppCharacterization c;
     c.name = name;
 
-    // Pool the per-processor samples; because every processor runs the
+    // Pool every commit's samples; because every processor runs the
     // same SPMD workload, pooling quantiles is a good estimator of the
     // global 90th percentile.
-    Distribution size = mergeProcDist(sys, [](const auto &s) -> const
-                                      Distribution & {
-        return s.txnInstructions;
-    });
-    Distribution ws = mergeProcDist(sys, [](const auto &s) -> const
-                                    Distribution & {
-        return s.txnWriteSetKB;
-    });
-    Distribution rs = mergeProcDist(sys, [](const auto &s) -> const
-                                    Distribution & {
-        return s.txnReadSetKB;
-    });
-    Distribution opw = mergeProcDist(sys, [](const auto &s) -> const
-                                     Distribution & {
-        return s.opsPerWordWritten;
-    });
+    const double line_kb = sys.cfg().cache.lineBytes / 1024.0;
+    Distribution size, ws, rs, opw;
+    for (const TxLedgerEntry &e : sys.ledger()) {
+        size.sample(static_cast<double>(e.instructions));
+        ws.sample(e.writeLines * line_kb);
+        rs.sample(e.readLines * line_kb);
+        if (e.wordsWritten != 0) {
+            opw.sample(static_cast<double>(e.instructions) /
+                       static_cast<double>(e.wordsWritten));
+        }
+    }
     Distribution dpc = mergeProcDist(sys, [](const auto &s) -> const
                                      Distribution & {
         return s.dirsPerCommit;

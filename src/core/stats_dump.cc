@@ -124,8 +124,16 @@ addContention(StatsNode &g, const ContentionProfiler &c)
     }
 }
 
+/** The Table 3 samples of one processor, rebuilt from its ledger
+ *  records in the order it committed them. */
+struct ProcLedgerDists {
+    Distribution instructions;
+    Distribution dirsTouched;
+};
+
 void
-addProc(StatsNode &g, NodeId p, const TccProcessor &proc)
+addProc(StatsNode &g, NodeId p, const TccProcessor &proc,
+        const ProcLedgerDists &ld)
 {
     const auto &s = proc.stats();
     g.num("node", p);
@@ -141,10 +149,10 @@ addProc(StatsNode &g, NodeId p, const TccProcessor &proc)
     g.num("drains", s.drains);
     g.num("tid_requests", s.tidRequests);
     g.num("value_validation_failures", s.valueValidationFailures);
-    g.dist("txn_instructions", s.txnInstructions);
+    g.dist("txn_instructions", ld.instructions);
     g.dist("commit_latency", s.commitLatency);
     g.dist("dirs_per_commit", s.dirsPerCommit);
-    g.dist("dirs_touched_per_commit", s.dirsTouchedPerCommit);
+    g.dist("dirs_touched_per_commit", ld.dirsTouched);
     g.dist("multicast_nic_per_commit", s.multicastNicPerCommit);
 
     const auto &cs = proc.cache().stats();
@@ -201,8 +209,8 @@ addLedgerEntry(StatsNode &g, const TxLedgerEntry &e)
     g.num("skip_to_commit", e.skipToCommitCycles());
     g.num("directories_touched", e.directoriesTouched);
     g.num("multicast_events", e.multicastEvents);
-    g.flag("has_violation", e.hasViolation);
-    if (!e.hasViolation)
+    g.flag("has_violation", e.hasViolation());
+    if (!e.hasViolation())
         return;
     g.num("violation_addr", e.violationAddr);
     g.num("violation_writer", e.violationWriter);
@@ -222,7 +230,7 @@ void
 addLedgerSummary(StatsNode &g, const TxLedger &ledger)
 {
     FlatMap<Addr, std::uint64_t> agg;
-    for (const TxLedgerEntry &e : ledger.entries)
+    for (const TxLedgerEntry &e : ledger)
         for (const auto &[addr, n] : e.causes)
             agg[addr] += n;
 
@@ -260,17 +268,27 @@ buildStatsTree(const System &sys)
     if (const ContentionProfiler *c = sys.contentionProfiler())
         addContention(root.group("contention"), *c);
 
+    const TxLedger &ledger = sys.ledger();
+    std::vector<ProcLedgerDists> per_proc(sys.numProcs());
+    for (const TxLedgerEntry &e : ledger) {
+        per_proc[e.node].instructions.sample(
+            static_cast<double>(e.instructions));
+        per_proc[e.node].dirsTouched.sample(
+            static_cast<double>(e.directoriesTouched));
+    }
     StatsNode &procs = root.list("procs");
     for (NodeId p = 0; p < sys.numProcs(); ++p)
-        addProc(procs.item(), p, sys.proc(p));
+        addProc(procs.item(), p, sys.proc(p), per_proc[p]);
     StatsNode &dirs = root.list("dirs");
     for (NodeId d = 0; d < sys.numProcs(); ++d)
         addDirectory(dirs.item(), d, sys.directory(d));
 
-    const TxLedger &ledger = sys.traceRecorder().ledger();
+    // The entries are as long as the run; like the trace, they are
+    // rendered only when the run was traced.
     StatsNode &entries = root.list("tx_ledger");
-    for (const TxLedgerEntry &e : ledger.entries)
-        addLedgerEntry(entries.item(), e);
+    if (sys.traceRecorder().armed())
+        for (const TxLedgerEntry &e : ledger)
+            addLedgerEntry(entries.item(), e);
     addLedgerSummary(root.group("tx_ledger_summary"), ledger);
     return root;
 }

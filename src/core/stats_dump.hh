@@ -26,9 +26,9 @@ namespace tcc {
  *   contention          hot words + blame graph (profiler armed only)
  *   procs[]             per-processor breakdown, transactions, cache
  *   dirs[]              per-directory protocol counters
- *   tx_ledger[]         per-transaction lifecycle, empty unless the
- *                       run was traced (TraceConfig::capacity)
- *   tx_ledger_summary   ledger-wide fan-out and violation causes
+ *   tx_ledger[]         per-transaction lifecycle, rendered only when
+ *                       the run was traced (TraceConfig::capacity)
+ *   tx_ledger_summary   ledger-wide violation causes, every run
  */
 StatsNode buildStatsTree(const System &sys);
 

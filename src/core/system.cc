@@ -131,14 +131,14 @@ System::parts()
 {
     if (!pdesState) {
         return {Part{0, config.numProcs, &eventq, net.get(), &arena,
-                     &store, armedOrNull(tracer), &invariants,
+                     &store, armedOrNull(tracer), &txLedger, &invariants,
                      &metricsSamp, &contentionProf, nullptr}};
     }
     std::vector<Part> out;
     for (auto &d : pdesState->domains) {
         out.push_back(Part{d->spec.firstNode, d->spec.numNodes, &d->eq,
                            d->net.get(), &d->arena, &d->store,
-                           armedOrNull(d->tracer), &d->checker,
+                           armedOrNull(d->tracer), &d->ledger, &d->checker,
                            &d->metrics, &d->contention, d.get()});
     }
     return out;
@@ -175,6 +175,7 @@ System::wireNodes()
             proc.setWriteThroughCommit(config.writeThroughCommit);
             dir.setTraceRecorder(part.tracer);
             proc.setTraceRecorder(part.tracer);
+            proc.setLedger(part.ledger);
             dir.setInvariantChecker(checker);
             proc.setInvariantChecker(checker);
             if (config.check.serial) {
@@ -654,11 +655,12 @@ System::runPdes(Tick max_ticks)
     // All replicas are convergent (every write log was applied
     // everywhere); adopt one as the master committed state.
     store.copyFrom(st.domains[0]->store);
-    // Fold the domain shims' traffic into the System-level network and
-    // the domain trace rings into the System ring, canonically.
+    // Fold the domain shims' traffic into the System-level network, the
+    // domain trace rings into the System ring and the domain ledgers
+    // into the System ledger, canonically.
     for (auto &d : st.domains)
         net->accumulateStats(d->net->stats());
-    st.mergeTraces(tracer);
+    st.mergeTraces(tracer, txLedger);
 
     // Close and merge the observability layers, in domain-id order.
     // Every domain finishes at the same tick (>= every window bound it

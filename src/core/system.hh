@@ -38,6 +38,7 @@
 #include "noc/chaos_network.hh"
 #include "noc/network.hh"
 #include "obs/trace_recorder.hh"
+#include "obs/tx_ledger.hh"
 #include "proc/processor.hh"
 #include "proc/tid_vendor.hh"
 #include "sim/event_queue.hh"
@@ -96,8 +97,8 @@ struct TraceConfig {
      *  protocol tracing: a nonzero value claims the ring from the
      *  System's arena (each PDES domain's, under PDES) at
      *  construction, and every component records every event kind
-     *  into it. The tx ledger folds every recorded commit whatever
-     *  this size; only the ring's history wraps. Recording is purely
+     *  into it. The tx ledger does not depend on it: the processors
+     *  keep every commit's record in every run. Recording is purely
      *  observational: results are bit-identical armed or not. */
     std::size_t capacity = 0;
     /** Epoch sampler cadence in cycles; 0 (default) = off. When armed
@@ -331,6 +332,11 @@ class System
     const TraceRecorder &traceRecorder() const { return tracer; }
     TraceRecorder &traceRecorder() { return tracer; }
 
+    /** One record per committed transaction, in commit order, in
+     *  every run (obs/tx_ledger.hh). Under PDES this is the merged
+     *  cross-domain ledger, available after run(). */
+    const TxLedger &ledger() const { return txLedger; }
+
     /** Epoch time series of the last run, or null when metrics are off
      *  (TraceConfig::metricsEpoch == 0). Under PDES this is the merged
      *  cross-domain series, available after run(). */
@@ -389,6 +395,7 @@ class System
         Arena *arena;
         GlobalStore *store;
         TraceRecorder *tracer;
+        TxLedger *ledger;
         std::unique_ptr<InvariantChecker> *checker;
         std::unique_ptr<MetricsSampler> *metrics;
         std::unique_ptr<ContentionProfiler> *contention;
@@ -435,6 +442,9 @@ class System
     EventQueue eventq;
     /** Structured protocol event ring; components hold a pointer. */
     TraceRecorder tracer;
+    /** Commit records; the processors append to it (serial) or to
+     *  their domain's, merged here at finalize (PDES). */
+    TxLedger txLedger;
     std::unique_ptr<Network> net;
     HomeMap homes;
     GlobalStore store;

@@ -27,7 +27,6 @@ traceEventKindName(TraceEventKind k)
       case TraceEventKind::DirInvalidate: return "dir_invalidate";
       case TraceEventKind::NetSend: return "net_send";
       case TraceEventKind::NetDeliver: return "net_deliver";
-      case TraceEventKind::CommitFanout: return "commit_fanout";
       default: return "?";
     }
 }
@@ -71,7 +70,6 @@ TraceRecorder::push(TraceEventKind kind, NodeId node, Tid tid,
     e.kind = kind;
     e.pad = 0;
     ++total;
-    txLedger.record(e);
 }
 
 void

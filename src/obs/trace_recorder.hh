@@ -14,12 +14,11 @@
  * observational (it never schedules events or touches simulated
  * state).
  *
- * push() also folds each record into the per-transaction ledger
- * (obs/tx_ledger.hh) as it stores it, so the ledger holds every commit
- * however far the ring wraps. The ring itself feeds the history
- * consumers only: formatTraceEvent() below (tccsim --trace,
- * protocol_trace, the invariant checker's failure tail) and the
- * Perfetto/Chrome trace_event JSON export (obs/chrome_trace.hh).
+ * The ring is history only: it feeds formatTraceEvent() below (tccsim
+ * --trace, protocol_trace, the invariant checker's failure tail) and
+ * the Perfetto/Chrome trace_event JSON export (obs/chrome_trace.hh).
+ * Per-commit facts do not come from it: the processors write the tx
+ * ledger (obs/tx_ledger.hh) themselves, in every run.
  *
  * Thread confinement: a recorder belongs to one System and inherits
  * its confinement invariant (DESIGN.md section 7) - concurrent sweep
@@ -35,7 +34,6 @@
 
 #include "common/arena.hh"
 #include "common/types.hh"
-#include "obs/tx_ledger.hh"
 #include "sim/event_queue.hh"
 
 namespace tcc {
@@ -77,9 +75,6 @@ enum class TraceEventKind : std::uint16_t {
     // --- network -----------------------------------------------------
     NetSend,    ///< node = src; a0 = address; a1 = packed route info
     NetDeliver, ///< node = dst; a0 = address; a1 = packed route info
-
-    CommitFanout, ///< a0 = directories touched (write + share-only),
-                  ///< a1 = NIC-serialized multicast events this attempt
 
     NumKinds,
 };
@@ -139,13 +134,11 @@ static_assert(sizeof(TraceEvent) == 40,
 std::string formatTraceEvent(const TraceEvent &e);
 
 /**
- * The per-System ring and the ledger folded from it. Capacity is fixed
- * at construction, which claims the storage from the owner's arena;
- * when the ring is full the oldest record is overwritten (captured()
- * keeps counting, so dropped() reports how much history was lost) -
- * the ledger, folded before the overwrite, loses nothing. A
- * zero-capacity recorder holds no storage and is never handed to an
- * emit site.
+ * The per-System ring. Capacity is fixed at construction, which claims
+ * the storage from the owner's arena; when the ring is full the oldest
+ * record is overwritten (captured() keeps counting, so dropped()
+ * reports how much history was lost). A zero-capacity recorder holds
+ * no storage and is never handed to an emit site.
  */
 class TraceRecorder
 {
@@ -169,17 +162,16 @@ class TraceRecorder
     bool armed() const { return cap != 0; }
 
     /**
-     * Unconditionally append one record and fold it into the ledger
-     * (the gate lives in traceEmit() below). Out-of-line: the hot path
-     * only ever inlines the null-pointer check.
+     * Unconditionally append one record (the gate lives in traceEmit()
+     * below). Out-of-line: the hot path only ever inlines the
+     * null-pointer check.
      */
     void push(TraceEventKind kind, NodeId node, Tid tid,
               std::uint64_t arg0, std::uint64_t arg1);
 
-    /** Append a pre-built record verbatim, keeping its original tick,
-     *  without folding it (PDES merges per-domain rings into the
-     *  System ring at finalize in canonical (tick, domain) order, and
-     *  the domain ledgers separately; see sim/domain.hh). */
+    /** Append a pre-built record verbatim, keeping its original tick
+     *  (PDES merges per-domain rings into the System ring at finalize
+     *  in canonical (tick, domain) order; see sim/domain.hh). */
     void pushRaw(const TraceEvent &src);
 
     /** Count @p n events lost before they reached this ring (a PDES
@@ -228,19 +220,13 @@ class TraceRecorder
             fn(at(i));
     }
 
-    /** Every committed transaction recorded so far, in commit
-     *  order. */
-    const TxLedger &ledger() const { return txLedger; }
-    TxLedger &ledger() { return txLedger; }
-
-    /** Forget everything recorded so far, ledger included (ring
-     *  storage is retained). */
+    /** Forget everything recorded so far (ring storage is
+     *  retained). */
     void
     clear()
     {
         total = 0;
         lost = 0;
-        txLedger.clear();
     }
 
   private:
@@ -249,7 +235,6 @@ class TraceRecorder
     TraceEvent *buf;         ///< ring storage (nullptr when unarmed)
     std::uint64_t total = 0; ///< events ever pushed
     std::uint64_t lost = 0;  ///< see noteDropped()
-    TxLedger txLedger;
 };
 
 /**

@@ -3,20 +3,18 @@
  * Per-transaction lifecycle ledger: one record per *committed* TID -
  * where its cycles went (execution vs commit phase), how its
  * commit-protocol round trips behaved (probe send -> reply, first
- * skip / first mark -> validation), how many attempts it took, and
- * what violated it (conflicting line address + the writer's TID).
+ * skip / first mark -> validation), how many attempts it took, what
+ * violated it (conflicting line address + the writer's TID), and its
+ * Table 3 sizes.
  *
  * This is the machine-readable companion to the paper's Figures 6-7
  * breakdown and Table 3 latencies: instead of aggregate counters it
- * answers "why did *this* transaction take that long". The ledger is
- * folded as events are recorded (TraceRecorder::push feeds record()),
- * so it holds every commit of the run whatever the ring size; a
- * wrapped ring cuts only the text and Perfetto history. Entries are
- * produced in commit order, which is deterministic, so ledgers are
- * golden-testable.
- *
- * A ledger requires a traced run (TraceConfig::capacity != 0; tccsim
- * --trace-out arms it).
+ * answers "why did *this* transaction take that long". The processor
+ * writes each record itself when the transaction commits
+ * (TccProcessor::recordCommitStats), so every run keeps every commit,
+ * traced or not. Records are appended in commit order, which is
+ * deterministic, so ledgers are golden-testable; one node's records
+ * are in that processor's commit order.
  */
 
 #ifndef TCC_OBS_TX_LEDGER_HH
@@ -26,26 +24,22 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/types.hh"
 
 namespace tcc {
-
-struct TraceEvent; // obs/trace_recorder.hh
 
 /** One committed transaction's lifecycle. */
 struct TxLedgerEntry {
     Tid tid = kInvalidTid;
     NodeId node = kInvalidNode;
 
+    /** Violated attempts before the committing one. */
+    std::uint32_t retries = 0;
+
     Tick beginTick = 0;       ///< final (committing) attempt began
     Tick commitStartTick = 0; ///< commit phase entered
     Tick commitEndTick = 0;   ///< validated + published
 
-    /** Violated attempts before the committing one. */
-    std::uint32_t retries = 0;
-    /** True when a conflicting invalidation was observed. */
-    bool hasViolation = false;
     /** Cause of the last violation: conflicting line address. */
     Addr violationAddr = 0;
     /** Cause of the last violation: the committing writer's TID. */
@@ -56,8 +50,7 @@ struct TxLedgerEntry {
      *  transaction retried by several hot words lists them all here. */
     std::vector<std::pair<Addr, std::uint32_t>> causes;
 
-    /** Probe round trips (send -> reply) observed for this commit. */
-    std::uint64_t probeCount = 0;
+    /** Probe round trips (send -> reply), summed over every attempt. */
     Tick probeRttTotal = 0;
     Tick probeRttMax = 0;
 
@@ -65,13 +58,24 @@ struct TxLedgerEntry {
     Tick firstSkipTick = 0;
     Tick firstMarkTick = 0;
 
+    /** Instructions of the committing attempt (Table 3 size). */
+    std::uint64_t instructions = 0;
+    std::uint32_t probeCount = 0;
     /** Directories this commit touched (write + share-only). */
-    std::uint64_t directoriesTouched = 0;
+    std::uint32_t directoriesTouched = 0;
     /** NIC-serialized multicast injections the committing attempt
      *  charged (probe / skip fan-out; O(N) flat, O(k log N) tree). */
-    std::uint64_t multicastEvents = 0;
+    std::uint32_t multicastEvents = 0;
+    /** Speculatively written / read lines at commit (Table 3 sets). */
+    std::uint32_t writeLines = 0;
+    std::uint32_t readLines = 0;
+    /** Distinct words written (Table 3 ops per word written). */
+    std::uint32_t wordsWritten = 0;
 
     bool operator==(const TxLedgerEntry &) const = default;
+
+    /** True when a conflicting invalidation was observed. */
+    bool hasViolation() const { return !causes.empty(); }
 
     Tick
     execCycles() const
@@ -116,55 +120,8 @@ struct TxLedgerEntry {
     }
 };
 
-/** The committed transactions of a traced run. */
-class TxLedger
-{
-  public:
-    /** One record per committed TID, in commit order. */
-    std::vector<TxLedgerEntry> entries;
-
-    /** Fold one recorded event; a TxCommit appends its entry. */
-    void record(const TraceEvent &e);
-
-    /** Forget every entry and every in-flight transaction. */
-    void
-    clear()
-    {
-        entries.clear();
-        folds.clear();
-    }
-
-  private:
-    /** Folding state for one processor's in-flight transaction. */
-    struct NodeFold {
-        bool open = false;
-        Tick begin = 0;
-        Tick commitStart = 0;
-        std::uint32_t retries = 0;
-        bool hasViolation = false;
-        Addr violationAddr = 0;
-        Tid violationWriter = kInvalidTid;
-        std::uint64_t probeCount = 0;
-        Tick probeRttTotal = 0;
-        Tick probeRttMax = 0;
-        Tick firstSkip = 0;
-        Tick firstMark = 0;
-        std::uint64_t dirsTouched = 0;
-        std::uint64_t mcastEvents = 0;
-        /** Outstanding probe send tick per target directory. */
-        FlatMap<NodeId, Tick> probeSent;
-        /** Violation causes across all attempts: address -> count.
-         *  Cleared only when the transaction commits, not per
-         *  attempt - retries keep accumulating their causes. */
-        FlatMap<Addr, std::uint32_t> causeCounts;
-
-        void resetAttempt();
-        void resetTxn();
-    };
-
-    /** Node-indexed fold state; nodes appear as they emit. */
-    std::vector<NodeFold> folds;
-};
+/** The committed transactions of a run, in commit order. */
+using TxLedger = std::vector<TxLedgerEntry>;
 
 } // namespace tcc
 

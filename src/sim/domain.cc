@@ -307,7 +307,7 @@ mergeByTick(std::size_t n, Size size, TickOf tick_of, Take take)
 } // namespace
 
 void
-PdesState::mergeTraces(TraceRecorder &into) const
+PdesState::mergeTraces(TraceRecorder &into, TxLedger &ledger) const
 {
     const auto ring = [this](std::size_t d) -> const TraceRecorder & {
         return domains[d]->tracer;
@@ -316,18 +316,17 @@ PdesState::mergeTraces(TraceRecorder &into) const
         domains.size(), [&](std::size_t d) { return ring(d).size(); },
         [&](std::size_t d, std::size_t i) { return ring(d).at(i).tick; },
         [&](std::size_t d, std::size_t i) { into.pushRaw(ring(d).at(i)); });
-    // Each domain ledger folded its own nodes' commits in commit order.
-    const auto ledger = [&](std::size_t d) -> const auto & {
-        return ring(d).ledger().entries;
+    // Each domain ledger holds its own nodes' commits in commit order.
+    const auto part = [this](std::size_t d) -> const TxLedger & {
+        return domains[d]->ledger;
     };
-    std::vector<TxLedgerEntry> &merged = into.ledger().entries;
     mergeByTick(
-        domains.size(), [&](std::size_t d) { return ledger(d).size(); },
+        domains.size(), [&](std::size_t d) { return part(d).size(); },
         [&](std::size_t d, std::size_t i) {
-            return ledger(d)[i].commitEndTick;
+            return part(d)[i].commitEndTick;
         },
         [&](std::size_t d, std::size_t i) {
-            merged.push_back(ledger(d)[i]);
+            ledger.push_back(part(d)[i]);
         });
     for (const auto &d : domains)
         into.noteDropped(d->tracer.dropped());

@@ -53,6 +53,7 @@
 #include "obs/contention.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_recorder.hh"
+#include "obs/tx_ledger.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 
@@ -233,6 +234,8 @@ struct PdesDomain {
      *  are logged and broadcast at the window barrier. */
     GlobalStore store;
     TraceRecorder tracer;
+    /** This domain's processors' commit records, in commit order. */
+    TxLedger ledger;
     std::unique_ptr<DomainNet> net;
     /** Per-domain invariant checker (nullptr unless armed); finalize
      *  is restricted to this domain's node range. */
@@ -338,11 +341,11 @@ struct PdesState {
     void applyStoreLogs();
 
     /** Merge the per-domain trace rings into @p into, ordered by
-     *  (tick, domain id), and the per-domain ledgers into its ledger,
+     *  (tick, domain id), and the per-domain ledgers into @p ledger,
      *  ordered by (commit tick, domain id); within a domain, its own
      *  order is kept. Events the domain rings dropped count as dropped
      *  in @p into. */
-    void mergeTraces(TraceRecorder &into) const;
+    void mergeTraces(TraceRecorder &into, TxLedger &ledger) const;
 
   private:
     /** Reused (tick, domain) merge scratch for applyStoreLogs. */

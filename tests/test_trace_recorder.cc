@@ -2,9 +2,10 @@
  * @file
  * Structured protocol tracing: TraceRecorder ring semantics, the one
  * switch (TraceConfig::capacity), the golden event sequence of the
- * Figure 2 two-processor conflict, the transaction ledger folded from
- * it, and the determinism of the text / Chrome-trace / stats-JSON
- * renderings.
+ * Figure 2 two-processor conflict, the transaction ledger the
+ * processors write (and its agreement with the ring and with their
+ * counters), and the determinism of the text / Chrome-trace /
+ * stats-JSON renderings.
  */
 
 #include <gtest/gtest.h>
@@ -234,41 +235,52 @@ TEST(TxLedger, NamesTheConflictAddressAndWriter)
 {
     ConflictScenario s;
     ASSERT_TRUE(s.sys.run().completed);
-    const auto ledger = s.sys.traceRecorder().ledger().entries;
+    const TxLedger &ledger = s.sys.ledger();
 
     // One entry per committed transaction, in commit order.
     ASSERT_EQ(ledger.size(), 2u);
     EXPECT_EQ(ledger[0].tid, 0u);
     EXPECT_EQ(ledger[0].node, 0u);
     EXPECT_EQ(ledger[0].retries, 0u);
-    EXPECT_FALSE(ledger[0].hasViolation);
+    EXPECT_FALSE(ledger[0].hasViolation());
     EXPECT_GT(ledger[0].execCycles(), 0u);
     EXPECT_GT(ledger[0].commitCycles(), 0u);
 
     EXPECT_EQ(ledger[1].tid, 1u);
     EXPECT_EQ(ledger[1].node, 1u);
     EXPECT_EQ(ledger[1].retries, 1u);
-    EXPECT_TRUE(ledger[1].hasViolation);
+    EXPECT_TRUE(ledger[1].hasViolation());
     EXPECT_EQ(ledger[1].violationAddr, ConflictScenario::kX);
     EXPECT_EQ(ledger[1].violationWriter, 0u);
     // The committing attempt sent probes and observed round trips.
     EXPECT_GT(ledger[1].probeCount + ledger[0].probeCount, 0u);
 }
 
+/** One TxCommit event of the ring: which TID committed where, when. */
+struct RingCommit {
+    Tid tid;
+    NodeId node;
+    Tick tick;
+    bool operator==(const RingCommit &) const = default;
+};
+
 /** A contended 4-proc ds_map run traced into a ring of @p capacity
- *  events (per domain under PDES, @p domains >= 2): its ledger, and
- *  the same commit facts as the processors count them. */
+ *  events (0 = untraced; per domain under PDES, @p domains >= 2): its
+ *  ledger, its ring's commits, and the same commit facts as the
+ *  processors count them. */
 struct ContendedRun {
-    std::vector<TxLedgerEntry> ledger;
-    /** The ledger folded afresh from the (merged) ring, when the ring
-     *  holds the whole run. */
-    std::vector<TxLedgerEntry> ringFold;
+    TxLedger ledger;
+    /** The ring's TxCommit events, oldest first. */
+    std::vector<RingCommit> ringCommits;
+    bool ringWrapped = false;
     std::uint64_t committed = 0;
     std::uint64_t soloCommits = 0;
-    /** Per-proc dirs_touched_per_commit, merged. */
-    Distribution dirsTouched;
     /** Per-proc multicast_nic_per_commit, merged. */
     Distribution multicastNic;
+    /** Per proc: commit_cycles, violations and commit_latency. */
+    std::vector<std::uint64_t> commitCycles;
+    std::vector<std::uint64_t> violations;
+    std::vector<Distribution> commitLatency;
 };
 
 ContendedRun
@@ -295,19 +307,21 @@ contendedLedger(std::size_t capacity, std::uint32_t domains)
     EXPECT_GT(res.violations, 0u) << "the run must retry transactions";
     EXPECT_EQ(res.pdes.domains, domains);
     ContendedRun run;
+    run.ledger = sys.ledger();
     const TraceRecorder &rec = sys.traceRecorder();
-    run.ledger = rec.ledger().entries;
-    if (rec.dropped() == 0) {
-        TxLedger fold;
-        rec.forEach([&fold](const TraceEvent &e) { fold.record(e); });
-        run.ringFold = fold.entries;
-    }
+    rec.forEach([&run](const TraceEvent &e) {
+        if (e.kind == TraceEventKind::TxCommit)
+            run.ringCommits.push_back({e.tid, e.node, e.tick});
+    });
+    run.ringWrapped = rec.dropped() != 0;
     run.committed = res.committedTxns;
     for (NodeId p = 0; p < sys.numProcs(); ++p) {
         const auto &s = sys.proc(p).stats();
         run.soloCommits += s.soloCommits;
-        run.dirsTouched.merge(s.dirsTouchedPerCommit);
         run.multicastNic.merge(s.multicastNicPerCommit);
+        run.commitCycles.push_back(s.commitCycles);
+        run.violations.push_back(s.violations);
+        run.commitLatency.push_back(s.commitLatency);
     }
     return run;
 }
@@ -327,32 +341,91 @@ expectSameSamples(const Distribution &a, const Distribution &b)
 
 TEST(TxLedger, WrappedRingKeepsEveryCommit)
 {
-    // The ledger is folded as events are recorded, so a ring that
-    // wraps cuts only the event history: the ledger of a 256-event
-    // ring equals that of a ring holding the whole run, entry for
-    // entry and in order, and holds every commit.
+    // The processors write the ledger, so a ring that wraps cuts only
+    // the event history: the ledger of a 256-event ring equals that of
+    // a ring holding the whole run, entry for entry and in order, and
+    // holds every commit.
     for (std::uint32_t domains : {0u, 2u}) {
         SCOPED_TRACE("domains=" + std::to_string(domains));
         const ContendedRun full =
             contendedLedger(std::size_t{1} << 20, domains);
         const ContendedRun cut = contendedLedger(256, domains);
+        ASSERT_FALSE(full.ringWrapped);
+        ASSERT_TRUE(cut.ringWrapped);
         EXPECT_EQ(cut.ledger.size(), cut.committed);
         EXPECT_EQ(full.ledger.size(), full.committed);
         EXPECT_TRUE(cut.ledger == full.ledger);
-        // With the whole run in the ring, folding the (merged) ring
-        // gives the same ledger in the same order.
-        EXPECT_TRUE(full.ringFold == full.ledger);
+        // With the whole run in the ring, its TxCommit events name the
+        // ledger's commits one for one, in the same order.
+        std::vector<RingCommit> ledgerCommits;
+        for (const TxLedgerEntry &e : full.ledger)
+            ledgerCommits.push_back({e.tid, e.node, e.commitEndTick});
+        EXPECT_TRUE(full.ringCommits == ledgerCommits);
 
         // Both commit paths record the same fan-out facts in the
         // ledger and in the per-proc distributions.
         EXPECT_GT(cut.soloCommits, 0u) << "the run must commit solo";
-        Distribution dirs, mcast;
-        for (const TxLedgerEntry &e : cut.ledger) {
-            dirs.sample(static_cast<double>(e.directoriesTouched));
+        Distribution mcast;
+        for (const TxLedgerEntry &e : cut.ledger)
             mcast.sample(static_cast<double>(e.multicastEvents));
-        }
-        expectSameSamples(dirs, cut.dirsTouched);
         expectSameSamples(mcast, cut.multicastNic);
+    }
+}
+
+TEST(TxLedger, UntracedRunKeepsEveryCommit)
+{
+    // The ledger does not depend on tracing: with no ring at all it
+    // holds every commit, and equals the traced run's ledger.
+    for (std::uint32_t domains : {0u, 2u}) {
+        SCOPED_TRACE("domains=" + std::to_string(domains));
+        const ContendedRun off = contendedLedger(0, domains);
+        const ContendedRun on =
+            contendedLedger(std::size_t{1} << 20, domains);
+        EXPECT_TRUE(off.ringCommits.empty());
+        EXPECT_EQ(off.ledger.size(), off.committed);
+        EXPECT_TRUE(off.ledger == on.ledger);
+    }
+}
+
+/** Every sample of @p d, ascending. */
+std::vector<double>
+sortedSamples(const Distribution &d)
+{
+    std::vector<double> out;
+    const std::size_t n = d.count();
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(d.percentile(
+            n == 1 ? 0.0 : 100.0 * static_cast<double>(i) /
+                               static_cast<double>(n - 1)));
+    return out;
+}
+
+TEST(TxLedger, RecordsAgreeWithTheProcessorCounters)
+{
+    // Per node, the records add up to the processor's own counters:
+    // commit cycles to the commit bucket, retries to the violations of
+    // a completed run (every violated transaction went on to commit),
+    // and each record's commit cycles to one commit_latency sample.
+    for (std::uint32_t domains : {0u, 2u}) {
+        SCOPED_TRACE("domains=" + std::to_string(domains));
+        const ContendedRun run = contendedLedger(0, domains);
+        for (NodeId p = 0; p < run.commitCycles.size(); ++p) {
+            SCOPED_TRACE("node " + std::to_string(p));
+            std::uint64_t cycles = 0, retries = 0;
+            Distribution latency;
+            for (const TxLedgerEntry &e : run.ledger) {
+                if (e.node != p)
+                    continue;
+                cycles += e.commitCycles();
+                retries += e.retries;
+                latency.sample(static_cast<double>(e.commitCycles()));
+            }
+            EXPECT_EQ(cycles, run.commitCycles[p]);
+            EXPECT_EQ(retries, run.violations[p]);
+            EXPECT_EQ(sortedSamples(latency),
+                      sortedSamples(run.commitLatency[p]));
+            EXPECT_EQ(latency.mean(), run.commitLatency[p].mean());
+        }
     }
 }
 
