@@ -2,7 +2,8 @@
  * @file
  * Direct unit tests of the TccProcessor commit engine: how early
  * (TID-less) probe answers, NSTID replies and duplicates move a commit
- * through its per-directory table, and when the Commit goes out.
+ * through its per-directory table, when the Commit goes out, and the
+ * probe round trips its ledger record reports.
  *
  * The processor runs one scripted transaction over an IdealNetwork; a
  * fixture captures everything it sends to each node, plays the TID
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "mem/global_store.hh"
 #include "mem/home_map.hh"
 #include "noc/network.hh"
+#include "obs/tx_ledger.hh"
 #include "proc/processor.hh"
 #include "sim/event_queue.hh"
 #include "workload/scripted_source.hh"
@@ -51,6 +54,7 @@ class ProcessorTest : public ::testing::Test
         src.add({TxOp::load(kRead), TxOp::store(kWrite1a, 1),
                  TxOp::store(kWrite1b, 2), TxOp::store(kWrite2, 3)});
         proc.setSource(&src);
+        proc.setLedger(&ledger);
         proc.start();
         run();
     }
@@ -81,7 +85,16 @@ class ProcessorTest : public ::testing::Test
     void
     deliver(const Message &msg)
     {
+        deliveredAt = eq.now();
         proc.receive(msg);
+        eq.run();
+    }
+
+    /** Let @p cycles pass with nothing delivered. */
+    void
+    advance(Tick cycles)
+    {
+        eq.schedule(cycles, [] {});
         eq.run();
     }
 
@@ -165,7 +178,10 @@ class ProcessorTest : public ::testing::Test
     GlobalStore store;
     ScriptedSource src;
     TccProcessor proc;
+    TxLedger ledger;
     std::map<NodeId, std::vector<Message>> inbox;
+    /** The tick of the last deliver(). */
+    Tick deliveredAt = 0;
 };
 
 TEST_F(ProcessorTest, EarlyProbesGoToTheTouchedDirectories)
@@ -299,6 +315,66 @@ TEST_F(ProcessorTest, CommitWaitsForTheLastShareOnlyDirectory)
     EXPECT_EQ(take(2, MsgType::Commit).size(), 1u);
     EXPECT_TRUE(take(0, MsgType::Commit).empty());
     EXPECT_EQ(proc.stats().txnsCommitted, 1u);
+}
+
+TEST_F(ProcessorTest, LedgerPairsEachProbeReplyWithItsProbe)
+{
+    // The early probes and the TID request left when the commit
+    // started; the ideal network delivered them one cycle later.
+    const Tick commit_start = eq.now() - 1;
+    for (NodeId d = 0; d < 3; ++d)
+        take(d, MsgType::Probe);
+
+    // The TID arrives before any early answer: every directory gets a
+    // TID probe while its early probe is still out.
+    advance(10);
+    grantTid();
+    const Tick tid_probes = deliveredAt;
+    expectSkips();
+    for (NodeId d = 0; d < 3; ++d)
+        EXPECT_EQ(tidProbes(d).size(), 1u) << "dir " << d;
+
+    // Then the early answers: directory 1 already serves the TID
+    // (marks go out), directory 2 is behind (a second TID probe).
+    advance(5);
+    probeReply(1, kInvalidTid, kTid);
+    const Tick early1 = deliveredAt;
+    probeReply(2, kInvalidTid, kTid - 1);
+    const Tick early2 = deliveredAt;
+    EXPECT_EQ(take(1, MsgType::Mark).size(), 2u);
+    EXPECT_EQ(tidProbes(2).size(), 1u);
+
+    // Last, every TID probe's answer; directory 0 validates the commit.
+    advance(20);
+    probeReply(1, kTid, kTid);
+    const Tick tid1 = deliveredAt;
+    probeReply(2, kTid, kTid);
+    const Tick tid2a = deliveredAt;
+    probeReply(2, kTid, kTid);
+    const Tick tid2b = deliveredAt;
+    probeReply(0, kTid, kTid);
+    const Tick tid0 = deliveredAt;
+    ASSERT_EQ(proc.stats().txnsCommitted, 1u);
+
+    // Six replies, each against the probe it answers: directory 0's
+    // early probe was never answered.
+    const std::vector<Tick> rtts = {
+        early1 - commit_start, early2 - commit_start,
+        tid1 - tid_probes,     tid2a - tid_probes,
+        tid2b - early2,        tid0 - tid_probes,
+    };
+    Tick total = 0, max = 0;
+    for (Tick r : rtts) {
+        total += r;
+        max = std::max(max, r);
+    }
+    ASSERT_EQ(ledger.size(), 1u);
+    const TxLedgerEntry &rec = ledger[0];
+    EXPECT_EQ(rec.tid, kTid);
+    EXPECT_EQ(rec.commitStartTick, commit_start);
+    EXPECT_EQ(rec.probeCount, rtts.size());
+    EXPECT_EQ(rec.probeRttTotal, total);
+    EXPECT_EQ(rec.probeRttMax, max);
 }
 
 TEST(ProcessorHomes, MemoFollowsARebind)
