@@ -49,6 +49,8 @@ struct Outcome {
     std::uint64_t fingerprint = 0;
     /** Host wall-clock of System::run() (never compared). */
     double wallSec = 0;
+    /** System::ledger().size() after the run (checkLedger()). */
+    std::uint64_t ledgerRecords = 0;
 };
 
 /** Wall-clock seconds from @p a to @p b. */
@@ -78,6 +80,7 @@ runOutcome(System &sys)
     out.res = sys.run();
     out.wallSec = seconds(t0, std::chrono::steady_clock::now());
     out.fingerprint = sys.memory().fingerprint();
+    out.ledgerRecords = sys.ledger().size();
     return out;
 }
 
@@ -376,6 +379,23 @@ class BenchReport
     StatsNode doc;
     std::vector<std::pair<const char *, bool>> gates;
 };
+
+/**
+ * Gate @p gate on @p out's tx ledger holding one record per commit.
+ * The processors write it in every run, traced or not, so a shortfall
+ * is a lost record. @p point names the run in the failure line.
+ * Returns whether it held.
+ */
+inline bool
+checkLedger(BenchReport &report, const char *gate, const Outcome &out,
+            const std::string &point)
+{
+    return report.check(gate, out.ledgerRecords == out.res.committedTxns,
+                        "%s: %llu ledger records for %llu commits",
+                        point.c_str(),
+                        (unsigned long long)out.ledgerRecords,
+                        (unsigned long long)out.res.committedTxns);
+}
 
 } // namespace tccbench
 

@@ -223,6 +223,9 @@ main(int argc, char **argv)
                      "commits",
                      spec.workload.c_str(), spec.procs, pt.lat.count(),
                      (unsigned long long)pt.out.res.committedTxns);
+        checkLedger(report, "latency_lossless", pt.out,
+                    spec.workload + " procs=" +
+                        std::to_string(spec.procs));
         std::printf("%-9s th=%.2f %-12s procs=%-3u : %9llu cycles  "
                     "goodput %.4f  abort %.3f  lat p50/p99 "
                     "%5.0f/%5.0f\n",

@@ -332,13 +332,19 @@ judgeClaims(BenchReport &report, const Results &r,
     StatsNode &claims = report.root().group("claims");
     {
         std::uint64_t incomplete = 0;
-        for (const Point &pt : r.points)
+        bool ledgers = true;
+        for (const Point &pt : r.points) {
             incomplete += !pt.run.res.completed;
+            ledgers = checkLedger(report, "completed", pt.run,
+                                  pt.run.app + " procs=" +
+                                      std::to_string(pt.run.procs)) &&
+                      ledgers;
+        }
         for (const RunResult &bus : r.bus)
             incomplete += !bus.completed;
         StatsNode &ev = claims.group("completed");
         ev.num("incomplete", incomplete);
-        gate(report, "completed", incomplete == 0, ev);
+        gate(report, "completed", incomplete == 0 && ledgers, ev);
     }
     {
         // Paper: SPECjbb "scales linearly"; volrend and equake are

@@ -17,7 +17,8 @@
 #                     narrower rows than the others).
 #  UNIQUE_POINT_KEYS  each element of doc.points has a unique (a, b,
 #                     ...) tuple (no point measured twice under
-#                     different requested parameters).
+#                     different requested parameters); checked on the
+#                     schema walk's copy of each point.
 #  REQUIRED_ARRAY_KEYS  arrays that must exist and be non-empty.
 #  SERIES_OBJECT      every member of doc.<key> is an array, all of
 #                     equal length (the metrics epoch-series contract).
@@ -25,21 +26,52 @@ if(NOT DEFINED JSON_FILE)
   message(FATAL_ERROR "pass -DJSON_FILE=<path>")
 endif()
 string(REPLACE "," ";" array_key_list "${REQUIRED_ARRAY_KEYS}")
+string(REPLACE "," ";" unique_key_list "${UNIQUE_POINT_KEYS}")
 
 file(READ "${JSON_FILE}" doc)
 
-# Append the schema lines of the JSON text `json` at `path` to
-# `schema_lines` in the caller's scope.
-function(schema_walk json path)
-  string(JSON type TYPE "${json}")
+# Record the schema line `line` once, in first-seen order (global
+# properties: a set lookup per line, no list copied per call).
+function(schema_line line)
+  get_property(seen GLOBAL PROPERTY "schema_seen:${line}" SET)
+  if(NOT seen)
+    set_property(GLOBAL PROPERTY "schema_seen:${line}" 1)
+    set_property(GLOBAL APPEND PROPERTY schema_lines "${line}")
+  endif()
+endfunction()
+
+# Fail unless the (UNIQUE_POINT_KEYS) tuple of `point`, the text of one
+# element of doc.points, is new.
+function(unique_point point)
+  set(tuple "")
+  foreach(key IN LISTS unique_key_list)
+    string(JSON val GET "${point}" ${key})
+    string(APPEND tuple "${key}=${val}/")
+  endforeach()
+  get_property(seen GLOBAL PROPERTY "point_seen:${tuple}" SET)
+  if(seen)
+    message(FATAL_ERROR
+            "${JSON_FILE}: duplicate point ${tuple} in 'points'")
+  endif()
+  set_property(GLOBAL PROPERTY "point_seen:${tuple}" 1)
+endfunction()
+
+# Record the schema lines of the members of `json`, the text of an
+# OBJECT or ARRAY (`type`) at `path`, and recurse into each composite
+# member with its own text, GET once. Every string(JSON) call parses
+# its whole input, so each member costs one read of its parent's text
+# for its type (and its key), one GET if it is composite, and nothing
+# more. Sets `keys` in the caller's scope to an object's member names.
+function(schema_walk json type path)
   string(JSON n LENGTH "${json}")
-  set(lines "${schema_lines}")
+  set(names "")
   set(first_keys "")
   if(n GREATER 0)
     math(EXPR last "${n} - 1")
     foreach(i RANGE ${last})
       if(type STREQUAL "OBJECT")
         string(JSON key MEMBER "${json}" ${i})
+        list(APPEND names "${key}")
         set(child_path "${path}${key}")
       else()
         set(key ${i})
@@ -47,23 +79,15 @@ function(schema_walk json path)
       endif()
       string(JSON ctype TYPE "${json}" "${key}")
       string(TOLOWER "${ctype}" ctype_lc)
-      set(line "${child_path} ${ctype_lc}")
-      list(FIND lines "${line}" seen)
-      if(seen EQUAL -1)
-        list(APPEND lines "${line}")
-      endif()
+      schema_line("${child_path} ${ctype_lc}")
       if(ctype STREQUAL "OBJECT" OR ctype STREQUAL "ARRAY")
         string(JSON child GET "${json}" "${key}")
+        if(unique_key_list AND path STREQUAL "points.")
+          unique_point("${child}")
+        endif()
+        schema_walk("${child}" ${ctype} "${child_path}.")
+        # Every object row of an array carries row 0's keys.
         if(type STREQUAL "ARRAY" AND ctype STREQUAL "OBJECT")
-          string(JSON m LENGTH "${child}")
-          set(keys "")
-          if(m GREATER 0)
-            math(EXPR mlast "${m} - 1")
-            foreach(k RANGE ${mlast})
-              string(JSON member MEMBER "${child}" ${k})
-              list(APPEND keys "${member}")
-            endforeach()
-          endif()
           if(i EQUAL 0)
             set(first_keys "${keys}")
           elseif(NOT keys STREQUAL first_keys)
@@ -72,18 +96,19 @@ function(schema_walk json path)
                     "'${path}0' has [${first_keys}]")
           endif()
         endif()
-        set(schema_lines "${lines}")
-        schema_walk("${child}" "${child_path}.")
-        set(lines "${schema_lines}")
       endif()
     endforeach()
   endif()
-  set(schema_lines "${lines}" PARENT_SCOPE)
+  set(keys "${names}" PARENT_SCOPE)
 endfunction()
 
+if(DEFINED SCHEMA_FILE OR unique_key_list)
+  string(JSON doc_type TYPE "${doc}")
+  schema_walk("${doc}" ${doc_type} "")
+endif()
+
 if(DEFINED SCHEMA_FILE)
-  set(schema_lines "")
-  schema_walk("${doc}" "")
+  get_property(schema_lines GLOBAL PROPERTY schema_lines)
   list(JOIN schema_lines "\n" schema)
   file(READ "${SCHEMA_FILE}" golden)
   if(NOT "${schema}\n" STREQUAL golden)
@@ -144,28 +169,9 @@ if(DEFINED SERIES_OBJECT)
   endforeach()
 endif()
 
-if(UNIQUE_POINT_KEYS)
-  string(REPLACE "," ";" unique_key_list "${UNIQUE_POINT_KEYS}")
-  # Parse the document once for `points` and each point once for its
-  # keys; GET on the whole document per key re-parses all of it.
-  string(JSON points GET "${doc}" points)
-  string(JSON npts LENGTH "${points}")
-  set(seen_tuples "")
-  math(EXPR last "${npts} - 1")
-  foreach(i RANGE ${last})
-    string(JSON point GET "${points}" ${i})
-    set(tuple "")
-    foreach(key IN LISTS unique_key_list)
-      string(JSON val GET "${point}" ${key})
-      string(APPEND tuple "${key}=${val}/")
-    endforeach()
-    list(FIND seen_tuples "${tuple}" dup_idx)
-    if(NOT dup_idx EQUAL -1)
-      message(FATAL_ERROR
-              "${JSON_FILE}: duplicate point ${tuple} in 'points'")
-    endif()
-    list(APPEND seen_tuples "${tuple}")
-  endforeach()
+if(unique_key_list)
+  # The walk checked every point; fail if there were none to check.
+  string(JSON points_type TYPE "${doc}" points)
 endif()
 
 message(STATUS "${JSON_FILE}: schema OK")
