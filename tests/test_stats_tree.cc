@@ -145,7 +145,8 @@ schemaOf(const std::string &text)
 TEST(StatsTree, SchemaMatchesGolden)
 {
     // Arm every optional section: PDES, the epoch sampler, the
-    // contention profiler and the transaction ledger (all tracing).
+    // contention profiler and the transaction ledger's entries (they
+    // render when the run is traced).
     SystemConfig cfg;
     cfg.numProcs = 8;
     cfg.trace.capacity = TraceRecorder::kDefaultCapacity;
