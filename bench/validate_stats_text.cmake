@@ -15,9 +15,14 @@ file(STRINGS "${TEXT_FILE}" lines)
 
 # Lines come in tree order, so consecutive lines share a parent: look
 # each parent up once and query the small sub-document, not the whole
-# file, per line.
+# file, per line. Each level of the parent's path stays cached
+# (level_<k> is the text under its first k components), so a new
+# parent re-reads only the levels it does not share with the last one,
+# each from the level above it.
 set(nchecked 0)
 set(parent "<none>")
+set(chain "")
+set(level_0 "${doc}")
 foreach(line IN LISTS lines)
   if(line MATCHES "^-+ (begin|end) tcc stats -+$")
     continue()
@@ -36,16 +41,31 @@ foreach(line IN LISTS lines)
   endif()
   if(NOT want_parent STREQUAL parent)
     set(parent "${want_parent}")
-    if(parent STREQUAL "")
-      set(sub "${doc}")
-    else()
-      string(REPLACE "." ";" ppath "${parent}")
-      string(JSON sub ERROR_VARIABLE err GET "${doc}" ${ppath})
+    string(REPLACE "." ";" want_chain "${parent}")
+    list(LENGTH want_chain depth)
+    list(LENGTH chain cached)
+    set(k 0)
+    while(k LESS depth AND k LESS cached)
+      list(GET want_chain ${k} want_comp)
+      list(GET chain ${k} comp)
+      if(NOT want_comp STREQUAL comp)
+        break()
+      endif()
+      math(EXPR k "${k} + 1")
+    endwhile()
+    while(k LESS depth)
+      list(GET want_chain ${k} comp)
+      math(EXPR next "${k} + 1")
+      string(JSON level_${next} ERROR_VARIABLE err GET "${level_${k}}"
+             "${comp}")
       if(err)
         message(FATAL_ERROR "${JSON_FILE}: no key '${parent}' (in text "
                             "dump): ${err}")
       endif()
-    endif()
+      set(k ${next})
+    endwhile()
+    set(chain "${want_chain}")
+    set(sub "${level_${depth}}")
     string(JSON sub_type TYPE "${sub}")
   endif()
 
